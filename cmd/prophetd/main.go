@@ -71,14 +71,12 @@ func serveMain(args []string) int {
 		addr        = fs.String("addr", ":8057", "listen address")
 		bench       = fs.String("bench", "all", `comma-separated workloads to register ("all" = every benchmark)`)
 		coresFlag   = fs.String("cores", "", "comma-separated thread counts to calibrate for (default 2,4,6,8,10,12)")
-		workers     = fs.Int("workers", 0, "emulation worker pool size (0 = GOMAXPROCS)")
+		workers     = fs.Int("workers", 0, "worker slots: the bound on concurrently emulated cells (0 = GOMAXPROCS)")
 		maxInflight = fs.Int("max-inflight", 0, "admitted-request limit before 429 (0 = 4×GOMAXPROCS)")
 		cacheSize   = fs.Int("cache", 4096, "estimate LRU capacity (negative disables)")
 		noMem       = fs.Bool("no-mem", false, "skip memory-model calibration (every estimate behaves as memory_model:false)")
 		reqTimeout  = fs.Duration("request-timeout", 30*time.Second, "per-request deadline cap (negative = none)")
 		drain       = fs.Duration("drain", 15*time.Second, "graceful-shutdown drain budget")
-		batchWindow = fs.Duration("batch-window", 500*time.Microsecond, "linger to coalesce concurrent cells into one batch")
-		maxBatch    = fs.Int("max-batch", 64, "max cells per coalesced batch")
 		maxImport   = fs.Int64("max-import-bytes", 8<<20, "profile-upload size cap for POST /v1/workloads (negative disables uploads)")
 
 		surrogate       = fs.Bool("surrogate", false, "arm the learned surrogate predictor in front of the emulation stack")
@@ -105,8 +103,6 @@ func serveMain(args []string) int {
 		CacheSize:          *cacheSize,
 		DisableMemoryModel: *noMem,
 		RequestTimeout:     *reqTimeout,
-		BatchWindow:        *batchWindow,
-		MaxBatch:           *maxBatch,
 		MaxImportBytes:     *maxImport,
 	}
 	if *bench != "all" && *bench != "" {

@@ -72,11 +72,14 @@ const (
 	// flight and waited for its result instead of recomputing.
 	MServerFlightDedups = "server.flight.dedups"
 
-	// Batching admission layer: RunCtx batches dispatched, cells carried,
-	// and the per-batch cell-count distribution (coalescing quality).
+	// Worker-slot admission layer: dispatches onto the slot pool and the
+	// cells they carry. One dispatch is one cell, so the two counters
+	// agree; both names are kept for the dashboards that read them.
+	// MServerPoolWait is the time a cell waited for a free slot
+	// (nanosecond histogram).
 	MServerBatches    = "server.batch.batches"
 	MServerBatchCells = "server.batch.cells"
-	MServerBatchSize  = "server.batch.size"
+	MServerPoolWait   = "server.pool.wait_ns"
 
 	// Profile import (internal/profimport): conversions run, samples
 	// parsed, trie frames kept in the converted tree, and frames folded
@@ -157,7 +160,7 @@ var allNames = []string{
 	MServerPredicts, MServerSweeps, MServerAdvises, MServerRejected, MServerBadRequests, MServerImports,
 	MServerPredictLatency, MServerSweepLatency, MServerAdviseLatency,
 	MServerCacheHits, MServerCacheMisses, MServerCacheEvictions, MServerFlightDedups,
-	MServerBatches, MServerBatchCells, MServerBatchSize,
+	MServerBatches, MServerBatchCells, MServerPoolWait,
 	MImportRuns, MImportSamples, MImportFrames, MImportFramesDropped,
 	MClusterCellsLocal, MClusterCellsRemote, MClusterDegradedLocal, MClusterStaleServes,
 	MClusterForwards, MClusterForwardErrors, MClusterRetries, MClusterFailovers,

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"prophet"
@@ -11,176 +10,78 @@ import (
 	"prophet/internal/sweep"
 )
 
-// The batching admission layer. Handlers never run emulations on their
-// own goroutines: every uncached prediction — a single /v1/predict or
-// one cell of a /v1/sweep grid — becomes a cellJob submitted to the
-// server's one batcher. The dispatcher coalesces jobs that arrive close
-// together (across requests) into one sweep.RunCtx call on a bounded
-// worker pool and runs batches strictly one at a time, so the pool size
-// — not the request count — bounds the emulation concurrency, and jobs
-// arriving while a batch runs pile up into the next batch instead of
-// spawning goroutines. Identical concurrent cells are deduplicated in
-// front of the batcher by flightGroup, so a cell is emulated once no
-// matter how many requests need it.
+// The worker-slot admission layer. Handlers never run emulations on
+// their own goroutines: every uncached prediction — a single /v1/predict
+// or one cell of a /v1/sweep grid — waits for one of the server's
+// Workers slots and runs while holding it. The slot count, not the
+// request count, bounds emulation concurrency, and a cell starts the
+// moment any slot frees: nothing lingers to gather cells, and no cell
+// waits for an unrelated slow one. Identical concurrent cells are
+// deduplicated in front of the pool by flightGroup, so a cell is
+// emulated once no matter how many requests need it.
 
-// cellResult is the outcome of one cell job.
+// cellResult is the outcome of one cell.
 type cellResult struct {
 	est prophet.Estimate
 	err error
 }
 
-// cellJob is one prediction unit flowing through the batcher.
-type cellJob struct {
-	// ctx is the originating request's context: the cell observes its
-	// deadline/cancellation through it (the PR 2 cancellation paths).
-	ctx context.Context
-	// run computes the estimate (typically Profile.EstimateCtx).
-	run func(ctx context.Context) (prophet.Estimate, error)
-	// res receives the result exactly once (buffered, capacity 1).
-	res chan cellResult
-
-	delivered atomic.Bool
-}
-
-// deliver sends r unless a result was already delivered (the normal path
-// delivers from inside the batch; the post-batch scan covers cells that
-// panicked or were skipped by a canceled batch).
-func (j *cellJob) deliver(r cellResult) {
-	if j.delivered.CompareAndSwap(false, true) {
-		j.res <- r
-	}
-}
-
-// batcher coalesces concurrent cell jobs into sweep.RunCtx batches.
-type batcher struct {
-	ch   chan *cellJob
-	stop chan struct{}
-	done chan struct{}
-
-	// baseCtx gates every batch: it is the server's lifetime context, so
-	// killing the server (after the drain) aborts in-flight batches.
+// slotPool is the shared worker-slot semaphore every emulated cell
+// acquires.
+type slotPool struct {
+	slots chan struct{}
+	// baseCtx is the server's lifetime context: a cell that reaches its
+	// slot after the server was killed is skipped.
 	baseCtx context.Context
 	engine  sweep.Engine
-	window  time.Duration
-	maxSize int
 
-	batches   *obs.Counter
-	cells     *obs.Counter
-	batchSize *obs.Histogram
+	dispatches *obs.Counter
+	cells      *obs.Counter
+	wait       *obs.Histogram
 }
 
-func newBatcher(baseCtx context.Context, engine sweep.Engine, window time.Duration, maxSize int, reg *obs.Registry) *batcher {
-	if maxSize < 1 {
-		maxSize = 1
+func newSlotPool(baseCtx context.Context, workers int, reg *obs.Registry) *slotPool {
+	return &slotPool{
+		slots:      make(chan struct{}, sweep.Engine{Workers: workers}.WorkerCount()),
+		baseCtx:    baseCtx,
+		engine:     sweep.Engine{Workers: 1, Metrics: reg},
+		dispatches: reg.Counter(obs.MServerBatches),
+		cells:      reg.Counter(obs.MServerBatchCells),
+		wait:       reg.Histogram(obs.MServerPoolWait),
 	}
-	b := &batcher{
-		ch:        make(chan *cellJob, 2*maxSize),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-		baseCtx:   baseCtx,
-		engine:    engine,
-		window:    window,
-		maxSize:   maxSize,
-		batches:   reg.Counter(obs.MServerBatches),
-		cells:     reg.Counter(obs.MServerBatchCells),
-		batchSize: reg.Histogram(obs.MServerBatchSize),
-	}
-	go b.dispatch()
-	return b
 }
 
-// submit enqueues j, failing over to the job's own context so a caller
-// whose deadline fires while the queue is full is not stuck.
-func (b *batcher) submit(j *cellJob) {
+// run waits for a slot and computes one cell with fn while holding it.
+// ctx is the cell's flight context: if it fires while the cell is still
+// queued, the cell leaves without running. The cell runs as a one-cell
+// sweep.RunCtx on the calling goroutine, so a panic resolves as a
+// *sweep.PanicError and the sweep.cells_* counters see every cell.
+func (p *slotPool) run(ctx context.Context, fn func(context.Context) (prophet.Estimate, error)) cellResult {
+	queued := time.Now()
 	select {
-	case b.ch <- j:
-	case <-j.ctx.Done():
-		j.deliver(cellResult{est: prophet.Estimate{Err: j.ctx.Err()}, err: j.ctx.Err()})
-	case <-b.stop:
-		j.deliver(cellResult{est: prophet.Estimate{Err: context.Canceled}, err: context.Canceled})
+	case p.slots <- struct{}{}:
+	case <-ctx.Done():
+		return cellResult{est: prophet.Estimate{Err: ctx.Err()}, err: ctx.Err()}
 	}
-}
-
-// dispatch is the single dispatcher goroutine: collect a batch, run it,
-// repeat. Running batches sequentially is what makes the worker pool a
-// real global bound — jobs arriving mid-batch coalesce into the next one.
-func (b *batcher) dispatch() {
-	defer close(b.done)
-	for {
-		var first *cellJob
-		select {
-		case first = <-b.ch:
-		case <-b.stop:
-			b.drainQueue()
-			return
-		}
-		batch := []*cellJob{first}
-		timer := time.NewTimer(b.window)
-	collect:
-		for len(batch) < b.maxSize {
-			select {
-			case j := <-b.ch:
-				batch = append(batch, j)
-			case <-timer.C:
-				break collect
-			case <-b.stop:
-				break collect
-			}
-		}
-		timer.Stop()
-		b.runBatch(batch)
-	}
-}
-
-// runBatch executes one coalesced batch through sweep.RunCtx on the
-// bounded pool. Each cell honours its own request context; the batch as
-// a whole is gated by the server's lifetime context.
-func (b *batcher) runBatch(batch []*cellJob) {
-	b.batches.Inc()
-	b.cells.Add(int64(len(batch)))
-	b.batchSize.Observe(int64(len(batch)))
-	out := sweep.RunCtx(b.baseCtx, b.engine, len(batch), func(_ context.Context, i int) (prophet.Estimate, error) {
-		j := batch[i]
-		if err := j.ctx.Err(); err != nil {
-			// The request died in the queue; don't burn pool time on it.
+	defer func() { <-p.slots }()
+	p.wait.ObserveDuration(time.Since(queued))
+	p.dispatches.Inc()
+	p.cells.Inc()
+	o := sweep.RunCtx(p.baseCtx, p.engine, 1, func(context.Context, int) (prophet.Estimate, error) {
+		if err := ctx.Err(); err != nil {
+			// Every waiter left as the slot came free; don't burn it.
 			return prophet.Estimate{Err: err}, err
 		}
-		est, err := j.run(j.ctx)
-		j.deliver(cellResult{est: est, err: err})
-		return est, err
-	})
-	// Cells that never reached deliver — a panic contained by RunCtx, or
-	// cells skipped because the server's context fired — resolve here, so
-	// no waiter is ever left hanging.
-	for i, o := range out {
-		est := o.Value
-		if o.Err != nil && est.Err == nil {
-			est.Err = o.Err
-		}
-		batch[i].deliver(cellResult{est: est, err: o.Err})
+		return fn(ctx)
+	})[0]
+	if o.Err != nil && o.Value.Err == nil {
+		o.Value.Err = o.Err
 	}
-}
-
-// drainQueue resolves jobs still queued at shutdown with a cancellation.
-func (b *batcher) drainQueue() {
-	for {
-		select {
-		case j := <-b.ch:
-			j.deliver(cellResult{est: prophet.Estimate{Err: context.Canceled}, err: context.Canceled})
-		default:
-			return
-		}
-	}
-}
-
-// close stops the dispatcher and waits for the in-flight batch to finish.
-func (b *batcher) close() {
-	close(b.stop)
-	<-b.done
+	return cellResult{est: o.Value, err: o.Err}
 }
 
 // flightGroup deduplicates identical concurrent cells: the first caller
-// of a key becomes the leader and submits the cell to the batcher; later
+// of a key becomes the leader and runs the cell on the slot pool; later
 // callers wait for the leader's result. Entries are removed as soon as
 // the flight completes — completed values live in the LRU, not here — so
 // a canceled leader can never poison later requests (the same contract

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,138 +14,283 @@ import (
 	"prophet/internal/sweep"
 )
 
-func newTestBatcher(t *testing.T, engine sweep.Engine, window time.Duration, maxSize int) (*batcher, *obs.Registry) {
-	t.Helper()
+func newTestPool(workers int) (*slotPool, *obs.Registry) {
 	reg := &obs.Registry{}
-	b := newBatcher(context.Background(), engine, window, maxSize, reg)
-	t.Cleanup(b.close)
-	return b, reg
+	return newSlotPool(context.Background(), workers, reg), reg
 }
 
-func newJob(ctx context.Context, run func(context.Context) (prophet.Estimate, error)) *cellJob {
-	return &cellJob{ctx: ctx, run: run, res: make(chan cellResult, 1)}
+// runAsync runs fn on p from a new goroutine and returns its result
+// channel.
+func runAsync(ctx context.Context, p *slotPool, fn func(context.Context) (prophet.Estimate, error)) <-chan cellResult {
+	res := make(chan cellResult, 1)
+	go func() { res <- p.run(ctx, fn) }()
+	return res
 }
 
-// TestBatcherCoalesces checks that jobs submitted together run as one
-// sweep.RunCtx batch, not one batch per job. maxSize equals the job
-// count so the collect loop fills deterministically without waiting out
-// the window.
-func TestBatcherCoalesces(t *testing.T) {
-	const n = 10
-	b, reg := newTestBatcher(t, sweep.Engine{Workers: 4}, time.Second, n)
+// blocker returns a cell that signals started once it holds a slot and
+// then parks until release is closed.
+func blocker(started chan<- struct{}, release <-chan struct{}) func(context.Context) (prophet.Estimate, error) {
+	return func(context.Context) (prophet.Estimate, error) {
+		close(started)
+		<-release
+		return est(1), nil
+	}
+}
 
-	jobs := make([]*cellJob, n)
-	for i := range jobs {
+// recv waits for one result, failing the test after a generous timeout.
+func recv(t *testing.T, what string, res <-chan cellResult) cellResult {
+	t.Helper()
+	select {
+	case r := <-res:
+		return r
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s never resolved", what)
+		return cellResult{}
+	}
+}
+
+// TestPoolNoHeadOfLineBlocking: a cell submitted while another holds a
+// slot runs on a free slot at once instead of waiting for the first cell
+// to finish.
+func TestPoolNoHeadOfLineBlocking(t *testing.T) {
+	p, _ := newTestPool(2)
+	started, release := make(chan struct{}), make(chan struct{})
+	slow := runAsync(context.Background(), p, blocker(started, release))
+	<-started
+	defer close(release)
+
+	fast := runAsync(context.Background(), p, func(context.Context) (prophet.Estimate, error) {
+		return est(2), nil
+	})
+	select {
+	case r := <-fast:
+		if r.err != nil || r.est.Speedup != 2 {
+			t.Errorf("fast cell: %+v, %v", r.est, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("fast cell waited for the slow cell holding the other slot")
+	}
+	select {
+	case <-slow:
+		t.Fatal("slow cell finished before it was released")
+	default:
+	}
+}
+
+// TestPoolBoundsConcurrency: however many cells are submitted, at most
+// Workers run at once, and the pool fills every slot. Each cell gets its
+// own value back.
+func TestPoolBoundsConcurrency(t *testing.T) {
+	const n, workers = 32, 3
+	p, reg := newTestPool(workers)
+
+	var running, high atomic.Int64
+	full := make(chan struct{})
+	var fullOnce sync.Once
+	res := make([]<-chan cellResult, n)
+	for i := range res {
 		i := i
-		jobs[i] = newJob(context.Background(), func(context.Context) (prophet.Estimate, error) {
+		res[i] = runAsync(context.Background(), p, func(context.Context) (prophet.Estimate, error) {
+			cur := running.Add(1)
+			for {
+				h := high.Load()
+				if cur <= h || high.CompareAndSwap(h, cur) {
+					break
+				}
+			}
+			if cur == workers {
+				fullOnce.Do(func() { close(full) })
+			}
+			// Hold the slot until every slot has been filled once, then a
+			// little longer so an unbounded pool would overshoot.
+			<-full
+			time.Sleep(time.Millisecond)
+			running.Add(-1)
 			return est(float64(i)), nil
 		})
 	}
-	// The channel holds 2*maxSize, so sequential submits cannot block; the
-	// dispatcher takes the first job and collects the rest inside maxSize.
-	for _, j := range jobs {
-		b.submit(j)
-	}
-	for i, j := range jobs {
-		r := <-j.res
-		if r.err != nil || r.est.Speedup != float64(i) {
-			t.Errorf("job %d: %+v, %v", i, r.est, r.err)
+	for i, ch := range res {
+		if r := recv(t, "cell", ch); r.err != nil || r.est.Speedup != float64(i) {
+			t.Errorf("cell %d: %+v, %v", i, r.est, r.err)
 		}
 	}
-	snap := reg.Snapshot()
-	if got := snap.Counters[obs.MServerBatchCells]; got != n {
-		t.Errorf("batch cells = %d, want %d", got, n)
+	if h := high.Load(); h != workers {
+		t.Errorf("high-water mark of running cells = %d, want %d", h, workers)
 	}
-	if got := snap.Counters[obs.MServerBatches]; got < 1 || got > 2 {
-		t.Errorf("batches = %d, want 1 (2 tolerated for a slow dispatcher wakeup)", got)
+	snap := reg.Snapshot()
+	if got := snap.Counters[obs.MServerBatches]; got != n {
+		t.Errorf("dispatches = %d, want %d", got, n)
+	}
+	if got := snap.Counters[obs.MServerBatchCells]; got != n {
+		t.Errorf("dispatched cells = %d, want %d", got, n)
+	}
+	if got := snap.Histograms[obs.MServerPoolWait].Count; got != n {
+		t.Errorf("slot waits observed = %d, want %d", got, n)
 	}
 }
 
-// TestBatcherPanicIsolated: a panicking cell must not take down the
-// dispatcher or its batchmates — it resolves via the post-batch scan with
-// the contained panic error, the others with their values.
+// TestBatcherPanicIsolated: a panicking cell resolves with the contained
+// panic error, leaves its neighbour alone and gives its slot back.
 func TestBatcherPanicIsolated(t *testing.T) {
-	b, _ := newTestBatcher(t, sweep.Engine{Workers: 2}, 100*time.Millisecond, 2)
+	p, reg := newTestPool(1)
 
-	bad := newJob(context.Background(), func(context.Context) (prophet.Estimate, error) {
+	bad := runAsync(context.Background(), p, func(context.Context) (prophet.Estimate, error) {
 		panic("cell exploded")
 	})
-	good := newJob(context.Background(), func(context.Context) (prophet.Estimate, error) {
+	good := runAsync(context.Background(), p, func(context.Context) (prophet.Estimate, error) {
 		return est(2), nil
 	})
-	b.submit(bad)
-	b.submit(good)
 
-	r := <-bad.res
-	if r.err == nil {
-		t.Error("panicking cell resolved without error")
-	}
+	r := recv(t, "panicking cell", bad)
 	var pe *sweep.PanicError
 	if !errors.As(r.err, &pe) {
 		t.Errorf("panicking cell err = %v, want a *sweep.PanicError", r.err)
 	}
-	if r2 := <-good.res; r2.err != nil || r2.est.Speedup != 2 {
-		t.Errorf("batchmate of panicking cell: %+v, %v", r2.est, r2.err)
+	if !errors.As(r.est.Err, &pe) {
+		t.Errorf("panicking cell estimate err = %v, want a *sweep.PanicError", r.est.Err)
+	}
+	if r2 := recv(t, "neighbour", good); r2.err != nil || r2.est.Speedup != 2 {
+		t.Errorf("neighbour of panicking cell: %+v, %v", r2.est, r2.err)
 	}
 
-	// The dispatcher must still be alive for the next batch.
-	after := newJob(context.Background(), func(context.Context) (prophet.Estimate, error) {
+	// With one slot, the next cell runs only if the panic released it.
+	after := runAsync(context.Background(), p, func(context.Context) (prophet.Estimate, error) {
 		return est(7), nil
 	})
-	b.submit(after)
-	if r3 := <-after.res; r3.err != nil || r3.est.Speedup != 7 {
-		t.Errorf("post-panic job: %+v, %v", r3.est, r3.err)
+	if r3 := recv(t, "post-panic cell", after); r3.err != nil || r3.est.Speedup != 7 {
+		t.Errorf("post-panic cell: %+v, %v", r3.est, r3.err)
+	}
+	snap := reg.Snapshot()
+	if ok, failed := snap.Counters[obs.MSweepCellsOK], snap.Counters[obs.MSweepCellsFailed]; ok != 2 || failed != 1 {
+		t.Errorf("sweep cells ok/failed = %d/%d, want 2/1", ok, failed)
 	}
 }
 
-// TestBatcherExpiredJobSkipped: a job whose request context is already
-// dead resolves with the cancellation without burning pool time.
+// TestBatcherExpiredJobSkipped: a cell whose context is already dead
+// resolves with the cancellation without running. With a free slot the
+// pool may take either the slot or the cancellation first, so the check
+// repeats until both orders have almost surely been taken.
 func TestBatcherExpiredJobSkipped(t *testing.T) {
-	b, _ := newTestBatcher(t, sweep.Engine{Workers: 2}, time.Millisecond, 4)
+	p, _ := newTestPool(2)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Bool
-	j := newJob(ctx, func(context.Context) (prophet.Estimate, error) {
-		ran.Store(true)
-		return est(1), nil
-	})
-	b.submit(j)
-	r := <-j.res
-	if !errors.Is(r.err, context.Canceled) {
-		t.Errorf("expired job err = %v, want context.Canceled", r.err)
+	for i := 0; i < 32; i++ {
+		r := p.run(ctx, func(context.Context) (prophet.Estimate, error) {
+			ran.Store(true)
+			return est(1), nil
+		})
+		if !errors.Is(r.err, context.Canceled) || !errors.Is(r.est.Err, context.Canceled) {
+			t.Fatalf("expired cell err = %v / %v, want context.Canceled", r.err, r.est.Err)
+		}
 	}
 	if ran.Load() {
-		t.Error("expired job's run executed")
+		t.Error("expired cell's run executed")
 	}
 }
 
-// TestBatcherShutdownResolvesQueued: jobs queued when the batcher closes
-// are resolved with a cancellation, never abandoned.
-func TestBatcherShutdownResolvesQueued(t *testing.T) {
-	reg := &obs.Registry{}
-	// A window long enough that the queued jobs are still collecting when
-	// close fires.
-	b := newBatcher(context.Background(), sweep.Engine{Workers: 1}, time.Minute, 64, reg)
-	jobs := make([]*cellJob, 4)
-	for i := range jobs {
-		jobs[i] = newJob(context.Background(), func(context.Context) (prophet.Estimate, error) {
+// holdSlot occupies the only slot of a one-worker server until the
+// returned release func is called.
+func holdSlot(t *testing.T, s *Server) (release func()) {
+	t.Helper()
+	started, unblock := make(chan struct{}), make(chan struct{})
+	done := runAsync(context.Background(), s.pool, blocker(started, unblock))
+	<-started
+	return func() {
+		close(unblock)
+		recv(t, "slot holder", done)
+	}
+}
+
+// queuedCell submits one cell through s.cellOn, recording in ran
+// whether its computation ever executed.
+func queuedCell(ctx context.Context, s *Server, key string, ran *atomic.Bool) <-chan error {
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := s.cellOn(ctx, key, prophet.Request{Threads: 2}, func(context.Context, prophet.Request) (prophet.Estimate, error) {
+			ran.Store(true)
 			return est(1), nil
 		})
-		b.submit(jobs[i])
+		errc <- err
+	}()
+	return errc
+}
+
+// waitFlights polls until the server has exactly n open flights.
+func waitFlights(t *testing.T, s *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.flights.mu.Lock()
+		open := len(s.flights.m)
+		s.flights.mu.Unlock()
+		if open == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("open flights = %d, want %d", open, n)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	b.close()
-	for i, j := range jobs {
+}
+
+// TestBatcherShutdownResolvesQueued: cells waiting for a slot when the
+// server shuts down resolve with a cancellation and never run.
+func TestBatcherShutdownResolvesQueued(t *testing.T) {
+	s := New(Config{Workers: 1})
+	release := holdSlot(t, s)
+
+	var ran atomic.Bool
+	errs := make([]<-chan error, 4)
+	for i := range errs {
+		errs[i] = queuedCell(context.Background(), s, fmt.Sprint("k", i), &ran)
+	}
+	waitFlights(t, s, len(errs))
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	for i, errc := range errs {
 		select {
-		case r := <-j.res:
-			// Either computed (it made the final batch) or canceled — but
-			// always resolved.
-			if r.err != nil && !errors.Is(r.err, context.Canceled) {
-				t.Errorf("job %d: unexpected err %v", i, r.err)
+		case err := <-errc:
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("queued cell %d: err %v, want context.Canceled", i, err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("job %d never resolved after close", i)
+			t.Fatalf("queued cell %d never resolved after Shutdown", i)
 		}
+	}
+	waitFlights(t, s, 0)
+	release()
+	if ran.Load() {
+		t.Error("a cell queued at Shutdown ran")
+	}
+}
+
+// TestPoolAbandonedFlightNeverRuns: when the only waiter of a flight
+// leaves while its cell is queued for a slot, the cell leaves the queue
+// and its computation never executes, even after a slot frees.
+func TestPoolAbandonedFlightNeverRuns(t *testing.T) {
+	s := New(Config{Workers: 1})
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	release := holdSlot(t, s)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var ran atomic.Bool
+	errc := queuedCell(ctx, s, "k", &ran)
+	waitFlights(t, s, 1)
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Errorf("abandoning waiter: err %v, want context.Canceled", err)
+	}
+	// The flight closes only after its leader left the slot queue.
+	waitFlights(t, s, 0)
+	release()
+	if ran.Load() {
+		t.Error("abandoned cell ran")
+	}
+	if got := counterValue(t, s, obs.MServerBatches); got != 1 {
+		t.Errorf("dispatches = %d, want 1 (the slot holder only)", got)
 	}
 }
 

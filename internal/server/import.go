@@ -20,7 +20,7 @@ import (
 // program tree with internal/profimport, profiles that tree like Load
 // profiles a registered benchmark, and registers the result as a new
 // named workload. From then on /v1/predict and /v1/sweep serve it
-// exactly like a built-in: same cache, same batcher, same wire format.
+// exactly like a built-in: same cache, same worker slots, same wire format.
 //
 // Query parameters:
 //

@@ -13,13 +13,13 @@
 //     without touching the pool.
 //  3. An optional learned surrogate (Config.Surrogate) answers cells
 //     whose feature neighborhood it predicts within a cross-validated
-//     error bound — in microseconds, before the batcher's coalescing
-//     window. Misses fall through and the emulated result trains it.
+//     error bound — in microseconds, before the cell waits for a
+//     worker slot. Misses fall through and the emulated result trains it.
 //  4. In cluster mode, the consistent-hash fleet routes the cell to
 //     its owning replica.
 //  5. A singleflight group deduplicates identical concurrent cells.
-//  6. A batcher coalesces the remaining cells — across requests — into
-//     sweep.RunCtx batches on one bounded worker pool.
+//  6. A pool of Workers slots bounds emulation: each remaining cell
+//     waits for a free slot and runs as soon as one opens.
 //
 // Endpoints: POST /v1/predict, POST /v1/sweep, POST /v1/advise (causal
 // region advisor), GET /v1/workloads,
@@ -62,7 +62,8 @@ type Config struct {
 	// estimate behaves as MemoryModel: false. Meant for tests.
 	DisableMemoryModel bool
 
-	// Workers bounds the emulation worker pool (0 = GOMAXPROCS).
+	// Workers is the number of worker slots, the bound on concurrently
+	// emulated cells (0 = GOMAXPROCS).
 	Workers int
 	// MaxInFlight is the admitted-request limit; excess requests get
 	// 429 + Retry-After. 0 selects 4×GOMAXPROCS.
@@ -74,12 +75,6 @@ type Config struct {
 	// disables caching). CacheShards is the shard count (0 = 16).
 	CacheSize   int
 	CacheShards int
-
-	// BatchWindow is how long the dispatcher lingers to coalesce
-	// concurrent cells into one batch (0 = 500µs). MaxBatch caps cells
-	// per batch (0 = 64).
-	BatchWindow time.Duration
-	MaxBatch    int
 
 	// RequestTimeout caps the per-request deadline (0 = 30s; negative
 	// means no server-imposed deadline). A request's timeout_ms can only
@@ -129,12 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheShards == 0 {
 		c.CacheShards = 16
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 500 * time.Microsecond
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 64
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
@@ -189,7 +178,7 @@ type Server struct {
 	inflight chan struct{} // admission semaphore
 	cache    *estimateCache
 	flights  *flightGroup
-	batch    *batcher
+	pool     *slotPool
 	cluster  *cluster.Client    // nil outside cluster mode
 	surr     *prophet.Surrogate // nil unless Config.Surrogate set
 
@@ -221,6 +210,7 @@ func New(cfg Config) *Server {
 		inflight:   make(chan struct{}, cfg.MaxInFlight),
 		cache:      newEstimateCache(cfg.CacheSize, cfg.CacheShards, reg),
 		flights:    newFlightGroup(reg),
+		pool:       newSlotPool(baseCtx, cfg.Workers, reg),
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
 		predicts:   reg.Counter(obs.MServerPredicts),
@@ -233,7 +223,6 @@ func New(cfg Config) *Server {
 		sweepLat:   reg.Histogram(obs.MServerSweepLatency),
 		adviseLat:  reg.Histogram(obs.MServerAdviseLatency),
 	}
-	s.batch = newBatcher(baseCtx, sweep.Engine{Workers: cfg.Workers, Metrics: reg}, cfg.BatchWindow, cfg.MaxBatch, reg)
 	if cfg.Surrogate != nil {
 		scfg := *cfg.Surrogate
 		if scfg.Metrics == nil {
@@ -314,8 +303,10 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Shutdown drains gracefully: stop admitting, wait (up to ctx) for
-// in-flight predictions to finish, then stop the batcher and cancel
-// whatever remains. It returns ctx.Err() if the drain deadline fired.
+// in-flight predictions to finish, then cancel whatever remains — cells
+// still waiting for a worker slot leave without running, and running
+// cells observe the cancellation. It returns ctx.Err() if the drain
+// deadline fired.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.readyMu.Lock()
 	s.closing = true
@@ -332,14 +323,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		err = ctx.Err()
 	}
-	// Cancel stragglers (no-op after a clean drain) and stop the
-	// dispatcher; the in-flight batch finishes or aborts via baseCtx.
+	// Cancel stragglers (no-op after a clean drain).
 	s.stopOnce.Do(func() {
 		if s.cluster != nil {
 			s.cluster.Close()
 		}
 		s.baseCancel()
-		s.batch.close()
 	})
 	if s.httpSrv != nil {
 		if herr := s.httpSrv.Shutdown(ctx); err == nil && !errors.Is(herr, context.DeadlineExceeded) && !errors.Is(herr, context.Canceled) {
@@ -402,8 +391,8 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, 
 
 // estimate computes one cell: LRU, then the surrogate fast path, then —
 // in cluster mode, for cells that did not already arrive routed — the
-// consistent-hash fleet, and otherwise the local singleflight → batcher
-// stack. cached reports whether the LRU answered. forwarded marks a
+// consistent-hash fleet, and otherwise the local singleflight → slot
+// pool stack. cached reports whether the LRU answered. forwarded marks a
 // cell another replica already routed here; it must be served locally
 // (one-hop contract) — the surrogate may still answer it, since this
 // replica's store is the warm one for cells it owns.
@@ -422,7 +411,7 @@ func (s *Server) estimate(ctx context.Context, entry *workloadEntry, req prophet
 		return est, true, nil
 	}
 	// Surrogate fast path: answer from the model before the cluster hop
-	// and the batcher's coalescing window. Needs both a confident
+	// and the wait for a worker slot. Needs both a confident
 	// neighborhood and a serial-cycle baseline for the target machine
 	// (to report time_cycles); shadow-sampled hits fall through to
 	// emulation so the accuracy claim stays measured.
@@ -519,29 +508,25 @@ func (s *Server) noteSerial(entry *workloadEntry, machineName string, est prophe
 	entry.serialMu.Unlock()
 }
 
-// localCell runs one cell through the singleflight → batcher stack on
+// localCell runs one cell through the singleflight → slot pool stack on
 // this replica's own pool.
 func (s *Server) localCell(ctx context.Context, entry *workloadEntry, key string, req prophet.Request) (est prophet.Estimate, cached bool, err error) {
-	return s.cellOn(ctx, entry.prof, key, req)
+	return s.cellOn(ctx, key, req, entry.prof.EstimateCtx)
 }
 
-// cellOn runs one cell against an explicit profile through the
-// singleflight → batcher stack. The registered workload profiles and the
-// advisor's synthesized region variants both funnel through here, so
-// every emulated cell — whatever tree it runs on — coalesces in the same
-// batches and deduplicates on its key.
-func (s *Server) cellOn(ctx context.Context, prof *prophet.Profile, key string, req prophet.Request) (est prophet.Estimate, cached bool, err error) {
+// cellOn runs one cell, computed by estimate (a profile's EstimateCtx),
+// through the singleflight → slot pool stack. The registered workload
+// profiles and the advisor's synthesized region variants both funnel
+// through here, so every emulated cell — whatever tree it runs on —
+// shares the same worker slots and deduplicates on its key. The flight
+// leader's goroutine waits for the slot under the flight context, so a
+// flight every waiter abandons leaves the queue without running.
+func (s *Server) cellOn(ctx context.Context, key string, req prophet.Request, estimate func(context.Context, prophet.Request) (prophet.Estimate, error)) (est prophet.Estimate, cached bool, err error) {
 	res, err := s.flights.do(ctx, s.baseCtx, key, func(fctx context.Context, finish func(cellResult)) {
-		j := &cellJob{
-			ctx: fctx,
-			run: func(ctx context.Context) (prophet.Estimate, error) {
-				return prof.EstimateCtx(ctx, req)
-			},
-			res: make(chan cellResult, 1),
-		}
 		go func() {
-			s.batch.submit(j)
-			r := <-j.res
+			r := s.pool.run(fctx, func(ctx context.Context) (prophet.Estimate, error) {
+				return estimate(ctx, req)
+			})
 			if r.err == nil && r.est.Err == nil && r.est.Source == "" {
 				s.cache.Put(key, r.est)
 			}
@@ -672,7 +657,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Fan the grid's cells through the shared estimate stack. Cached
-	// cells answer inline; the rest coalesce in the batcher with every
+	// cells answer inline; the rest share the worker slots with every
 	// other in-flight request's cells. Per-cell failures stay per-cell
 	// (Outcome.Err), like a library sweep without FailFast.
 	resp := sweepResponse{
@@ -714,7 +699,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // AdviseCtx composes the configuration sweep and the per-region
 // experiments, and this server supplies the estimator — so its results
 // byte-agree with `prophet -advise` while every cell fans through the
-// LRU → singleflight → batcher tiers. Baseline cells share their cache
+// LRU → singleflight → slot pool tiers. Baseline cells share their cache
 // lines with /v1/predict; region-variant cells (synthesized trees) live
 // under their own advise-scoped keys and are always served locally —
 // variant trees exist only inside this request, so neither the surrogate
@@ -784,7 +769,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 
 // adviseEstimator adapts the server's cache hierarchy to the advisor's
 // cell interface. Baseline cells (scope "") go through the full estimate
-// stack — LRU, surrogate, cluster, singleflight, batcher — keyed exactly
+// stack — LRU, surrogate, cluster, singleflight, slot pool — keyed exactly
 // like /v1/predict cells. Region-variant cells run against the
 // synthesized profile under an advise-scoped key: LRU and singleflight
 // still apply (a repeated /v1/advise answers from cache), but the
@@ -808,7 +793,7 @@ func (s *Server) adviseEstimator(entry *workloadEntry) prophet.AdviseEstimator {
 			est.Machine = req.Machine
 			return est, nil
 		}
-		est, _, err := s.cellOn(ctx, prof, key, req)
+		est, _, err := s.cellOn(ctx, key, req, prof.EstimateCtx)
 		if err == nil && est.Err != nil {
 			err = est.Err
 		}
@@ -928,7 +913,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics serves the JSON snapshot of the obs registry: server
-// request/latency series, estimate-cache and batch traffic, and the
+// request/latency series, estimate-cache and worker-slot traffic, and the
 // pipeline metrics (stage timers, DES counters, sweep cells) aggregated
 // from every profile and emulation the daemon has run.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

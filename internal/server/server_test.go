@@ -570,7 +570,7 @@ func TestReadyzLifecycle(t *testing.T) {
 // TestMixedHammer is the integration stress test: concurrent clients
 // firing a mix of cached and uncached predicts and sweeps against two
 // workloads. Run under -race it exercises the full admission stack —
-// semaphore, LRU, singleflight, batcher — at once.
+// semaphore, LRU, singleflight, worker slots — at once.
 func TestMixedHammer(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Workloads:   []string{"NPB-EP", "MD-OMP"},
@@ -651,7 +651,7 @@ func TestMixedHammer(t *testing.T) {
 		t.Error("hammer produced no estimate-cache hits")
 	}
 	if snap.Counters[obs.MServerBatches] == 0 {
-		t.Error("hammer dispatched no batches")
+		t.Error("hammer dispatched no cells to the worker slots")
 	}
 	if snap.Counters[obs.MServerRejected] != 0 {
 		t.Errorf("hammer saw %d rejections with default MaxInFlight", snap.Counters[obs.MServerRejected])
