@@ -79,7 +79,7 @@ func serveMain(args []string) int {
 		drain       = fs.Duration("drain", 15*time.Second, "graceful-shutdown drain budget")
 		maxImport   = fs.Int64("max-import-bytes", 8<<20, "profile-upload size cap for POST /v1/workloads (negative disables uploads)")
 
-		surrogate       = fs.Bool("surrogate", false, "arm the learned surrogate predictor in front of the emulation stack")
+		surrogate       = fs.Bool("surrogate", false, "arm the learned surrogate on every workload profile (answers before the worker slots, on the owning replica in a cluster)")
 		surrogateMaxErr = fs.Float64("surrogate-maxerr", 0.05, "max cross-validated relative error a surrogate answer may carry")
 		surrogateSeed   = fs.Int64("surrogate-seed", 0, "seed for the surrogate's deterministic reservoir sampling")
 

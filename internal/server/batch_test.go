@@ -208,7 +208,7 @@ func holdSlot(t *testing.T, s *Server) (release func()) {
 func queuedCell(ctx context.Context, s *Server, key string, ran *atomic.Bool) <-chan error {
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := s.cellOn(ctx, key, prophet.Request{Threads: 2}, func(context.Context, prophet.Request) (prophet.Estimate, error) {
+		_, _, err := s.cellOn(ctx, key, prophet.Request{Threads: 2}, func(context.Context) (prophet.Estimate, error) {
 			ran.Store(true)
 			return est(1), nil
 		})

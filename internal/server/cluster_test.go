@@ -332,3 +332,72 @@ func TestClusterForwardedCellServedLocally(t *testing.T) {
 		t.Errorf("forwarded cell went back through the router: %+v", snap.Counters)
 	}
 }
+
+// TestClusterSurrogateAnswersOnOwner: with the surrogate armed fleet-wide,
+// a cell is looked up only on the replica that owns it. A trained cell
+// asked through another replica is answered by the owner's surrogate one
+// hop away: the owner's hit counter moves, the coordinator's surrogate is
+// never consulted, and the surrogate answer stays out of the
+// coordinator's LRU.
+func TestClusterSurrogateAnswersOnOwner(t *testing.T) {
+	f := newClusterFleet(t, 2, func(i int, cfg *Config) {
+		cfg.Surrogate = surrogateTestConfig(-1)
+		if i == 1 {
+			cfg.CacheSize = -1 // the owner's LRU must not answer the probe
+		}
+	})
+	coord, owner := f.servers[0], f.servers[1]
+	coord.entriesMu.RLock()
+	entry := coord.entries["NPB-EP"]
+	coord.entriesMu.RUnlock()
+	var probe *prophet.Request
+	for threads := 1; threads <= 12; threads++ {
+		r := prophet.Request{Method: prophet.FastForward, Threads: threads}
+		if coord.cluster.Owners(cellKey(entry, r))[0] == f.urls[1] {
+			probe = &r
+			break
+		}
+	}
+	if probe == nil {
+		t.Fatal("replica 1 owns none of the trained cells")
+	}
+
+	// Train the owner directly: forwarded cells are served where they land.
+	for threads := 1; threads <= 12; threads++ {
+		data, _ := json.Marshal(predictRequest{
+			Workload: "NPB-EP",
+			Request:  prophet.Request{Method: prophet.FastForward, Threads: threads},
+		})
+		hreq, err := http.NewRequest(http.MethodPost, f.urls[1]+"/v1/predict", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hreq.Header.Set("Content-Type", "application/json")
+		hreq.Header.Set(cluster.ForwardedHeader, "1")
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("training cell %d: HTTP %d", threads, resp.StatusCode)
+		}
+	}
+	ownerHits := counterValue(t, owner, obs.MSurrogateHits)
+
+	est, source := predictOnce(t, f.urls[0], probe.Threads)
+	if source != prophet.SourceSurrogate || est.Source != prophet.SourceSurrogate {
+		t.Fatalf("probe answered with header %q, body source %q; want the owner's surrogate", source, est.Source)
+	}
+	if got := counterValue(t, owner, obs.MSurrogateHits); got != ownerHits+1 {
+		t.Errorf("owner surrogate.hits = %d, want %d", got, ownerHits+1)
+	}
+	for _, name := range []string{obs.MSurrogateHits, obs.MSurrogateFallbacks} {
+		if got := counterValue(t, coord, name); got != 0 {
+			t.Errorf("coordinator %s = %d, want 0: only the owner consults its surrogate", name, got)
+		}
+	}
+	if _, ok := coord.cache.Get(cellKey(entry, *probe)); ok {
+		t.Error("the coordinator cached a surrogate answer in its LRU")
+	}
+}

@@ -125,6 +125,7 @@ func (s *Server) handleWorkloadImport(w http.ResponseWriter, r *http.Request) {
 		ThreadCounts:       s.cfg.Cores,
 		DisableMemoryModel: s.cfg.DisableMemoryModel,
 		Observer:           prophet.Observer{Metrics: s.metrics},
+		Surrogate:          s.surr,
 	})
 	if isCancellation(err) {
 		writeError(w, http.StatusGatewayTimeout, fmt.Sprintf("profiling canceled: %v", err))

@@ -11,12 +11,14 @@
 //  2. A sharded LRU over completed estimates, keyed on
 //     (workload, compressed-tree hash, request), answers repeats
 //     without touching the pool.
-//  3. An optional learned surrogate (Config.Surrogate) answers cells
-//     whose feature neighborhood it predicts within a cross-validated
-//     error bound — in microseconds, before the cell waits for a
-//     worker slot. Misses fall through and the emulated result trains it.
-//  4. In cluster mode, the consistent-hash fleet routes the cell to
+//  3. In cluster mode, the consistent-hash fleet routes the cell to
 //     its owning replica.
+//  4. An optional learned surrogate (Config.Surrogate) answers cells
+//     whose feature neighborhood it predicts within a cross-validated
+//     error bound — in microseconds, on the request's goroutine. It is
+//     the library's own tier (prophet.Profile.Lookup, armed on every
+//     workload profile), consulted on the replica that owns the cell.
+//     Misses hand back the emulation, which trains it.
 //  5. A singleflight group deduplicates identical concurrent cells.
 //  6. A pool of Workers slots bounds emulation: each remaining cell
 //     waits for a free slot and runs as soon as one opens.
@@ -93,12 +95,14 @@ type Config struct {
 	// Local estimator and (if unset) the Metrics registry.
 	Cluster *cluster.Config
 
-	// Surrogate, when non-nil, arms the learned surrogate predictor in
-	// front of the emulation stack: uncached cells whose cross-validated
-	// confidence clears the configured bound are answered from the model
-	// (marked "source":"surrogate" on the wire) and every emulated
-	// result feeds the training store. The config's Metrics defaults to
-	// the server registry. nil serves every cell exactly as before.
+	// Surrogate, when non-nil, builds one learned surrogate predictor and
+	// arms it on every loaded and imported workload profile
+	// (prophet.Options.Surrogate). The profile's Lookup then answers
+	// confident uncached cells ahead of the singleflight and worker
+	// slots (marked "source":"surrogate" on the wire), on the replica
+	// that owns the cell in cluster mode, and every emulated result
+	// feeds the training store. The config's Metrics defaults to the
+	// server registry. nil serves every cell exactly as before.
 	Surrogate *prophet.SurrogateConfig
 
 	// Metrics receives server and pipeline metrics (nil = a fresh
@@ -146,14 +150,6 @@ type workloadEntry struct {
 	paradigm     prophet.Paradigm
 	sched        prophet.Sched
 	threadCounts []int
-
-	// serialMu guards serials: per-machine serial-cycle baselines the
-	// surrogate fast path needs to report time_cycles. The profile's own
-	// machine is known up front; variant machines are learned from the
-	// first emulated result (serial = time × speedup, the emulator's own
-	// arithmetic inverted).
-	serialMu sync.Mutex
-	serials  map[string]float64
 }
 
 // Server is the prediction service. Create with New, load profiles with
@@ -180,7 +176,7 @@ type Server struct {
 	flights  *flightGroup
 	pool     *slotPool
 	cluster  *cluster.Client    // nil outside cluster mode
-	surr     *prophet.Surrogate // nil unless Config.Surrogate set
+	surr     *prophet.Surrogate // armed on every profile; nil unless Config.Surrogate set
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -263,6 +259,7 @@ func (s *Server) Load(ctx context.Context) error {
 			ThreadCounts:       s.cfg.Cores,
 			DisableMemoryModel: s.cfg.DisableMemoryModel,
 			Observer:           prophet.Observer{Metrics: s.metrics},
+			Surrogate:          s.surr,
 		})
 		if err != nil {
 			return fmt.Errorf("server: load %s: %w", name, err)
@@ -389,13 +386,11 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, 
 	return context.WithCancel(ctx)
 }
 
-// estimate computes one cell: LRU, then the surrogate fast path, then —
-// in cluster mode, for cells that did not already arrive routed — the
-// consistent-hash fleet, and otherwise the local singleflight → slot
-// pool stack. cached reports whether the LRU answered. forwarded marks a
-// cell another replica already routed here; it must be served locally
-// (one-hop contract) — the surrogate may still answer it, since this
-// replica's store is the warm one for cells it owns.
+// estimate computes one cell: LRU, then — in cluster mode, for cells
+// that did not already arrive routed — the consistent-hash fleet, and
+// otherwise this replica's own stack (localCell). cached reports whether
+// the LRU answered. forwarded marks a cell another replica already
+// routed here; it must be served locally (one-hop contract).
 func (s *Server) estimate(ctx context.Context, entry *workloadEntry, req prophet.Request, forwarded bool) (est prophet.Estimate, cached bool, err error) {
 	// Normalize Threads the way the library does, so "threads":0 and an
 	// explicit machine core count share a cache line.
@@ -410,123 +405,42 @@ func (s *Server) estimate(ctx context.Context, entry *workloadEntry, req prophet
 		est.Machine = req.Machine
 		return est, true, nil
 	}
-	// Surrogate fast path: answer from the model before the cluster hop
-	// and the wait for a worker slot. Needs both a confident
-	// neighborhood and a serial-cycle baseline for the target machine
-	// (to report time_cycles); shadow-sampled hits fall through to
-	// emulation so the accuracy claim stays measured.
-	var sgVec []float64
-	var sgShadow bool
-	var sgPred float64
-	if s.surr != nil {
-		sgVec = entry.prof.SurrogateFeatures(req)
-		if serial, known := s.serialFor(entry, machineOf(entry, req)); known {
-			if val, ok, shadow := s.surr.Predict(surrKey(entry), sgVec); ok {
-				if !shadow {
-					return surrogateWireEstimate(req, val, serial), false, nil
-				}
-				sgShadow, sgPred = true, val
-			}
-		}
-	}
 	if s.cluster != nil && !forwarded {
 		est, err := s.cluster.Estimate(ctx, key, entry.name, req)
 		if err == nil && est.Err == nil && est.Source == "" {
 			s.cache.Put(key, est)
 		}
-		s.surrFeedback(entry, req, sgVec, sgShadow, sgPred, est, err)
 		return est, false, err
 	}
-	est, cached, err = s.localCell(ctx, entry, key, req)
-	s.surrFeedback(entry, req, sgVec, sgShadow, sgPred, est, err)
-	return est, cached, err
+	return s.localCell(ctx, entry, key, req)
 }
 
-// surrKey is the surrogate partition of one workload: name plus tree
-// hash, so a re-registered workload with a different tree trains a
-// fresh partition instead of inheriting stale targets. Machine variants
-// share the partition — the feature vector's machine block separates
-// them.
-func surrKey(entry *workloadEntry) string {
-	return entry.name + "\x00" + entry.treeHash
-}
-
-// surrogateWireEstimate wraps a surrogate speedup in the wire format,
-// deriving time_cycles from the machine's serial baseline exactly as
-// the emulator does (serial / speedup, rounded).
-func surrogateWireEstimate(req prophet.Request, speedup, serial float64) prophet.Estimate {
-	est := prophet.Estimate{Request: req, Speedup: speedup, Source: prophet.SourceSurrogate}
-	if speedup > 0 {
-		est.Time = prophet.Cycles(serial/speedup + 0.5)
-	}
-	return est
-}
-
-// surrFeedback trains the surrogate with one emulated result and closes
-// the shadow-sampling loop. Results that were themselves served by a
-// surrogate (a cluster peer's) are never training data.
-func (s *Server) surrFeedback(entry *workloadEntry, req prophet.Request, vec []float64, shadow bool, pred float64, est prophet.Estimate, err error) {
-	if s.surr == nil || vec == nil || err != nil || est.Err != nil || est.Source != "" {
-		return
-	}
-	if shadow {
-		s.surr.RecordShadow(pred, est.Speedup)
-	}
-	s.noteSerial(entry, machineOf(entry, req), est)
-	s.surr.Observe(surrKey(entry), vec, est.Speedup)
-}
-
-// serialFor returns the serial-cycle baseline of machine for entry: the
-// profile's own count for its own machine, otherwise what noteSerial
-// learned from emulated results. No baseline yet means the surrogate
-// cannot fill in time_cycles, so the cell emulates (which learns it).
-func (s *Server) serialFor(entry *workloadEntry, machineName string) (float64, bool) {
-	if machineName == entry.prof.MachineName() {
-		return float64(entry.prof.SerialCycles), true
-	}
-	entry.serialMu.Lock()
-	defer entry.serialMu.Unlock()
-	serial, ok := entry.serials[machineName]
-	return serial, ok
-}
-
-// noteSerial records a variant machine's serial baseline from an
-// emulated estimate: time = serial/speedup rounded, so time × speedup
-// recovers serial to within half a speedup unit — negligible against
-// profile-scale cycle counts.
-func (s *Server) noteSerial(entry *workloadEntry, machineName string, est prophet.Estimate) {
-	if machineName == entry.prof.MachineName() || est.Speedup <= 0 || est.Time <= 0 {
-		return
-	}
-	entry.serialMu.Lock()
-	if entry.serials == nil {
-		entry.serials = make(map[string]float64)
-	}
-	if _, ok := entry.serials[machineName]; !ok {
-		entry.serials[machineName] = float64(est.Time) * est.Speedup
-	}
-	entry.serialMu.Unlock()
-}
-
-// localCell runs one cell through the singleflight → slot pool stack on
-// this replica's own pool.
+// localCell serves one cell on this replica. The profile's surrogate
+// tier (prophet.Profile.Lookup) answers on the caller's goroutine, so a
+// hit never joins a flight or waits for a worker slot; only the
+// emulation Lookup hands back runs through the singleflight → slot pool
+// stack. In cluster mode this is the owning replica's path — self-owned,
+// forwarded and degraded cells all land here — so each cell consults
+// exactly one surrogate.
 func (s *Server) localCell(ctx context.Context, entry *workloadEntry, key string, req prophet.Request) (est prophet.Estimate, cached bool, err error) {
-	return s.cellOn(ctx, key, req, entry.prof.EstimateCtx)
+	est, emulate := entry.prof.Lookup(req)
+	if emulate == nil {
+		return est, false, est.Err
+	}
+	return s.cellOn(ctx, key, req, emulate)
 }
 
-// cellOn runs one cell, computed by estimate (a profile's EstimateCtx),
-// through the singleflight → slot pool stack. The registered workload
-// profiles and the advisor's synthesized region variants both funnel
-// through here, so every emulated cell — whatever tree it runs on —
-// shares the same worker slots and deduplicates on its key. The flight
-// leader's goroutine waits for the slot under the flight context, so a
-// flight every waiter abandons leaves the queue without running.
-func (s *Server) cellOn(ctx context.Context, key string, req prophet.Request, estimate func(context.Context, prophet.Request) (prophet.Estimate, error)) (est prophet.Estimate, cached bool, err error) {
+// cellOn runs one cell of req, computed by estimate, through the
+// singleflight → slot pool stack. The registered workload profiles and the advisor's
+// synthesized region variants both funnel through here, so every
+// emulated cell — whatever tree it runs on — shares the same worker
+// slots and deduplicates on its key. The flight leader's goroutine waits
+// for the slot under the flight context, so a flight every waiter
+// abandons leaves the queue without running.
+func (s *Server) cellOn(ctx context.Context, key string, req prophet.Request, estimate func(context.Context) (prophet.Estimate, error)) (est prophet.Estimate, cached bool, err error) {
 	res, err := s.flights.do(ctx, s.baseCtx, key, func(fctx context.Context, finish func(cellResult)) {
 		go func() {
-			r := s.pool.run(fctx, func(ctx context.Context) (prophet.Estimate, error) {
-				return estimate(ctx, req)
-			})
+			r := s.pool.run(fctx, estimate)
 			if r.err == nil && r.est.Err == nil && r.est.Source == "" {
 				s.cache.Put(key, r.est)
 			}
@@ -769,7 +683,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 
 // adviseEstimator adapts the server's cache hierarchy to the advisor's
 // cell interface. Baseline cells (scope "") go through the full estimate
-// stack — LRU, surrogate, cluster, singleflight, slot pool — keyed exactly
+// stack — LRU, cluster, surrogate, singleflight, slot pool — keyed exactly
 // like /v1/predict cells. Region-variant cells run against the
 // synthesized profile under an advise-scoped key: LRU and singleflight
 // still apply (a repeated /v1/advise answers from cache), but the
@@ -793,7 +707,9 @@ func (s *Server) adviseEstimator(entry *workloadEntry) prophet.AdviseEstimator {
 			est.Machine = req.Machine
 			return est, nil
 		}
-		est, _, err := s.cellOn(ctx, key, req, prof.EstimateCtx)
+		est, _, err := s.cellOn(ctx, key, req, func(ctx context.Context) (prophet.Estimate, error) {
+			return prof.EstimateCtx(ctx, req)
+		})
 		if err == nil && est.Err != nil {
 			err = est.Err
 		}

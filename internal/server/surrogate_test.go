@@ -2,12 +2,16 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"testing"
+	"time"
 
 	"prophet"
 	"prophet/internal/obs"
+	"prophet/internal/workloads"
 )
 
 // surrogateTestConfig arms a server with a surrogate tuned for tiny
@@ -155,11 +159,11 @@ func TestServerSurrogateDisabledBytesIdentical(t *testing.T) {
 	}
 }
 
-// TestServerSurrogateVariantMachineNeedsBaseline: a variant machine has
-// no serial baseline until its first emulation, so the very first cell
-// on it is emulated even when the neighborhood looks confident; once a
-// result teaches the baseline, the surrogate may serve that machine
-// with a positive time_cycles.
+// TestServerSurrogateVariantMachineNeedsBaseline: a variant machine's
+// cells are looked up and trained against the variant profile, in the
+// partition keyed by that profile's tree. Once a sweep on the machine
+// has emulated its cells, the surrogate serves it with a positive
+// time_cycles taken from the variant's exact serial cycles.
 func TestServerSurrogateVariantMachineNeedsBaseline(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		DisableMemoryModel: true,
@@ -204,4 +208,158 @@ func predictOnceMachine(t *testing.T, url string, threads int, machine string) (
 		t.Fatal(err)
 	}
 	return est, resp.Header.Get(SourceHeader)
+}
+
+// predictCell posts one FF cell and returns the raw body and the
+// X-Prophet-Source header. It fails the test instead of hanging when the
+// answer takes longer than a few seconds.
+func predictCell(t *testing.T, url, workload, machine string, threads int) ([]byte, string) {
+	t.Helper()
+	data, err := json.Marshal(predictRequest{
+		Workload: workload,
+		Request:  prophet.Request{Method: prophet.FastForward, Threads: threads, Machine: machine},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/predict", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatalf("predict %s threads=%d machine=%q: %v", workload, threads, machine, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict: %d %s", resp.StatusCode, body)
+	}
+	return body, resp.Header.Get(SourceHeader)
+}
+
+// TestServerSurrogateHitSkipsPool: a surrogate hit is answered on the
+// request's goroutine, ahead of the singleflight and the worker slots —
+// with the only slot held by a parked cell, trained cells on the
+// default machine and on a variant still come back from the surrogate.
+func TestServerSurrogateHitSkipsPool(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		DisableMemoryModel: true,
+		CacheSize:          -1,
+		Workers:            1,
+		Surrogate:          surrogateTestConfig(-1),
+	})
+	cores := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	for _, m := range []string{"", "hbm12"} {
+		var machines []string
+		if m != "" {
+			machines = []string{m}
+		}
+		if code, body := postJSON(t, ts.URL+"/v1/sweep", sweepRequest{
+			Workload: "NPB-EP", Cores: cores, Machines: machines,
+		}); code != http.StatusOK {
+			t.Fatalf("warmup sweep %q: %d %s", m, code, body)
+		}
+	}
+	release := holdSlot(t, s)
+	defer release()
+	for _, m := range []string{"", "hbm12"} {
+		if _, source := predictCell(t, ts.URL, "NPB-EP", m, 8); source != prophet.SourceSurrogate {
+			t.Errorf("machine %q: source %q with the slot held, want %q", m, source, prophet.SourceSurrogate)
+		}
+	}
+}
+
+// TestServerSurrogateServesImportedWorkload: a workload uploaded through
+// POST /v1/workloads is armed like a built-in — once a sweep has warmed
+// it, its cells are surrogate hits.
+func TestServerSurrogateServesImportedWorkload(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		DisableMemoryModel: true,
+		CacheSize:          -1,
+		Surrogate:          surrogateTestConfig(-1),
+	})
+	if status, body := postProfile(t, ts.URL+"/v1/workloads?name=imported", readProfileFixture(t, "cpu.pb.gz")); status != http.StatusCreated {
+		t.Fatalf("import: %d %s", status, body)
+	}
+	if code, body := postJSON(t, ts.URL+"/v1/sweep", sweepRequest{
+		Workload: "imported", Cores: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
+	}); code != http.StatusOK {
+		t.Fatalf("warmup sweep: %d %s", code, body)
+	}
+	body, source := predictCell(t, ts.URL, "imported", "", 8)
+	if source != prophet.SourceSurrogate {
+		t.Fatalf("imported workload source %q, want %q after warmup:\n%s", source, prophet.SourceSurrogate, body)
+	}
+}
+
+// TestServerSurrogateMatchesLibrary: prophetd and the library run one
+// surrogate path. Trained in the same order from the same config, a
+// surrogate-served daemon body is byte-identical to the library's
+// EstimateCtx answer on the default machine and on a variant, and every
+// uncached predict consults the surrogate exactly once.
+func TestServerSurrogateMatchesLibrary(t *testing.T) {
+	cfg := surrogateTestConfig(-1)
+	s, ts := newTestServer(t, Config{
+		DisableMemoryModel: true,
+		CacheSize:          -1,
+		Surrogate:          cfg,
+	})
+	w, err := workloads.ByName("NPB-EP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := prophet.ProfileProgram(w.Program, &prophet.Options{
+		ThreadCounts:       []int{2, 4},
+		DisableMemoryModel: true,
+		Surrogate:          prophet.NewSurrogate(*cfg),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	libBody := func(machine string, threads int) ([]byte, string) {
+		est, err := prof.EstimateCtx(context.Background(), prophet.Request{
+			Method: prophet.FastForward, Threads: threads, Machine: machine,
+		})
+		if err != nil {
+			t.Fatalf("library estimate: %v", err)
+		}
+		data, err := json.MarshalIndent(est, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(data, '\n'), est.Source
+	}
+
+	predicts := 0
+	for _, m := range []string{"", "hbm12"} {
+		for _, threads := range []int{1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12} {
+			got, _ := predictCell(t, ts.URL, "NPB-EP", m, threads)
+			predicts++
+			if want, _ := libBody(m, threads); !bytes.Equal(got, want) {
+				t.Fatalf("training cell machine=%q threads=%d differs:\n%s\nvs library\n%s", m, threads, got, want)
+			}
+		}
+	}
+	for _, m := range []string{"", "hbm12"} {
+		got, source := predictCell(t, ts.URL, "NPB-EP", m, 7)
+		predicts++
+		want, libSource := libBody(m, 7)
+		if source != prophet.SourceSurrogate || libSource != prophet.SourceSurrogate {
+			t.Fatalf("machine %q: held-out cell source daemon %q, library %q; want both %q",
+				m, source, libSource, prophet.SourceSurrogate)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("machine %q: surrogate body differs from the library:\n%s\nvs\n%s", m, got, want)
+		}
+	}
+	if q := counterValue(t, s, obs.MSurrogateHits) + counterValue(t, s, obs.MSurrogateFallbacks); q != int64(predicts) {
+		t.Errorf("surrogate queries (hits + fallbacks) = %d for %d uncached predicts, want one each", q, predicts)
+	}
 }

@@ -123,6 +123,24 @@ func (c *Cache[K, V]) Get(key K, compute func() (V, error)) (V, error) {
 	return e.v, e.err
 }
 
+// Peek returns the value cached for key without computing it or waiting
+// for it: ok is false while the key is absent, still computing, or
+// failed. Peek touches no hit/miss counter.
+func (c *Cache[K, V]) Peek(key K) (v V, ok bool) {
+	c.mu.Lock()
+	e := c.m[key]
+	c.mu.Unlock()
+	if e == nil {
+		return v, false
+	}
+	select {
+	case <-e.ready:
+		return e.v, e.err == nil
+	default:
+		return v, false
+	}
+}
+
 // isCancellation reports whether err stems from a canceled or expired
 // caller context rather than from the computation itself.
 func isCancellation(err error) bool {

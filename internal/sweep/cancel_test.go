@@ -285,3 +285,39 @@ func TestCacheDoesNotMemoizeCancellation(t *testing.T) {
 		t.Fatalf("fourth Get = %d, %v; want cached 42", v, err)
 	}
 }
+
+// TestCachePeekNeverComputes: Peek reports only completed, successful
+// entries — absent keys, live flights and cached errors all miss — and
+// never runs a compute or counts a hit.
+func TestCachePeekNeverComputes(t *testing.T) {
+	var c Cache[string, int]
+	if _, ok := c.Peek("k"); ok {
+		t.Fatal("Peek hit an absent key")
+	}
+	inside, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Get("k", func() (int, error) {
+			close(inside)
+			<-release
+			return 7, nil
+		})
+	}()
+	<-inside
+	if _, ok := c.Peek("k"); ok {
+		t.Fatal("Peek hit a flight still computing")
+	}
+	close(release)
+	<-done
+	if v, ok := c.Peek("k"); !ok || v != 7 {
+		t.Fatalf("Peek = %d, %v; want 7, true once computed", v, ok)
+	}
+	c.Get("bad", func() (int, error) { return 0, errors.New("boom") })
+	if _, ok := c.Peek("bad"); ok {
+		t.Fatal("Peek hit a cached error")
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != 2 {
+		t.Fatalf("stats = %d hits, %d misses; Peek must count neither", hits, misses)
+	}
+}

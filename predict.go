@@ -164,54 +164,80 @@ func (p *Profile) Estimate(req Request) Estimate {
 // graph in *DeadlockError), a watchdog budget (ErrBudgetExceeded), a
 // malformed tree — return as errors instead of panicking. The returned
 // Estimate carries the same error in its Err field.
-func (p *Profile) EstimateCtx(ctx context.Context, req Request) (est Estimate, err error) {
+//
+// EstimateCtx polls ctx once, then runs Lookup and the emulation it
+// returns.
+func (p *Profile) EstimateCtx(ctx context.Context, req Request) (Estimate, error) {
+	if err := ctx.Err(); err != nil {
+		return Estimate{Request: req, Err: err}, err
+	}
+	est, emulate := p.Lookup(req)
+	if emulate == nil {
+		return est, est.Err
+	}
+	return emulate(ctx)
+}
+
+// Lookup is the surrogate tier of EstimateCtx, split out so a serving
+// layer can answer from it before queueing a cell for emulation. With
+// Options.Surrogate armed, a confident prediction that is not shadow
+// sampled returns at once, marked SourceSurrogate, and emulate is nil.
+// Otherwise emulate computes the cell: it resolves req.Machine, runs the
+// emulator, records a shadow-sampled pair and trains the surrogate with
+// the exact result. Lookup itself never profiles: a named machine whose
+// variant profile is not built yet is built, and only then consulted,
+// inside emulate. emulate does not poll ctx before it starts.
+func (p *Profile) Lookup(req Request) (est Estimate, emulate func(context.Context) (Estimate, error)) {
+	var err error
 	defer func() {
-		recoverToError(&err)
+		if err != nil {
+			est, emulate = Estimate{Request: req, Err: err}, nil
+		}
+	}()
+	defer recoverToError(&err)
+	if vp, ok := p.peekMachine(req.Machine); ok {
+		return vp.lookup(req)
+	}
+	return Estimate{}, func(ctx context.Context) (Estimate, error) {
+		vp, err := p.forMachine(ctx, req.Machine)
+		if err != nil {
+			return Estimate{Request: req, Err: err}, err
+		}
+		est, emulate := vp.lookup(req)
+		if emulate == nil {
+			return est, est.Err
+		}
+		return emulate(ctx)
+	}
+}
+
+// lookup is Lookup against p, the profile req.Machine resolves to.
+func (p *Profile) lookup(req Request) (Estimate, func(context.Context) (Estimate, error)) {
+	req.Threads = p.threadsOf(req)
+	c := p.query(req)
+	if c.hit {
+		return surrogateEstimate(req, c.pred, p.SerialCycles), nil
+	}
+	return Estimate{}, func(ctx context.Context) (Estimate, error) {
+		est, err := p.emulate(ctx, req)
+		if err == nil {
+			c.train(est.Speedup)
+		}
+		return est, err
+	}
+}
+
+// emulate runs req's prediction engine on p, the profile req.Machine
+// resolves to. It never consults the surrogate.
+func (p *Profile) emulate(ctx context.Context, req Request) (est Estimate, err error) {
+	defer func() {
 		if err != nil {
 			est = Estimate{Request: req, Err: err}
 		}
 	}()
-	if req.Machine != "" {
-		vp, verr := p.forMachine(ctx, req.Machine)
-		if verr != nil {
-			err = verr
-			return Estimate{Request: req, Err: err}, err
-		}
-		if vp != p {
-			// Estimate against the variant, which owns the machine the
-			// name resolves to; the result keeps the requested name.
-			sub := req
-			sub.Machine = ""
-			est, err := vp.EstimateCtx(ctx, sub)
-			est.Machine = req.Machine
-			return est, err
-		}
-	}
+	defer recoverToError(&err)
 	t := p.threadsOf(req)
 	req.Threads = t
-	if err := ctx.Err(); err != nil {
-		return Estimate{Request: req, Err: err}, err
-	}
-	// Surrogate-first: a confident learned prediction answers in
-	// microseconds without touching the emulators; a shadow-sampled hit
-	// falls through to the emulator and records the error pair; anything
-	// else emulates and feeds the exact result back as training data.
-	var (
-		sg       = p.opts.Surrogate
-		sgKey    string
-		sgVec    []float64
-		sgShadow bool
-		sgPred   float64
-	)
-	if sg != nil {
-		sgKey, sgVec = p.surrogateQuery(req)
-		if val, ok, shadow := sg.Predict(sgKey, sgVec); ok {
-			if !shadow {
-				return surrogateEstimate(req, val, p.SerialCycles), nil
-			}
-			sgShadow, sgPred = true, val
-		}
-	}
 	tm := p.opts.Observer.Metrics.StartTimer(obs.MStageEmulate)
 	defer tm.Stop()
 	useMem := req.MemoryModel && p.Model != nil
@@ -253,12 +279,6 @@ func (p *Profile) EstimateCtx(ctx context.Context, req Request) (est Estimate, e
 	}
 	if err != nil {
 		return Estimate{Request: req, Err: err}, err
-	}
-	if sg != nil {
-		if sgShadow {
-			sg.RecordShadow(sgPred, speedup)
-		}
-		sg.Observe(sgKey, sgVec, speedup)
 	}
 	var predTime clock.Cycles
 	if speedup > 0 {

@@ -74,11 +74,13 @@ type Options struct {
 	// counters. The zero value disables observability at no cost.
 	Observer Observer
 	// Surrogate, when non-nil, arms the learned surrogate predictor:
-	// EstimateCtx serves confident predictions from it in microseconds
-	// instead of emulating, and feeds every real emulation result back
-	// into its training store. Machine-variant profiles (Request.Machine)
-	// share the same predictor. Nil (the default) changes nothing — all
-	// estimates emulate exactly as before.
+	// EstimateCtx (through Lookup) serves confident predictions from it
+	// in microseconds instead of emulating, and feeds every real
+	// emulation result back into its training store. Machine-variant
+	// profiles (Request.Machine) share the predictor and are looked up
+	// and trained through the variant profile, in the partition keyed by
+	// its tree. Nil (the default) changes nothing — all estimates
+	// emulate exactly as before.
 	Surrogate *Surrogate
 }
 
@@ -127,9 +129,8 @@ type Profile struct {
 
 	// surrOnce lazily computes the surrogate feature inputs: the
 	// request-independent tree stats and the partition key derived from
-	// the tree fingerprint. Computed once per profile, whether the
-	// surrogate is armed through Options.Surrogate or driven externally
-	// (internal/server).
+	// the tree fingerprint. Computed once per profile, on its first
+	// surrogate query.
 	surrOnce  sync.Once
 	surrStats *surrogate.TreeStats
 	surrKey   string
@@ -178,6 +179,15 @@ func (p *Profile) forMachine(ctx context.Context, name string) (*Profile, error)
 		}
 		return ProfileTreeCtx(ctx, p.Tree.Clone(), &vo)
 	})
+}
+
+// peekMachine is forMachine without building: the profile name resolves
+// to when it is the receiver's own machine or an already-built variant.
+func (p *Profile) peekMachine(name string) (*Profile, bool) {
+	if name == "" || name == p.MachineName() {
+		return p, true
+	}
+	return p.variants.Peek(name)
 }
 
 // calibrated caches one memory model per machine configuration —

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"prophet/internal/clock"
-	"prophet/internal/machine"
 	"prophet/internal/surrogate"
 	"prophet/internal/sweep"
 )
@@ -42,28 +41,12 @@ func (p *Profile) surrogateInit() {
 	})
 }
 
-// SurrogateKey returns the profile's surrogate partition key. External
-// drivers (the prediction server) may extend it with their own workload
-// identity; the library's own feedback path uses it as-is.
-func (p *Profile) SurrogateKey() string {
+// surrogateFeatures returns the deterministic feature vector of req
+// against this profile: cached tree stats, the request scalars, and the
+// profile's own machine spec (req.Machine has already resolved to this
+// profile). The vector encodes req.Threads as given.
+func (p *Profile) surrogateFeatures(req Request) []float64 {
 	p.surrogateInit()
-	return p.surrKey
-}
-
-// SurrogateFeatures returns the deterministic feature vector the
-// surrogate uses for req against this profile: cached tree stats, the
-// request scalars, and the target machine spec (req.Machine when named
-// and registered, the profile's own machine otherwise). Callers should
-// normalize req.Threads first — the vector encodes the thread count as
-// given.
-func (p *Profile) SurrogateFeatures(req Request) []float64 {
-	p.surrogateInit()
-	spec := p.opts.Machine.Spec
-	if req.Machine != "" {
-		if s, err := machine.ParseSpec(req.Machine); err == nil {
-			spec = s
-		}
-	}
 	rf := surrogate.RequestFeatures{
 		Method:      uint8(req.Method),
 		Threads:     req.Threads,
@@ -72,14 +55,44 @@ func (p *Profile) SurrogateFeatures(req Request) []float64 {
 		SchedChunk:  req.Sched.Chunk,
 		MemoryModel: req.MemoryModel && p.Model != nil,
 	}
-	return surrogate.Vector(p.surrStats, rf, spec)
+	return surrogate.Vector(p.surrStats, rf, p.opts.Machine.Spec)
 }
 
-// surrogateQuery is the EstimateCtx-side view: by the time the hook
-// runs, machine-variant recursion has already resolved req.Machine, so
-// the profile's own spec is the target.
-func (p *Profile) surrogateQuery(req Request) (key string, vec []float64) {
-	return p.SurrogateKey(), p.SurrogateFeatures(req)
+// surrogateCell is one request's consultation of the armed surrogate.
+type surrogateCell struct {
+	sg     *Surrogate // nil when the profile is unarmed
+	key    string
+	vec    []float64
+	pred   float64
+	hit    bool // confident and not shadow sampled: pred is the answer
+	shadow bool // confident but shadow sampled: pred is checked against the emulation
+}
+
+// query consults p's surrogate, if armed, for req; p is the profile
+// req.Machine resolves to.
+func (p *Profile) query(req Request) surrogateCell {
+	c := surrogateCell{sg: p.opts.Surrogate}
+	if c.sg == nil {
+		return c
+	}
+	req.Threads = p.threadsOf(req)
+	c.vec = p.surrogateFeatures(req)
+	c.key = p.surrKey
+	val, ok, shadow := c.sg.Predict(c.key, c.vec)
+	c.pred, c.hit, c.shadow = val, ok && !shadow, ok && shadow
+	return c
+}
+
+// train feeds the cell's exact emulated speedup into the training store,
+// closing a shadow-sampled pair first.
+func (c *surrogateCell) train(speedup float64) {
+	if c.sg == nil {
+		return
+	}
+	if c.shadow {
+		c.sg.RecordShadow(c.pred, speedup)
+	}
+	c.sg.Observe(c.key, c.vec, speedup)
 }
 
 // surrogateEstimate wraps a surrogate prediction in the wire format:
@@ -95,30 +108,47 @@ func surrogateEstimate(req Request, speedup float64, serial clock.Cycles) Estima
 }
 
 // SeedSurrogate pre-seeds the surrogate's training store from a request
-// grid by emulating every cell on a bounded worker pool — typically the
-// grid of a completed sweep, so interactive traffic starts against a
-// warm store. Cells the surrogate already answers confidently are
-// served from it (and not re-observed); everything else emulates and
-// feeds back. See SeedSurrogateCtx for cancellation.
+// grid — typically the grid of a completed sweep, so interactive traffic
+// starts against a warm store. Cells the surrogate already answers
+// confidently are served from it (and not re-observed); everything else
+// feeds back its emulated result. See SeedSurrogateCtx for cancellation.
 func (p *Profile) SeedSurrogate(reqs []Request, workers int) error {
 	return p.SeedSurrogateCtx(context.Background(), reqs, workers)
 }
 
 // SeedSurrogateCtx is SeedSurrogate with cancellation: once ctx fires no
-// new cell starts. The first cell error (or the cancellation) is
-// returned; cells already seeded stay in the store.
+// new cell starts. The cells emulate on a pool of workers, but the store
+// consults and learns them in request order, so it ends exactly as
+// EstimateCtx over reqs one by one leaves it, whatever the worker count.
+// The first cell error (or the cancellation) is returned; cells already
+// seeded stay in the store.
 func (p *Profile) SeedSurrogateCtx(ctx context.Context, reqs []Request, workers int) error {
 	if p.opts.Surrogate == nil {
 		return errors.New("prophet: SeedSurrogate needs Options.Surrogate armed")
 	}
 	outs := sweep.RunCtx(ctx, sweep.Engine{Workers: workers, Metrics: p.opts.Observer.Metrics},
 		len(reqs), func(ctx context.Context, i int) (Estimate, error) {
-			return p.EstimateCtx(ctx, reqs[i])
+			vp, err := p.forMachine(ctx, reqs[i].Machine)
+			if err != nil {
+				return Estimate{}, err
+			}
+			return vp.emulate(ctx, reqs[i])
 		})
-	for _, o := range outs {
-		if o.Err != nil {
-			return o.Err
+	var first error
+	for i, o := range outs {
+		var c surrogateCell
+		// Skipped cells and variants that failed to build are never
+		// consulted.
+		if vp, ok := p.peekMachine(reqs[i].Machine); ok && !o.Skipped {
+			c = vp.query(reqs[i])
+		}
+		switch {
+		case c.hit:
+		case o.Err == nil:
+			c.train(o.Value.Speedup)
+		case first == nil:
+			first = o.Err
 		}
 	}
-	return nil
+	return first
 }

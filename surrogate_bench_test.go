@@ -1,6 +1,9 @@
 package prophet_test
 
 import (
+	"context"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"prophet"
@@ -144,6 +147,63 @@ func TestSurrogateShadowAccuracy(t *testing.T) {
 		}
 		if worstRel > 0.20 {
 			t.Errorf("held-out worst rel error %.4f is far outside the confidence bound", worstRel)
+		}
+	}
+}
+
+// TestSeedSurrogateMatchesSequentialSeeding: SeedSurrogate emulates on a
+// worker pool but consults and trains the store in request order, so a
+// store seeded on any worker count — machine-variant cells included —
+// answers every later request exactly as one trained by EstimateCtx over
+// the grid one cell at a time.
+func TestSeedSurrogateMatchesSequentialSeeding(t *testing.T) {
+	cfg := prophet.SurrogateConfig{MinSamples: 8, RefitEvery: 4, ShadowEvery: 3, MaxRelErr: 0.05, Seed: 1}
+	methods := []prophet.Method{prophet.FastForward, prophet.AmdahlLaw}
+	var train, probe []prophet.Request
+	for _, m := range []string{"", "hbm12"} {
+		for _, r := range surrogateGrid(methods, []int{2, 4, 6, 8, 10, 12}) {
+			r.Machine = m
+			train = append(train, r)
+		}
+		for _, r := range surrogateGrid(methods, []int{3, 5, 7, 9, 11}) {
+			r.Machine = m
+			probe = append(probe, r)
+		}
+	}
+	answers := func(seed func(p *prophet.Profile) error) string {
+		surr := prophet.NewSurrogate(cfg)
+		p := surrogateBenchProfile(t, surr)
+		if err := seed(p); err != nil {
+			t.Fatalf("seed: %v", err)
+		}
+		out := make([]prophet.Estimate, len(probe))
+		for i, r := range probe {
+			out[i] = p.Estimate(r)
+		}
+		data, err := json.Marshal(struct {
+			Samples   int
+			Estimates []prophet.Estimate
+		}{surr.Samples(), out})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	want := answers(func(p *prophet.Profile) error {
+		for _, r := range train {
+			if _, err := p.EstimateCtx(context.Background(), r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if strings.Count(want, `"source":"surrogate"`) < 2 {
+		t.Fatalf("fewer than two probes served by the surrogate; the comparison proves little:\n%s", want)
+	}
+	for _, workers := range []int{1, 4} {
+		got := answers(func(p *prophet.Profile) error { return p.SeedSurrogate(train, workers) })
+		if got != want {
+			t.Errorf("workers=%d: seeded store answers differ from sequential seeding:\n%s\nvs\n%s", workers, got, want)
 		}
 	}
 }
