@@ -1,6 +1,6 @@
 // Regenerator for results/bench_baseline.json — the machine-readable
 // before/after record of the hot-path rework (monomorphic event heap,
-// semaphore baton handoff, pooled machines, DRAM stretch memo).
+// coroutine thread handoff, pooled machines, DRAM stretch memo).
 //
 // The "before" numbers are frozen: they were measured at the last commit
 // preceding the rework, on the host recorded in the file. The "after"
@@ -150,7 +150,7 @@ func TestWriteBenchBaseline(t *testing.T) {
 	out := benchBaseline{
 		Schema: "prophet-bench-baseline/v1",
 		Description: "Hot-path rework before/after: eventq min-heap replacing container/heap, " +
-			"semaphore baton handoff replacing the two-channel rendezvous, machine/thread pooling, " +
+			"recycled-coroutine thread handoff replacing the two-channel rendezvous, machine/thread pooling, " +
 			"DRAM stretch memoization, FF emulator scratch pooling.",
 		Host:           fmt.Sprintf("%s/%s, GOMAXPROCS=%d", runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0)),
 		BaselineCommit: "49032c9",

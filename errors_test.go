@@ -141,6 +141,21 @@ func TestEstimateCtxDeadline(t *testing.T) {
 	}
 }
 
+// TestEstimateOnHostCtxContainsPanic: the host synthesizer runs on the
+// calling goroutine, so a panic inside it must come back as *PanicError
+// in both the error and the estimate instead of crashing the caller.
+func TestEstimateOnHostCtxContainsPanic(t *testing.T) {
+	p := &Profile{} // no tree: the host synthesizer dereferences nil
+	est, err := p.EstimateOnHostCtx(context.Background(), Request{Threads: 2})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %T %v, want *PanicError", err, err)
+	}
+	if est.Err != err {
+		t.Errorf("Estimate.Err = %v, want the returned error", est.Err)
+	}
+}
+
 // TestCurveCarriesPerPointErrors: batched estimates record per-point
 // failures in Estimate.Err instead of aborting the whole curve.
 func TestCurveCarriesPerPointErrors(t *testing.T) {

@@ -9,13 +9,13 @@ import (
 	"prophet/internal/obs"
 )
 
-// errAbortRun is the private panic value used to unwind thread goroutines
-// when a run fails; it never escapes the package.
+// errAbortRun is the private panic value used to unwind thread code when a
+// run fails; it never escapes the package.
 var errAbortRun = errors.New("sim: run aborted")
 
 // FaultHooks are the no-op-by-default scheduler/memory perturbation points
 // used by deterministic fault injection (internal/faults). Hooks are
-// called from the engine goroutine only, so implementations need no
+// called by the engine one call at a time, so implementations need no
 // locking but must be deterministic for reproducible runs.
 type FaultHooks struct {
 	// Quantum, when set, returns the (possibly jittered) scheduling
@@ -58,8 +58,8 @@ type RunOpts struct {
 // makespan, run stats, and a typed error on failure: *DeadlockError,
 // *LockMisuseError, *BudgetError, *InternalError (a recovered thread
 // panic), or a cancellation error wrapping ctx.Err(). On failure every
-// thread goroutine is unwound before RunOpt returns — a failed run leaks
-// nothing, whatever state the workload was in.
+// thread is unwound before RunOpt returns — a failed run leaks nothing,
+// whatever state the workload was in.
 func RunOpt(cfg Config, o RunOpts, main func(*Thread)) (clock.Cycles, Stats, error) {
 	m := getMachine(cfg)
 	if o.Ctx != nil {
@@ -82,9 +82,11 @@ func RunOpt(cfg Config, o RunOpts, main func(*Thread)) (clock.Cycles, Stats, err
 }
 
 // machinePool recycles machines between RunOpt calls: the event heap, core
-// and ready arrays, lock states and thread slots (with their semaphore
-// channels) all reach a steady state where a sweep cell's runs allocate
-// almost nothing beyond the goroutine stacks.
+// and ready arrays, lock states and thread slots all reach a steady state
+// where a sweep cell's runs allocate almost nothing beyond one coroutine
+// per peak-live thread. Coroutines themselves never enter the pool: a run
+// stops all of its own, so a machine the pool drops strands no parked
+// goroutine.
 var machinePool sync.Pool
 
 func getMachine(cfg Config) *Machine {
@@ -98,7 +100,7 @@ func getMachine(cfg Config) *Machine {
 
 // releaseMachine drops the external references a finished run may hold
 // (observers, hooks, the failure value) and returns the machine to the
-// pool. Safe because run() waits for every thread goroutine to unwind.
+// pool. Safe because run() stops every coroutine of the run first.
 func releaseMachine(m *Machine) {
 	m.ctx = context.Background()
 	m.recorder = nil

@@ -7,13 +7,13 @@ import "prophet/internal/clock"
 // advance virtual time, preempt the thread, or block it; the call returns
 // when the engine schedules the thread again.
 
-// call hands one request to the engine. The calling goroutine holds the
-// baton, so the request is handled inline: when the thread keeps running
-// the call returns immediately (no goroutine switch at all), otherwise the
-// goroutine drives the engine onward and parks until resumed (see
-// Machine.handoff). When the engine aborts the run (deadlock, misuse,
-// budget, cancellation), call unwinds the thread goroutine with a private
-// panic that the wrapper installed by newThread recovers.
+// call hands one request to the engine. The calling thread holds control,
+// so the request is handled inline: when the thread keeps running the
+// call returns immediately (no coroutine switch at all), otherwise the
+// thread drives the engine onward and yields to the driver until it is
+// resumed (see Machine.handoff). When the engine aborts the run
+// (deadlock, misuse, budget, cancellation), call unwinds the thread's
+// code with a private panic that threadBody recovers.
 func (t *Thread) call(req request) {
 	req.t = t
 	if t.m.handle(req) {

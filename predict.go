@@ -329,11 +329,11 @@ func (p *Profile) EstimateOnHost(req Request) Estimate {
 // point the library could honour without perturbing the measurement.
 func (p *Profile) EstimateOnHostCtx(ctx context.Context, req Request) (est Estimate, err error) {
 	defer func() {
-		recoverToError(&err)
 		if err != nil {
 			est = Estimate{Request: req, Err: err}
 		}
 	}()
+	defer recoverToError(&err)
 	if req.Machine != "" {
 		vp, verr := p.forMachine(ctx, req.Machine)
 		if verr != nil {
