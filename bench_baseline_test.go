@@ -151,7 +151,7 @@ func TestWriteBenchBaseline(t *testing.T) {
 		Schema: "prophet-bench-baseline/v1",
 		Description: "Hot-path rework before/after: eventq min-heap replacing container/heap, " +
 			"recycled-coroutine thread handoff replacing the two-channel rendezvous, machine/thread pooling, " +
-			"DRAM stretch memoization, FF emulator scratch pooling.",
+			"DRAM stretch memoization, FF emulator scratch pooling, closed-form FF for flat static sections.",
 		Host:           fmt.Sprintf("%s/%s, GOMAXPROCS=%d", runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0)),
 		BaselineCommit: "49032c9",
 		Benchmarks:     entries,

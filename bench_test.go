@@ -211,6 +211,30 @@ func BenchmarkFFEmulator(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "estimates/sec")
 }
 
+// BenchmarkFFEmulatorHeap measures one FF estimate on a section the
+// closed form does not cover: a Fig. 9 Test1 loop with two critical
+// sections, so every segment is a pseudo-clock heap step.
+func BenchmarkFFEmulatorHeap(b *testing.B) {
+	prm := workloads.Test1Params{
+		Iters: 200, Pattern: workloads.PatternUniform, MinWork: 10_000, MaxWork: 60_000,
+		Ratio1: 0.5, RatioLock1: 0.3, Ratio2: 0.4, RatioLock2: 0.2, Ratio3: 0.3,
+		Lock1Prob: 0.8, Lock2Prob: 0.5, Seed: 9,
+	}
+	prof, err := prophet.ProfileProgram(prm.Program(), &prophet.Options{Machine: benchMachine()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := &ff.Emulator{Threads: 8, Sched: omprt.SchedStatic1, Ov: omprt.DefaultOverheads()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if e.Speedup(prof.Tree) <= 0 {
+			b.Fatal("bad speedup")
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "estimates/sec")
+}
+
 // BenchmarkSynthesizer measures one synthesizer estimate on the same tree
 // (Table III, SYN column).
 func BenchmarkSynthesizer(b *testing.B) {

@@ -3,6 +3,17 @@
 // replays a program tree onto abstract CPUs and fast-forwards a
 // pseudo-clock from event to event.
 //
+// Where event order cannot matter the heap is skipped. In a flat section
+// (every task holds only U/W segments: no locks, no nested sections, not
+// a pipeline) the workers share no state. Under (static) and (static,c)
+// each worker's finish time is then a plain sum over its tasks, which the
+// FF computes in closed form over the compressed Repeat runs, so the cost
+// follows the compressed tree rather than the iteration count. Under
+// (dynamic) and (guided) the heap still decides who fetches next, but a
+// worker runs each fetched task in one heap visit. Both give exactly the
+// heap walk's result. Traced emulations always take the per-segment heap
+// walk, so every segment still emits its event.
+//
 // The FF models:
 //
 //   - OpenMP loop schedules — (static), (static,c), (dynamic,c), (guided) —
@@ -240,10 +251,9 @@ type worker struct {
 	id   int // worker rank
 	cpu  int
 	time clock.Cycles
-	// static assignment queue; dynamic workers pull from the shared
-	// counter instead.
-	tasks []taskRef
-	pos   int
+	// pos counts the static tasks taken so far; dynamic workers pull
+	// from the shared counter instead.
+	pos int
 
 	// Cursor into the currently executing task.
 	cur    *tree.Node
@@ -265,15 +275,17 @@ func (w *worker) Less(o *worker) bool {
 }
 
 // sectionScratch is the pooled per-section working set: the worker array,
-// the pseudo-clock heap over it, the expanded task list, and the shared
-// dynamic-schedule counter. One scratch is acquired per emulateSection /
-// emulateNested invocation (nested sections draw their own), so backing
-// arrays are reused across the thousands of sections a sweep emulates.
+// the pseudo-clock heap over it, the expanded task list, the shared fetch
+// state, and the closed form's per-worker clocks. One scratch is acquired
+// per emulateHeap / emulateStaticFlat / emulateNested invocation (nested
+// sections draw their own), so backing arrays are reused across the
+// thousands of sections a sweep emulates.
 type sectionScratch struct {
 	workers []worker
 	order   eventq.Heap[*worker]
 	tasks   []taskRef
 	fetch   fetchState
+	times   []clock.Cycles
 }
 
 var sectionPool = sync.Pool{New: func() any { return &sectionScratch{} }}
@@ -299,7 +311,30 @@ func putScratch(sc *sectionScratch) {
 // time start on p CPUs and returns its duration including fork/join
 // overhead. Nested sections are emulated when the enclosing worker reaches
 // them (see runTask).
+//
+// The section's shape picks the algorithm. An untraced flat section (see
+// flatShape) under a static schedule is computed in closed form over its
+// compressed task runs; under dynamic or guided it still goes through the
+// heap, which fixes the fetch order, but one visit per task. Everything
+// else, and every traced run, steps the heap one segment at a time.
 func emulateSection(st *state, sec *tree.Node, start clock.Cycles, p int) clock.Cycles {
+	n, flat := flatShape(sec)
+	if n == 0 {
+		return 0
+	}
+	flat = flat && st.tracer == nil
+	if k := st.sched.Kind; flat && (k == omprt.Static || k == omprt.StaticChunk) {
+		return emulateStaticFlat(st, sec, start, p, n)
+	}
+	return emulateHeap(st, sec, start, p, flat)
+}
+
+// emulateHeap is emulateSection on the pseudo-clock heap. With wholeTasks
+// (flat sections only) a worker runs each fetched task to its end in one
+// heap visit: nothing it does can affect another worker, and it fetches
+// its next task at the same (time, rank) heap key as the per-segment walk,
+// so tasks are handed out in the same order.
+func emulateHeap(st *state, sec *tree.Node, start clock.Cycles, p int, wholeTasks bool) clock.Cycles {
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.tasks = appendTasks(sc.tasks[:0], sec)
@@ -323,8 +358,7 @@ func emulateSection(st *state, sec *tree.Node, start clock.Cycles, p int) clock.
 	for w := 0; w < nt; w++ {
 		sc.workers[w] = worker{id: w, cpu: w % p, time: begin + st.ov.WorkerInit}
 	}
-	assignStatic(st.sched, sc.workers, tasks)
-	sc.fetch = fetchState{tasks: tasks, sched: st.sched, nt: nt}
+	sc.fetch = fetchState{tasks: tasks, plan: newStaticPlan(st.sched, n, nt), nt: nt}
 	shared := &sc.fetch
 
 	h := &sc.order
@@ -347,6 +381,11 @@ func emulateSection(st *state, sec *tree.Node, start clock.Cycles, p int) clock.
 				continue
 			}
 			w.time += dispatch
+			if wholeTasks {
+				w.time += st.flatTaskLen(tr.node, w.cpu)
+				h.FixTop()
+				continue
+			}
 			w.cur, w.segIdx, w.repIdx = tr.node, 0, 0
 		}
 		stepSegment(st, w, p)
@@ -379,58 +418,26 @@ func stepSegment(st *state, w *worker, p int) {
 	w.cur = nil
 }
 
-// fetchState is the shared iteration counter of dynamic/guided schedules.
+// fetchState is what a section's workers fetch tasks from: the expanded
+// task list, the static schedules' plan, and the shared iteration counter
+// of dynamic/guided schedules.
 type fetchState struct {
 	tasks []taskRef
+	plan  staticPlan
 	next  int
-	sched omprt.Sched
 	nt    int
-}
-
-// assignStatic precomputes task queues for the static schedules.
-func assignStatic(sched omprt.Sched, workers []worker, tasks []taskRef) {
-	nt := len(workers)
-	n := len(tasks)
-	switch sched.Kind {
-	case omprt.Static:
-		base := n / nt
-		rem := n % nt
-		lo := 0
-		for k := 0; k < nt; k++ {
-			hi := lo + base
-			if k < rem {
-				hi++
-			}
-			workers[k].tasks = tasks[lo:hi]
-			lo = hi
-		}
-	case omprt.StaticChunk:
-		chunk := sched.Chunk
-		if chunk < 1 {
-			chunk = 1
-		}
-		for k := 0; k < nt; k++ {
-			for lo := k * chunk; lo < n; lo += nt * chunk {
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				workers[k].tasks = append(workers[k].tasks, tasks[lo:hi]...)
-			}
-		}
-	}
 }
 
 // nextTask yields the worker's next task and its dispatch overhead.
 func nextTask(st *state, w *worker, shared *fetchState) (taskRef, clock.Cycles, bool) {
 	switch st.sched.Kind {
 	case omprt.Static, omprt.StaticChunk:
-		if w.pos >= len(w.tasks) {
+		i, ok := shared.plan.index(w.id, w.pos)
+		if !ok {
 			return taskRef{}, 0, false
 		}
-		tr := w.tasks[w.pos]
 		w.pos++
-		return tr, st.ov.StaticDispatch, true
+		return shared.tasks[i], st.ov.StaticDispatch, true
 	case omprt.Dynamic:
 		if shared.next >= len(shared.tasks) {
 			return taskRef{}, 0, false
