@@ -119,21 +119,14 @@ func (o *AdviseOptions) withDefaults(p *Profile) AdviseOptions {
 	return out
 }
 
-// Advise sweeps parallelization configurations with the memory model
-// applied and returns the ranked results plus a diagnosis. It is
-// AdviseCtx without cancellation; the error (if any) is carried on
-// Advice.Err.
-func (p *Profile) Advise(opts *AdviseOptions) Advice {
-	adv, _ := p.AdviseCtx(context.Background(), opts)
-	return adv
-}
-
-// AdviseCtx runs the configuration sweep and the causal region
-// experiments, fanning both through internal/sweep. Cancellation returns
-// the partial Advice accumulated so far along with ctx's error; a sweep
-// where no configuration could be estimated returns the first cell error
-// (also on Advice.Err). Per-cell failures with at least one success are
-// not an error: they surface on Advice.Err and in the errored tail of
+// AdviseCtx sweeps parallelization configurations with the memory model
+// applied and returns the ranked results plus a diagnosis: the
+// configuration sweep and the causal region experiments both fan out
+// through internal/sweep. Cancellation returns the partial Advice
+// accumulated so far along with ctx's error; a sweep where no
+// configuration could be estimated returns the first cell error (also on
+// Advice.Err). Per-cell failures with at least one success are not an
+// error: they surface on Advice.Err and in the errored tail of
 // Sweep/Regions.
 func (p *Profile) AdviseCtx(ctx context.Context, opts *AdviseOptions) (Advice, error) {
 	o := opts.withDefaults(p)

@@ -15,11 +15,11 @@ import (
 )
 
 func TestAdviseBalancedLoop(t *testing.T) {
-	p, err := ProfileProgram(balancedProgram(48, 100_000), &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(48, 100_000), &Options{Machine: testMachine(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv := p.Advise(&AdviseOptions{Method: FastForward})
+	adv := mustAdvise(t, p, &AdviseOptions{Method: FastForward})
 	if adv.Best.Speedup < 10 {
 		t.Fatalf("best speedup = %.2f, want ~12 on a balanced loop", adv.Best.Speedup)
 	}
@@ -53,11 +53,11 @@ func TestAdviseMemoryBound(t *testing.T) {
 		}
 		ctx.SecEnd(false)
 	}
-	p, err := ProfileProgram(streaming, &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), streaming, &Options{Machine: testMachine(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv := p.Advise(&AdviseOptions{Method: FastForward})
+	adv := mustAdvise(t, p, &AdviseOptions{Method: FastForward})
 	if !adv.MemoryLimited {
 		t.Fatal("streaming workload not flagged memory-limited")
 	}
@@ -85,11 +85,11 @@ func TestAdviseSerialProgram(t *testing.T) {
 		ctx.TaskEnd()
 		ctx.SecEnd(false)
 	}
-	p, err := ProfileProgram(prog, &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv := p.Advise(&AdviseOptions{Method: FastForward, Threads: []int{2, 4, 8}})
+	adv := mustAdvise(t, p, &AdviseOptions{Method: FastForward, Threads: []int{2, 4, 8}})
 	if adv.Best.Speedup > 1.15 {
 		t.Fatalf("serial program promised %.2fx", adv.Best.Speedup)
 	}
@@ -125,11 +125,11 @@ func TestAdviseCilkWinsOnRecursion(t *testing.T) {
 		ctx.TaskEnd()
 		ctx.SecEnd(false)
 	}
-	p, err := ProfileProgram(prog, &Options{Machine: testMachine(8), CompressTolerance: -1})
+	p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(8), CompressTolerance: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv := p.Advise(&AdviseOptions{Threads: []int{4, 8}, Method: Synthesizer})
+	adv := mustAdvise(t, p, &AdviseOptions{Threads: []int{4, 8}, Method: Synthesizer})
 	if adv.Best.Paradigm != Cilk {
 		t.Fatalf("best paradigm = %v, want Cilk for recursion (%.2fx)\n%s",
 			adv.Best.Paradigm, adv.Best.Speedup, adv)
@@ -141,12 +141,12 @@ func TestAdviseCilkWinsOnRecursion(t *testing.T) {
 // largest) entry and corrupt the saturation walk. Threads are now
 // normalized like ParseCores, so any ordering yields the same Advice.
 func TestAdviseUnsortedThreads(t *testing.T) {
-	p, err := ProfileProgram(balancedProgram(48, 100_000), &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(48, 100_000), &Options{Machine: testMachine(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted := p.Advise(&AdviseOptions{Method: FastForward, Threads: []int{1, 4, 12}})
-	unsorted := p.Advise(&AdviseOptions{Method: FastForward, Threads: []int{12, 1, 4, 4}})
+	sorted := mustAdvise(t, p, &AdviseOptions{Method: FastForward, Threads: []int{1, 4, 12}})
+	unsorted := mustAdvise(t, p, &AdviseOptions{Method: FastForward, Threads: []int{12, 1, 4, 4}})
 	if unsorted.TargetThreads != 12 {
 		t.Fatalf("target threads = %d, want 12 (largest, not last)", unsorted.TargetThreads)
 	}
@@ -173,7 +173,7 @@ func TestAdviseUnsortedThreads(t *testing.T) {
 func TestAdviseAllErrors(t *testing.T) {
 	machine := testMachine(12)
 	machine.MaxEvents = 1
-	p, err := ProfileProgram(balancedProgram(8, 50_000), &Options{
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(8, 50_000), &Options{
 		Machine:            machine,
 		DisableMemoryModel: true, // calibration would hit the budget too
 	})
@@ -211,7 +211,7 @@ func TestAdviseAllErrors(t *testing.T) {
 // results come back with the cancellation error — and that no worker
 // goroutines leak past the return.
 func TestAdviseCtxCancel(t *testing.T) {
-	p, err := ProfileProgram(balancedProgram(24, 50_000), &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(24, 50_000), &Options{Machine: testMachine(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestAdviseRegionVariants(t *testing.T) {
 		&tree.Node{Kind: tree.U, Len: 100, Repeat: 7, Mem: tree.MemTraits{Instructions: 40, LLCMisses: 2}},
 		tree.NewU(10),
 	)
-	p, err := ProfileTree(root, &Options{Machine: testMachine(12), DisableMemoryModel: true})
+	p, err := ProfileTreeCtx(context.Background(), root, &Options{Machine: testMachine(12), DisableMemoryModel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestAdviseAntiRecommendation(t *testing.T) {
 
 	// An empty model keeps burden lookups live (Model != nil) without
 	// calibrating: sections without counters keep their hand-set maps.
-	p, err := ProfileTree(root, &Options{Machine: testMachine(12), MemModel: &memmodel.Model{}})
+	p, err := ProfileTreeCtx(context.Background(), root, &Options{Machine: testMachine(12), MemModel: &memmodel.Model{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package prophet_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -32,6 +33,17 @@ func benchMachine() sim.Config {
 	return sim.Config{Cores: 12, Quantum: 10_000, ContextSwitch: -1}
 }
 
+// mustSim runs main on a machine built from cfg, failing the benchmark on
+// a simulation error.
+func mustSim(b *testing.B, cfg sim.Config, main func(*sim.Thread)) (prophet.Cycles, sim.Stats) {
+	b.Helper()
+	end, st, err := sim.Run(context.Background(), cfg, sim.RunOpts{}, main)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return end, st
+}
+
 // BenchmarkFig4Tree profiles the paper's §IV-A running example into its
 // program tree (Fig. 4).
 func BenchmarkFig4Tree(b *testing.B) {
@@ -45,8 +57,8 @@ func BenchmarkFig4Tree(b *testing.B) {
 // BenchmarkFig5FF regenerates the Fig. 5 schedule walkthrough.
 func BenchmarkFig5FF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if t := experiments.Fig5(); len(t.Rows) != 3 {
-			b.Fatal("bad table")
+		if t, err := experiments.Fig5(); err != nil || len(t.Rows) != 3 {
+			b.Fatalf("bad table (%v)", err)
 		}
 	}
 }
@@ -54,10 +66,10 @@ func BenchmarkFig5FF(b *testing.B) {
 // BenchmarkFig7 regenerates the nested-loop limitation comparison
 // (FF vs Suitability vs synthesizer vs real).
 func BenchmarkFig7(b *testing.B) {
-	cfg := experiments.Config{Machine: benchMachine()}
+	h := experiments.NewCtx(context.Background(), experiments.Config{Machine: benchMachine()})
 	for i := 0; i < b.N; i++ {
-		if t := experiments.Fig7(cfg); len(t.Rows) != 4 {
-			b.Fatal("bad table")
+		if t, err := h.Fig7(); err != nil || len(t.Rows) != 4 {
+			b.Fatalf("bad table (%v)", err)
 		}
 	}
 }
@@ -66,9 +78,9 @@ func BenchmarkFig7(b *testing.B) {
 // reduced sample count per iteration.
 func BenchmarkFig11Validation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Fig11(experiments.Config{
+		res := experiments.NewCtx(context.Background(), experiments.Config{
 			Machine: benchMachine(), Samples: 2, Seed: int64(i + 1),
-		})
+		}).Fig11()
 		if len(res.Cases) != 6 {
 			b.Fatal("bad result")
 		}
@@ -80,7 +92,7 @@ func BenchmarkFig11Validation(b *testing.B) {
 func BenchmarkFig12Benchmarks(b *testing.B) {
 	cfg := experiments.Config{Machine: benchMachine(), Cores: []int{2, 12}}
 	for i := 0; i < b.N; i++ {
-		s := experiments.Fig12(cfg, []string{"NPB-EP", "NPB-FT"})
+		s := experiments.NewCtx(context.Background(), cfg).Fig12([]string{"NPB-EP", "NPB-FT"})
 		if len(s) != 2 {
 			b.Fatal("bad series")
 		}
@@ -91,7 +103,7 @@ func BenchmarkFig12Benchmarks(b *testing.B) {
 func BenchmarkPsiCalibration(b *testing.B) {
 	mc := benchMachine()
 	for i := 0; i < b.N; i++ {
-		m, _, err := memmodel.Calibrate(mc, []int{2, 4, 8, 12})
+		m, _, err := memmodel.CalibrateCtx(context.Background(), mc, []int{2, 4, 8, 12})
 		if err != nil || m.Phi.B >= 0 {
 			b.Fatalf("calibration bad: %v", err)
 		}
@@ -112,7 +124,7 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkTable3Overheads(b *testing.B) {
 	cfg := experiments.Config{Machine: benchMachine()}
 	for i := 0; i < b.N; i++ {
-		if t := experiments.Table3(cfg, []string{"NPB-EP"}); len(t.Rows) != 1 {
+		if t := experiments.NewCtx(context.Background(), cfg).Table3([]string{"NPB-EP"}); len(t.Rows) != 1 {
 			b.Fatal("bad table")
 		}
 	}
@@ -196,16 +208,17 @@ func benchName(tol float64) string {
 // (Table III's "time overhead per estimate", FF column).
 func BenchmarkFFEmulator(b *testing.B) {
 	w, _ := workloads.ByName("NPB-CG")
-	prof, err := prophet.ProfileProgram(w.Program, &prophet.Options{Machine: benchMachine()})
+	prof, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{Machine: benchMachine()})
 	if err != nil {
 		b.Fatal(err)
 	}
 	e := &ff.Emulator{Threads: 8, Sched: omprt.SchedStatic, Ov: omprt.DefaultOverheads()}
 	b.ReportAllocs()
 	b.ResetTimer()
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		if e.Speedup(prof.Tree) <= 0 {
-			b.Fatal("bad speedup")
+		if s, err := e.SpeedupCtx(ctx, prof.Tree); err != nil || s <= 0 {
+			b.Fatalf("bad speedup (%v)", err)
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "estimates/sec")
@@ -220,16 +233,17 @@ func BenchmarkFFEmulatorHeap(b *testing.B) {
 		Ratio1: 0.5, RatioLock1: 0.3, Ratio2: 0.4, RatioLock2: 0.2, Ratio3: 0.3,
 		Lock1Prob: 0.8, Lock2Prob: 0.5, Seed: 9,
 	}
-	prof, err := prophet.ProfileProgram(prm.Program(), &prophet.Options{Machine: benchMachine()})
+	prof, err := prophet.ProfileProgramCtx(context.Background(), prm.Program(), &prophet.Options{Machine: benchMachine()})
 	if err != nil {
 		b.Fatal(err)
 	}
 	e := &ff.Emulator{Threads: 8, Sched: omprt.SchedStatic1, Ov: omprt.DefaultOverheads()}
 	b.ReportAllocs()
 	b.ResetTimer()
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		if e.Speedup(prof.Tree) <= 0 {
-			b.Fatal("bad speedup")
+		if s, err := e.SpeedupCtx(ctx, prof.Tree); err != nil || s <= 0 {
+			b.Fatalf("bad speedup (%v)", err)
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "estimates/sec")
@@ -239,15 +253,16 @@ func BenchmarkFFEmulatorHeap(b *testing.B) {
 // (Table III, SYN column).
 func BenchmarkSynthesizer(b *testing.B) {
 	w, _ := workloads.ByName("NPB-CG")
-	prof, err := prophet.ProfileProgram(w.Program, &prophet.Options{Machine: benchMachine()})
+	prof, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{Machine: benchMachine()})
 	if err != nil {
 		b.Fatal(err)
 	}
 	s := &synth.Synthesizer{Threads: 8, Sched: omprt.SchedStatic, Machine: benchMachine(), OmpOv: omprt.DefaultOverheads()}
 	b.ResetTimer()
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		if s.Speedup(prof.Tree) <= 0 {
-			b.Fatal("bad speedup")
+		if sp, err := s.SpeedupCtx(ctx, prof.Tree); err != nil || sp <= 0 {
+			b.Fatalf("bad speedup (%v)", err)
 		}
 	}
 }
@@ -258,7 +273,7 @@ func BenchmarkSimEngine(b *testing.B) {
 	b.ReportAllocs()
 	var events int64
 	for i := 0; i < b.N; i++ {
-		_, st := sim.Run(benchMachine(), func(t *sim.Thread) {
+		_, st := mustSim(b, benchMachine(), func(t *sim.Thread) {
 			ws := make([]*sim.Thread, 0, 24)
 			for k := 0; k < 24; k++ {
 				ws = append(ws, t.Spawn(func(w *sim.Thread) {
@@ -286,7 +301,7 @@ func BenchmarkSimEngineSpec(b *testing.B) {
 	cfg := sim.Config{Spec: machine.Default(), ContextSwitch: -1}
 	var events int64
 	for i := 0; i < b.N; i++ {
-		_, st := sim.Run(cfg, func(t *sim.Thread) {
+		_, st := mustSim(b, cfg, func(t *sim.Thread) {
 			ws := make([]*sim.Thread, 0, 24)
 			for k := 0; k < 24; k++ {
 				ws = append(ws, t.Spawn(func(w *sim.Thread) {
@@ -313,7 +328,7 @@ func BenchmarkDRAMContention(b *testing.B) {
 		b.Run(map[int]string{1: "t=1", 4: "t=4", 8: "t=8", 12: "t=12"}[threads], func(b *testing.B) {
 			mc := benchMachine()
 			for i := 0; i < b.N; i++ {
-				end, _ := sim.Run(mc, func(t *sim.Thread) {
+				end, _ := mustSim(b, mc, func(t *sim.Thread) {
 					ws := make([]*sim.Thread, 0, threads-1)
 					body := func(w *sim.Thread) { w.WorkMem(0, 10_000) }
 					for k := 1; k < threads; k++ {
@@ -336,13 +351,13 @@ func BenchmarkDRAMContention(b *testing.B) {
 // at 12 threads (the cost basis for the evaluation harness).
 func BenchmarkRealGroundTruth(b *testing.B) {
 	w, _ := workloads.ByName("NPB-EP")
-	prof, err := prophet.ProfileProgram(w.Program, &prophet.Options{Machine: benchMachine()})
+	prof, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{Machine: benchMachine()})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := prof.RealSpeedup(prophet.Request{Threads: 12, Sched: w.Sched})
+		s := mustReal(b, prof, prophet.Request{Threads: 12, Sched: w.Sched})
 		if s < 1 {
 			b.Fatal("bad speedup")
 		}
@@ -369,7 +384,10 @@ func BenchmarkQuantumSensitivity(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			mc := sim.Config{Cores: 2, Quantum: q, ContextSwitch: -1}
 			for i := 0; i < b.N; i++ {
-				s := realrun.Speedup(root, realrun.Config{Machine: mc, Threads: 2, Sched: omprt.SchedStatic1})
+				s, err := realrun.SpeedupCtx(context.Background(), root, realrun.Config{Machine: mc, Threads: 2, Sched: omprt.SchedStatic1})
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.ReportMetric(s, "speedup")
 			}
 		})
@@ -422,12 +440,19 @@ func BenchmarkPipelineSchedules(b *testing.B) {
 	b.Run("ff", func(b *testing.B) {
 		e := &ff.Emulator{Threads: 3, Sched: omprt.SchedStatic}
 		for i := 0; i < b.N; i++ {
-			b.ReportMetric(e.Speedup(root), "speedup")
+			s, err := e.SpeedupCtx(context.Background(), root)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(s, "speedup")
 		}
 	})
 	b.Run("machine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := realrun.Speedup(root, realrun.Config{Machine: benchMachine(), Threads: 3})
+			s, err := realrun.SpeedupCtx(context.Background(), root, realrun.Config{Machine: benchMachine(), Threads: 3})
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportMetric(s, "speedup")
 		}
 	})

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -38,7 +39,7 @@ func main() {
 		cores = append(cores, v)
 	}
 
-	m, data, err := memmodel.Calibrate(sim.DefaultConfig(), cores)
+	m, data, err := memmodel.CalibrateCtx(context.Background(), sim.DefaultConfig(), cores)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "calibration failed:", err)
 		os.Exit(1)

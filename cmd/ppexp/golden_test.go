@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -52,7 +53,7 @@ func TestGoldenTable1(t *testing.T) {
 // accuracy numbers. Runs on the parallel harness, whose output is
 // byte-identical to serial at any worker count.
 func TestGoldenRanking(t *testing.T) {
-	h := experiments.New(experiments.Config{
+	h := experiments.NewCtx(context.Background(), experiments.Config{
 		Machine: goldenMachine(), Samples: 10, Seed: 13, Workers: 4,
 	})
 	checkGolden(t, "ranking.golden", h.ScheduleRanking().String())

@@ -8,7 +8,7 @@
 //	ppexp -table 1             # one table: 1, 3, overhead, ranking
 //	ppexp -calibration         # Eq. (6)/(7) fits
 //	ppexp -samples 300         # Fig. 11 sample count (paper: 300)
-//	ppexp -bench NPB-FT,NPB-EP # restrict Fig. 12 to some benchmarks
+//	ppexp -bench NPB-FT,NPB-EP # restrict the benchmark figures and tables
 //	ppexp -machines all        # machine matrix: PredM per machine preset
 //	ppexp -csv dir             # also write CSV series/scatters into dir
 //	ppexp -workers 8           # sweep worker pool (0 = GOMAXPROCS, 1 = serial)
@@ -22,9 +22,10 @@
 // every simulated machine run, profile-cache hit/miss/dedup traffic and
 // per-cell sweep outcomes, as JSON with stable field names.
 //
-// Exit codes: 0 success; 1 a write or cell failure under -failfast;
-// 2 usage error; 3 the -timeout deadline expired (partial results are
-// still printed — canceled cells are reported as skipped).
+// Exit codes: 0 success; 1 a write or cell failure under -failfast, or a
+// failed Fig. 5/7 run; 2 usage error, including an unknown -bench name;
+// 3 the -timeout deadline expired (partial results are still printed —
+// canceled cells are reported as skipped).
 package main
 
 import (
@@ -40,6 +41,7 @@ import (
 	"prophet/internal/experiments"
 	"prophet/internal/pprofutil"
 	"prophet/internal/report"
+	"prophet/internal/workloads"
 )
 
 func main() {
@@ -91,7 +93,12 @@ func main() {
 	var names []string
 	if *benches != "" {
 		for _, b := range strings.Split(*benches, ",") {
-			names = append(names, strings.TrimSpace(b))
+			name := strings.TrimSpace(b)
+			if _, err := workloads.ByName(name); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
+			}
+			names = append(names, name)
 		}
 	}
 
@@ -124,10 +131,14 @@ func main() {
 		fmt.Fprintln(out, experiments.Fig4())
 	}
 	if all || *fig == "5" {
-		mustWrite(experiments.Fig5(), out)
+		t, err := experiments.Fig5()
+		exitOn(ctx, "fig 5", err)
+		mustWrite(t, out)
 	}
 	if all || *fig == "7" {
-		mustWrite(experiments.Fig7(cfg), out)
+		t, err := h.Fig7()
+		exitOn(ctx, "fig 7", err)
+		mustWrite(t, out)
 	}
 	if all || *fig == "11" {
 		res := h.Fig11()
@@ -213,6 +224,19 @@ func main() {
 }
 
 var markdownOut bool
+
+// exitOn reports the failure of a figure that is not a sweep and exits:
+// 3 when the -timeout deadline stopped it, 1 otherwise.
+func exitOn(ctx context.Context, what string, err error) {
+	if err == nil {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "ppexp: %s: %v\n", what, err)
+	if ctx.Err() != nil {
+		os.Exit(3)
+	}
+	os.Exit(1)
+}
 
 func mustWrite(t *report.Table, out *os.File) {
 	var err error

@@ -19,10 +19,10 @@ import (
 // program is recovered at the API boundary and returned as *PanicError
 // with the original value and a stack.
 func TestPanicInProgramBodyIsContained(t *testing.T) {
-	_, err := ProfileProgram(func(Context) { panic("user bug") },
+	_, err := ProfileProgramCtx(context.Background(), func(Context) { panic("user bug") },
 		&Options{DisableMemoryModel: true})
 	if err == nil {
-		t.Fatal("ProfileProgram returned nil error for a panicking program")
+		t.Fatal("ProfileProgramCtx returned nil error for a panicking program")
 	}
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -43,7 +43,7 @@ func TestPanicInProgramBodyIsContained(t *testing.T) {
 // fails with ErrAnnotationMismatch, reachable from the root package
 // without importing internals.
 func TestAnnotationMismatchIsTyped(t *testing.T) {
-	_, err := ProfileProgram(func(ctx Context) {
+	_, err := ProfileProgramCtx(context.Background(), func(ctx Context) {
 		ctx.SecBegin("left open")
 		ctx.Compute(1_000, 0)
 	}, &Options{DisableMemoryModel: true})
@@ -56,7 +56,7 @@ func TestAnnotationMismatchIsTyped(t *testing.T) {
 // directly under the root) fails with ErrMalformedTree.
 func TestMalformedTreeIsTyped(t *testing.T) {
 	bad := &Tree{Kind: tree.Root, Children: []*Tree{{Kind: tree.Task}}}
-	_, err := ProfileTree(bad, &Options{DisableMemoryModel: true})
+	_, err := ProfileTreeCtx(context.Background(), bad, &Options{DisableMemoryModel: true})
 	if !errors.Is(err, ErrMalformedTree) {
 		t.Fatalf("err = %v, want errors.Is ErrMalformedTree", err)
 	}
@@ -78,7 +78,7 @@ func TestEstimateBudgetExceededIsTyped(t *testing.T) {
 	}
 	machine := DefaultMachine()
 	machine.MaxEvents = 5 // far below what the synthesizer run needs
-	prof, err := ProfileProgram(prog, &Options{Machine: machine, DisableMemoryModel: true})
+	prof, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: machine, DisableMemoryModel: true})
 	if err != nil {
 		t.Fatalf("profile: %v", err)
 	}
@@ -91,11 +91,6 @@ func TestEstimateBudgetExceededIsTyped(t *testing.T) {
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %T, want errors.As *BudgetError", err)
 	}
-
-	est := prof.Estimate(req) // legacy entry: must not panic
-	if !errors.Is(est.Err, ErrBudgetExceeded) {
-		t.Fatalf("Estimate().Err = %v, want ErrBudgetExceeded", est.Err)
-	}
 }
 
 // TestEstimateCtxHonorsCancellation: a canceled context stops both
@@ -107,7 +102,7 @@ func TestEstimateCtxHonorsCancellation(t *testing.T) {
 		t.Fatalf("ProfileProgramCtx err = %v, want ErrCanceled", err)
 	}
 
-	prof, err := ProfileProgram(func(ctx Context) {
+	prof, err := ProfileProgramCtx(context.Background(), func(ctx Context) {
 		ctx.SecBegin("s")
 		ctx.TaskBegin("t")
 		ctx.Compute(1_000, 0)
@@ -170,12 +165,15 @@ func TestCurveCarriesPerPointErrors(t *testing.T) {
 	}
 	machine := DefaultMachine()
 	machine.MaxEvents = 5
-	prof, err := ProfileProgram(prog, &Options{Machine: machine, DisableMemoryModel: true})
+	prof, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: machine, DisableMemoryModel: true})
 	if err != nil {
 		t.Fatalf("profile: %v", err)
 	}
 	// FF estimates don't run the machine (no budget), Synthesizer ones do.
-	ests := prof.Curve(Request{Method: Synthesizer}, []int{2, 4})
+	ests, err := prof.CurveCtx(context.Background(), Request{Method: Synthesizer}, []int{2, 4})
+	if err != nil {
+		t.Fatalf("per-point failures aborted the curve: %v", err)
+	}
 	if len(ests) != 2 {
 		t.Fatalf("%d estimates, want 2", len(ests))
 	}

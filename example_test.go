@@ -1,14 +1,15 @@
 package prophet_test
 
 import (
+	"context"
 	"fmt"
 
 	"prophet"
 )
 
-// ExampleProfileProgram shows the whole workflow: annotate, profile,
+// ExampleProfileProgramCtx shows the whole workflow: annotate, profile,
 // predict.
-func ExampleProfileProgram() {
+func ExampleProfileProgramCtx() {
 	program := func(ctx prophet.Context) {
 		ctx.SecBegin("loop")
 		for i := 0; i < 24; i++ {
@@ -18,14 +19,18 @@ func ExampleProfileProgram() {
 		}
 		ctx.SecEnd(false)
 	}
-	prof, err := prophet.ProfileProgram(program, &prophet.Options{
+	ctx := context.Background()
+	prof, err := prophet.ProfileProgramCtx(ctx, program, &prophet.Options{
 		Machine:            prophet.MachineConfig{Cores: 12, Quantum: 10_000, ContextSwitch: -1},
 		DisableMemoryModel: true,
 	})
 	if err != nil {
 		panic(err)
 	}
-	est := prof.Estimate(prophet.Request{Threads: 8, Sched: prophet.Static})
+	est, err := prof.EstimateCtx(ctx, prophet.Request{Threads: 8, Sched: prophet.Static})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("serial: %d cycles\n", prof.SerialCycles)
 	// 7.66x, not 8.00x: the emulation charges the calibrated OpenMP
 	// fork/join and dispatch overheads.
@@ -35,9 +40,9 @@ func ExampleProfileProgram() {
 	// 8 threads, (static): 7.66x
 }
 
-// ExampleProfile_Estimate compares the three prediction engines on a
+// ExampleProfile_EstimateCtx compares two prediction engines on a
 // lock-bound loop.
-func ExampleProfile_Estimate() {
+func ExampleProfile_EstimateCtx() {
 	program := func(ctx prophet.Context) {
 		ctx.SecBegin("locked")
 		for i := 0; i < 8; i++ {
@@ -49,15 +54,22 @@ func ExampleProfile_Estimate() {
 		}
 		ctx.SecEnd(false)
 	}
-	prof, err := prophet.ProfileProgram(program, &prophet.Options{
+	ctx := context.Background()
+	prof, err := prophet.ProfileProgramCtx(ctx, program, &prophet.Options{
 		Machine:            prophet.MachineConfig{Cores: 4, Quantum: 10_000, ContextSwitch: -1},
 		DisableMemoryModel: true,
 	})
 	if err != nil {
 		panic(err)
 	}
-	ff := prof.Estimate(prophet.Request{Method: prophet.FastForward, Threads: 4, Sched: prophet.Static1})
-	bound := prof.Estimate(prophet.Request{Method: prophet.CriticalPathBound, Threads: 4})
+	ff, err := prof.EstimateCtx(ctx, prophet.Request{Method: prophet.FastForward, Threads: 4, Sched: prophet.Static1})
+	if err != nil {
+		panic(err)
+	}
+	bound, err := prof.EstimateCtx(ctx, prophet.Request{Method: prophet.CriticalPathBound, Threads: 4})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("fast-forward sees the lock: %.2fx\n", ff.Speedup)
 	fmt.Printf("critical-path bound is lock-blind: %.2fx\n", bound.Speedup)
 	// Output:
@@ -81,7 +93,7 @@ func ExampleProfile_Regions() {
 		ctx.TaskEnd()
 		ctx.SecEnd(false)
 	}
-	prof, err := prophet.ProfileProgram(program, &prophet.Options{DisableMemoryModel: true})
+	prof, err := prophet.ProfileProgramCtx(context.Background(), program, &prophet.Options{DisableMemoryModel: true})
 	if err != nil {
 		panic(err)
 	}
@@ -107,7 +119,7 @@ func ExampleTree_String() {
 		ctx.TaskEnd()
 		ctx.SecEnd(false)
 	}
-	prof, err := prophet.ProfileProgram(program, &prophet.Options{
+	prof, err := prophet.ProfileProgramCtx(context.Background(), program, &prophet.Options{
 		DisableMemoryModel: true,
 		CompressTolerance:  -1,
 	})

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -83,9 +84,12 @@ func main() {
 
 	fmt.Println("predicted speedups for the measured tree (FF, simulated 12-core):")
 	for _, cores := range []int{2, 4, 8, 12} {
-		est := prof.Estimate(prophet.Request{
+		est, err := prof.EstimateCtx(context.Background(), prophet.Request{
 			Method: prophet.FastForward, Threads: cores, Sched: prophet.Static1,
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %2d cores: %.2fx\n", cores, est.Speedup)
 	}
 	fmt.Println("\nthe verdict is itself the product: at this matrix size the per-row")

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,22 +29,40 @@ func fetchComputeStore(ctx prophet.Context) {
 
 func main() {
 	machine := prophet.MachineConfig{Cores: 4}
-	prof, err := prophet.ProfileProgram(fetchComputeStore, &prophet.Options{Machine: machine})
+	ctx := context.Background()
+	prof, err := prophet.ProfileProgramCtx(ctx, fetchComputeStore, &prophet.Options{Machine: machine})
 	if err != nil {
 		log.Fatal(err)
+	}
+	// predict returns req's predicted speedup; a failed emulation stops
+	// the example.
+	predict := func(req prophet.Request) float64 {
+		est, err := prof.EstimateCtx(ctx, req)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return est.Speedup
+	}
+	// groundTruth returns req's speedup on the simulated machine.
+	groundTruth := func(req prophet.Request) float64 {
+		s, err := prof.RealSpeedupCtx(ctx, req)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return s
 	}
 	fmt.Println("64 requests, 70% of each blocked on I/O; machine has 4 cores")
 	fmt.Println()
 	fmt.Println("threads   synthesizer   FF (treats waits as compute)   real (machine)")
 	for _, threads := range []int{2, 4, 8, 16} {
-		syn := prof.Estimate(prophet.Request{
+		syn := predict(prophet.Request{
 			Method: prophet.Synthesizer, Threads: threads, Sched: prophet.Dynamic1,
 		})
-		ffp := prof.Estimate(prophet.Request{
+		ffp := predict(prophet.Request{
 			Method: prophet.FastForward, Threads: threads, Sched: prophet.Dynamic1,
 		})
-		real := prof.RealSpeedup(prophet.Request{Threads: threads, Sched: prophet.Dynamic1})
-		fmt.Printf("%7d   %11.2f   %28.2f   %14.2f\n", threads, syn.Speedup, ffp.Speedup, real)
+		real := groundTruth(prophet.Request{Threads: threads, Sched: prophet.Dynamic1})
+		fmt.Printf("%7d   %11.2f   %28.2f   %14.2f\n", threads, syn, ffp, real)
 	}
 	fmt.Println()
 	fmt.Println("oversubscription pays: with 16 threads on 4 cores, waits overlap and")

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,9 +42,19 @@ func luProgram(ctx prophet.Context) {
 }
 
 func main() {
-	prof, err := prophet.ProfileProgram(luProgram, nil)
+	ctx := context.Background()
+	prof, err := prophet.ProfileProgramCtx(ctx, luProgram, nil)
 	if err != nil {
 		log.Fatal(err)
+	}
+	// predict returns req's predicted speedup; a failed emulation stops
+	// the example.
+	predict := func(req prophet.Request) float64 {
+		est, err := prof.EstimateCtx(ctx, req)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return est.Speedup
 	}
 	fmt.Printf("LU %dx%d: serial %d cycles, %d parallel sections\n\n",
 		size, size, prof.SerialCycles, len(prof.Tree.TopLevelSections()))
@@ -55,11 +66,11 @@ func main() {
 	for _, cores := range []int{2, 4, 8, 12} {
 		row := fmt.Sprintf("%5d", cores)
 		for _, sched := range []prophet.Sched{prophet.Static, prophet.Static1, prophet.Dynamic1} {
-			est := prof.Estimate(prophet.Request{Method: prophet.FastForward, Threads: cores, Sched: sched})
-			row += fmt.Sprintf("  %8.2f", est.Speedup)
+			ff := predict(prophet.Request{Method: prophet.FastForward, Threads: cores, Sched: sched})
+			row += fmt.Sprintf("  %8.2f", ff)
 		}
-		suit := prof.Estimate(prophet.Request{Method: prophet.Suitability, Threads: cores})
-		row += fmt.Sprintf("  %11.2f", suit.Speedup)
+		suit := predict(prophet.Request{Method: prophet.Suitability, Threads: cores})
+		row += fmt.Sprintf("  %11.2f", suit)
 		fmt.Println(row)
 	}
 	fmt.Println()

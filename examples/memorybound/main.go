@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,9 +27,27 @@ func streamProgram(ctx prophet.Context) {
 }
 
 func main() {
-	prof, err := prophet.ProfileProgram(streamProgram, nil)
+	ctx := context.Background()
+	prof, err := prophet.ProfileProgramCtx(ctx, streamProgram, nil)
 	if err != nil {
 		log.Fatal(err)
+	}
+	// predict returns req's predicted speedup; a failed emulation stops
+	// the example.
+	predict := func(req prophet.Request) float64 {
+		est, err := prof.EstimateCtx(ctx, req)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return est.Speedup
+	}
+	// groundTruth returns req's speedup on the simulated machine.
+	groundTruth := func(req prophet.Request) float64 {
+		s, err := prof.RealSpeedupCtx(ctx, req)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return s
 	}
 	sec := prof.Tree.TopLevelSections()[0]
 	fmt.Printf("serial: %d cycles; section traffic: %.0f MB/s, MPI %.4f\n\n",
@@ -42,12 +61,12 @@ func main() {
 	fmt.Println("\ncores   Pred (no mem model)   PredM (with)   Real (machine)")
 	for _, cores := range prophet.DefaultThreadCounts() {
 		base := prophet.Request{Method: prophet.Synthesizer, Threads: cores, Sched: prophet.Static}
-		pred := prof.Estimate(base)
+		pred := predict(base)
 		withMem := base
 		withMem.MemoryModel = true
-		predM := prof.Estimate(withMem)
-		real := prof.RealSpeedup(base)
-		fmt.Printf("%5d   %19.2f   %12.2f   %14.2f\n", cores, pred.Speedup, predM.Speedup, real)
+		predM := predict(withMem)
+		real := groundTruth(base)
+		fmt.Printf("%5d   %19.2f   %12.2f   %14.2f\n", cores, pred, predM, real)
 	}
 	fmt.Println("\n(the paper's Fig. 2: without a memory model, Kismet and Suitability")
 	fmt.Println(" overestimate FT's speedup; burden factors predict the saturation)")

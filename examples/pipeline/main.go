@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,17 +29,35 @@ func pipelineProgram(ctx prophet.Context) {
 }
 
 func main() {
-	prof, err := prophet.ProfileProgram(pipelineProgram, nil)
+	ctx := context.Background()
+	prof, err := prophet.ProfileProgramCtx(ctx, pipelineProgram, nil)
 	if err != nil {
 		log.Fatal(err)
+	}
+	// predict returns req's predicted speedup; a failed emulation stops
+	// the example.
+	predict := func(req prophet.Request) float64 {
+		est, err := prof.EstimateCtx(ctx, req)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return est.Speedup
+	}
+	// groundTruth returns req's speedup on the simulated machine.
+	groundTruth := func(req prophet.Request) float64 {
+		s, err := prof.RealSpeedupCtx(ctx, req)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return s
 	}
 	fmt.Printf("3-stage pipeline, 64 frames; serial %d cycles\n\n", prof.SerialCycles)
 	fmt.Println("cores   FF prediction   machine ground truth")
 	for _, cores := range []int{1, 2, 3, 4, 8} {
 		req := prophet.Request{Method: prophet.FastForward, Threads: cores, Sched: prophet.Static}
-		est := prof.Estimate(req)
-		real := prof.RealSpeedup(prophet.Request{Threads: cores, Sched: prophet.Static})
-		fmt.Printf("%5d   %13.2f   %20.2f\n", cores, est.Speedup, real)
+		est := predict(req)
+		real := groundTruth(prophet.Request{Threads: cores, Sched: prophet.Static})
+		fmt.Printf("%5d   %13.2f   %20.2f\n", cores, est, real)
 	}
 	fmt.Println()
 	bound := 140_000.0 / 90_000.0

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -69,21 +70,31 @@ func partition(s []float64) int {
 }
 
 func main() {
-	prof, err := prophet.ProfileProgram(qsortProgram, nil)
+	ctx := context.Background()
+	prof, err := prophet.ProfileProgramCtx(ctx, qsortProgram, nil)
 	if err != nil {
 		log.Fatal(err)
+	}
+	// predict returns req's predicted speedup; a failed emulation stops
+	// the example.
+	predict := func(req prophet.Request) float64 {
+		est, err := prof.EstimateCtx(ctx, req)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return est.Speedup
 	}
 	fmt.Printf("quicksort of %d elements: serial %d cycles\n\n", n, prof.SerialCycles)
 	fmt.Println("recursive parallelism, synthesizer predictions:")
 	fmt.Println("cores   Cilk (work stealing)   OpenMP 2.0 (nested teams)")
 	for _, cores := range []int{2, 4, 8, 12} {
-		cilk := prof.Estimate(prophet.Request{
+		cilk := predict(prophet.Request{
 			Method: prophet.Synthesizer, Threads: cores, Paradigm: prophet.Cilk,
 		})
-		omp := prof.Estimate(prophet.Request{
+		omp := predict(prophet.Request{
 			Method: prophet.Synthesizer, Threads: cores, Paradigm: prophet.OpenMP, Sched: prophet.Dynamic1,
 		})
-		fmt.Printf("%5d   %20.2f   %25.2f\n", cores, cilk.Speedup, omp.Speedup)
+		fmt.Printf("%5d   %20.2f   %25.2f\n", cores, cilk, omp)
 	}
 	fmt.Println()
 	fmt.Println("(the paper's §III: naive nested OpenMP spawns too many physical")

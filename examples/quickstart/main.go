@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,8 @@ func main() {
 		ctx.Compute(50_000, 0) // serial teardown
 	}
 
-	prof, err := prophet.ProfileProgram(program, nil)
+	ctx := context.Background()
+	prof, err := prophet.ProfileProgramCtx(ctx, program, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,11 +46,14 @@ func main() {
 	for _, cores := range prophet.DefaultThreadCounts() {
 		row := fmt.Sprintf("%5d", cores)
 		for _, sched := range []prophet.Sched{prophet.Static, prophet.Static1, prophet.Dynamic1} {
-			est := prof.Estimate(prophet.Request{
+			est, err := prof.EstimateCtx(ctx, prophet.Request{
 				Method:  prophet.FastForward,
 				Threads: cores,
 				Sched:   sched,
 			})
+			if err != nil {
+				log.Fatal(err)
+			}
 			row += fmt.Sprintf("  %8.2f", est.Speedup)
 		}
 		fmt.Println(row)
@@ -56,10 +61,13 @@ func main() {
 
 	// The synthesizer runs generated parallel code on the simulated
 	// machine — slower, but it models the OS and runtime exactly.
-	est := prof.Estimate(prophet.Request{
+	est, err := prof.EstimateCtx(ctx, prophet.Request{
 		Method:  prophet.Synthesizer,
 		Threads: 12,
 		Sched:   prophet.Dynamic1,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nsynthesizer, 12 cores, (dynamic,1): %.2fx\n", est.Speedup)
 }

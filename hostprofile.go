@@ -12,7 +12,7 @@ import (
 // monotonic clock at a nominal frequency (the rdtsc substitute of §VI-A),
 // and the profiler's own annotation overhead is excluded from the recorded
 // lengths. This is the paper's original deployment flow — profile real
-// code where it runs — as opposed to ProfileProgram's deterministic
+// code where it runs — as opposed to ProfileProgramCtx's deterministic
 // cost-model profiling.
 //
 // Usage:
@@ -20,7 +20,7 @@ import (
 //	hp := prophet.NewHostProfile()
 //	myAnnotatedProgram(hp.Context()) // does real work, annotated
 //	prof, err := hp.Finish(nil)
-//	est := prof.Estimate(...)
+//	est, err := prof.EstimateCtx(ctx, ...)
 //
 // Host timings carry host noise; on a busy machine expect the measured
 // lengths (not the tree shape) to wobble accordingly.

@@ -17,6 +17,8 @@
 package baseline
 
 import (
+	"context"
+
 	"prophet/internal/clock"
 	"prophet/internal/ff"
 	"prophet/internal/omprt"
@@ -165,44 +167,41 @@ type Suitability struct {
 }
 
 // atPowerOfTwo evaluates the underlying emulator at an exact CPU count.
-func (s *Suitability) atPowerOfTwo(root *tree.Node, threads int) float64 {
+func (s *Suitability) atPowerOfTwo(ctx context.Context, root *tree.Node, threads int) (float64, error) {
 	e := &ff.Emulator{
 		Threads:   threads,
 		Sched:     omprt.SchedDynamic1,
 		Ov:        SuitabilityOverheads(),
 		UseBurden: false,
 	}
-	return e.Speedup(root)
+	return e.SpeedupCtx(ctx, root)
 }
 
-// Speedup returns the Suitability estimate: an FF emulation pinned to
+// SpeedupCtx returns the Suitability estimate: an FF emulation pinned to
 // (dynamic,1) with coarse overheads, no burden factors, the
-// non-preemptive nested limitation, and 2^N-only native outputs.
-func (s *Suitability) Speedup(root *tree.Node) float64 {
+// non-preemptive nested limitation, and 2^N-only native outputs. The FF
+// runs poll ctx.
+func (s *Suitability) SpeedupCtx(ctx context.Context, root *tree.Node) (float64, error) {
 	t := s.Threads
 	if t < 1 {
 		t = 1
 	}
 	if t&(t-1) == 0 { // native power-of-two output
-		return s.atPowerOfTwo(root, t)
+		return s.atPowerOfTwo(ctx, root, t)
 	}
 	lo := 1
 	for lo*2 < t {
 		lo *= 2
 	}
 	hi := lo * 2
-	sLo := s.atPowerOfTwo(root, lo)
-	sHi := s.atPowerOfTwo(root, hi)
-	frac := float64(t-lo) / float64(hi-lo)
-	return sLo + frac*(sHi-sLo)
-}
-
-// PredictTime returns the Suitability estimate as an execution time
-// (derived from the possibly interpolated speedup).
-func (s *Suitability) PredictTime(root *tree.Node) clock.Cycles {
-	sp := s.Speedup(root)
-	if sp <= 0 {
-		return root.TotalLen()
+	sLo, err := s.atPowerOfTwo(ctx, root, lo)
+	if err != nil {
+		return 0, err
 	}
-	return clock.Cycles(float64(root.TotalLen())/sp + 0.5)
+	sHi, err := s.atPowerOfTwo(ctx, root, hi)
+	if err != nil {
+		return 0, err
+	}
+	frac := float64(t-lo) / float64(hi-lo)
+	return sLo + frac*(sHi-sLo), nil
 }

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -149,14 +150,21 @@ func TestSuitabilityIgnoresRequestedSchedule(t *testing.T) {
 		tasks[i] = tree.NewTask("t", tree.NewU(clock.Cycles((i+1)*10_000)))
 	}
 	root := tree.NewRoot(tree.NewSec("s", tasks...))
-	s := &Suitability{Threads: 4}
-	got := s.Speedup(root)
+	got := suitability(t, 4, root)
 	if got < 3.0 || got > 4.0 {
 		t.Fatalf("suitability on imbalanced loop = %g, want dynamic-like ~3.5+", got)
 	}
-	if s.PredictTime(root) <= 0 {
-		t.Fatal("PredictTime not positive")
+}
+
+// suitability is the Suitability estimate at threads, failing the test on
+// an error.
+func suitability(t *testing.T, threads int, root *tree.Node) float64 {
+	t.Helper()
+	s, err := (&Suitability{Threads: threads}).SpeedupCtx(context.Background(), root)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return s
 }
 
 func TestSuitabilityOverheadsCoarser(t *testing.T) {
@@ -176,26 +184,21 @@ func TestSuitabilityPowerOfTwoInterpolation(t *testing.T) {
 		tasks[i] = tree.NewTask("t", tree.NewU(clock.Cycles(50_000)))
 	}
 	root := tree.NewRoot(tree.NewSec("s", tasks...))
-	s4 := (&Suitability{Threads: 4}).Speedup(root)
-	s6 := (&Suitability{Threads: 6}).Speedup(root)
-	s8 := (&Suitability{Threads: 8}).Speedup(root)
+	s4 := suitability(t, 4, root)
+	s6 := suitability(t, 6, root)
+	s8 := suitability(t, 8, root)
 	// 6 is exactly the midpoint of the 4 and 8 estimates.
 	if math.Abs(s6-(s4+s8)/2) > 1e-9 {
 		t.Fatalf("interp(6) = %g, want midpoint of %g and %g", s6, s4, s8)
 	}
 	// 12 interpolates between 8 and 16.
-	s12 := (&Suitability{Threads: 12}).Speedup(root)
-	s16 := (&Suitability{Threads: 16}).Speedup(root)
+	s12 := suitability(t, 12, root)
+	s16 := suitability(t, 16, root)
 	if math.Abs(s12-(s8+s16)/2) > 1e-9 {
 		t.Fatalf("interp(12) = %g, want midpoint of %g and %g", s12, s8, s16)
 	}
 	// Powers of two are native (no interpolation artifacts).
 	if s8 <= s4 {
 		t.Fatalf("suitability not scaling: s4=%g s8=%g", s4, s8)
-	}
-	// PredictTime is consistent with Speedup.
-	pt := (&Suitability{Threads: 6}).PredictTime(root)
-	if math.Abs(float64(root.TotalLen())/float64(pt)-s6) > 0.01 {
-		t.Fatalf("PredictTime inconsistent with Speedup")
 	}
 }

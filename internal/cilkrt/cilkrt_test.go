@@ -1,6 +1,7 @@
 package cilkrt
 
 import (
+	"context"
 	"testing"
 
 	"prophet/internal/clock"
@@ -13,9 +14,20 @@ func mcfg(cores int) sim.Config {
 	return sim.Config{Cores: cores, Quantum: 10_000, ContextSwitch: -1}
 }
 
+// mustRun runs main on a machine built from c, failing the test on a
+// simulation error.
+func mustRun(t testing.TB, c sim.Config, main func(*sim.Thread)) (clock.Cycles, sim.Stats) {
+	t.Helper()
+	end, st, err := sim.Run(context.Background(), c, sim.RunOpts{}, main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return end, st
+}
+
 func TestRunRootOnly(t *testing.T) {
 	rt := New(4, zeroOv)
-	end, _ := sim.Run(mcfg(4), func(th *sim.Thread) {
+	end, _ := mustRun(t, mcfg(4), func(th *sim.Thread) {
 		rt.Run(th, func(c *Ctx) {
 			c.Thread().Work(12_345)
 		})
@@ -27,7 +39,7 @@ func TestRunRootOnly(t *testing.T) {
 
 func TestSpawnRunsInParallel(t *testing.T) {
 	rt := New(2, zeroOv)
-	end, st := sim.Run(mcfg(2), func(th *sim.Thread) {
+	end, st := mustRun(t, mcfg(2), func(th *sim.Thread) {
 		rt.Run(th, func(c *Ctx) {
 			c.Spawn(func(cc *Ctx) { cc.Thread().Work(50_000) })
 			c.Thread().Work(50_000)
@@ -43,7 +55,7 @@ func TestSpawnRunsInParallel(t *testing.T) {
 func TestSyncWaitsForChildren(t *testing.T) {
 	rt := New(2, zeroOv)
 	var childDone, syncSeen clock.Cycles
-	sim.Run(mcfg(2), func(th *sim.Thread) {
+	mustRun(t, mcfg(2), func(th *sim.Thread) {
 		rt.Run(th, func(c *Ctx) {
 			c.Spawn(func(cc *Ctx) {
 				cc.Thread().Work(80_000)
@@ -64,7 +76,7 @@ func TestImplicitSyncAtTaskReturn(t *testing.T) {
 	// sync at function return must still cover the grandchild.
 	rt := New(2, zeroOv)
 	var grandDone clock.Cycles
-	end, _ := sim.Run(mcfg(2), func(th *sim.Thread) {
+	end, _ := mustRun(t, mcfg(2), func(th *sim.Thread) {
 		rt.Run(th, func(c *Ctx) {
 			c.Spawn(func(cc *Ctx) {
 				cc.Spawn(func(g *Ctx) {
@@ -85,7 +97,7 @@ func TestForCoversAllIterations(t *testing.T) {
 	rt := New(4, zeroOv)
 	n := 103
 	seen := make([]int, n)
-	sim.Run(mcfg(4), func(th *sim.Thread) {
+	mustRun(t, mcfg(4), func(th *sim.Thread) {
 		rt.Run(th, func(c *Ctx) {
 			c.For(n, 0, func(cc *Ctx, i int) {
 				seen[i]++
@@ -105,7 +117,7 @@ func TestForSpeedsUp(t *testing.T) {
 	// Work stealing should land within 30%.
 	run := func(workers int) clock.Cycles {
 		rt := New(workers, zeroOv)
-		end, _ := sim.Run(mcfg(8), func(th *sim.Thread) {
+		end, _ := mustRun(t, mcfg(8), func(th *sim.Thread) {
 			rt.Run(th, func(c *Ctx) {
 				c.For(64, 1, func(cc *Ctx, i int) {
 					cc.Thread().Work(10_000)
@@ -140,7 +152,7 @@ func TestRecursiveDivideAndConquer(t *testing.T) {
 	}
 	run := func(workers int) clock.Cycles {
 		rt := New(workers, zeroOv)
-		end, _ := sim.Run(mcfg(workers), func(th *sim.Thread) {
+		end, _ := mustRun(t, mcfg(workers), func(th *sim.Thread) {
 			rt.Run(th, func(c *Ctx) { build(c, 7) }) // 128 leaves
 		})
 		return end
@@ -159,7 +171,7 @@ func TestRecursiveDivideAndConquer(t *testing.T) {
 func TestStealsHappenAndAreCounted(t *testing.T) {
 	rt := New(4, zeroOv)
 	var st Stats
-	sim.Run(mcfg(4), func(th *sim.Thread) {
+	mustRun(t, mcfg(4), func(th *sim.Thread) {
 		st = rt.Run(th, func(c *Ctx) {
 			c.For(32, 1, func(cc *Ctx, i int) {
 				cc.Thread().Work(20_000)
@@ -177,7 +189,7 @@ func TestStealsHappenAndAreCounted(t *testing.T) {
 func TestOverheadsCharged(t *testing.T) {
 	run := func(ov Overheads) clock.Cycles {
 		rt := New(1, ov)
-		end, _ := sim.Run(mcfg(1), func(th *sim.Thread) {
+		end, _ := mustRun(t, mcfg(1), func(th *sim.Thread) {
 			rt.Run(th, func(c *Ctx) {
 				for i := 0; i < 10; i++ {
 					c.Spawn(func(cc *Ctx) { cc.Thread().Work(100) })
@@ -197,7 +209,7 @@ func TestOverheadsCharged(t *testing.T) {
 func TestLocksInsideTasks(t *testing.T) {
 	// L-node emulation: tasks serialize on a mutex via the sim thread.
 	rt := New(4, zeroOv)
-	end, _ := sim.Run(mcfg(4), func(th *sim.Thread) {
+	end, _ := mustRun(t, mcfg(4), func(th *sim.Thread) {
 		rt.Run(th, func(c *Ctx) {
 			c.For(4, 1, func(cc *Ctx, i int) {
 				cc.Thread().Lock(9)
@@ -220,8 +232,8 @@ func TestDeterminism(t *testing.T) {
 			})
 		})
 	}
-	e1, _ := sim.Run(mcfg(3), prog)
-	e2, _ := sim.Run(mcfg(3), prog)
+	e1, _ := mustRun(t, mcfg(3), prog)
+	e2, _ := mustRun(t, mcfg(3), prog)
 	if e1 != e2 {
 		t.Fatalf("nondeterministic: %d vs %d", e1, e2)
 	}
@@ -236,7 +248,7 @@ func TestWorkersClampedToOne(t *testing.T) {
 
 func TestForZeroIterations(t *testing.T) {
 	rt := New(2, zeroOv)
-	end, _ := sim.Run(mcfg(2), func(th *sim.Thread) {
+	end, _ := mustRun(t, mcfg(2), func(th *sim.Thread) {
 		rt.Run(th, func(c *Ctx) {
 			c.For(0, 1, func(cc *Ctx, i int) { t.Error("body ran") })
 		})

@@ -35,7 +35,7 @@ func TestRandomSpawnDAGProperty(t *testing.T) {
 			c.Sync()
 		}
 		rt := New(workers, zeroOv)
-		end, st := sim.Run(mcfg(workers), func(th *sim.Thread) {
+		end, st := mustRun(t, mcfg(workers), func(th *sim.Thread) {
 			rt.Run(th, func(c *Ctx) { build(c, maxDepth) })
 		})
 		// Node count of a full fanout tree of height maxDepth.
@@ -66,7 +66,7 @@ func TestDeepRecursionDoesNotOverflow(t *testing.T) {
 	const depth = 2_000
 	rt := New(2, zeroOv)
 	var reached bool
-	sim.Run(mcfg(2), func(th *sim.Thread) {
+	mustRun(t, mcfg(2), func(th *sim.Thread) {
 		rt.Run(th, func(c *Ctx) {
 			var rec func(cc *Ctx, d int)
 			rec = func(cc *Ctx, d int) {
@@ -89,7 +89,7 @@ func TestDeepRecursionDoesNotOverflow(t *testing.T) {
 // serial execution.
 func TestSequentialFallback(t *testing.T) {
 	rt := New(1, zeroOv)
-	end, _ := sim.Run(mcfg(1), func(th *sim.Thread) {
+	end, _ := mustRun(t, mcfg(1), func(th *sim.Thread) {
 		rt.Run(th, func(c *Ctx) {
 			c.For(25, 1, func(cc *Ctx, i int) {
 				cc.Thread().Work(1_000)
@@ -105,7 +105,7 @@ func TestSequentialFallback(t *testing.T) {
 // back to back.
 func TestRunTwiceOnSameThread(t *testing.T) {
 	rt := New(3, zeroOv)
-	end, _ := sim.Run(mcfg(3), func(th *sim.Thread) {
+	end, _ := mustRun(t, mcfg(3), func(th *sim.Thread) {
 		for r := 0; r < 2; r++ {
 			rt.Run(th, func(c *Ctx) {
 				c.For(12, 1, func(cc *Ctx, i int) {

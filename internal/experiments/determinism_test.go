@@ -10,7 +10,7 @@ import (
 // output paths.
 func renderFig11(t *testing.T, workers int) string {
 	t.Helper()
-	res := New(Config{Machine: fastMachine(), Samples: 6, Seed: 7, Workers: workers}).Fig11()
+	res := harness(Config{Machine: fastMachine(), Samples: 6, Seed: 7, Workers: workers}).Fig11()
 	if res.Failed != 0 {
 		t.Fatalf("workers=%d: %d failed cells", workers, res.Failed)
 	}
@@ -26,7 +26,7 @@ func renderFig11(t *testing.T, workers int) string {
 
 func renderFig12(t *testing.T, workers int) string {
 	t.Helper()
-	series := New(Config{Machine: fastMachine(), Cores: []int{2, 8}, Workers: workers}).
+	series := harness(Config{Machine: fastMachine(), Cores: []int{2, 8}, Workers: workers}).
 		Fig12([]string{"NPB-EP", "MD-OMP"})
 	var b strings.Builder
 	for _, s := range series {
@@ -64,8 +64,8 @@ func TestFig12DeterministicAcrossWorkers(t *testing.T) {
 
 // TestRankingDeterministicAcrossWorkers covers the third harness sweep.
 func TestRankingDeterministicAcrossWorkers(t *testing.T) {
-	serial := New(Config{Machine: fastMachine(), Samples: 5, Seed: 13, Workers: 1}).ScheduleRanking().String()
-	parallel := New(Config{Machine: fastMachine(), Samples: 5, Seed: 13, Workers: 8}).ScheduleRanking().String()
+	serial := harness(Config{Machine: fastMachine(), Samples: 5, Seed: 13, Workers: 1}).ScheduleRanking().String()
+	parallel := harness(Config{Machine: fastMachine(), Samples: 5, Seed: 13, Workers: 8}).ScheduleRanking().String()
 	if serial != parallel {
 		t.Errorf("ranking differs between workers=1 and workers=8:\n%s\nvs\n%s", serial, parallel)
 	}

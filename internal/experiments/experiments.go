@@ -100,7 +100,7 @@ func Fig4() string {
 		ctx.TaskEnd()
 		ctx.SecEnd(true)
 	}
-	p, err := prophet.ProfileProgram(prog, &prophet.Options{
+	p, err := prophet.ProfileProgramCtx(context.Background(), prog, &prophet.Options{
 		CompressTolerance:  -1,
 		DisableMemoryModel: true,
 	})
@@ -120,27 +120,29 @@ func figure5Tree() *tree.Node {
 
 // Fig5 reproduces the Fig. 5 walkthrough: three schedules on a dual-core,
 // FF-predicted makespans and speedups with zero parallel overhead.
-func Fig5() *report.Table {
+func Fig5() (*report.Table, error) {
 	root := figure5Tree()
-	p, _ := prophet.ProfileTree(root, &prophet.Options{DisableMemoryModel: true, CompressTolerance: -1})
 	t := report.NewTable("Fig. 5 — FF schedule walkthrough (3 iterations + lock, 2 cores)",
 		"schedule", "emulated cycles", "speedup", "paper")
 	paper := map[string]string{"(static,1)": "1.30", "(static)": "1.20", "(dynamic,1)": "1.58 (incl. overhead ε)"}
 	for _, sched := range []prophet.Sched{prophet.Static1, prophet.Static, prophet.Dynamic1} {
-		est := zeroOverheadFF(p.Tree, 2, sched)
+		est, err := zeroOverheadFF(root, 2, sched)
+		if err != nil {
+			return nil, err
+		}
 		t.AddRow(sched.String(),
 			fmt.Sprintf("%d", est.time),
 			fmt.Sprintf("%.2f", est.speedup),
 			paper[sched.String()])
 	}
-	return t
+	return t, nil
 }
 
 // Fig7 reproduces the §IV-D limitation story: the two-level nested loop
 // where the FF and Suitability predict 1.5x, the synthesizer and the real
-// run give 2.0x.
-func Fig7(cfg Config) *report.Table {
-	cfg = cfg.withDefaults()
+// run give 2.0x. Its four runs poll the harness context; the first
+// failure is returned instead of a table.
+func (h *Harness) Fig7() (*report.Table, error) {
 	scale := clock.Cycles(20_000)
 	la := tree.NewSec("LoopA",
 		tree.NewTask("a0", tree.NewU(10*scale)),
@@ -151,24 +153,36 @@ func Fig7(cfg Config) *report.Table {
 	root := tree.NewRoot(tree.NewSec("Loop1",
 		tree.NewTask("t0", la), tree.NewTask("t1", lb)))
 
-	mc := cfg.Machine
+	mc := h.cfg.Machine
 	mc.Cores = 2
-	p, _ := prophet.ProfileTree(root, &prophet.Options{
+	p, err := prophet.ProfileTreeCtx(h.ctx, root, &prophet.Options{
 		Machine: mc, DisableMemoryModel: true, CompressTolerance: -1,
 	})
-	req := prophet.Request{Threads: 2, Sched: prophet.Static1}
-	ffEst := p.Estimate(prophet.Request{Method: prophet.FastForward, Threads: 2, Sched: prophet.Static1})
-	synEst := p.Estimate(prophet.Request{Method: prophet.Synthesizer, Threads: 2, Sched: prophet.Static1})
-	suitEst := p.Estimate(prophet.Request{Method: prophet.Suitability, Threads: 2})
-	real := p.RealSpeedup(req)
-
+	if err != nil {
+		return nil, err
+	}
+	real, err := p.RealSpeedupCtx(h.ctx, prophet.Request{Threads: 2, Sched: prophet.Static1})
+	if err != nil {
+		return nil, err
+	}
 	t := report.NewTable("Fig. 7 — two-level nested loop, dual core (paper: real 2.0, FF/Suitability 1.5)",
 		"method", "speedup")
 	t.AddRow("Real (machine)", fmt.Sprintf("%.2f", real))
-	t.AddRow("FF", fmt.Sprintf("%.2f", ffEst.Speedup))
-	t.AddRow("Suitability", fmt.Sprintf("%.2f", suitEst.Speedup))
-	t.AddRow("Synthesizer", fmt.Sprintf("%.2f", synEst.Speedup))
-	return t
+	for _, r := range []struct {
+		name string
+		req  prophet.Request
+	}{
+		{"FF", prophet.Request{Method: prophet.FastForward, Threads: 2, Sched: prophet.Static1}},
+		{"Suitability", prophet.Request{Method: prophet.Suitability, Threads: 2}},
+		{"Synthesizer", prophet.Request{Method: prophet.Synthesizer, Threads: 2, Sched: prophet.Static1}},
+	} {
+		est, err := p.EstimateCtx(h.ctx, r.req)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(r.name, fmt.Sprintf("%.2f", est.Speedup))
+	}
+	return t, nil
 }
 
 // zeroOverheadFF runs the FF with ε = 0 (for the hand-computed Fig. 5
@@ -178,9 +192,14 @@ type ffOut struct {
 	speedup float64
 }
 
-func zeroOverheadFF(root *tree.Node, threads int, sched prophet.Sched) ffOut {
+func zeroOverheadFF(root *tree.Node, threads int, sched prophet.Sched) (ffOut, error) {
 	e := &ff.Emulator{Threads: threads, Sched: sched}
-	return ffOut{time: e.PredictTime(root), speedup: e.Speedup(root)}
+	t, err := e.PredictTimeCtx(context.Background(), root)
+	if err != nil {
+		return ffOut{}, err
+	}
+	// One FF run gives both numbers: speedup is serial / emulated time.
+	return ffOut{time: t, speedup: float64(root.TotalLen()) / float64(t)}, nil
 }
 
 // Fig11Case is one validation panel of Fig. 11.
@@ -220,9 +239,6 @@ var fig11Panels = []struct {
 	{"Test2, 12-core, SYN", true, 12, prophet.Synthesizer},
 	{"Test2, 4-core, Suitability", true, 4, prophet.Suitability},
 }
-
-// Fig11 is the package-level convenience wrapper around Harness.Fig11.
-func Fig11(cfg Config) Fig11Result { return New(cfg).Fig11() }
 
 // Fig11 reproduces the §VII-B validation: random Test1/Test2 samples,
 // FF/synthesizer/Suitability predictions versus real machine runs, per
@@ -268,20 +284,18 @@ func (h *Harness) Fig11() Fig11Result {
 
 	type point struct{ pred, real float64 }
 	type sampleOut struct {
-		ok   bool
 		vals [][]point // [panel][schedule]
 	}
 	outs := sweep.RunCtx(h.ctx, h.eng, len(pairs), func(ctx context.Context, s int) (sampleOut, error) {
 		var out sampleOut
-		prof1, err1 := h.profileTest1(ctx, pairs[s].t1)
-		prof2, err2 := h.profileTest2(ctx, pairs[s].t2)
-		if err := ctx.Err(); err != nil {
-			return out, err // canceled mid-cell: report, don't silently skip
+		prof1, err := h.profileTest1(ctx, pairs[s].t1)
+		if err != nil {
+			return out, err
 		}
-		if err1 != nil || err2 != nil {
-			return out, nil // sample skipped, as in the serial harness
+		prof2, err := h.profileTest2(ctx, pairs[s].t2)
+		if err != nil {
+			return out, err
 		}
-		out.ok = true
 		out.vals = make([][]point, len(fig11Panels))
 		for i, pn := range fig11Panels {
 			prof := prof1
@@ -316,9 +330,6 @@ func (h *Harness) Fig11() Fig11Result {
 			failed++
 			continue
 		}
-		if !o.Value.ok {
-			continue
-		}
 		for i := range fig11Panels {
 			for si, sched := range fig11Scheds {
 				pt := o.Value.vals[i][si]
@@ -342,9 +353,6 @@ func (h *Harness) Fig11() Fig11Result {
 	}
 	return Fig11Result{Summary: sum, Cases: cases, Failed: failed, Skipped: skipped}
 }
-
-// Fig12 is the package-level convenience wrapper around Harness.Fig12.
-func Fig12(cfg Config, names []string) []*report.Series { return New(cfg).Fig12(names) }
 
 // Fig12 reproduces the benchmark predictions (Fig. 12; the NPB-FT panel is
 // also the paper's Fig. 2): for each benchmark and core count, Real, Pred
@@ -375,33 +383,32 @@ func (h *Harness) Fig12(names []string) []*report.Series {
 			grid = append(grid, cellID{wi, ci})
 		}
 	}
-	type cellOut struct {
-		ok                      bool
-		real, pred, predM, suit float64
-	}
+	// cellOut holds one (benchmark, cores) point: Real, Pred, PredM, Suit.
+	type cellOut [4]float64
 	outs := sweep.RunCtx(h.ctx, h.eng, len(grid), func(ctx context.Context, i int) (cellOut, error) {
+		var out cellOut
 		id := grid[i]
 		w := ws[id.w]
 		prof, err := h.profileBench(ctx, w)
-		if err := ctx.Err(); err != nil {
-			return cellOut{}, err
-		}
 		if err != nil {
-			return cellOut{}, nil // benchmark skipped, as in the serial harness
+			return out, err
 		}
-		cores := cfg.Cores[id.c]
-		base := prophet.Request{Threads: cores, Paradigm: w.Paradigm, Sched: w.Sched}
-		real, err := prof.RealSpeedupCtx(ctx, base)
-		if err != nil {
-			return cellOut{}, err
+		base := prophet.Request{Threads: cfg.Cores[id.c], Paradigm: w.Paradigm, Sched: w.Sched}
+		if out[0], err = prof.RealSpeedupCtx(ctx, base); err != nil {
+			return out, err
 		}
-		return cellOut{
-			ok:    true,
-			real:  real,
-			pred:  prof.Estimate(withMethod(base, prophet.Synthesizer, false)).Speedup,
-			predM: prof.Estimate(withMethod(base, prophet.Synthesizer, true)).Speedup,
-			suit:  prof.Estimate(withMethod(base, prophet.Suitability, false)).Speedup,
-		}, nil
+		for k, req := range []prophet.Request{
+			withMethod(base, prophet.Synthesizer, false),
+			withMethod(base, prophet.Synthesizer, true),
+			withMethod(base, prophet.Suitability, false),
+		} {
+			est, err := prof.EstimateCtx(ctx, req)
+			if err != nil {
+				return out, err
+			}
+			out[k+1] = est.Speedup
+		}
+		return out, nil
 	})
 
 	var out []*report.Series
@@ -410,10 +417,10 @@ func (h *Harness) Fig12(names []string) []*report.Series {
 			"Real", "Pred", "PredM", "Suit")
 		for ci, cores := range cfg.Cores {
 			o := outs[wi*len(cfg.Cores)+ci]
-			if o.Err != nil || !o.Value.ok {
+			if o.Err != nil {
 				continue
 			}
-			s.AddPoint(float64(cores), o.Value.real, o.Value.pred, o.Value.predM, o.Value.suit)
+			s.AddPoint(float64(cores), o.Value[:]...)
 		}
 		if len(s.X) > 0 {
 			out = append(out, s)
@@ -439,9 +446,6 @@ func Table1() *report.Table {
 	return t
 }
 
-// Table3 is the package-level convenience wrapper around Harness.Table3.
-func Table3(cfg Config, names []string) *report.Table { return New(cfg).Table3(names) }
-
 // Table3 measures the FF-versus-synthesizer trade-off of Table III on the
 // real benchmarks: wall-clock cost per estimate and agreement with the
 // machine ground truth at 8 threads. Benchmarks run as parallel cells
@@ -452,53 +456,51 @@ func (h *Harness) Table3(names []string) *report.Table {
 	if names == nil {
 		names = []string{"MD-OMP", "NPB-EP", "NPB-CG"}
 	}
-	type row struct {
-		ok    bool
-		cells []string
-	}
-	outs := sweep.RunCtx(h.ctx, h.eng, len(names), func(ctx context.Context, i int) (row, error) {
+	outs := sweep.RunCtx(h.ctx, h.eng, len(names), func(ctx context.Context, i int) ([]string, error) {
 		w, err := workloads.ByName(names[i])
 		if err != nil {
-			return row{}, nil
+			return nil, err
 		}
 		prof, err := h.profileBench(ctx, w)
-		if cerr := ctx.Err(); cerr != nil {
-			return row{}, cerr
-		}
 		if err != nil {
-			return row{}, nil
+			return nil, err
 		}
 		base := prophet.Request{Threads: 8, Paradigm: w.Paradigm, Sched: w.Sched, MemoryModel: true}
-		real := prof.RealSpeedup(base)
-
-		start := time.Now()
-		ffS := prof.Estimate(withMethod(base, prophet.FastForward, true)).Speedup
-		ffMS := float64(time.Since(start).Microseconds()) / 1000
-
-		start = time.Now()
-		synS := prof.Estimate(withMethod(base, prophet.Synthesizer, true)).Speedup
-		synMS := float64(time.Since(start).Microseconds()) / 1000
-
-		return row{ok: true, cells: []string{
+		real, err := prof.RealSpeedupCtx(ctx, base)
+		if err != nil {
+			return nil, err
+		}
+		// timed returns the method's speedup and its wall time in ms.
+		timed := func(m prophet.Method) (float64, float64, error) {
+			start := time.Now()
+			est, err := prof.EstimateCtx(ctx, withMethod(base, m, true))
+			return est.Speedup, float64(time.Since(start).Microseconds()) / 1000, err
+		}
+		ffS, ffMS, err := timed(prophet.FastForward)
+		if err != nil {
+			return nil, err
+		}
+		synS, synMS, err := timed(prophet.Synthesizer)
+		if err != nil {
+			return nil, err
+		}
+		return []string{
 			w.Name,
 			fmt.Sprintf("%.2f", ffMS),
 			fmt.Sprintf("%.2f", synMS),
 			fmt.Sprintf("%.1f%%", 100*stats.RelErr(ffS, real)),
 			fmt.Sprintf("%.1f%%", 100*stats.RelErr(synS, real)),
-		}}, nil
+		}, nil
 	})
 	t := report.NewTable("Table III — FF vs synthesizer (8 threads)",
 		"benchmark", "FF ms/estimate", "SYN ms/estimate", "FF err", "SYN err")
 	for _, o := range outs {
-		if o.Err == nil && o.Value.ok {
-			t.AddRow(o.Value.cells...)
+		if o.Err == nil {
+			t.AddRow(o.Value...)
 		}
 	}
 	return t
 }
-
-// OverheadTable is the package-level wrapper around Harness.OverheadTable.
-func OverheadTable(cfg Config, names []string) *report.Table { return New(cfg).OverheadTable(names) }
 
 // OverheadTable reports the §VI-B / §VII-D profiling costs: wall time,
 // tree sizes before/after compression, and the hottest section's burden
@@ -511,22 +513,15 @@ func (h *Harness) OverheadTable(names []string) *report.Table {
 		// compression stress case (10 GB tree before compression).
 		names = append(workloads.Names(), "NPB-IS")
 	}
-	type row struct {
-		ok    bool
-		cells []string
-	}
-	outs := sweep.RunCtx(h.ctx, h.eng, len(names), func(ctx context.Context, i int) (row, error) {
+	outs := sweep.RunCtx(h.ctx, h.eng, len(names), func(ctx context.Context, i int) ([]string, error) {
 		w, err := workloads.ByName(names[i])
 		if err != nil {
-			return row{}, nil
+			return nil, err
 		}
 		start := time.Now()
 		prof, err := prophet.ProfileProgramCtx(ctx, w.Program, h.benchOpts())
-		if cerr := ctx.Err(); cerr != nil {
-			return row{}, cerr
-		}
 		if err != nil {
-			return row{}, nil
+			return nil, err
 		}
 		ms := float64(time.Since(start).Microseconds()) / 1000
 		beta := 1.0
@@ -535,7 +530,7 @@ func (h *Harness) OverheadTable(names []string) *report.Table {
 				beta = b
 			}
 		}
-		return row{ok: true, cells: []string{
+		return []string{
 			w.Name,
 			fmt.Sprintf("%.1f", ms),
 			fmt.Sprintf("%d", prof.Compression.NodesBefore),
@@ -543,13 +538,13 @@ func (h *Harness) OverheadTable(names []string) *report.Table {
 			fmt.Sprintf("%.1f%%", 100*prof.Compression.Reduction()),
 			fmt.Sprintf("%d", prof.Compression.BytesAfter),
 			fmt.Sprintf("%.2f", beta),
-		}}, nil
+		}, nil
 	})
 	t := report.NewTable("Profiling & compression overhead (§VI-B, §VII-D)",
 		"benchmark", "profile ms", "nodes before", "nodes after", "reduction", "~bytes", "β12 (hottest)")
 	for _, o := range outs {
-		if o.Err == nil && o.Value.ok {
-			t.AddRow(o.Value.cells...)
+		if o.Err == nil {
+			t.AddRow(o.Value...)
 		}
 	}
 	return t
@@ -560,7 +555,7 @@ func (h *Harness) OverheadTable(names []string) *report.Table {
 // measurement series.
 func Calibration(cfg Config) (string, []*report.Series) {
 	cfg = cfg.withDefaults()
-	m, data, err := memmodel.Calibrate(cfg.Machine, cfg.Cores)
+	m, data, err := memmodel.CalibrateCtx(context.Background(), cfg.Machine, cfg.Cores)
 	if err != nil {
 		return "calibration failed: " + err.Error(), nil
 	}

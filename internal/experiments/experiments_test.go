@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"prophet"
+	"prophet/internal/obs"
 	"prophet/internal/sim"
 	"prophet/internal/stats"
 )
@@ -13,6 +17,9 @@ import (
 func fastMachine() sim.Config {
 	return sim.Config{Cores: 12, Quantum: 10_000, ContextSwitch: -1}
 }
+
+// harness is a harness for cfg that is never canceled.
+func harness(cfg Config) *Harness { return NewCtx(context.Background(), cfg) }
 
 func TestFig4TreeDump(t *testing.T) {
 	s := Fig4()
@@ -24,7 +31,10 @@ func TestFig4TreeDump(t *testing.T) {
 }
 
 func TestFig5PaperNumbers(t *testing.T) {
-	tb := Fig5()
+	tb, err := Fig5()
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := tb.String()
 	// The three emulated makespans from the paper's walkthrough (ε=0).
 	for _, want := range []string{"1150", "1250", "900"} {
@@ -35,7 +45,10 @@ func TestFig5PaperNumbers(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	tb := Fig7(Config{Machine: fastMachine()})
+	tb, err := harness(Config{Machine: fastMachine()}).Fig7()
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := tb.String()
 	if !strings.Contains(out, "FF") || !strings.Contains(out, "Synthesizer") {
 		t.Fatalf("Fig7 table incomplete:\n%s", out)
@@ -71,7 +84,7 @@ func TestFig11SmallSample(t *testing.T) {
 	if testing.Short() {
 		t.Skip("validation sweep is slow")
 	}
-	res := Fig11(Config{Machine: fastMachine(), Samples: 12, Seed: 7})
+	res := harness(Config{Machine: fastMachine(), Samples: 12, Seed: 7}).Fig11()
 	get := func(name string) map[string]*stats.Accumulator {
 		for _, c := range res.Cases {
 			if c.Name == name {
@@ -130,7 +143,7 @@ func TestFig12ShapeEPvsFT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark sweep is slow")
 	}
-	series := Fig12(Config{Machine: fastMachine(), Cores: []int{2, 12}}, []string{"NPB-EP", "NPB-FT"})
+	series := harness(Config{Machine: fastMachine(), Cores: []int{2, 12}}).Fig12([]string{"NPB-EP", "NPB-FT"})
 	if len(series) != 2 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -182,11 +195,11 @@ func TestTable3AndOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	t3 := Table3(Config{Machine: fastMachine()}, []string{"NPB-EP"})
+	t3 := harness(Config{Machine: fastMachine()}).Table3([]string{"NPB-EP"})
 	if len(t3.Rows) != 1 {
 		t.Fatalf("Table3 rows = %d", len(t3.Rows))
 	}
-	ov := OverheadTable(Config{Machine: fastMachine()}, []string{"NPB-EP", "NPB-FT"})
+	ov := harness(Config{Machine: fastMachine()}).OverheadTable([]string{"NPB-EP", "NPB-FT"})
 	if len(ov.Rows) != 2 {
 		t.Fatalf("overhead rows = %d", len(ov.Rows))
 	}
@@ -213,7 +226,7 @@ func TestScheduleRanking(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	tb := ScheduleRanking(Config{Machine: fastMachine(), Samples: 25, Seed: 13})
+	tb := harness(Config{Machine: fastMachine(), Samples: 25, Seed: 13}).ScheduleRanking()
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -234,7 +247,7 @@ func TestMachineMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark sweep is slow")
 	}
-	h := New(Config{Machine: fastMachine(), Cores: []int{8}})
+	h := harness(Config{Machine: fastMachine(), Cores: []int{8}})
 	tab := h.MachineMatrix([]string{"NPB-CG"}, []string{"westmere12", "embedded4+4", "hbm12"})
 	if len(tab.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(tab.Rows))
@@ -255,5 +268,53 @@ func TestMachineMatrix(t *testing.T) {
 	}
 	if hbm <= west {
 		t.Errorf("hbm12 %.2f should beat westmere12 %.2f on a bandwidth-bound benchmark", hbm, west)
+	}
+}
+
+// TestFailedCellsAreReportedNotZero: on a machine whose watchdog budget
+// no run can meet, every emulation and ground-truth run fails. Each
+// failure must become its cell's sweep error — counted in
+// sweep.cells_failed and dropped from the output — never a printed 0×.
+func TestFailedCellsAreReportedNotZero(t *testing.T) {
+	mc := fastMachine()
+	mc.MaxEvents = 20
+	reg := &obs.Registry{}
+	h := harness(Config{Machine: mc, Cores: []int{2, 4}, Samples: 2, Seed: 7, Metrics: reg})
+	failed := reg.Counter(obs.MSweepCellsFailed)
+
+	if res := h.Fig11(); res.Failed != 2 {
+		t.Errorf("Fig11: %d failed samples, want 2", res.Failed)
+	}
+	if series := h.Fig12([]string{"NPB-EP"}); len(series) != 0 {
+		t.Errorf("Fig12 printed %d panels from failed cells", len(series))
+	}
+	if tb := h.Table3([]string{"NPB-EP", "NO-SUCH-BENCH"}); len(tb.Rows) != 0 {
+		t.Errorf("Table3 printed rows from failed cells: %v", tb.Rows)
+	}
+	if tb := h.ScheduleRanking(); len(tb.Rows) != 0 {
+		t.Errorf("ScheduleRanking printed rows from failed cells: %v", tb.Rows)
+	}
+	// Fig11 2 + Fig12 2 + Table3 2 + ranking 2.
+	if got := failed.Value(); got != 8 {
+		t.Errorf("sweep.cells_failed = %d, want 8", got)
+	}
+	if tb := h.MachineMatrix([]string{"NPB-EP"}, []string{"westmere12"}); tb.Rows[0][2] != "-" {
+		t.Errorf("MachineMatrix failed cell rendered %q, want -", tb.Rows[0][2])
+	}
+	if _, err := h.Fig7(); !errors.Is(err, prophet.ErrBudgetExceeded) {
+		t.Errorf("Fig7 err = %v, want ErrBudgetExceeded", err)
+	}
+}
+
+// TestOverheadTableUnknownBenchmarkFails: an unknown name is a failed
+// row, not a silent gap in an otherwise successful table.
+func TestOverheadTableUnknownBenchmarkFails(t *testing.T) {
+	reg := &obs.Registry{}
+	h := harness(Config{Machine: fastMachine(), Metrics: reg})
+	if tb := h.OverheadTable([]string{"NO-SUCH-BENCH"}); len(tb.Rows) != 0 {
+		t.Fatalf("rows = %v", tb.Rows)
+	}
+	if got := reg.Counter(obs.MSweepCellsFailed).Value(); got != 1 {
+		t.Errorf("sweep.cells_failed = %d, want 1", got)
 	}
 }

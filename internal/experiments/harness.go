@@ -34,14 +34,9 @@ type Harness struct {
 	bench sweep.Cache[string, *prophet.Profile]
 }
 
-// New builds a harness for cfg. cfg.Workers bounds the worker pool
-// (0 = GOMAXPROCS, 1 = serial).
-func New(cfg Config) *Harness {
-	return NewCtx(context.Background(), cfg)
-}
-
-// NewCtx builds a harness whose sweeps honour ctx: once it fires, no new
-// cell starts, in-flight cells drain, and unclaimed cells come back
+// NewCtx builds a harness for cfg whose sweeps honour ctx. cfg.Workers
+// bounds the worker pool (0 = GOMAXPROCS, 1 = serial). Once ctx fires, no
+// new cell starts, in-flight cells drain, and unclaimed cells come back
 // marked Skipped. With cfg.FailFast the first cell error cancels the rest
 // of the sweep the same way.
 func NewCtx(ctx context.Context, cfg Config) *Harness {

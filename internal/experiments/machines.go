@@ -50,11 +50,8 @@ func (h *Harness) MachineMatrix(names []string, machines []string) *report.Table
 		id := grid[i]
 		w := ws[id.w]
 		prof, err := h.profileBench(ctx, w)
-		if err := ctx.Err(); err != nil {
-			return "", err
-		}
 		if err != nil {
-			return "-", nil // benchmark skipped, as in Fig. 12
+			return "", err
 		}
 		req := prophet.Request{
 			Threads:     cfg.Cores[id.c],

@@ -11,10 +11,6 @@ import (
 	"prophet/internal/workloads"
 )
 
-// ScheduleRanking is the package-level wrapper around
-// Harness.ScheduleRanking.
-func ScheduleRanking(cfg Config) *report.Table { return New(cfg).ScheduleRanking() }
-
 // ScheduleRanking measures what a programmer actually uses the tool for
 // (§I: "programmers can interactively use the tool to modify their source
 // code"): given a program, does the predictor pick the *right schedule*
@@ -42,28 +38,28 @@ func (h *Harness) ScheduleRanking() *report.Table {
 	const tieTol = 0.03 // 3%: schedules this close count as tied
 
 	type sampleOut struct {
-		ok         bool
 		best, full []bool // per coresUnder entry
 	}
 	outs := sweep.RunCtx(h.ctx, h.eng, len(params), func(ctx context.Context, s int) (sampleOut, error) {
 		var out sampleOut
 		prof, err := h.profileTest1(ctx, params[s])
-		if cerr := ctx.Err(); cerr != nil {
-			return out, cerr
-		}
 		if err != nil {
-			return out, nil
+			return out, err
 		}
-		out.ok = true
 		out.best = make([]bool, len(coresUnder))
 		out.full = make([]bool, len(coresUnder))
 		for ci, cores := range coresUnder {
 			var pred, real [3]float64
 			for si, sched := range fig11Scheds {
-				pred[si] = prof.Estimate(prophet.Request{
-					Method: prophet.FastForward, Threads: cores, Sched: sched,
-				}).Speedup
-				real[si] = prof.RealSpeedup(prophet.Request{Threads: cores, Sched: sched})
+				req := prophet.Request{Method: prophet.FastForward, Threads: cores, Sched: sched}
+				est, err := prof.EstimateCtx(ctx, req)
+				if err != nil {
+					return out, err
+				}
+				pred[si] = est.Speedup
+				if real[si], err = prof.RealSpeedupCtx(ctx, req); err != nil {
+					return out, err
+				}
 			}
 			pb, rb := argmax(pred[:]), argmax(real[:])
 			// Best-pick hit: the predicted winner is truly best, or
@@ -74,7 +70,7 @@ func (h *Harness) ScheduleRanking() *report.Table {
 		return out, nil
 	})
 	for _, o := range outs {
-		if o.Err != nil || !o.Value.ok {
+		if o.Err != nil {
 			continue
 		}
 		for ci := range coresUnder {

@@ -23,7 +23,7 @@ func BenchmarkSweepScaling(b *testing.B) {
 		cfg := cfg
 		cfg.Workers = workers
 		start := time.Now()
-		res := New(cfg).Fig11()
+		res := harness(cfg).Fig11()
 		if res.Failed != 0 {
 			b.Fatalf("workers=%d: %d failed cells", workers, res.Failed)
 		}

@@ -187,7 +187,7 @@ func (in *Injector) Clock(base clock.Clock) clock.Clock {
 // Program wraps an annotated program so its annotation stream passes
 // through the injector's drop/duplicate policy before reaching the
 // profiling context — fault injection for pipelines that build their
-// profiler internally (prophet.ProfileProgram). Compute and IOWait pass
+// profiler internally (prophet.ProfileProgramCtx). Compute and IOWait pass
 // through untouched: they advance time, not tree structure, and dropping
 // them would change the workload rather than the measurement.
 func (in *Injector) Program(prog trace.Program) trace.Program {

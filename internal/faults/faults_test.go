@@ -53,20 +53,20 @@ func profileNoisy(t *testing.T, in *faults.Injector, prog trace.Program) *prophe
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	prof, err := prophet.ProfileTree(root, &prophet.Options{})
+	prof, err := prophet.ProfileTreeCtx(context.Background(), root, &prophet.Options{})
 	if err != nil {
-		t.Fatalf("ProfileTree: %v", err)
+		t.Fatalf("ProfileTreeCtx: %v", err)
 	}
 	return prof
 }
 
 func estimate(t *testing.T, prof *prophet.Profile) float64 {
 	t.Helper()
-	est := prof.Estimate(prophet.Request{
+	est, err := prof.EstimateCtx(context.Background(), prophet.Request{
 		Method: prophet.FastForward, Threads: 8, MemoryModel: true,
 	})
-	if est.Err != nil {
-		t.Fatalf("Estimate: %v", est.Err)
+	if err != nil {
+		t.Fatalf("EstimateCtx: %v", err)
 	}
 	if est.Speedup <= 0 {
 		t.Fatalf("Speedup = %v, want > 0", est.Speedup)
@@ -136,7 +136,7 @@ func TestDroppedAndDuplicatedEventsFailTyped(t *testing.T) {
 	}
 	for _, cfg := range cases {
 		in := faults.New(cfg)
-		prof, err := prophet.ProfileProgram(in.Program(prog), &prophet.Options{
+		prof, err := prophet.ProfileProgramCtx(context.Background(), in.Program(prog), &prophet.Options{
 			DisableMemoryModel: true,
 		})
 		switch {
@@ -160,7 +160,7 @@ func TestQuantumJitterIsDeterministic(t *testing.T) {
 	cfg := sim.Config{Cores: 2, Quantum: 10_000, ContextSwitch: -1, DRAM: mem.DefaultDRAM()}
 	run := func(seed int64) clock.Cycles {
 		in := faults.New(faults.Config{Seed: seed, QuantumJitter: 0.25})
-		total, _, err := sim.RunOpt(cfg, sim.RunOpts{Faults: in.SimFaults()}, func(th *sim.Thread) {
+		total, _, err := sim.Run(context.Background(), cfg, sim.RunOpts{Faults: in.SimFaults()}, func(th *sim.Thread) {
 			a := th.Spawn(func(th *sim.Thread) { th.Work(300_000) })
 			b := th.Spawn(func(th *sim.Thread) { th.Work(300_000) })
 			th.Work(300_000)
@@ -183,7 +183,7 @@ func TestQuantumJitterIsDeterministic(t *testing.T) {
 func TestBandwidthDegradeSlowsMemoryBoundRun(t *testing.T) {
 	cfg := sim.Config{Cores: 8, DRAM: mem.DefaultDRAM()}
 	run := func(hooks *sim.FaultHooks) clock.Cycles {
-		total, _, err := sim.RunOpt(cfg, sim.RunOpts{Faults: hooks}, func(th *sim.Thread) {
+		total, _, err := sim.Run(context.Background(), cfg, sim.RunOpts{Faults: hooks}, func(th *sim.Thread) {
 			var ts []*sim.Thread
 			for i := 0; i < 7; i++ {
 				ts = append(ts, th.Spawn(func(th *sim.Thread) {
@@ -258,7 +258,7 @@ func TestFaultsComposeWithTypedFailures(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	start := time.Now()
-	_, _, err := sim.RunOpt(cfg, sim.RunOpts{Ctx: ctx, Faults: in.SimFaults()}, func(th *sim.Thread) {
+	_, _, err := sim.Run(ctx, cfg, sim.RunOpts{Faults: in.SimFaults()}, func(th *sim.Thread) {
 		o := th.Spawn(func(th *sim.Thread) {
 			th.Lock(2)
 			th.Work(10_000)
@@ -278,7 +278,7 @@ func TestFaultsComposeWithTypedFailures(t *testing.T) {
 
 	budget := cfg
 	budget.MaxEvents = 1_000
-	_, _, err = sim.RunOpt(budget, sim.RunOpts{Faults: in.SimFaults()}, func(th *sim.Thread) {
+	_, _, err = sim.Run(context.Background(), budget, sim.RunOpts{Faults: in.SimFaults()}, func(th *sim.Thread) {
 		for {
 			th.Work(1)
 		}

@@ -21,7 +21,7 @@ func TestFFAllocsIndependentOfIterations(t *testing.T) {
 		task.Repeat = iters
 		root := tree.NewRoot(tree.NewSec("s", task))
 		e := &Emulator{Threads: 8, Sched: omprt.SchedStatic1, Ov: omprt.DefaultOverheads()}
-		return testing.AllocsPerRun(20, func() { e.PredictTime(root) })
+		return testing.AllocsPerRun(20, func() { mustTime(t, e, root) })
 	}
 	small, large := allocs(16), allocs(16384)
 	if large > small {

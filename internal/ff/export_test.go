@@ -5,7 +5,7 @@ import (
 	"prophet/internal/tree"
 )
 
-// HeapPredictTime is PredictTime with every ordinary section stepped on
+// HeapPredictTime is PredictTimeCtx with every ordinary section stepped on
 // the heap one segment at a time, whatever its shape: the reference the
 // fast paths are checked against.
 func HeapPredictTime(e *Emulator, root *tree.Node) clock.Cycles {

@@ -75,19 +75,13 @@ type Emulator struct {
 	Tracer obs.ExecTracer
 }
 
-// PredictTime returns the emulated parallel execution time of the whole
-// program: emulated top-level sections plus the untouched serial regions
-// (the formula of §IV-E applied to the FF).
-func (e *Emulator) PredictTime(root *tree.Node) clock.Cycles {
-	t, _ := e.PredictTimeCtx(context.Background(), root)
-	return t
-}
-
 // cancelPanic unwinds the emulation's recursive descent when the context
 // is canceled; it never escapes the package.
 type cancelPanic struct{ err error }
 
-// PredictTimeCtx is PredictTime with cancellation: the emulation polls ctx
+// PredictTimeCtx returns the emulated parallel execution time of the whole
+// program: emulated top-level sections plus the untouched serial regions
+// (the formula of §IV-E applied to the FF). The emulation polls ctx
 // between events and returns an error wrapping ctx.Err() when it fires.
 func (e *Emulator) PredictTimeCtx(ctx context.Context, root *tree.Node) (t clock.Cycles, err error) {
 	defer func() {
@@ -108,13 +102,7 @@ func (e *Emulator) PredictTimeCtx(ctx context.Context, root *tree.Node) (t clock
 	return total, nil
 }
 
-// Speedup returns serial time / predicted parallel time.
-func (e *Emulator) Speedup(root *tree.Node) float64 {
-	s, _ := e.SpeedupCtx(context.Background(), root)
-	return s
-}
-
-// SpeedupCtx is Speedup with cancellation.
+// SpeedupCtx returns serial time / predicted parallel time.
 func (e *Emulator) SpeedupCtx(ctx context.Context, root *tree.Node) (float64, error) {
 	serial := root.TotalLen()
 	pred, err := e.PredictTimeCtx(ctx, root)

@@ -1,6 +1,7 @@
 package ff
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,6 +27,26 @@ func emu(threads int, sched omprt.Sched) *Emulator {
 	return &Emulator{Threads: threads, Sched: sched}
 }
 
+// mustTime is e.PredictTimeCtx, failing the test on an error.
+func mustTime(t testing.TB, e *Emulator, root *tree.Node) clock.Cycles {
+	t.Helper()
+	d, err := e.PredictTimeCtx(context.Background(), root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// mustSpeedup is e.SpeedupCtx, failing the test on an error.
+func mustSpeedup(t testing.TB, e *Emulator, root *tree.Node) float64 {
+	t.Helper()
+	s, err := e.SpeedupCtx(context.Background(), root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestFigure5Schedules reproduces the paper's Fig. 5 walkthrough with zero
 // parallel overhead (the paper's ε): (static,1) -> 1150 cycles,
 // (static) -> 1250, (dynamic,1) -> 900 (the paper quotes 950 because its ε
@@ -46,13 +67,13 @@ func TestFigure5Schedules(t *testing.T) {
 		{omprt.SchedDynamic1, 900},
 	}
 	for _, c := range cases {
-		got := emu(2, c.sched).PredictTime(root)
+		got := mustTime(t, emu(2, c.sched), root)
 		if got != c.want {
 			t.Errorf("%v: predicted = %d, want %d", c.sched, got, c.want)
 		}
 	}
 	// Speedups as in the figure (ε=0): 1.30, 1.20, 1.67.
-	if s := emu(2, omprt.SchedStatic1).Speedup(root); math.Abs(s-1500.0/1150) > 1e-9 {
+	if s := mustSpeedup(t, emu(2, omprt.SchedStatic1), root); math.Abs(s-1500.0/1150) > 1e-9 {
 		t.Errorf("static,1 speedup = %g", s)
 	}
 }
@@ -63,7 +84,7 @@ func TestFigure5WithDynamicOverhead(t *testing.T) {
 	root := figure5()
 	e := emu(2, omprt.SchedDynamic1)
 	e.Ov = omprt.Overheads{Dispatch: 25}
-	got := e.PredictTime(root)
+	got := mustTime(t, e, root)
 	if got <= 900 || got > 1000 {
 		t.Fatalf("dynamic,1 with dispatch overhead = %d, want (900, 1000]", got)
 	}
@@ -95,11 +116,11 @@ func TestFigure7FFLimitation(t *testing.T) {
 	if root.TotalLen() != 30 {
 		t.Fatalf("serial = %d, want 30", root.TotalLen())
 	}
-	got := emu(2, omprt.SchedStatic1).PredictTime(root)
+	got := mustTime(t, emu(2, omprt.SchedStatic1), root)
 	if got != 20 {
 		t.Fatalf("FF predicted %d, want 20 (speedup 1.5 as the paper reports)", got)
 	}
-	if s := emu(2, omprt.SchedStatic1).Speedup(root); math.Abs(s-1.5) > 1e-9 {
+	if s := mustSpeedup(t, emu(2, omprt.SchedStatic1), root); math.Abs(s-1.5) > 1e-9 {
 		t.Fatalf("FF speedup = %g, want 1.5", s)
 	}
 }
@@ -111,7 +132,7 @@ func TestPerfectlyBalancedLoopScales(t *testing.T) {
 	}
 	root := tree.NewRoot(tree.NewSec("s", tasks...))
 	for _, p := range []int{1, 2, 3, 4, 6, 12} {
-		s := emu(p, omprt.SchedStatic).Speedup(root)
+		s := mustSpeedup(t, emu(p, omprt.SchedStatic), root)
 		if math.Abs(s-float64(p)) > 1e-9 {
 			t.Errorf("p=%d: speedup = %g, want %d", p, s, p)
 		}
@@ -129,7 +150,7 @@ func TestAmdahlSerialFraction(t *testing.T) {
 			tree.NewTask("t", tree.NewU(25_000)),
 		),
 	)
-	s := emu(4, omprt.SchedStatic).Speedup(root)
+	s := mustSpeedup(t, emu(4, omprt.SchedStatic), root)
 	want := 200_000.0 / 125_000.0 // 1.6
 	if math.Abs(s-want) > 1e-9 {
 		t.Fatalf("speedup = %g, want %g", s, want)
@@ -147,12 +168,12 @@ func TestBurdenFactorSlowsSection(t *testing.T) {
 
 	plain := emu(4, omprt.SchedStatic)
 	plain.UseBurden = false
-	if s := plain.Speedup(root); math.Abs(s-4) > 1e-9 {
+	if s := mustSpeedup(t, plain, root); math.Abs(s-4) > 1e-9 {
 		t.Fatalf("Pred speedup = %g, want 4", s)
 	}
 	bur := emu(4, omprt.SchedStatic)
 	bur.UseBurden = true
-	if s := bur.Speedup(root); math.Abs(s-4/1.5) > 1e-6 {
+	if s := mustSpeedup(t, bur, root); math.Abs(s-4/1.5) > 1e-6 {
 		t.Fatalf("PredM speedup = %g, want %g", s, 4/1.5)
 	}
 }
@@ -169,8 +190,8 @@ func TestRepeatCompressedTasksEmulate(t *testing.T) {
 	ctask.Repeat = 100
 	rootB := tree.NewRoot(tree.NewSec("s", ctask))
 	for _, sched := range []omprt.Sched{omprt.SchedStatic, omprt.SchedStatic1, omprt.SchedDynamic1} {
-		a := emu(8, sched).PredictTime(rootA)
-		b := emu(8, sched).PredictTime(rootB)
+		a := mustTime(t, emu(8, sched), rootA)
+		b := mustTime(t, emu(8, sched), rootB)
 		if a != b {
 			t.Errorf("%v: expanded %d != compressed %d", sched, a, b)
 		}
@@ -182,7 +203,7 @@ func TestRepeatedSegmentsInsideTask(t *testing.T) {
 	seg := tree.NewU(500)
 	seg.Repeat = 4
 	root := tree.NewRoot(tree.NewSec("s", tree.NewTask("t", seg)))
-	got := emu(1, omprt.SchedStatic).PredictTime(root)
+	got := mustTime(t, emu(1, omprt.SchedStatic), root)
 	if got != 2_000 {
 		t.Fatalf("predicted = %d, want 2000", got)
 	}
@@ -194,7 +215,7 @@ func TestGuidedSchedule(t *testing.T) {
 		tasks[i] = tree.NewTask("t", tree.NewU(1_000))
 	}
 	root := tree.NewRoot(tree.NewSec("s", tasks...))
-	s := emu(4, omprt.SchedGuided).Speedup(root)
+	s := mustSpeedup(t, emu(4, omprt.SchedGuided), root)
 	if s < 3.5 || s > 4.0+1e-9 {
 		t.Fatalf("guided speedup = %g, want ~4", s)
 	}
@@ -205,7 +226,7 @@ func TestMoreThreadsThanTasks(t *testing.T) {
 		tree.NewTask("t", tree.NewU(1_000)),
 		tree.NewTask("t", tree.NewU(1_000)),
 	))
-	s := emu(12, omprt.SchedStatic).Speedup(root)
+	s := mustSpeedup(t, emu(12, omprt.SchedStatic), root)
 	if math.Abs(s-2) > 1e-9 {
 		t.Fatalf("speedup = %g, want 2 (only 2 tasks)", s)
 	}
@@ -213,19 +234,19 @@ func TestMoreThreadsThanTasks(t *testing.T) {
 
 func TestEmptyAndDegenerate(t *testing.T) {
 	empty := tree.NewRoot()
-	if got := emu(4, omprt.SchedStatic).PredictTime(empty); got != 0 {
+	if got := mustTime(t, emu(4, omprt.SchedStatic), empty); got != 0 {
 		t.Errorf("empty tree predicted %d", got)
 	}
-	if s := emu(4, omprt.SchedStatic).Speedup(empty); s != 1 {
+	if s := mustSpeedup(t, emu(4, omprt.SchedStatic), empty); s != 1 {
 		t.Errorf("empty tree speedup %g", s)
 	}
 	emptySec := tree.NewRoot(tree.NewSec("s"))
-	if got := emu(4, omprt.SchedStatic).PredictTime(emptySec); got != 0 {
+	if got := mustTime(t, emu(4, omprt.SchedStatic), emptySec); got != 0 {
 		t.Errorf("empty section predicted %d", got)
 	}
 	zeroThreads := &Emulator{Threads: 0, Sched: omprt.SchedStatic}
 	one := tree.NewRoot(tree.NewSec("s", tree.NewTask("t", tree.NewU(100))))
-	if got := zeroThreads.PredictTime(one); got != 100 {
+	if got := mustTime(t, zeroThreads, one); got != 100 {
 		t.Errorf("0-thread emulator predicted %d, want 100", got)
 	}
 }
@@ -236,9 +257,9 @@ func TestOverheadsReduceSpeedup(t *testing.T) {
 		tasks[i] = tree.NewTask("t", tree.NewU(500))
 	}
 	root := tree.NewRoot(tree.NewSec("s", tasks...))
-	ideal := emu(4, omprt.SchedDynamic1).Speedup(root)
+	ideal := mustSpeedup(t, emu(4, omprt.SchedDynamic1), root)
 	loaded := &Emulator{Threads: 4, Sched: omprt.SchedDynamic1, Ov: omprt.DefaultOverheads()}
-	s := loaded.Speedup(root)
+	s := mustSpeedup(t, loaded, root)
 	if s >= ideal {
 		t.Fatalf("overheads did not reduce speedup: %g vs %g", s, ideal)
 	}
@@ -256,7 +277,7 @@ func TestLockContentionLimitsSpeedup(t *testing.T) {
 		tasks[i] = tree.NewTask("t", tree.NewU(200), tree.NewL(1, 800))
 	}
 	root := tree.NewRoot(tree.NewSec("s", tasks...))
-	s := emu(12, omprt.SchedStatic1).Speedup(root)
+	s := mustSpeedup(t, emu(12, omprt.SchedStatic1), root)
 	if s > 1.3 {
 		t.Fatalf("lock-bound speedup = %g, want <= ~1.25", s)
 	}
@@ -272,7 +293,7 @@ func TestMultipleLocksIndependent(t *testing.T) {
 		return tree.NewTask("t", tree.NewL(lock, 1_000))
 	}
 	root := tree.NewRoot(tree.NewSec("s", mk(1), mk(2), mk(1), mk(2)))
-	got := emu(4, omprt.SchedStatic1).PredictTime(root)
+	got := mustTime(t, emu(4, omprt.SchedStatic1), root)
 	if got != 2_000 {
 		t.Fatalf("two-lock makespan = %d, want 2000", got)
 	}
@@ -286,7 +307,7 @@ func TestMultipleTopLevelSections(t *testing.T) {
 		)
 	}
 	root := tree.NewRoot(tree.NewU(500), sec(), tree.NewU(500), sec())
-	got := emu(2, omprt.SchedStatic).PredictTime(root)
+	got := mustTime(t, emu(2, omprt.SchedStatic), root)
 	// Each section halves to 1000; serial parts stay: 500+1000+500+1000.
 	if got != 3_000 {
 		t.Fatalf("predicted = %d, want 3000", got)
@@ -299,19 +320,19 @@ func TestMultipleTopLevelSections(t *testing.T) {
 // halves its work, and nil Speeds stays bit-identical to the legacy path.
 func TestSpeedsHeterogeneous(t *testing.T) {
 	root := figure5()
-	base := emu(2, omprt.SchedStatic1).PredictTime(root)
+	base := mustTime(t, emu(2, omprt.SchedStatic1), root)
 
 	// Speeds of all ones must not change anything even though the scaled
 	// path runs (division by 1 then +0.5 rounding matches st.scaled).
 	ones := &Emulator{Threads: 2, Sched: omprt.SchedStatic1, Speeds: []float64{1, 1}}
-	if got := ones.PredictTime(root); got != base {
+	if got := mustTime(t, ones, root); got != base {
 		t.Errorf("unit speeds predicted %d, want %d (legacy)", got, base)
 	}
 
 	// A 2x CPU 0: I0 (650) and I2 (250) take 325 and 125 cycles of clock;
 	// the lock FIFO still serializes L segments in pseudo-time order.
 	fast := &Emulator{Threads: 2, Sched: omprt.SchedStatic1, Speeds: []float64{2, 1}}
-	gotFast := fast.PredictTime(root)
+	gotFast := mustTime(t, fast, root)
 	if gotFast >= base {
 		t.Errorf("2x CPU 0 predicted %d, want < %d", gotFast, base)
 	}
@@ -319,12 +340,12 @@ func TestSpeedsHeterogeneous(t *testing.T) {
 	// Slowing a CPU makes the section slower, and the asymmetric
 	// prediction is deterministic.
 	slow := &Emulator{Threads: 2, Sched: omprt.SchedStatic1, Speeds: []float64{1, 0.5}}
-	gotSlow := slow.PredictTime(root)
+	gotSlow := mustTime(t, slow, root)
 	if gotSlow <= base {
 		t.Errorf("0.5x CPU 1 predicted %d, want > %d", gotSlow, base)
 	}
 	for i := 0; i < 3; i++ {
-		if again := fast.PredictTime(root); again != gotFast {
+		if again := mustTime(t, fast, root); again != gotFast {
 			t.Fatalf("asymmetric FF not deterministic: %d vs %d", again, gotFast)
 		}
 	}

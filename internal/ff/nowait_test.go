@@ -22,8 +22,8 @@ func TestNoWaitOverlapsWithTaskTail(t *testing.T) {
 		))
 	}
 	e := &Emulator{Threads: 2, Sched: omprt.SchedStatic1}
-	barrier := e.PredictTime(build(false))
-	nowait := e.PredictTime(build(true))
+	barrier := mustTime(t, e, build(false))
+	nowait := mustTime(t, e, build(true))
 	// With barrier: inner (two 1000 tasks on 2 cpus = 1000) + tail 1000
 	// = 2000. With nowait: tail overlaps the inner task on cpu1; the
 	// inner task on cpu0 serializes with the tail (non-preemptive), so
@@ -44,8 +44,8 @@ func TestNoWaitOverlapsWithTaskTail(t *testing.T) {
 			tree.NewTask("t", inner, tree.NewU(2_000)),
 		))
 	}
-	b := e.PredictTime(uneven(false))
-	n := e.PredictTime(uneven(true))
+	b := mustTime(t, e, uneven(false))
+	n := mustTime(t, e, uneven(true))
 	// Barrier: wait for 3000, then 2000 tail => >= 5000.
 	// Nowait: tail (on cpu0, after the 100 task) overlaps the 3000 task
 	// on cpu1; join at task end => ~3000-ish.
@@ -71,7 +71,7 @@ func TestNoWaitStillJoinsBeforeTaskEnd(t *testing.T) {
 		tree.NewTask("t", inner, tree.NewU(100)),
 	))
 	e := &Emulator{Threads: 4, Sched: omprt.SchedStatic1}
-	got := e.PredictTime(root)
+	got := mustTime(t, e, root)
 	if got < 10_000 {
 		t.Fatalf("predicted %d: nowait section escaped its task", got)
 	}

@@ -25,12 +25,12 @@ func pipeTree(n int, stages ...clock.Cycles) *tree.Node {
 func TestPipelineBalancedTwoStages(t *testing.T) {
 	root := pipeTree(32, 1_000, 1_000)
 	e := &Emulator{Threads: 2, Sched: omprt.SchedStatic}
-	got := e.PredictTime(root)
+	got := mustTime(t, e, root)
 	// Fill (1000) + 32 iterations through a 1000-cycle stage = 33000.
 	if got != 33_000 {
 		t.Fatalf("predicted = %d, want 33000", got)
 	}
-	if s := e.Speedup(root); s < 1.9 {
+	if s := mustSpeedup(t, e, root); s < 1.9 {
 		t.Fatalf("pipeline speedup = %.2f, want ~1.94", s)
 	}
 }
@@ -38,7 +38,7 @@ func TestPipelineBalancedTwoStages(t *testing.T) {
 func TestPipelineBottleneck(t *testing.T) {
 	root := pipeTree(20, 1_000, 3_000)
 	e := &Emulator{Threads: 2, Sched: omprt.SchedStatic}
-	got := e.PredictTime(root)
+	got := mustTime(t, e, root)
 	// 1000 fill + 20*3000 bottleneck = 61000.
 	if got != 61_000 {
 		t.Fatalf("predicted = %d, want 61000", got)
@@ -52,8 +52,8 @@ func TestPipelineVsOrdinarySection(t *testing.T) {
 	plain.TopLevelSections()[0].Pipeline = false
 	piped := pipeTree(24, 1_000, 1_000)
 	e := &Emulator{Threads: 4, Sched: omprt.SchedStatic}
-	sPlain := e.Speedup(plain)
-	sPipe := e.Speedup(piped)
+	sPlain := mustSpeedup(t, e, plain)
+	sPipe := mustSpeedup(t, e, piped)
 	if sPlain < 3.9 {
 		t.Fatalf("independent loop speedup = %.2f, want ~4", sPlain)
 	}
@@ -67,7 +67,7 @@ func TestPipelineDepthCapsThreads(t *testing.T) {
 	root := pipeTree(16, 500, 500, 500)
 	e2 := &Emulator{Threads: 3, Sched: omprt.SchedStatic}
 	e12 := &Emulator{Threads: 12, Sched: omprt.SchedStatic}
-	if a, b := e2.PredictTime(root), e12.PredictTime(root); a != b {
+	if a, b := mustTime(t, e2, root), mustTime(t, e12, root); a != b {
 		t.Fatalf("threads beyond depth changed prediction: %d vs %d", a, b)
 	}
 }
@@ -83,7 +83,7 @@ func TestPipelineLockedStage(t *testing.T) {
 	sec.Pipeline = true
 	root := tree.NewRoot(sec)
 	e := &Emulator{Threads: 2, Sched: omprt.SchedStatic}
-	got := e.PredictTime(root)
+	got := mustTime(t, e, root)
 	// Stage 0 bound: 10*1000; stage 1 drains 500 after: >= 10500.
 	if got < 10_500 || got > 12_000 {
 		t.Fatalf("locked-stage pipeline = %d, want ~10500", got)
@@ -99,7 +99,7 @@ func TestNestedPipelineInsideTask(t *testing.T) {
 	inner.Pipeline = true
 	root := tree.NewRoot(tree.NewSec("outer", tree.NewTask("t", inner)))
 	e := &Emulator{Threads: 4, Sched: omprt.SchedStatic}
-	got := e.PredictTime(root)
+	got := mustTime(t, e, root)
 	// Pipeline of 3 iterations, 2 stages: fill 1000 + 3*1000 = 4000.
 	if got != 4_000 {
 		t.Fatalf("nested pipeline predicted = %d, want 4000", got)

@@ -1,6 +1,7 @@
 package ff_test
 
 import (
+	"context"
 	"testing"
 
 	"prophet"
@@ -24,7 +25,7 @@ func TestBenchmarksFastPathsMatchHeap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof, err := prophet.ProfileProgram(w.Program, &prophet.Options{Machine: mc, ThreadCounts: counts})
+		prof, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{Machine: mc, ThreadCounts: counts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +33,11 @@ func TestBenchmarksFastPathsMatchHeap(t *testing.T) {
 			for _, burden := range []bool{false, true} {
 				for _, p := range counts {
 					e := &ff.Emulator{Threads: p, Sched: sched, Ov: omprt.DefaultOverheads(), UseBurden: burden}
-					if got, want := e.PredictTime(prof.Tree), ff.HeapPredictTime(e, prof.Tree); got != want {
+					got, err := e.PredictTimeCtx(context.Background(), prof.Tree)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := ff.HeapPredictTime(e, prof.Tree); got != want {
 						t.Errorf("%s %v t=%d mem=%v: fast paths %d, heap %d", name, sched, p, burden, got, want)
 					}
 				}

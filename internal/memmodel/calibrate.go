@@ -23,7 +23,7 @@ type CalibrationPoint struct {
 	Omega float64
 }
 
-// CalibrationData holds every point measured during Calibrate, for reports
+// CalibrationData holds every point measured during CalibrateCtx, for reports
 // and the Fig.-Eq.6/7 regeneration harness.
 type CalibrationData struct {
 	Points []CalibrationPoint
@@ -38,7 +38,7 @@ var intensities = []int64{0, 8, 16, 24, 40, 64, 96, 160, 256}
 // fresh machine and returns (perThreadDelta MB/s, omega cycles/miss).
 func measure(ctx context.Context, mc sim.Config, hz float64, t int, instrPerMiss int64) (float64, float64, error) {
 	const missesPerThread = 20_000
-	end, _, err := sim.RunCtx(ctx, mc, func(main *sim.Thread) {
+	end, _, err := sim.Run(ctx, mc, sim.RunOpts{}, func(main *sim.Thread) {
 		ws := make([]*sim.Thread, 0, t-1)
 		body := func(w *sim.Thread) {
 			w.WorkMem(clock.Cycles(instrPerMiss*missesPerThread), missesPerThread)
@@ -66,17 +66,12 @@ func measure(ctx context.Context, mc sim.Config, hz float64, t int, instrPerMiss
 	return delta, omega, nil
 }
 
-// Calibrate runs the paper's §V-D microbenchmark against the simulated
+// CalibrateCtx runs the paper's §V-D microbenchmark against the simulated
 // machine mc and fits Ψ for every thread count in threadCounts (linear for
 // t = 2, a·ln δ + b otherwise, as Eq. (6) does) and Φ as a power law
-// (Eq. (7), fitted on points with δ ≥ the traffic floor).
-func Calibrate(mc sim.Config, threadCounts []int) (*Model, CalibrationData, error) {
-	return CalibrateCtx(context.Background(), mc, threadCounts)
-}
-
-// CalibrateCtx is Calibrate with cancellation: the microbenchmark sweep
-// checks ctx between machine runs and aborts with an error wrapping
-// ctx.Err().
+// (Eq. (7), fitted on points with δ ≥ the traffic floor). The
+// microbenchmark sweep checks ctx between machine runs and aborts with an
+// error wrapping ctx.Err().
 func CalibrateCtx(ctx context.Context, mc sim.Config, threadCounts []int) (*Model, CalibrationData, error) {
 	// Context-switch noise would blur the symmetric measurement.
 	mc.ContextSwitch = -1

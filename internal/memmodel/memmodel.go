@@ -13,7 +13,7 @@
 // (per-miss stall as a function of achieved traffic) are empirical: the
 // paper measures them with a microbenchmark on its Westmere and fits
 // Eq. (6)/(7); this reproduction runs the same microbenchmark against the
-// simulated machine (Calibrate) and fits the same functional forms —
+// simulated machine (CalibrateCtx) and fits the same functional forms —
 // linear for two threads, a·ln δ + b for four or more, and a power law for
 // Φ. PaperModel returns the paper's literal coefficients for cross-checks.
 package memmodel

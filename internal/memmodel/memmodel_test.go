@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -132,7 +133,7 @@ func simCfg() sim.Config {
 }
 
 func TestCalibrationShapes(t *testing.T) {
-	m, data, err := Calibrate(simCfg(), []int{2, 4, 6, 8, 10, 12})
+	m, data, err := CalibrateCtx(context.Background(), simCfg(), []int{2, 4, 6, 8, 10, 12})
 	if err != nil {
 		t.Fatalf("Calibrate: %v", err)
 	}
@@ -172,7 +173,7 @@ func TestCalibrationShapes(t *testing.T) {
 // compared against the burden-factor prediction.
 func TestCalibrationPredictsSaturatedSPMD(t *testing.T) {
 	mc := simCfg()
-	m, _, err := Calibrate(mc, []int{2, 4, 6, 8, 10, 12})
+	m, _, err := CalibrateCtx(context.Background(), mc, []int{2, 4, 6, 8, 10, 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestCalibrationPredictsSaturatedSPMD(t *testing.T) {
 		sample := counters.Sample{Instructions: n, Cycles: serial, LLCMisses: d}
 		for _, th := range threads {
 			// Real: th symmetric threads on the machine.
-			end, _ := sim.Run(mc, func(main *sim.Thread) {
+			end, _ := mustRun(t, mc, func(main *sim.Thread) {
 				var ws []*sim.Thread
 				body := func(w *sim.Thread) {
 					w.WorkMem(clock.Cycles(n), d)
@@ -321,4 +322,15 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"psi":[{"threads":2,"kind":"bogus"}]}`), &bad); err == nil {
 		t.Fatal("bogus Psi kind accepted")
 	}
+}
+
+// mustRun runs main on a machine built from c, failing the test on a
+// simulation error.
+func mustRun(t testing.TB, c sim.Config, main func(*sim.Thread)) (clock.Cycles, sim.Stats) {
+	t.Helper()
+	end, st, err := sim.Run(context.Background(), c, sim.RunOpts{}, main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return end, st
 }

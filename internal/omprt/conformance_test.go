@@ -8,10 +8,10 @@ import (
 )
 
 // assignmentMap records which worker ran each iteration.
-func assignmentMap(threads, n int, sched Sched) []int {
+func assignmentMap(t *testing.T, threads, n int, sched Sched) []int {
 	owner := make([]int, n)
 	rt := New(threads, zeroOv)
-	sim.Run(mcfg(threads+1), func(t *sim.Thread) {
+	mustRun(t, mcfg(threads+1), func(t *sim.Thread) {
 		rt.ParallelFor(t, n, sched, func(w *sim.Thread, i int) {
 			owner[i] = w.ID() // engine-serialized: safe
 			w.Work(10)
@@ -35,7 +35,7 @@ func assignmentMap(threads, n int, sched Sched) []int {
 // blocks with the remainder spread over the first threads, per the
 // OpenMP spec's common implementation.
 func TestStaticAssignmentConformance(t *testing.T) {
-	owner := assignmentMap(4, 10, SchedStatic)
+	owner := assignmentMap(t, 4, 10, SchedStatic)
 	// 10 = 3+3+2+2: blocks [0..2][3..5][6..7][8..9].
 	blocks := map[int]int{}
 	for i := 1; i < len(owner); i++ {
@@ -55,7 +55,7 @@ func TestStaticAssignmentConformance(t *testing.T) {
 // round-robin, so iteration i belongs to worker (i/c) mod nt.
 func TestStaticChunkAssignmentConformance(t *testing.T) {
 	const nt, n, c = 3, 17, 2
-	owner := assignmentMap(nt, n, Sched{Kind: StaticChunk, Chunk: c})
+	owner := assignmentMap(t, nt, n, Sched{Kind: StaticChunk, Chunk: c})
 	for i, o := range owner {
 		if want := (i / c) % nt; o != want {
 			t.Fatalf("iteration %d on worker %d, want %d (%v)", i, o, want, owner)
@@ -69,7 +69,7 @@ func TestDynamicMonotonePerWorker(t *testing.T) {
 	const nt, n = 4, 50
 	var perWorker [nt][]int
 	rt := New(nt, zeroOv)
-	sim.Run(mcfg(nt+1), func(th *sim.Thread) {
+	mustRun(t, mcfg(nt+1), func(th *sim.Thread) {
 		ids := map[int]int{}
 		rt.ParallelFor(th, n, SchedDynamic1, func(w *sim.Thread, i int) {
 			r, ok := ids[w.ID()]
@@ -95,7 +95,7 @@ func TestDynamicMonotonePerWorker(t *testing.T) {
 func TestBarrierHoldsMaster(t *testing.T) {
 	rt := New(4, zeroOv)
 	var after clock.Cycles
-	sim.Run(mcfg(5), func(th *sim.Thread) {
+	mustRun(t, mcfg(5), func(th *sim.Thread) {
 		rt.ParallelFor(th, 4, SchedStatic1, func(w *sim.Thread, i int) {
 			w.Work(clock.Cycles(10_000 * (i + 1))) // slowest: 40k
 		})
@@ -114,7 +114,7 @@ func TestGuidedChunkCount(t *testing.T) {
 	const n = 100
 	run := func(sched Sched) clock.Cycles {
 		rt := New(1, Overheads{Dispatch: 1_000})
-		end, _ := sim.Run(mcfg(1), func(th *sim.Thread) {
+		end, _ := mustRun(t, mcfg(1), func(th *sim.Thread) {
 			rt.ParallelFor(th, n, sched, func(w *sim.Thread, i int) {
 				w.Work(1)
 			})
@@ -139,7 +139,7 @@ func TestGuidedChunkCount(t *testing.T) {
 func TestCriticalOverheadCharged(t *testing.T) {
 	ov := Overheads{LockEnter: 300, LockExit: 200}
 	rt := New(1, ov)
-	end, _ := sim.Run(mcfg(1), func(th *sim.Thread) {
+	end, _ := mustRun(t, mcfg(1), func(th *sim.Thread) {
 		rt.ParallelFor(th, 2, SchedStatic, func(w *sim.Thread, i int) {
 			rt.Critical(w, 5, func() { w.Work(1_000) })
 		})

@@ -1,6 +1,7 @@
 package omprt
 
 import (
+	"context"
 	"testing"
 
 	"prophet/internal/clock"
@@ -14,10 +15,21 @@ func mcfg(cores int) sim.Config {
 	return sim.Config{Cores: cores, Quantum: 10_000, ContextSwitch: -1}
 }
 
+// mustRun runs main on a machine built from c, failing the test on a
+// simulation error.
+func mustRun(t testing.TB, c sim.Config, main func(*sim.Thread)) (clock.Cycles, sim.Stats) {
+	t.Helper()
+	end, st, err := sim.Run(context.Background(), c, sim.RunOpts{}, main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return end, st
+}
+
 // runFor executes one parallel-for on a fresh machine and returns makespan.
-func runFor(cores, threads, n int, sched Sched, iter func(i int) clock.Cycles) clock.Cycles {
+func runFor(t *testing.T, cores, threads, n int, sched Sched, iter func(i int) clock.Cycles) clock.Cycles {
 	rt := New(threads, zeroOv)
-	end, _ := sim.Run(mcfg(cores), func(t *sim.Thread) {
+	end, _ := mustRun(t, mcfg(cores), func(t *sim.Thread) {
 		rt.ParallelFor(t, n, sched, func(w *sim.Thread, i int) {
 			w.Work(iter(i))
 		})
@@ -45,7 +57,7 @@ func TestAllIterationsRunExactlyOnce(t *testing.T) {
 		n := 97
 		seen := make([]int, n)
 		rt := New(4, zeroOv)
-		sim.Run(mcfg(4), func(t *sim.Thread) {
+		mustRun(t, mcfg(4), func(t *sim.Thread) {
 			rt.ParallelFor(t, n, sched, func(w *sim.Thread, i int) {
 				seen[i]++
 				w.Work(10)
@@ -62,7 +74,7 @@ func TestAllIterationsRunExactlyOnce(t *testing.T) {
 func TestStaticBlockPartition(t *testing.T) {
 	// 4 threads, 8 equal iterations of 1000: static gives each thread a
 	// contiguous pair; makespan 2000.
-	end := runFor(4, 4, 8, SchedStatic, func(int) clock.Cycles { return 1000 })
+	end := runFor(t, 4, 4, 8, SchedStatic, func(int) clock.Cycles { return 1000 })
 	if end != 2000 {
 		t.Fatalf("makespan = %d, want 2000", end)
 	}
@@ -73,10 +85,10 @@ func TestStaticImbalanceTriangular(t *testing.T) {
 	// static: T0 gets 0..3 (1000), T1 gets 4..7 (2600) -> 2600.
 	// static,1: T0 gets evens (1600), T1 odds (2000) -> 2000.
 	iter := func(i int) clock.Cycles { return clock.Cycles((i + 1) * 100) }
-	if end := runFor(2, 2, 8, SchedStatic, iter); end != 2600 {
+	if end := runFor(t, 2, 2, 8, SchedStatic, iter); end != 2600 {
 		t.Fatalf("(static) makespan = %d, want 2600", end)
 	}
-	if end := runFor(2, 2, 8, SchedStatic1, iter); end != 2000 {
+	if end := runFor(t, 2, 2, 8, SchedStatic1, iter); end != 2000 {
 		t.Fatalf("(static,1) makespan = %d, want 2000", end)
 	}
 }
@@ -92,14 +104,14 @@ func TestDynamicAdaptsToImbalance(t *testing.T) {
 	}
 	// n=11: dynamic: T0 takes i0 (10000); T1 does the ten smalls
 	// (10000); makespan ~10000.
-	end := runFor(2, 2, 11, SchedDynamic1, iter)
+	end := runFor(t, 2, 2, 11, SchedDynamic1, iter)
 	if end != 10_000 {
 		t.Fatalf("(dynamic,1) makespan = %d, want 10000", end)
 	}
 }
 
 func TestGuidedCoversAndBalances(t *testing.T) {
-	end := runFor(4, 4, 1000, SchedGuided, func(int) clock.Cycles { return 100 })
+	end := runFor(t, 4, 4, 1000, SchedGuided, func(int) clock.Cycles { return 100 })
 	// Perfect would be 25000; guided should be within 25%.
 	if end < 25_000 || end > 31_250 {
 		t.Fatalf("(guided) makespan = %d, want within [25000, 31250]", end)
@@ -110,14 +122,14 @@ func TestTeamLargerThanLoopClamped(t *testing.T) {
 	// 8 threads but only 3 iterations: must not spawn idle threads that
 	// would add join overhead; exact makespan = 1 iteration since 3 run
 	// in parallel.
-	end := runFor(8, 8, 3, SchedStatic, func(int) clock.Cycles { return 5000 })
+	end := runFor(t, 8, 8, 3, SchedStatic, func(int) clock.Cycles { return 5000 })
 	if end != 5000 {
 		t.Fatalf("makespan = %d, want 5000", end)
 	}
 }
 
 func TestSingleThreadRuntime(t *testing.T) {
-	end := runFor(4, 1, 5, SchedDynamic1, func(int) clock.Cycles { return 100 })
+	end := runFor(t, 4, 1, 5, SchedDynamic1, func(int) clock.Cycles { return 100 })
 	if end != 500 {
 		t.Fatalf("single-thread makespan = %d, want 500", end)
 	}
@@ -126,7 +138,7 @@ func TestSingleThreadRuntime(t *testing.T) {
 func TestForkJoinOverheadsCharged(t *testing.T) {
 	ov := Overheads{ForkPerThread: 1000, JoinBarrier: 2000, WorkerInit: 100}
 	rt := New(4, ov)
-	end, _ := sim.Run(mcfg(4), func(t *sim.Thread) {
+	end, _ := mustRun(t, mcfg(4), func(t *sim.Thread) {
 		rt.ParallelFor(t, 4, SchedStatic, func(w *sim.Thread, i int) {
 			w.Work(10_000)
 		})
@@ -137,7 +149,7 @@ func TestForkJoinOverheadsCharged(t *testing.T) {
 		t.Fatalf("makespan = %d, want >= 15100 with overheads", end)
 	}
 	rt0 := New(4, zeroOv)
-	end0, _ := sim.Run(mcfg(4), func(t *sim.Thread) {
+	end0, _ := mustRun(t, mcfg(4), func(t *sim.Thread) {
 		rt0.ParallelFor(t, 4, SchedStatic, func(w *sim.Thread, i int) {
 			w.Work(10_000)
 		})
@@ -150,7 +162,7 @@ func TestForkJoinOverheadsCharged(t *testing.T) {
 func TestDispatchOverheadPerChunk(t *testing.T) {
 	ov := Overheads{Dispatch: 500}
 	rt := New(1, ov)
-	end, _ := sim.Run(mcfg(1), func(t *sim.Thread) {
+	end, _ := mustRun(t, mcfg(1), func(t *sim.Thread) {
 		rt.ParallelFor(t, 10, SchedDynamic1, func(w *sim.Thread, i int) {
 			w.Work(100)
 		})
@@ -164,7 +176,7 @@ func TestDispatchOverheadPerChunk(t *testing.T) {
 func TestCriticalSerializes(t *testing.T) {
 	rt := New(4, zeroOv)
 	var inCS, maxCS int
-	end, _ := sim.Run(mcfg(4), func(t *sim.Thread) {
+	end, _ := mustRun(t, mcfg(4), func(t *sim.Thread) {
 		rt.ParallelFor(t, 4, SchedStatic1, func(w *sim.Thread, i int) {
 			rt.Critical(w, 1, func() {
 				inCS++
@@ -191,7 +203,7 @@ func TestNestedParallelOversubscribes(t *testing.T) {
 	// nesting should land within ~25% of that, NOT serialize to 120000.
 	rtOuter := New(2, zeroOv)
 	rtInner := New(2, zeroOv)
-	end, _ := sim.Run(mcfg(2), func(t *sim.Thread) {
+	end, _ := mustRun(t, mcfg(2), func(t *sim.Thread) {
 		rtOuter.ParallelFor(t, 2, SchedStatic1, func(w *sim.Thread, i int) {
 			rtInner.ParallelFor(w, 2, SchedStatic1, func(w2 *sim.Thread, j int) {
 				w2.Work(30_000)
@@ -204,7 +216,7 @@ func TestNestedParallelOversubscribes(t *testing.T) {
 }
 
 func TestZeroIterations(t *testing.T) {
-	end := runFor(2, 2, 0, SchedStatic, func(int) clock.Cycles { return 1 })
+	end := runFor(t, 2, 2, 0, SchedStatic, func(int) clock.Cycles { return 1 })
 	if end != 0 {
 		t.Fatalf("empty loop makespan = %d, want 0", end)
 	}

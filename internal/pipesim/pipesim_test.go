@@ -1,6 +1,7 @@
 package pipesim
 
 import (
+	"context"
 	"testing"
 
 	"prophet/internal/clock"
@@ -10,6 +11,17 @@ import (
 
 func mcfg(cores int) sim.Config {
 	return sim.Config{Cores: cores, Quantum: 10_000, ContextSwitch: -1}
+}
+
+// mustRun runs main on a machine built from c, failing the test on a
+// simulation error.
+func mustRun(t testing.TB, c sim.Config, main func(*sim.Thread)) (clock.Cycles, sim.Stats) {
+	t.Helper()
+	end, st, err := sim.Run(context.Background(), c, sim.RunOpts{}, main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return end, st
 }
 
 // pipe builds a pipeline section of n iterations with the given stage
@@ -29,8 +41,8 @@ func pipe(n int, stages ...clock.Cycles) *tree.Node {
 }
 
 // run executes the section with a plain Work exec and returns the makespan.
-func run(sec *tree.Node, cores, threads int) clock.Cycles {
-	end, _ := sim.Run(mcfg(cores), func(main *sim.Thread) {
+func run(t *testing.T, sec *tree.Node, cores, threads int) clock.Cycles {
+	end, _ := mustRun(t, mcfg(cores), func(main *sim.Thread) {
 		Run(main, sec, threads, func(w *sim.Thread, seg *tree.Node) {
 			w.Work(seg.Len)
 		})
@@ -42,7 +54,7 @@ func TestBalancedTwoStagePipeline(t *testing.T) {
 	// 32 iterations, two 1000-cycle stages, 2 workers: steady-state
 	// throughput one iteration per 1000 cycles => ~33k total.
 	sec := pipe(32, 1_000, 1_000)
-	got := run(sec, 2, 2)
+	got := run(t, sec, 2, 2)
 	if got < 33_000 || got > 36_000 {
 		t.Fatalf("2-stage pipeline makespan = %d, want ~33000", got)
 	}
@@ -55,7 +67,7 @@ func TestBalancedTwoStagePipeline(t *testing.T) {
 func TestBottleneckStageLimitsThroughput(t *testing.T) {
 	// Stage 1 takes 3x stage 0: throughput bound by the slow stage.
 	sec := pipe(20, 1_000, 3_000)
-	got := run(sec, 2, 2)
+	got := run(t, sec, 2, 2)
 	// Bound: 20 iterations through a 3000-cycle bottleneck + fill.
 	if got < 60_000 {
 		t.Fatalf("makespan %d below bottleneck bound 60000", got)
@@ -67,7 +79,7 @@ func TestBottleneckStageLimitsThroughput(t *testing.T) {
 
 func TestSingleWorkerSerializes(t *testing.T) {
 	sec := pipe(10, 500, 500, 500)
-	got := run(sec, 4, 1)
+	got := run(t, sec, 4, 1)
 	if got != 15_000 {
 		t.Fatalf("1-worker pipeline = %d, want 15000 (serial)", got)
 	}
@@ -75,8 +87,8 @@ func TestSingleWorkerSerializes(t *testing.T) {
 
 func TestMoreWorkersThanStagesClamped(t *testing.T) {
 	sec := pipe(16, 1_000, 1_000)
-	a := run(sec, 8, 2)
-	b := run(sec, 8, 8) // only 2 stages -> 2 workers used
+	a := run(t, sec, 8, 2)
+	b := run(t, sec, 8, 8) // only 2 stages -> 2 workers used
 	if a != b {
 		t.Fatalf("extra workers changed makespan: %d vs %d", a, b)
 	}
@@ -98,7 +110,7 @@ func TestDependenciesRespected(t *testing.T) {
 	}
 	sec := tree.NewSec("pipe", tasks...)
 	sec.Pipeline = true
-	sim.Run(mcfg(4), func(main *sim.Thread) {
+	mustRun(t, mcfg(4), func(main *sim.Thread) {
 		Run(main, sec, 2, func(w *sim.Thread, seg *tree.Node) {
 			w.Work(seg.Len)
 			done[idx[seg]] = w.Now()
@@ -123,7 +135,7 @@ func TestRaggedIterations(t *testing.T) {
 	t2 := tree.NewTask("wide", tree.NewU(500), tree.NewU(500), tree.NewU(500))
 	sec := tree.NewSec("pipe", t0, t1, t2)
 	sec.Pipeline = true
-	got := run(sec, 4, 3)
+	got := run(t, sec, 4, 3)
 	if got <= 0 || got > 3_500 {
 		t.Fatalf("ragged pipeline makespan = %d", got)
 	}
@@ -135,8 +147,8 @@ func TestRepeatCompressedIterations(t *testing.T) {
 	secC := tree.NewSec("pipe", task)
 	secC.Pipeline = true
 	secE := pipe(32, 1_000, 1_000)
-	a := run(secC, 2, 2)
-	b := run(secE, 2, 2)
+	a := run(t, secC, 2, 2)
+	b := run(t, secE, 2, 2)
 	if a != b {
 		t.Fatalf("compressed pipeline %d != expanded %d", a, b)
 	}
@@ -145,7 +157,7 @@ func TestRepeatCompressedIterations(t *testing.T) {
 func TestEmptySection(t *testing.T) {
 	sec := tree.NewSec("pipe")
 	sec.Pipeline = true
-	if got := run(sec, 2, 2); got != 0 {
+	if got := run(t, sec, 2, 2); got != 0 {
 		t.Fatalf("empty pipeline makespan = %d", got)
 	}
 }
@@ -204,7 +216,7 @@ func TestPartitionStages(t *testing.T) {
 func TestImbalancedStagesBottleneckMatchesPartition(t *testing.T) {
 	// Weights 20/90/30, 2 workers: bound = serial/maxgroup = 140/110.
 	sec := pipe(64, 2_000, 9_000, 3_000)
-	got := run(sec, 2, 2)
+	got := run(t, sec, 2, 2)
 	// Group {s0,s1} does 11000 per iteration: ~64*11000.
 	if got < 64*11_000 || got > 64*11_000+15_000 {
 		t.Fatalf("makespan = %d, want ~%d", got, 64*11_000)

@@ -85,41 +85,12 @@ func segWork(w *sim.Thread, n *tree.Node) {
 	}
 }
 
-// Time runs the whole tree as a parallelized program and returns its
+// TimeCtx runs the whole tree as a parallelized program and returns its
 // makespan: top-level sections execute through the parallel runtime,
-// top-level U nodes serially in between. It panics on simulation errors
-// (legacy contract); error-tolerant callers use TimeCtx.
-func Time(root *tree.Node, cfg Config) clock.Cycles {
-	return TimeTraced(root, cfg, nil)
-}
-
-// TimeCtx is Time with cancellation and typed simulation errors.
+// top-level U nodes serially in between. A deadlocked, over-budget or
+// canceled run returns its typed error.
 func TimeCtx(ctx context.Context, root *tree.Node, cfg Config) (clock.Cycles, error) {
-	return timeOpt(ctx, root, cfg, nil)
-}
-
-// TimeTraced is Time with an optional slice recorder attached, for
-// rendering the execution as a per-core timeline (sim.Recorder.Gantt).
-// It panics on simulation errors (legacy contract); error-tolerant
-// callers use TimeTracedCtx.
-func TimeTraced(root *tree.Node, cfg Config, rec *sim.Recorder) clock.Cycles {
-	end, err := timeOpt(context.Background(), root, cfg, rec)
-	if err != nil {
-		panic(err)
-	}
-	return end
-}
-
-// TimeTracedCtx is TimeTraced with cancellation and typed simulation
-// errors: a deadlocked or over-budget ground-truth run returns the error
-// (with whatever the recorder captured up to the failure) instead of
-// panicking.
-func TimeTracedCtx(ctx context.Context, root *tree.Node, cfg Config, rec *sim.Recorder) (clock.Cycles, error) {
-	return timeOpt(ctx, root, cfg, rec)
-}
-
-func timeOpt(ctx context.Context, root *tree.Node, cfg Config, rec *sim.Recorder) (clock.Cycles, error) {
-	end, _, err := sim.RunOpt(cfg.Machine, sim.RunOpts{Ctx: ctx, Recorder: rec, Tracer: cfg.Tracer, Metrics: cfg.Metrics}, func(main *sim.Thread) {
+	end, _, err := sim.Run(ctx, cfg.Machine, sim.RunOpts{Tracer: cfg.Tracer, Metrics: cfg.Metrics}, func(main *sim.Thread) {
 		for _, c := range root.Children {
 			switch c.Kind {
 			case tree.U:
@@ -253,17 +224,7 @@ func SerialTime(root *tree.Node) clock.Cycles {
 	return root.TotalLen()
 }
 
-// Speedup returns SerialTime / Time for the given configuration. It panics
-// on simulation errors (legacy contract); use SpeedupCtx for typed errors.
-func Speedup(root *tree.Node, cfg Config) float64 {
-	t := Time(root, cfg)
-	if t <= 0 {
-		return 1
-	}
-	return float64(SerialTime(root)) / float64(t)
-}
-
-// SpeedupCtx is Speedup with cancellation and typed simulation errors.
+// SpeedupCtx returns SerialTime / TimeCtx for the given configuration.
 func SpeedupCtx(ctx context.Context, root *tree.Node, cfg Config) (float64, error) {
 	t, err := TimeCtx(ctx, root, cfg)
 	if err != nil {

@@ -1,6 +1,7 @@
 package realrun
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,6 +19,26 @@ func mcfg(cores int) sim.Config {
 
 var zeroOmp = &omprt.Overheads{}
 
+// mustTime is TimeCtx, failing the test on a simulation error.
+func mustTime(t *testing.T, root *tree.Node, cfg Config) clock.Cycles {
+	t.Helper()
+	end, err := TimeCtx(context.Background(), root, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return end
+}
+
+// mustSpeedup is SpeedupCtx, failing the test on a simulation error.
+func mustSpeedup(t *testing.T, root *tree.Node, cfg Config) float64 {
+	t.Helper()
+	s, err := SpeedupCtx(context.Background(), root, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func balanced(n int, l clock.Cycles) *tree.Node {
 	tasks := make([]*tree.Node, n)
 	for i := range tasks {
@@ -29,7 +50,7 @@ func balanced(n int, l clock.Cycles) *tree.Node {
 func TestBalancedSpeedup(t *testing.T) {
 	root := balanced(24, 60_000)
 	for _, p := range []int{1, 2, 4, 8, 12} {
-		s := Speedup(root, Config{Machine: mcfg(12), Threads: p, Sched: omprt.SchedStatic, OmpOv: zeroOmp})
+		s := mustSpeedup(t, root, Config{Machine: mcfg(12), Threads: p, Sched: omprt.SchedStatic, OmpOv: zeroOmp})
 		if math.Abs(s-float64(p)) > 0.05*float64(p) {
 			t.Errorf("p=%d speedup = %.2f", p, s)
 		}
@@ -41,7 +62,7 @@ func TestSerialPartsLimitSpeedup(t *testing.T) {
 		tree.NewU(120_000),
 		balanced(12, 10_000).Children[0],
 	)
-	s := Speedup(root, Config{Machine: mcfg(12), Threads: 12, Sched: omprt.SchedStatic, OmpOv: zeroOmp})
+	s := mustSpeedup(t, root, Config{Machine: mcfg(12), Threads: 12, Sched: omprt.SchedStatic, OmpOv: zeroOmp})
 	want := 240_000.0 / 130_000.0
 	if math.Abs(s-want) > 0.1 {
 		t.Fatalf("speedup = %.2f, want ~%.2f", s, want)
@@ -59,8 +80,8 @@ func TestMemoryBoundSectionSaturates(t *testing.T) {
 		tasks[i] = tree.NewTask("t", u)
 	}
 	root := tree.NewRoot(tree.NewSec("s", tasks...))
-	s12 := Speedup(root, Config{Machine: mcfg(12), Threads: 12, Sched: omprt.SchedStatic, OmpOv: zeroOmp})
-	s2 := Speedup(root, Config{Machine: mcfg(12), Threads: 2, Sched: omprt.SchedStatic, OmpOv: zeroOmp})
+	s12 := mustSpeedup(t, root, Config{Machine: mcfg(12), Threads: 12, Sched: omprt.SchedStatic, OmpOv: zeroOmp})
+	s2 := mustSpeedup(t, root, Config{Machine: mcfg(12), Threads: 2, Sched: omprt.SchedStatic, OmpOv: zeroOmp})
 	if s2 < 1.8 {
 		t.Fatalf("2-thread memory speedup = %.2f, want ~2 (below saturation)", s2)
 	}
@@ -88,7 +109,7 @@ func TestFigure7RealIsTwo(t *testing.T) {
 		tree.NewTask("t0", la),
 		tree.NewTask("t1", lb),
 	))
-	s := Speedup(root, Config{Machine: mcfg(2), Threads: 2, Sched: omprt.SchedStatic1, OmpOv: zeroOmp})
+	s := mustSpeedup(t, root, Config{Machine: mcfg(2), Threads: 2, Sched: omprt.SchedStatic1, OmpOv: zeroOmp})
 	if s < 1.85 || s > 2.05 {
 		t.Fatalf("real nested speedup = %.3f, want ~2.0", s)
 	}
@@ -96,7 +117,7 @@ func TestFigure7RealIsTwo(t *testing.T) {
 
 func TestCilkParadigm(t *testing.T) {
 	root := balanced(32, 50_000)
-	s := Speedup(root, Config{Machine: mcfg(8), Threads: 8, Paradigm: synth.Cilk})
+	s := mustSpeedup(t, root, Config{Machine: mcfg(8), Threads: 8, Paradigm: synth.Cilk})
 	if s < 6.5 || s > 8.1 {
 		t.Fatalf("cilk speedup = %.2f, want ~8", s)
 	}
@@ -108,7 +129,7 @@ func TestLockedTreeSerializes(t *testing.T) {
 		tasks[i] = tree.NewTask("t", tree.NewL(1, 50_000))
 	}
 	root := tree.NewRoot(tree.NewSec("s", tasks...))
-	s := Speedup(root, Config{Machine: mcfg(8), Threads: 8, Sched: omprt.SchedStatic1, OmpOv: zeroOmp})
+	s := mustSpeedup(t, root, Config{Machine: mcfg(8), Threads: 8, Sched: omprt.SchedStatic1, OmpOv: zeroOmp})
 	if s > 1.05 {
 		t.Fatalf("locked speedup = %.2f, want ~1", s)
 	}
@@ -120,15 +141,15 @@ func TestCompressedTreeRunsIdentically(t *testing.T) {
 	ct.Repeat = 64
 	compressed := tree.NewRoot(tree.NewSec("s", ct))
 	cfg := Config{Machine: mcfg(4), Threads: 4, Sched: omprt.SchedDynamic1, OmpOv: zeroOmp}
-	a := Time(expanded, cfg)
-	b := Time(compressed, cfg)
+	a := mustTime(t, expanded, cfg)
+	b := mustTime(t, compressed, cfg)
 	if a != b {
 		t.Fatalf("compressed %d != expanded %d", b, a)
 	}
 }
 
 func TestSpeedupDegenerate(t *testing.T) {
-	if got := Speedup(tree.NewRoot(), Config{Machine: mcfg(2), Threads: 2}); got != 1 {
+	if got := mustSpeedup(t, tree.NewRoot(), Config{Machine: mcfg(2), Threads: 2}); got != 1 {
 		t.Fatalf("empty tree speedup = %g", got)
 	}
 }
@@ -142,7 +163,7 @@ func TestNestedCilkSections(t *testing.T) {
 		tree.NewTask("t", inner, tree.NewU(10_000)),
 		tree.NewTask("u", tree.NewU(50_000)),
 	))
-	s := Speedup(root, Config{Machine: mcfg(4), Threads: 4, Paradigm: synth.Cilk})
+	s := mustSpeedup(t, root, Config{Machine: mcfg(4), Threads: 4, Paradigm: synth.Cilk})
 	if s < 1.5 || s > 3.0 {
 		t.Fatalf("nested cilk speedup = %.2f", s)
 	}
@@ -154,7 +175,7 @@ func TestCilkLockedSegments(t *testing.T) {
 		tasks[i] = tree.NewTask("t", tree.NewL(2, 30_000))
 	}
 	root := tree.NewRoot(tree.NewSec("s", tasks...))
-	end := Time(root, Config{Machine: mcfg(6), Threads: 6, Paradigm: synth.Cilk})
+	end := mustTime(t, root, Config{Machine: mcfg(6), Threads: 6, Paradigm: synth.Cilk})
 	if end < 180_000 {
 		t.Fatalf("cilk locked sections overlapped: %d", end)
 	}
@@ -168,7 +189,7 @@ func TestPipelineSectionGroundTruth(t *testing.T) {
 	sec := tree.NewSec("pipe", tasks...)
 	sec.Pipeline = true
 	root := tree.NewRoot(sec)
-	end := Time(root, Config{Machine: mcfg(2), Threads: 2, OmpOv: zeroOmp})
+	end := mustTime(t, root, Config{Machine: mcfg(2), Threads: 2, OmpOv: zeroOmp})
 	// Two balanced stages on two workers: ~17 stage-times.
 	if end < 160_000 || end > 180_000 {
 		t.Fatalf("pipeline ground truth = %d, want ~170000", end)
@@ -183,7 +204,7 @@ func TestPipelineWithLockedStage(t *testing.T) {
 	sec := tree.NewSec("pipe", tasks...)
 	sec.Pipeline = true
 	root := tree.NewRoot(sec)
-	end := Time(root, Config{Machine: mcfg(2), Threads: 2, OmpOv: zeroOmp})
+	end := mustTime(t, root, Config{Machine: mcfg(2), Threads: 2, OmpOv: zeroOmp})
 	if end <= 0 || end > 8*10_000+10_000 {
 		t.Fatalf("locked pipeline = %d", end)
 	}
@@ -194,21 +215,21 @@ func TestConfigOverrides(t *testing.T) {
 	root := balanced(8, 10_000)
 	slowOv := omprt.DefaultOverheads()
 	slowOv.ForkPerThread = 100_000
-	fast := Time(root, Config{Machine: mcfg(4), Threads: 4, OmpOv: zeroOmp})
-	slow := Time(root, Config{Machine: mcfg(4), Threads: 4, OmpOv: &slowOv})
+	fast := mustTime(t, root, Config{Machine: mcfg(4), Threads: 4, OmpOv: zeroOmp})
+	slow := mustTime(t, root, Config{Machine: mcfg(4), Threads: 4, OmpOv: &slowOv})
 	if slow <= fast {
 		t.Fatalf("custom overheads ignored: %d vs %d", slow, fast)
 	}
 	// Nil overheads select calibrated defaults (non-zero).
-	def := Time(root, Config{Machine: mcfg(4), Threads: 4})
+	def := mustTime(t, root, Config{Machine: mcfg(4), Threads: 4})
 	if def <= fast {
 		t.Fatalf("default overheads missing: %d vs %d", def, fast)
 	}
 	// Cilk custom overheads.
 	co := cilkrt.DefaultOverheads()
 	co.StealScan = 50_000
-	slowCilk := Time(root, Config{Machine: mcfg(4), Threads: 4, Paradigm: synth.Cilk, CilkOv: &co})
-	fastCilk := Time(root, Config{Machine: mcfg(4), Threads: 4, Paradigm: synth.Cilk, CilkOv: &cilkrt.Overheads{}})
+	slowCilk := mustTime(t, root, Config{Machine: mcfg(4), Threads: 4, Paradigm: synth.Cilk, CilkOv: &co})
+	fastCilk := mustTime(t, root, Config{Machine: mcfg(4), Threads: 4, Paradigm: synth.Cilk, CilkOv: &cilkrt.Overheads{}})
 	if slowCilk <= fastCilk {
 		t.Fatalf("cilk overheads ignored: %d vs %d", slowCilk, fastCilk)
 	}
@@ -216,7 +237,7 @@ func TestConfigOverrides(t *testing.T) {
 
 func TestThreadsDefaultToOne(t *testing.T) {
 	root := balanced(4, 10_000)
-	end := Time(root, Config{Machine: mcfg(4), OmpOv: zeroOmp}) // Threads: 0
+	end := mustTime(t, root, Config{Machine: mcfg(4), OmpOv: zeroOmp}) // Threads: 0
 	if end != 40_000 {
 		t.Fatalf("unspecified threads = %d, want serial 40000", end)
 	}

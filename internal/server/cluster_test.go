@@ -340,27 +340,39 @@ func TestClusterForwardedCellServedLocally(t *testing.T) {
 // never consulted, and the surrogate answer stays out of the
 // coordinator's LRU.
 func TestClusterSurrogateAnswersOnOwner(t *testing.T) {
-	f := newClusterFleet(t, 2, func(i int, cfg *Config) {
-		cfg.Surrogate = surrogateTestConfig(-1)
-		if i == 1 {
-			cfg.CacheSize = -1 // the owner's LRU must not answer the probe
+	// The ring hashes the replicas' URLs, whose ports are random, and the
+	// twelve trained cells' keys differ only in the thread count, so now
+	// and then replica 0 owns all of them. The check needs replica 1 to
+	// own one: build fleets until it does.
+	var (
+		f     *clusterFleet
+		coord *Server
+		entry *workloadEntry
+		probe *prophet.Request
+	)
+	for attempt := 0; probe == nil; attempt++ {
+		if attempt == 8 {
+			t.Fatal("replica 1 owns none of the trained cells in 8 fleets")
 		}
-	})
-	coord, owner := f.servers[0], f.servers[1]
-	coord.entriesMu.RLock()
-	entry := coord.entries["NPB-EP"]
-	coord.entriesMu.RUnlock()
-	var probe *prophet.Request
-	for threads := 1; threads <= 12; threads++ {
-		r := prophet.Request{Method: prophet.FastForward, Threads: threads}
-		if coord.cluster.Owners(cellKey(entry, r))[0] == f.urls[1] {
-			probe = &r
-			break
+		f = newClusterFleet(t, 2, func(i int, cfg *Config) {
+			cfg.Surrogate = surrogateTestConfig(-1)
+			if i == 1 {
+				cfg.CacheSize = -1 // the owner's LRU must not answer the probe
+			}
+		})
+		coord = f.servers[0]
+		coord.entriesMu.RLock()
+		entry = coord.entries["NPB-EP"]
+		coord.entriesMu.RUnlock()
+		for threads := 1; threads <= 12; threads++ {
+			r := prophet.Request{Method: prophet.FastForward, Threads: threads}
+			if coord.cluster.Owners(cellKey(entry, r))[0] == f.urls[1] {
+				probe = &r
+				break
+			}
 		}
 	}
-	if probe == nil {
-		t.Fatal("replica 1 owns none of the trained cells")
-	}
+	owner := f.servers[1]
 
 	// Train the owner directly: forwarded cells are served where they land.
 	for threads := 1; threads <= 12; threads++ {

@@ -315,7 +315,7 @@ func TestServerSurrogateMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := prophet.ProfileProgram(w.Program, &prophet.Options{
+	prof, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{
 		ThreadCounts:       []int{2, 4},
 		DisableMemoryModel: true,
 		Surrogate:          prophet.NewSurrogate(*cfg),

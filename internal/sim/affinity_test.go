@@ -7,11 +7,10 @@ import (
 )
 
 // TestPinKeepsThreadOnCore: a pinned thread's slices all land on its core
-// (verified through the trace recorder).
+// (verified through the traced KSlice events).
 func TestPinKeepsThreadOnCore(t *testing.T) {
-	rec := &Recorder{}
 	var pinnedID int
-	RunTraced(cfg(4), rec, func(th *Thread) {
+	_, _, evs := slices(t, cfg(4), func(th *Thread) {
 		w := th.Spawn(func(w *Thread) {
 			pinnedID = w.ID()
 			w.Pin(2)
@@ -31,7 +30,7 @@ func TestPinKeepsThreadOnCore(t *testing.T) {
 		}
 	})
 	sawPinned := false
-	for _, iv := range rec.Intervals {
+	for _, iv := range evs {
 		if iv.Thread != pinnedID {
 			continue
 		}
@@ -51,7 +50,7 @@ func TestPinKeepsThreadOnCore(t *testing.T) {
 
 // TestTwoThreadsPinnedToSameCoreSerialize: affinity turns parallelism off.
 func TestTwoThreadsPinnedToSameCoreSerialize(t *testing.T) {
-	end, _ := Run(cfg(4), func(th *Thread) {
+	end, _ := mustRun(t, cfg(4), func(th *Thread) {
 		mk := func() *Thread {
 			return th.Spawn(func(w *Thread) {
 				w.Pin(1)
@@ -74,7 +73,7 @@ func TestPinnedThreadWaitsForItsCore(t *testing.T) {
 	c := cfg(2)
 	c.Quantum = 1_000_000 // no preemption: the hog keeps core 0
 	var freeDone, pinnedDone clock.Cycles
-	Run(c, func(th *Thread) {
+	mustRun(t, c, func(th *Thread) {
 		th.Pin(0)
 		th.Yield() // main now owns core 0
 		hogEnd := clock.Cycles(300_000)
@@ -103,7 +102,7 @@ func TestPinnedThreadWaitsForItsCore(t *testing.T) {
 // TestPinClamping: out-of-range pins clamp instead of wedging the
 // scheduler.
 func TestPinClamping(t *testing.T) {
-	Run(cfg(2), func(th *Thread) {
+	mustRun(t, cfg(2), func(th *Thread) {
 		th.Pin(99)
 		if th.Pinned() != 1 {
 			t.Errorf("Pin(99) -> %d, want clamp to 1", th.Pinned())

@@ -23,7 +23,7 @@ import (
 func TestSimStepZeroAlloc(t *testing.T) {
 	cfg := Config{Cores: 4, Quantum: 10_000, ContextSwitch: -1}
 	run := func(steps int) {
-		_, _, err := RunOpt(cfg, RunOpts{}, func(m *Thread) {
+		_, _, err := Run(context.Background(), cfg, RunOpts{}, func(m *Thread) {
 			ws := make([]*Thread, 0, 8)
 			for k := 0; k < 8; k++ {
 				ws = append(ws, m.Spawn(func(w *Thread) {
@@ -75,7 +75,7 @@ func TestSimSpecStepZeroAlloc(t *testing.T) {
 	}
 	cfg := Config{Spec: spec}
 	run := func(steps int) {
-		_, _, err := RunOpt(cfg, RunOpts{}, func(m *Thread) {
+		_, _, err := Run(context.Background(), cfg, RunOpts{}, func(m *Thread) {
 			ws := make([]*Thread, 0, 8)
 			for k := 0; k < 8; k++ {
 				ws = append(ws, m.Spawn(func(w *Thread) {
@@ -114,7 +114,7 @@ func spawnWork(w *Thread) { w.Work(1_000) }
 func TestSimSpawnAllocsBoundedByLiveThreads(t *testing.T) {
 	cfg := Config{Cores: 2, Quantum: 10_000, ContextSwitch: -1}
 	run := func(spawns int) {
-		_, _, err := RunOpt(cfg, RunOpts{}, func(m *Thread) {
+		_, _, err := Run(context.Background(), cfg, RunOpts{}, func(m *Thread) {
 			for k := 0; k < spawns; k++ {
 				m.Join(m.Spawn(spawnWork))
 			}
@@ -137,7 +137,7 @@ func TestSimSpawnAllocsBoundedByLiveThreads(t *testing.T) {
 // recycled coroutine reports a panic exactly like a thread on a fresh one.
 func TestRecycledCoroutinePanicIsInternalError(t *testing.T) {
 	reused := false
-	_, _, err := RunOpt(cfg(2), RunOpts{}, func(m *Thread) {
+	_, _, err := Run(context.Background(), cfg(2), RunOpts{}, func(m *Thread) {
 		a := m.Spawn(spawnWork)
 		co := a.co
 		m.Join(a)
@@ -163,7 +163,7 @@ func TestRecycledCoroutinePanicIsInternalError(t *testing.T) {
 func TestRecycledCoroutinesCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, _, err := RunOpt(cfg(2), RunOpts{Ctx: ctx}, func(m *Thread) {
+	_, _, err := Run(ctx, cfg(2), RunOpts{}, func(m *Thread) {
 		for k := 0; k < 1<<20; k++ {
 			if k == 64 {
 				cancel()

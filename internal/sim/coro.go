@@ -13,7 +13,7 @@ import "iter"
 // Coroutines are recycled within a run: when a thread exits, its
 // coroutine (grown stack included) parks on the machine's idle list and
 // the next Spawn runs its thread on it. Nothing crosses runs: stopCoros
-// stops every coroutine of the run before RunOpt returns.
+// stops every coroutine of the run before Run returns.
 type coro struct {
 	m *Machine
 	// t and fn are the thread the coroutine currently runs and its body;

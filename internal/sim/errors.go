@@ -10,7 +10,7 @@ import (
 )
 
 // Sentinel errors of the simulated machine. Structured errors returned by
-// RunCtx/RunOpt unwrap to one of these, so callers classify failures with
+// Run unwrap to one of these, so callers classify failures with
 // errors.Is without depending on the concrete diagnostic types.
 var (
 	// ErrDeadlock is wrapped by *DeadlockError: every live thread is

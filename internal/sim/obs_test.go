@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"prophet/internal/obs"
@@ -24,42 +25,12 @@ func lockProgram(th *Thread) {
 	}
 }
 
-// TestTracerMatchesRecorder pins the tracer's KSlice stream to the legacy
-// Recorder: both observe the same run, so the slice intervals must agree
-// exactly (the tracer is a superset — it additionally sees scheduling and
-// lock events).
-func TestTracerMatchesRecorder(t *testing.T) {
-	rec := &Recorder{}
-	buf := &obs.TraceBuffer{}
-	_, _, err := RunOpt(cfg(2), RunOpts{Recorder: rec, Tracer: buf}, lockProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var slices []Interval
-	for _, ev := range buf.Events() {
-		if ev.Kind == obs.KSlice {
-			slices = append(slices, Interval{Core: ev.Core, Thread: ev.Thread, Start: ev.Time, End: ev.End})
-		}
-	}
-	if len(slices) == 0 || len(rec.Intervals) == 0 {
-		t.Fatalf("no slices captured (tracer %d, recorder %d)", len(slices), len(rec.Intervals))
-	}
-	if len(slices) != len(rec.Intervals) {
-		t.Fatalf("tracer saw %d slices, recorder %d", len(slices), len(rec.Intervals))
-	}
-	for i := range slices {
-		if slices[i] != rec.Intervals[i] {
-			t.Errorf("slice %d: tracer %+v != recorder %+v", i, slices[i], rec.Intervals[i])
-		}
-	}
-}
-
 // TestTracerEventInvariants checks the stream's structural invariants:
 // lock events carry lock ids, instants have no End, slices have
 // End > Time, and every schedule lands on a valid core.
 func TestTracerEventInvariants(t *testing.T) {
 	buf := &obs.TraceBuffer{}
-	_, _, err := RunOpt(cfg(2), RunOpts{Tracer: buf}, lockProgram)
+	_, _, err := Run(context.Background(), cfg(2), RunOpts{Tracer: buf}, lockProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +74,7 @@ func TestRunMetrics(t *testing.T) {
 	reg := &obs.Registry{}
 	c := cfg(2)
 	c.MaxEvents = 1_000_000
-	_, st, err := RunOpt(c, RunOpts{Metrics: reg}, lockProgram)
+	_, st, err := Run(context.Background(), c, RunOpts{Metrics: reg}, lockProgram)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,18 +30,6 @@ type FaultHooks struct {
 
 // RunOpts bundles the optional knobs of a machine run.
 type RunOpts struct {
-	// Ctx cancels the run: the engine polls it and fails with an error
-	// wrapping ctx.Err(). Nil means context.Background().
-	Ctx context.Context
-	// Recorder captures executed work slices for timeline rendering.
-	//
-	// Deprecated: Recorder only sees work slices and cannot report
-	// errors to render-time consumers. New code should attach a Tracer
-	// (e.g. an *obs.TraceBuffer), which receives the full event stream —
-	// schedule, preempt, block/unblock, lock and slice events — and
-	// exports Chrome trace JSON. Recorder remains supported for the
-	// text-Gantt path.
-	Recorder *Recorder
 	// Tracer receives execution events (schedule/preempt/block/unblock/
 	// lock/slice) with virtual timestamps; nil disables tracing at the
 	// cost of one branch per site (see internal/obs).
@@ -54,18 +42,16 @@ type RunOpts struct {
 	Faults *FaultHooks
 }
 
-// RunOpt executes main as thread 0 with the given options and returns the
-// makespan, run stats, and a typed error on failure: *DeadlockError,
+// Run executes main as thread 0 of a machine with the given configuration
+// and options, and returns the makespan (the time the last thread
+// exited), run stats, and a typed error on failure: *DeadlockError,
 // *LockMisuseError, *BudgetError, *InternalError (a recovered thread
-// panic), or a cancellation error wrapping ctx.Err(). On failure every
-// thread is unwound before RunOpt returns — a failed run leaks nothing,
-// whatever state the workload was in.
-func RunOpt(cfg Config, o RunOpts, main func(*Thread)) (clock.Cycles, Stats, error) {
+// panic), or a cancellation error wrapping ctx.Err() — the engine polls
+// ctx. On failure every thread is unwound before Run returns — a failed
+// run leaks nothing, whatever state the workload was in.
+func Run(ctx context.Context, cfg Config, o RunOpts, main func(*Thread)) (clock.Cycles, Stats, error) {
 	m := getMachine(cfg)
-	if o.Ctx != nil {
-		m.ctx = o.Ctx
-	}
-	m.recorder = o.Recorder
+	m.ctx = ctx
 	m.tracer = o.Tracer
 	m.metrics = o.Metrics
 	if o.Faults != nil {
@@ -81,7 +67,7 @@ func RunOpt(cfg Config, o RunOpts, main func(*Thread)) (clock.Cycles, Stats, err
 	return end, stats, err
 }
 
-// machinePool recycles machines between RunOpt calls: the event heap, core
+// machinePool recycles machines between Run calls: the event heap, core
 // and ready arrays, lock states and thread slots all reach a steady state
 // where a sweep cell's runs allocate almost nothing beyond one coroutine
 // per peak-live thread. Coroutines themselves never enter the pool: a run
@@ -103,16 +89,10 @@ func getMachine(cfg Config) *Machine {
 // pool. Safe because run() stops every coroutine of the run first.
 func releaseMachine(m *Machine) {
 	m.ctx = context.Background()
-	m.recorder = nil
 	m.tracer = nil
 	m.metrics = nil
 	m.faults = nil
 	m.err = nil
 	m.dram.SetBandwidthHook(nil)
 	machinePool.Put(m)
-}
-
-// RunCtx is RunOpt with only a cancellation context.
-func RunCtx(ctx context.Context, cfg Config, main func(*Thread)) (clock.Cycles, Stats, error) {
-	return RunOpt(cfg, RunOpts{Ctx: ctx}, main)
 }

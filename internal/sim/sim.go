@@ -342,8 +342,6 @@ type Machine struct {
 	err error
 	// faults, when set, perturbs scheduling (see FaultHooks in run.go).
 	faults *FaultHooks
-	// recorder, when set, captures executed work slices (see trace.go).
-	recorder *Recorder
 	// tracer, when set, receives schedule/preempt/block/unblock/lock and
 	// work-slice events with virtual timestamps (internal/obs). Nil (the
 	// default) costs one predictable branch per emission site.
@@ -443,22 +441,8 @@ func (m *Machine) reset(cfg Config) {
 	m.demandOK = false
 	m.err = nil
 	m.faults = nil
-	m.recorder = nil
 	m.tracer = nil
 	m.metrics = nil
-}
-
-// Run executes main as thread 0 of a machine with the given configuration
-// and returns the makespan (the time the last thread exited) and run stats.
-// Run panics on any simulation error (deadlock, lock misuse, thread
-// panic), which indicates a bug in the runtime layer under test — library
-// code that must survive buggy workloads uses RunCtx/RunOpt instead.
-func Run(cfg Config, main func(*Thread)) (clock.Cycles, Stats) {
-	end, stats, err := RunOpt(cfg, RunOpts{}, main)
-	if err != nil {
-		panic(err)
-	}
-	return end, stats
 }
 
 // fail records the first error; later failures are dropped.
@@ -824,9 +808,6 @@ func (m *Machine) sliceEnd(i int) *Thread {
 	work := t.sliceWork
 	t.sliceWork = 0
 	m.stats.BusyCycles += work
-	if m.recorder != nil {
-		m.recorder.record(i, t.id, m.now-work, m.now)
-	}
 	if m.tracer != nil && work > 0 {
 		m.tracer.Exec(obs.ExecEvent{Kind: obs.KSlice, Time: m.now - work, End: m.now, Core: i, Thread: t.id, Lock: -1})
 	}

@@ -13,7 +13,7 @@ import (
 func TestWorkMemSplitsAcrossQuanta(t *testing.T) {
 	c := cfg(1)
 	c.Quantum = 1_000 // tiny quantum: many chunks
-	end, st := Run(c, func(th *Thread) {
+	end, st := mustRun(t, c, func(th *Thread) {
 		th.WorkMem(10_000, 500)
 	})
 	want := clock.Cycles(10_000 + 500*40)
@@ -31,7 +31,7 @@ func TestWorkMemSplitsAcrossQuanta(t *testing.T) {
 // time-sharing the core doesn't change the streamer's total memory time.
 func TestPreemptedMemWorkReleasesBandwidth(t *testing.T) {
 	c := cfg(1)
-	end, _ := Run(c, func(th *Thread) {
+	end, _ := mustRun(t, c, func(th *Thread) {
 		w := th.Spawn(func(w *Thread) { w.WorkMem(0, 5_000) }) // 200k cycles of misses
 		th.Work(100_000)
 		th.Join(w)
@@ -45,7 +45,7 @@ func TestPreemptedMemWorkReleasesBandwidth(t *testing.T) {
 // TestLockChain: a chain of threads each holding two locks in order must
 // serialize correctly without deadlock (same acquisition order).
 func TestLockChain(t *testing.T) {
-	end, _ := Run(cfg(4), func(th *Thread) {
+	end, _ := mustRun(t, cfg(4), func(th *Thread) {
 		var ws []*Thread
 		for i := 0; i < 4; i++ {
 			ws = append(ws, th.Spawn(func(w *Thread) {
@@ -69,7 +69,7 @@ func TestLockChain(t *testing.T) {
 
 // TestStatsFields: busy cycles and events are populated and consistent.
 func TestStatsFields(t *testing.T) {
-	_, st := Run(cfg(2), func(th *Thread) {
+	_, st := mustRun(t, cfg(2), func(th *Thread) {
 		w := th.Spawn(func(w *Thread) { w.Work(30_000) })
 		th.Work(30_000)
 		th.Join(w)
@@ -86,7 +86,7 @@ func TestStatsFields(t *testing.T) {
 func TestQuantumRefreshWithoutWaiters(t *testing.T) {
 	c := cfg(1)
 	c.Quantum = 100
-	_, st := Run(c, func(th *Thread) { th.Work(1_000_000) })
+	_, st := mustRun(t, c, func(th *Thread) { th.Work(1_000_000) })
 	if st.Preemptions != 0 {
 		t.Fatalf("lone thread preempted %d times", st.Preemptions)
 	}
@@ -105,7 +105,7 @@ func TestMakespanBoundsProperty(t *testing.T) {
 			lens[i] = clock.Cycles(1_000 * (1 + rng.Intn(50)))
 			total += lens[i]
 		}
-		end, st := Run(cfg(cores), func(th *Thread) {
+		end, st := mustRun(t, cfg(cores), func(th *Thread) {
 			var ws []*Thread
 			for _, l := range lens {
 				l := l
@@ -131,7 +131,7 @@ func TestMakespanBoundsProperty(t *testing.T) {
 // TestJoinMultipleWaiters: several threads joining the same target all
 // wake.
 func TestJoinMultipleWaiters(t *testing.T) {
-	end, _ := Run(cfg(4), func(th *Thread) {
+	end, _ := mustRun(t, cfg(4), func(th *Thread) {
 		target := th.Spawn(func(w *Thread) { w.Work(50_000) })
 		var ws []*Thread
 		for i := 0; i < 3; i++ {
@@ -152,7 +152,7 @@ func TestJoinMultipleWaiters(t *testing.T) {
 
 // TestYieldNoReadyIsNoop: yielding with an empty ready queue keeps running.
 func TestYieldNoReadyIsNoop(t *testing.T) {
-	end, _ := Run(cfg(2), func(th *Thread) {
+	end, _ := mustRun(t, cfg(2), func(th *Thread) {
 		th.Yield()
 		th.Work(100)
 	})
@@ -164,7 +164,7 @@ func TestYieldNoReadyIsNoop(t *testing.T) {
 // TestManyLocksIndependent: different lock ids never interfere. (9 cores:
 // 8 workers plus the spawning main thread, so nobody time-slices.)
 func TestManyLocksIndependent(t *testing.T) {
-	end, _ := Run(cfg(9), func(th *Thread) {
+	end, _ := mustRun(t, cfg(9), func(th *Thread) {
 		var ws []*Thread
 		for i := 0; i < 8; i++ {
 			id := i
@@ -197,7 +197,7 @@ func TestNormalizedConfig(t *testing.T) {
 
 // TestSleepReleasesCore: a sleeping thread frees its core for others.
 func TestSleepReleasesCore(t *testing.T) {
-	end, st := Run(cfg(1), func(th *Thread) {
+	end, st := mustRun(t, cfg(1), func(th *Thread) {
 		w := th.Spawn(func(w *Thread) { w.Work(50_000) })
 		th.Sleep(50_000) // core 0 free for w while main sleeps
 		th.Join(w)
@@ -212,7 +212,7 @@ func TestSleepReleasesCore(t *testing.T) {
 
 // TestSleepZeroNoop and ordering with events.
 func TestSleepZeroNoop(t *testing.T) {
-	end, _ := Run(cfg(1), func(th *Thread) {
+	end, _ := mustRun(t, cfg(1), func(th *Thread) {
 		th.Sleep(0)
 		th.Sleep(-10)
 		th.Work(100)
@@ -227,7 +227,7 @@ func TestSleepZeroNoop(t *testing.T) {
 // deadlines.
 func TestManySleepersWakeInOrder(t *testing.T) {
 	var wakes []clock.Cycles
-	Run(cfg(2), func(th *Thread) {
+	mustRun(t, cfg(2), func(th *Thread) {
 		var ws []*Thread
 		for i := 3; i >= 1; i-- {
 			d := clock.Cycles(i * 10_000)

@@ -18,8 +18,18 @@ func cfg(cores int) Config {
 	return Config{Cores: cores, Quantum: 10_000, ContextSwitch: -1, DRAM: mem.DefaultDRAM()}
 }
 
+// mustRun is Run without options, failing the test on a simulation error.
+func mustRun(t testing.TB, c Config, main func(*Thread)) (clock.Cycles, Stats) {
+	t.Helper()
+	end, st, err := Run(context.Background(), c, RunOpts{}, main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return end, st
+}
+
 func TestSingleThreadWork(t *testing.T) {
-	end, st := Run(cfg(1), func(th *Thread) {
+	end, st := mustRun(t, cfg(1), func(th *Thread) {
 		th.Work(123_456)
 	})
 	if end != 123_456 {
@@ -31,7 +41,7 @@ func TestSingleThreadWork(t *testing.T) {
 }
 
 func TestWorkZeroIsNoop(t *testing.T) {
-	end, _ := Run(cfg(1), func(th *Thread) {
+	end, _ := mustRun(t, cfg(1), func(th *Thread) {
 		th.Work(0)
 		th.Work(-5)
 		th.WorkMem(0, 0)
@@ -42,7 +52,7 @@ func TestWorkZeroIsNoop(t *testing.T) {
 }
 
 func TestTwoThreadsTwoCoresParallel(t *testing.T) {
-	end, _ := Run(cfg(2), func(th *Thread) {
+	end, _ := mustRun(t, cfg(2), func(th *Thread) {
 		w := th.Spawn(func(w *Thread) { w.Work(80_000) })
 		th.Work(50_000)
 		th.Join(w)
@@ -53,7 +63,7 @@ func TestTwoThreadsTwoCoresParallel(t *testing.T) {
 }
 
 func TestOversubscriptionSerializes(t *testing.T) {
-	end, st := Run(cfg(1), func(th *Thread) {
+	end, st := mustRun(t, cfg(1), func(th *Thread) {
 		w := th.Spawn(func(w *Thread) { w.Work(60_000) })
 		th.Work(60_000)
 		th.Join(w)
@@ -71,7 +81,7 @@ func TestPreemptionInterleavesFairly(t *testing.T) {
 	// finish must finish near 190k (fair slicing), not at 100k (FIFO
 	// run-to-completion).
 	var firstDone clock.Cycles
-	Run(cfg(1), func(th *Thread) {
+	mustRun(t, cfg(1), func(th *Thread) {
 		w := th.Spawn(func(w *Thread) {
 			w.Work(100_000)
 			if firstDone == 0 {
@@ -90,7 +100,7 @@ func TestPreemptionInterleavesFairly(t *testing.T) {
 }
 
 func TestNowAdvancesAcrossWork(t *testing.T) {
-	Run(cfg(1), func(th *Thread) {
+	mustRun(t, cfg(1), func(th *Thread) {
 		if th.Now() != 0 {
 			t.Errorf("initial Now = %d", th.Now())
 		}
@@ -105,7 +115,7 @@ func TestLockMutualExclusionAndFIFO(t *testing.T) {
 	// Three threads on three cores contend for one lock; critical
 	// sections must serialize, and waiters acquire in arrival order.
 	var order []int
-	end, _ := Run(cfg(3), func(th *Thread) {
+	end, _ := mustRun(t, cfg(3), func(th *Thread) {
 		mk := func(id int, arrive clock.Cycles) func(*Thread) {
 			return func(w *Thread) {
 				w.Work(arrive)
@@ -132,7 +142,7 @@ func TestLockMutualExclusionAndFIFO(t *testing.T) {
 }
 
 func TestUnlockNotOwnerReturnsTypedError(t *testing.T) {
-	_, _, err := RunCtx(context.Background(), cfg(1), func(th *Thread) {
+	_, _, err := Run(context.Background(), cfg(1), RunOpts{}, func(th *Thread) {
 		th.Unlock(7)
 	})
 	if !errors.Is(err, ErrLockMisuse) {
@@ -151,7 +161,7 @@ func TestUnlockNotOwnerReturnsTypedError(t *testing.T) {
 }
 
 func TestDoubleUnlockReturnsTypedError(t *testing.T) {
-	_, _, err := RunCtx(context.Background(), cfg(1), func(th *Thread) {
+	_, _, err := Run(context.Background(), cfg(1), RunOpts{}, func(th *Thread) {
 		th.Lock(3)
 		th.Unlock(3)
 		th.Unlock(3) // double unlock: typed error, not a crash
@@ -161,21 +171,8 @@ func TestDoubleUnlockReturnsTypedError(t *testing.T) {
 	}
 }
 
-// RunLegacyPanicsOnError: the convenience Run keeps its panic contract for
-// runtime-layer tests; library paths use RunCtx/RunOpt.
-func TestRunLegacyPanicsOnError(t *testing.T) {
-	defer func() {
-		r := recover()
-		err, ok := r.(error)
-		if !ok || !errors.Is(err, ErrLockMisuse) {
-			t.Fatalf("expected panic with ErrLockMisuse, got %v", r)
-		}
-	}()
-	Run(cfg(1), func(th *Thread) { th.Unlock(7) })
-}
-
 func TestJoinAlreadyExited(t *testing.T) {
-	end, _ := Run(cfg(2), func(th *Thread) {
+	end, _ := mustRun(t, cfg(2), func(th *Thread) {
 		w := th.Spawn(func(w *Thread) { w.Work(10) })
 		th.Work(50_000) // ensure w is long gone
 		th.Join(w)      // must not block forever
@@ -187,7 +184,7 @@ func TestJoinAlreadyExited(t *testing.T) {
 
 func TestParkUnparkToken(t *testing.T) {
 	// Unpark before Park banks a token; Park then returns immediately.
-	end, _ := Run(cfg(2), func(th *Thread) {
+	end, _ := mustRun(t, cfg(2), func(th *Thread) {
 		var w *Thread
 		w = th.Spawn(func(w2 *Thread) {
 			w2.Work(10_000)
@@ -202,7 +199,7 @@ func TestParkUnparkToken(t *testing.T) {
 }
 
 func TestParkBlocksUntilUnpark(t *testing.T) {
-	end, _ := Run(cfg(2), func(th *Thread) {
+	end, _ := mustRun(t, cfg(2), func(th *Thread) {
 		w := th.Spawn(func(w *Thread) {
 			w.Park()
 			w.Work(1_000)
@@ -223,7 +220,7 @@ func TestDeadlockReturnsTypedError(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	start := time.Now()
-	_, _, err := RunCtx(ctx, cfg(2), func(th *Thread) {
+	_, _, err := Run(ctx, cfg(2), RunOpts{}, func(th *Thread) {
 		a := th.Spawn(func(w *Thread) {
 			w.Lock(1)
 			w.Work(10_000)
@@ -264,7 +261,7 @@ func TestDeadlockReturnsTypedError(t *testing.T) {
 }
 
 func TestParkedForeverIsDeadlock(t *testing.T) {
-	_, _, err := RunCtx(context.Background(), cfg(1), func(th *Thread) {
+	_, _, err := Run(context.Background(), cfg(1), RunOpts{}, func(th *Thread) {
 		th.Park() // nobody will unpark
 	})
 	if !errors.Is(err, ErrDeadlock) {
@@ -279,7 +276,7 @@ func TestParkedForeverIsDeadlock(t *testing.T) {
 func TestMaxEventsBudgetExceeded(t *testing.T) {
 	c := cfg(1)
 	c.MaxEvents = 1_000
-	_, _, err := RunCtx(context.Background(), c, func(th *Thread) {
+	_, _, err := Run(context.Background(), c, RunOpts{}, func(th *Thread) {
 		for { // runaway loop: never exits on its own
 			th.Work(1)
 		}
@@ -296,7 +293,7 @@ func TestMaxEventsBudgetExceeded(t *testing.T) {
 func TestMaxVirtualTimeBudgetExceeded(t *testing.T) {
 	c := cfg(1)
 	c.MaxVirtualTime = 50_000
-	_, _, err := RunCtx(context.Background(), c, func(th *Thread) {
+	_, _, err := Run(context.Background(), c, RunOpts{}, func(th *Thread) {
 		for {
 			th.Work(30_000)
 		}
@@ -309,7 +306,7 @@ func TestMaxVirtualTimeBudgetExceeded(t *testing.T) {
 func TestContextCancellationStopsRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already canceled: the engine must notice at its next poll
-	_, _, err := RunCtx(ctx, cfg(2), func(th *Thread) {
+	_, _, err := Run(ctx, cfg(2), RunOpts{}, func(th *Thread) {
 		for {
 			th.Work(1)
 		}
@@ -320,7 +317,7 @@ func TestContextCancellationStopsRun(t *testing.T) {
 }
 
 func TestThreadPanicBecomesInternalError(t *testing.T) {
-	_, _, err := RunCtx(context.Background(), cfg(2), func(th *Thread) {
+	_, _, err := Run(context.Background(), cfg(2), RunOpts{}, func(th *Thread) {
 		w := th.Spawn(func(w *Thread) {
 			w.Work(100)
 			panic("workload bug")
@@ -344,7 +341,7 @@ func TestErrorRunLeaksNoGoroutines(t *testing.T) {
 	// (the previous test's runner finishing) may exit in the meantime.
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
-		_, _, err := RunCtx(context.Background(), cfg(2), func(th *Thread) {
+		_, _, err := Run(context.Background(), cfg(2), RunOpts{}, func(th *Thread) {
 			var ws []*Thread
 			for j := 0; j < 8; j++ {
 				ws = append(ws, th.Spawn(func(w *Thread) {
@@ -377,7 +374,7 @@ func TestRunYieldsToWaitingGoroutines(t *testing.T) {
 	go close(ran)
 	steps := 4 * yieldEvery
 	var midRun bool
-	_, _, err := RunCtx(context.Background(), Config{Cores: 1, Quantum: 1_000, ContextSwitch: -1}, func(th *Thread) {
+	_, _, err := Run(context.Background(), Config{Cores: 1, Quantum: 1_000, ContextSwitch: -1}, RunOpts{}, func(th *Thread) {
 		w := th.Spawn(func(w *Thread) {
 			for i := 0; i < steps; i++ {
 				w.Work(1_000)
@@ -412,8 +409,8 @@ func TestQuantumFaultHookJittersSlices(t *testing.T) {
 	hook := &FaultHooks{Quantum: func(core int, q clock.Cycles) clock.Cycles {
 		return q - q/4
 	}}
-	e1, s1, err1 := RunOpt(cfg(1), RunOpts{Faults: hook}, prog)
-	e2, s2, err2 := RunOpt(cfg(1), RunOpts{Faults: hook}, prog)
+	e1, s1, err1 := Run(context.Background(), cfg(1), RunOpts{Faults: hook}, prog)
+	e2, s2, err2 := Run(context.Background(), cfg(1), RunOpts{Faults: hook}, prog)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("jittered runs failed: %v / %v", err1, err2)
 	}
@@ -429,7 +426,7 @@ func TestYield(t *testing.T) {
 	// A yielding thread lets the other make progress without waiting for
 	// quantum expiry.
 	var woke bool
-	Run(cfg(1), func(th *Thread) {
+	mustRun(t, cfg(1), func(th *Thread) {
 		w := th.Spawn(func(w *Thread) { woke = true; w.Work(10) })
 		th.Yield() // w runs first now
 		if !woke {
@@ -442,7 +439,7 @@ func TestYield(t *testing.T) {
 func TestWorkMemUnloadedLatency(t *testing.T) {
 	c := cfg(1)
 	// 1000 instruction-cycles + 10 misses at ω0=40 => 1400 cycles.
-	end, st := Run(c, func(th *Thread) {
+	end, st := mustRun(t, c, func(th *Thread) {
 		th.WorkMem(1000, 10)
 	})
 	if end != 1400 {
@@ -458,7 +455,7 @@ func TestDRAMContentionStretchesMemoryTime(t *testing.T) {
 	// With B = 8 B/cyc, 2 threads fit (stretch 1) but 8 threads demand
 	// 12.8 B/cyc and must stretch by ~1.6x.
 	run := func(k int) clock.Cycles {
-		end, _ := Run(cfg(12), func(th *Thread) {
+		end, _ := mustRun(t, cfg(12), func(th *Thread) {
 			var ws []*Thread
 			for i := 0; i < k; i++ {
 				ws = append(ws, th.Spawn(func(w *Thread) {
@@ -503,8 +500,8 @@ func TestDeterminism(t *testing.T) {
 			th.Join(w)
 		}
 	}
-	e1, s1 := Run(cfg(3), prog)
-	e2, s2 := Run(cfg(3), prog)
+	e1, s1 := mustRun(t, cfg(3), prog)
+	e2, s2 := mustRun(t, cfg(3), prog)
 	if e1 != e2 || s1 != s2 {
 		t.Fatalf("nondeterministic run: %d/%+v vs %d/%+v", e1, s1, e2, s2)
 	}
@@ -512,7 +509,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestContextSwitchCost(t *testing.T) {
 	c := Config{Cores: 1, Quantum: 10_000, ContextSwitch: 500}
-	end, _ := Run(c, func(th *Thread) {
+	end, _ := mustRun(t, c, func(th *Thread) {
 		w := th.Spawn(func(w *Thread) { w.Work(10_000) })
 		th.Work(10_000)
 		th.Join(w)
@@ -542,7 +539,7 @@ func TestManyThreadsManyCores(t *testing.T) {
 	// busy cycles are conserved (total work == sum of Work requests).
 	const n = 64
 	var total clock.Cycles
-	end, st := Run(cfg(12), func(th *Thread) {
+	end, st := mustRun(t, cfg(12), func(th *Thread) {
 		var ws []*Thread
 		for i := 0; i < n; i++ {
 			w := clock.Cycles(1_000 * (i%9 + 1))

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"prophet/internal/clock"
@@ -56,11 +57,11 @@ func TestSpecVsFlatConfigIdentity(t *testing.T) {
 	flat := Config{} // all defaults: the historical paper machine
 	spec := Config{Spec: machine.Default()}
 
-	fe, fs, err := RunOpt(flat, RunOpts{}, memWorkload(16))
+	fe, fs, err := Run(context.Background(), flat, RunOpts{}, memWorkload(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, ss, err := RunOpt(spec, RunOpts{}, memWorkload(16))
+	se, ss, err := Run(context.Background(), spec, RunOpts{}, memWorkload(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestAsymmetricCoreSpeeds(t *testing.T) {
 	// so the spawned worker lands on core 1 (the 0.5x core). 100k of
 	// work takes 50k cycles at speed 2 and 200k at speed 0.5.
 	var fastEnd, slowEnd clock.Cycles
-	end, _, err := RunOpt(Config{Spec: s}, RunOpts{}, func(m *Thread) {
+	end, _, err := Run(context.Background(), Config{Spec: s}, RunOpts{}, func(m *Thread) {
 		slow := m.Spawn(func(w *Thread) { w.Work(100_000); slowEnd = w.Now() })
 		m.Work(100_000)
 		fastEnd = m.Now()
@@ -144,7 +145,7 @@ func TestAsymmetricDeterminism(t *testing.T) {
 	var ends []clock.Cycles
 	var stats []Stats
 	for i := 0; i < 3; i++ {
-		e, st, err := RunOpt(Config{Spec: s}, RunOpts{}, memWorkload(8))
+		e, st, err := Run(context.Background(), Config{Spec: s}, RunOpts{}, memWorkload(8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestSecondDomainIsolatesBandwidth(t *testing.T) {
 	run := func(dram machine.DRAMSpec) clock.Cycles {
 		s := specFor(t, "t-numa", []machine.CoreGroup{{Count: 4, Speed: 1}}, dram)
 		s.ContextSwitch = 0
-		end, _, err := RunOpt(Config{Spec: s}, RunOpts{}, func(m *Thread) {
+		end, _, err := Run(context.Background(), Config{Spec: s}, RunOpts{}, func(m *Thread) {
 			var ws []*Thread
 			for k := 0; k < 4; k++ {
 				k := k
@@ -214,20 +215,20 @@ func TestSpecPooledReset(t *testing.T) {
 		[]machine.CoreGroup{{Count: 2, Speed: 1}, {Count: 2, Speed: 0.5}},
 		machine.DRAMSpec{UnloadedLatency: 60, BandwidthBytesPerCycle: 2, Knee: 0.7})
 
-	coldEnd, coldStats, err := RunOpt(Config{Spec: little}, RunOpts{}, memWorkload(8))
+	coldEnd, coldStats, err := Run(context.Background(), Config{Spec: little}, RunOpts{}, memWorkload(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Interleave runs on other machines so the pooled instance is reset
 	// across specs, then repeat the little run on the warmed pool.
 	for i := 0; i < 3; i++ {
-		if _, _, err := RunOpt(Config{Spec: machine.Default()}, RunOpts{}, memWorkload(8)); err != nil {
+		if _, _, err := Run(context.Background(), Config{Spec: machine.Default()}, RunOpts{}, memWorkload(8)); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := RunOpt(Config{Cores: 3, DRAM: mem.DefaultDRAM()}, RunOpts{}, memWorkload(4)); err != nil {
+		if _, _, err := Run(context.Background(), Config{Cores: 3, DRAM: mem.DefaultDRAM()}, RunOpts{}, memWorkload(4)); err != nil {
 			t.Fatal(err)
 		}
-		warmEnd, warmStats, err := RunOpt(Config{Spec: little}, RunOpts{}, memWorkload(8))
+		warmEnd, warmStats, err := Run(context.Background(), Config{Spec: little}, RunOpts{}, memWorkload(8))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -165,8 +165,7 @@ func TestRunCtxFailFastParallelStops(t *testing.T) {
 }
 
 // TestRunCtxErrorWithoutFailFastContinues: without FailFast a cell error
-// stays per-cell — the rest of the sweep runs to completion (the legacy
-// Run contract, preserved under RunCtx).
+// stays per-cell — the rest of the sweep runs to completion.
 func TestRunCtxErrorWithoutFailFastContinues(t *testing.T) {
 	boom := errors.New("boom")
 	out := RunCtx(context.Background(), Engine{Workers: 2}, 30,

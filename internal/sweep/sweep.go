@@ -33,8 +33,8 @@ type Engine struct {
 	// calling goroutine.
 	Workers int
 	// FailFast cancels the rest of the sweep when any cell returns an
-	// error (RunCtx only): in-flight cells drain, cells not yet claimed
-	// are marked Skipped.
+	// error: in-flight cells drain, cells not yet claimed are marked
+	// Skipped.
 	FailFast bool
 	// Metrics, when set, counts per-cell outcomes (obs.MSweepCellsOK /
 	// Failed / Skipped) across every sweep run on this engine.
@@ -113,24 +113,18 @@ func (o *Outcome[T]) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Run evaluates cells 0..n-1 with fn on e's worker pool and returns one
-// Outcome per cell, indexed by cell. Cells are claimed dynamically (an
+// RunCtx evaluates cells 0..n-1 with fn on e's worker pool and returns
+// one Outcome per cell, indexed by cell. Cells are claimed dynamically (an
 // atomic cursor, so imbalanced cells load-balance), but the returned
 // slice is ordered by cell index: merging outcomes front to back yields
 // the same result order as a serial loop, whatever the worker count.
-func Run[T any](e Engine, n int, fn func(i int) (T, error)) []Outcome[T] {
-	return RunCtx(context.Background(), e, n, func(_ context.Context, i int) (T, error) {
-		return fn(i)
-	})
-}
-
-// RunCtx is Run with cancellation: once ctx fires, no new cell starts —
-// in-flight cells drain (fn observes the cancellation through its ctx
-// argument and may return early), and every cell not yet claimed comes
-// back with Skipped set and an Err wrapping the cancellation. Partial
-// results already computed are kept, so a canceled sweep still merges
-// deterministically: every cell is either a real outcome or marked
-// skipped, never silently missing.
+//
+// Once ctx fires, no new cell starts — in-flight cells drain (fn observes
+// the cancellation through its ctx argument and may return early), and
+// every cell not yet claimed comes back with Skipped set and an Err
+// wrapping the cancellation. Partial results already computed are kept,
+// so a canceled sweep still merges deterministically: every cell is
+// either a real outcome or marked skipped, never silently missing.
 //
 // With e.FailFast, the first cell error cancels the rest of the sweep the
 // same way.

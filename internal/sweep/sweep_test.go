@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -12,10 +13,10 @@ func TestRunOrderedResults(t *testing.T) {
 	// The same grid must produce the same indexed results at every pool
 	// size — the determinism contract the harness's byte-identical
 	// output rests on.
-	cell := func(i int) (int, error) { return i*i + 7, nil }
-	want := Run(Engine{Workers: 1}, 100, cell)
+	cell := func(_ context.Context, i int) (int, error) { return i*i + 7, nil }
+	want := RunCtx(context.Background(), Engine{Workers: 1}, 100, cell)
 	for _, workers := range []int{2, 3, 8, 16, 100} {
-		got := Run(Engine{Workers: workers}, 100, cell)
+		got := RunCtx(context.Background(), Engine{Workers: workers}, 100, cell)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d outcomes, want %d", workers, len(got), len(want))
 		}
@@ -28,7 +29,7 @@ func TestRunOrderedResults(t *testing.T) {
 }
 
 func TestRunZeroCells(t *testing.T) {
-	out := Run(Engine{}, 0, func(i int) (int, error) { t.Fatal("cell called"); return 0, nil })
+	out := RunCtx(context.Background(), Engine{}, 0, func(_ context.Context, i int) (int, error) { t.Fatal("cell called"); return 0, nil })
 	if len(out) != 0 {
 		t.Fatalf("outcomes = %d, want 0", len(out))
 	}
@@ -36,7 +37,7 @@ func TestRunZeroCells(t *testing.T) {
 
 func TestRunErrorsStayPerCell(t *testing.T) {
 	boom := errors.New("boom")
-	out := Run(Engine{Workers: 4}, 10, func(i int) (int, error) {
+	out := RunCtx(context.Background(), Engine{Workers: 4}, 10, func(_ context.Context, i int) (int, error) {
 		if i%3 == 0 {
 			return 0, boom
 		}
@@ -57,7 +58,7 @@ func TestRunPanicIsolation(t *testing.T) {
 	// A worker panic becomes that cell's *PanicError; every other cell
 	// completes normally.
 	for _, workers := range []int{1, 4} {
-		out := Run(Engine{Workers: workers}, 20, func(i int) (string, error) {
+		out := RunCtx(context.Background(), Engine{Workers: workers}, 20, func(_ context.Context, i int) (string, error) {
 			if i == 7 {
 				panic("cell exploded")
 			}
@@ -152,7 +153,7 @@ func TestCacheErrorsAndPanicsAreCached(t *testing.T) {
 // the pool and cache as clean under heavy key contention.
 func TestRunCacheRaceStress(t *testing.T) {
 	var c Cache[int, []int]
-	out := Run(Engine{Workers: 8}, 200, func(i int) (int, error) {
+	out := RunCtx(context.Background(), Engine{Workers: 8}, 200, func(_ context.Context, i int) (int, error) {
 		key := i % 9 // heavy sharing across cells
 		v, err := c.Get(key, func() ([]int, error) {
 			s := make([]int, 64)

@@ -98,20 +98,11 @@ func (s *Synthesizer) threads() int {
 	return s.Threads
 }
 
-// PredictTime returns the synthesized-program execution time for the whole
-// program tree: emulated top-level sections plus untouched serial regions
-// (§IV-E's overall formula).
-func (s *Synthesizer) PredictTime(root *tree.Node) clock.Cycles {
-	t, err := s.PredictTimeCtx(context.Background(), root)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// PredictTimeCtx is PredictTime with cancellation and typed errors: the
-// underlying machine runs are cancelable through ctx, and simulation
-// failures (deadlock, budget, internal error) return instead of panicking.
+// PredictTimeCtx returns the synthesized-program execution time for the
+// whole program tree: emulated top-level sections plus untouched serial
+// regions (§IV-E's overall formula). The underlying machine runs are
+// cancelable through ctx, and simulation failures (deadlock, budget,
+// internal error) return as typed errors.
 func (s *Synthesizer) PredictTimeCtx(ctx context.Context, root *tree.Node) (clock.Cycles, error) {
 	total := root.SerialOutsideSections()
 	for _, sec := range root.TopLevelSections() {
@@ -127,17 +118,7 @@ func (s *Synthesizer) PredictTimeCtx(ctx context.Context, root *tree.Node) (cloc
 	return total, nil
 }
 
-// Speedup returns serial time / predicted time. It panics on simulation
-// errors (legacy contract); error-tolerant callers use SpeedupCtx.
-func (s *Synthesizer) Speedup(root *tree.Node) float64 {
-	sp, err := s.SpeedupCtx(context.Background(), root)
-	if err != nil {
-		panic(err)
-	}
-	return sp
-}
-
-// SpeedupCtx is Speedup with cancellation and typed errors.
+// SpeedupCtx returns serial time / predicted time.
 func (s *Synthesizer) SpeedupCtx(ctx context.Context, root *tree.Node) (float64, error) {
 	serial := root.TotalLen()
 	pred, err := s.PredictTimeCtx(ctx, root)
@@ -177,24 +158,15 @@ func (o *overheadMgr) longest() clock.Cycles {
 	return best
 }
 
-// EmulateTopLevelParSec synthesizes and runs one top-level section and
+// emulateTopLevelParSec synthesizes and runs one top-level section and
 // returns its net duration (gross minus the longest traversal overhead).
-// It panics on simulation errors (legacy contract).
-func (s *Synthesizer) EmulateTopLevelParSec(sec *tree.Node) clock.Cycles {
-	d, err := s.emulateTopLevelParSec(context.Background(), sec)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 func (s *Synthesizer) emulateTopLevelParSec(ctx context.Context, sec *tree.Node) (clock.Cycles, error) {
 	burden := 1.0
 	if s.UseBurden {
 		burden = sec.BurdenFor(s.threads())
 	}
 	om := newOverheadMgr()
-	gross, _, err := sim.RunOpt(s.Machine, sim.RunOpts{Ctx: ctx, Tracer: s.Tracer, Metrics: s.Metrics}, func(main *sim.Thread) {
+	gross, _, err := sim.Run(ctx, s.Machine, sim.RunOpts{Tracer: s.Tracer, Metrics: s.Metrics}, func(main *sim.Thread) {
 		if sec.Pipeline {
 			pipesim.Run(main, sec, s.threads(), func(w *sim.Thread, seg *tree.Node) {
 				om.charge(w, s.accessNode())

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,6 +27,26 @@ func newSyn(threads, cores int) *Synthesizer {
 	}
 }
 
+// mustTime is s.PredictTimeCtx, failing the test on an error.
+func mustTime(t *testing.T, s *Synthesizer, root *tree.Node) clock.Cycles {
+	t.Helper()
+	d, err := s.PredictTimeCtx(context.Background(), root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// mustSpeedup is s.SpeedupCtx, failing the test on an error.
+func mustSpeedup(t *testing.T, s *Synthesizer, root *tree.Node) float64 {
+	t.Helper()
+	sp, err := s.SpeedupCtx(context.Background(), root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
 func balancedLoop(nTasks int, l clock.Cycles) *tree.Node {
 	tasks := make([]*tree.Node, nTasks)
 	for i := range tasks {
@@ -39,7 +60,7 @@ func TestBalancedLoopScalesOMP(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 8, 12} {
 		s := newSyn(p, 12)
 		s.Sched = omprt.SchedStatic
-		got := s.Speedup(root)
+		got := mustSpeedup(t, s, root)
 		if got < 0.93*float64(p) || got > float64(p)*1.01 {
 			t.Errorf("p=%d: speedup = %.2f, want ~%d", p, got, p)
 		}
@@ -51,7 +72,7 @@ func TestBalancedLoopScalesCilk(t *testing.T) {
 	for _, p := range []int{1, 4, 8} {
 		s := newSyn(p, 12)
 		s.Paradigm = Cilk
-		got := s.Speedup(root)
+		got := mustSpeedup(t, s, root)
 		if got < 0.90*float64(p) || got > float64(p)*1.01 {
 			t.Errorf("cilk p=%d: speedup = %.2f, want ~%d", p, got, p)
 		}
@@ -82,14 +103,17 @@ func figure7(scale clock.Cycles) *tree.Node {
 func TestFigure7SynthesizerFixesFF(t *testing.T) {
 	root := figure7(20_000) // tasks of 200k/100k cycles, quantum 10k
 
-	ffPred := (&ff.Emulator{Threads: 2, Sched: omprt.SchedStatic1}).Speedup(root)
+	ffPred, err := (&ff.Emulator{Threads: 2, Sched: omprt.SchedStatic1}).SpeedupCtx(context.Background(), root)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(ffPred-1.5) > 1e-9 {
 		t.Fatalf("FF speedup = %g, want exactly 1.5", ffPred)
 	}
 
 	s := newSyn(2, 2)
 	s.Sched = omprt.SchedStatic1
-	got := s.Speedup(root)
+	got := mustSpeedup(t, s, root)
 	if got < 1.8 || got > 2.05 {
 		t.Fatalf("synthesizer speedup = %.3f, want ~2.0 (paper Fig. 7)", got)
 	}
@@ -104,7 +128,7 @@ func TestLockContentionEmulated(t *testing.T) {
 	root := tree.NewRoot(tree.NewSec("s", tasks...))
 	s := newSyn(4, 4)
 	s.Sched = omprt.SchedStatic1
-	got := s.Speedup(root)
+	got := mustSpeedup(t, s, root)
 	if got > 1.1 {
 		t.Fatalf("fully locked loop speedup = %.2f, want ~1", got)
 	}
@@ -121,8 +145,8 @@ func TestImbalanceScheduleSensitivity(t *testing.T) {
 	st.Sched = omprt.SchedStatic
 	dy := newSyn(4, 4)
 	dy.Sched = omprt.SchedDynamic1
-	sStatic := st.Speedup(root)
-	sDyn := dy.Speedup(root)
+	sStatic := mustSpeedup(t, st, root)
+	sDyn := mustSpeedup(t, dy, root)
 	if sDyn <= sStatic {
 		t.Fatalf("dynamic (%.2f) should beat static (%.2f) on triangular work", sDyn, sStatic)
 	}
@@ -137,8 +161,8 @@ func TestBurdenFactorApplied(t *testing.T) {
 	withB := newSyn(4, 4)
 	withB.Sched = omprt.SchedStatic
 	withB.UseBurden = true
-	sp := plain.Speedup(root)
-	sb := withB.Speedup(root)
+	sp := mustSpeedup(t, plain, root)
+	sb := mustSpeedup(t, withB, root)
 	if ratio := sp / sb; math.Abs(ratio-1.5) > 0.1 {
 		t.Fatalf("burden did not scale prediction: plain %.2f vs burdened %.2f", sp, sb)
 	}
@@ -154,7 +178,7 @@ func TestSerialRegionsIncluded(t *testing.T) {
 	)
 	s := newSyn(2, 2)
 	s.Sched = omprt.SchedStatic
-	got := s.Speedup(root)
+	got := mustSpeedup(t, s, root)
 	want := 200_000.0 / 150_000.0
 	if math.Abs(got-want) > 0.05 {
 		t.Fatalf("speedup = %.3f, want ~%.3f (Amdahl with serial part)", got, want)
@@ -173,8 +197,8 @@ func TestTraversalOverheadSubtracted(t *testing.T) {
 	}
 	light := newSyn(4, 4)
 	light.Sched = omprt.SchedStatic
-	sH := heavy.Speedup(root)
-	sL := light.Speedup(root)
+	sH := mustSpeedup(t, heavy, root)
+	sL := mustSpeedup(t, light, root)
 	if sH < 0.7*sL {
 		t.Fatalf("overhead subtraction failed: heavy %.2f vs light %.2f", sH, sL)
 	}
@@ -189,8 +213,8 @@ func TestRepeatCompressedEquivalence(t *testing.T) {
 	a.Sched = omprt.SchedDynamic1
 	b := newSyn(6, 12)
 	b.Sched = omprt.SchedDynamic1
-	sa := a.Speedup(expanded)
-	sb := b.Speedup(compressed)
+	sa := mustSpeedup(t, a, expanded)
+	sb := mustSpeedup(t, b, compressed)
 	if math.Abs(sa-sb)/sa > 0.02 {
 		t.Fatalf("compressed tree emulates differently: %.3f vs %.3f", sa, sb)
 	}
@@ -199,10 +223,10 @@ func TestRepeatCompressedEquivalence(t *testing.T) {
 func TestEmptyTree(t *testing.T) {
 	root := tree.NewRoot()
 	s := newSyn(4, 4)
-	if got := s.PredictTime(root); got != 0 {
+	if got := mustTime(t, s, root); got != 0 {
 		t.Fatalf("empty tree predicted %d", got)
 	}
-	if got := s.Speedup(root); got != 1 {
+	if got := mustSpeedup(t, s, root); got != 1 {
 		t.Fatalf("empty tree speedup %g", got)
 	}
 }
@@ -228,7 +252,7 @@ func TestRecursiveTreeCilk(t *testing.T) {
 	root := tree.NewRoot(tree.NewSec("top", build(4)))
 	s := newSyn(4, 4)
 	s.Paradigm = Cilk
-	got := s.Speedup(root)
+	got := mustSpeedup(t, s, root)
 	if got < 2.4 {
 		t.Fatalf("recursive cilk speedup = %.2f, want >= 2.4", got)
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"testing"
 
 	"prophet/internal/ff"
@@ -69,13 +70,23 @@ func TestInstructionUnitMispredictsMixes(t *testing.T) {
 
 	// Ground truth: schedule(static) on 4 threads over the *real* (cycle)
 	// tree — balanced, speedup ~4.
-	real := realrun.Speedup(rootC, realrun.Config{
+	ctx := context.Background()
+	real, err := realrun.SpeedupCtx(ctx, rootC, realrun.Config{
 		Machine: mc, Threads: 4, Sched: omprt.SchedStatic, OmpOv: &omprt.Overheads{},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	e := &ff.Emulator{Threads: 4, Sched: omprt.SchedStatic}
-	cyclePred := e.Speedup(rootC)
-	instrPred := e.Speedup(rootI)
+	cyclePred, err := e.SpeedupCtx(ctx, rootC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instrPred, err := e.SpeedupCtx(ctx, rootI)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cycleErr := stats.RelErr(cyclePred, real)
 	instrErr := stats.RelErr(instrPred, real)

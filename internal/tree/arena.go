@@ -13,7 +13,7 @@ package tree
 // hand arena-backed trees to anything that retains them beyond the
 // caller's control — e.g. the experiments profile caches — unless the
 // arena itself lives at least as long. The default profiling path
-// (trace.Profile, prophet.ProfileProgram) never uses an arena; it is
+// (trace.Profile, prophet.ProfileProgramCtx) never uses an arena; it is
 // strictly opt-in.
 //
 // An Arena is not safe for concurrent use. A nil *Arena is valid and

@@ -1,6 +1,7 @@
 package prophet
 
 import (
+	"context"
 	"testing"
 )
 
@@ -21,7 +22,7 @@ func ioProgram(nTasks int) Program {
 }
 
 func TestIOWaitProfilesAsWNode(t *testing.T) {
-	p, err := ProfileProgram(ioProgram(4), &Options{
+	p, err := ProfileProgramCtx(context.Background(), ioProgram(4), &Options{
 		Machine: testMachine(2), DisableMemoryModel: true, CompressTolerance: -1,
 	})
 	if err != nil {
@@ -46,24 +47,24 @@ func TestIOWaitProfilesAsWNode(t *testing.T) {
 // exceeds the core count; the synthesizer captures this, the FF
 // (conservatively) does not.
 func TestIOWaitOverlapsOnMachine(t *testing.T) {
-	p, err := ProfileProgram(ioProgram(8), &Options{
+	p, err := ProfileProgramCtx(context.Background(), ioProgram(8), &Options{
 		Machine: testMachine(2), DisableMemoryModel: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	req := Request{Threads: 8, Sched: Static1} // oversubscribe: 8 threads, 2 cores
-	real := p.RealSpeedup(req)
+	real := mustReal(t, p, req)
 	// Compute is 8*40k = 320k on 2 cores => >= 160k; waits overlap, so
 	// the bound is ~960k/160k+waits = up to 5.1 with perfect overlap.
 	if real <= 2.2 {
 		t.Fatalf("real speedup = %.2f; I/O waits did not overlap (core count is 2)", real)
 	}
-	syn := p.Estimate(Request{Method: Synthesizer, Threads: 8, Sched: Static1}).Speedup
+	syn := mustEstimate(t, p, Request{Method: Synthesizer, Threads: 8, Sched: Static1}).Speedup
 	if syn <= 2.2 {
 		t.Fatalf("synthesizer speedup = %.2f; W nodes not overlapped", syn)
 	}
-	ffPred := p.Estimate(Request{Method: FastForward, Threads: 8, Sched: Static1}).Speedup
+	ffPred := mustEstimate(t, p, Request{Method: FastForward, Threads: 8, Sched: Static1}).Speedup
 	// The FF treats waits as compute on abstract workers with no core
 	// limit, so under oversubscription it misses the machine effects in
 	// one direction or the other; it must at least stay sane.
@@ -93,11 +94,11 @@ func TestIOWaitPipelineStage(t *testing.T) {
 		}
 		ctx.PipeEnd()
 	}
-	p, err := ProfileProgram(prog, &Options{Machine: testMachine(4), DisableMemoryModel: true})
+	p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(4), DisableMemoryModel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	real := p.RealSpeedup(Request{Threads: 3, Sched: Static})
+	real := mustReal(t, p, Request{Threads: 3, Sched: Static})
 	if real < 2.0 {
 		t.Fatalf("pipeline with W stage speedup = %.2f", real)
 	}
@@ -105,7 +106,7 @@ func TestIOWaitPipelineStage(t *testing.T) {
 
 func TestIOWaitOutsideTaskFails(t *testing.T) {
 	bad := func(ctx Context) { ctx.IOWait(100) }
-	if _, err := ProfileProgram(bad, nil); err == nil {
+	if _, err := ProfileProgramCtx(context.Background(), bad, nil); err == nil {
 		t.Fatal("IOWait outside a task accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package prophet
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -25,7 +26,7 @@ func memoryHeavyProgram(n int) Program {
 // nothing, naming a preset re-profiles against it and yields a distinct
 // deterministic prediction, and the estimate echoes the requested name.
 func TestEstimateMachineVariants(t *testing.T) {
-	p, err := ProfileProgram(memoryHeavyProgram(24), nil)
+	p, err := ProfileProgramCtx(context.Background(), memoryHeavyProgram(24), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,16 +35,13 @@ func TestEstimateMachineVariants(t *testing.T) {
 	}
 	base := Request{Method: FastForward, Sched: Static, MemoryModel: true, Threads: 8}
 
-	def := p.Estimate(base)
-	if def.Err != nil {
-		t.Fatal(def.Err)
-	}
+	def := mustEstimate(t, p, base)
 
 	// Naming the default machine explicitly is the identity: same
 	// profile, same numbers, name echoed on the wire.
 	named := base
 	named.Machine = DefaultMachineName
-	if got := p.Estimate(named); got.Err != nil || got.Speedup != def.Speedup || got.Time != def.Time {
+	if got := mustEstimate(t, p, named); got.Speedup != def.Speedup || got.Time != def.Time {
 		t.Errorf("explicit %s estimate %+v, want the default-machine result %+v", DefaultMachineName, got, def)
 	}
 
@@ -51,10 +49,7 @@ func TestEstimateMachineVariants(t *testing.T) {
 	for _, name := range []string{"embedded4+4", "hbm12"} {
 		req := base
 		req.Machine = name
-		est := p.Estimate(req)
-		if est.Err != nil {
-			t.Fatalf("%s: %v", name, est.Err)
-		}
+		est := mustEstimate(t, p, req)
 		if est.Machine != name {
 			t.Errorf("%s: estimate carries machine %q", name, est.Machine)
 		}
@@ -63,7 +58,7 @@ func TestEstimateMachineVariants(t *testing.T) {
 		}
 		// The variant cache makes repeats cheap; they must also be
 		// deterministic.
-		if again := p.Estimate(req); again.Speedup != est.Speedup || again.Time != est.Time {
+		if again := mustEstimate(t, p, req); again.Speedup != est.Speedup || again.Time != est.Time {
 			t.Errorf("%s: repeat estimate %+v differs from %+v", name, again, est)
 		}
 		variants[name] = est
@@ -76,16 +71,16 @@ func TestEstimateMachineVariants(t *testing.T) {
 
 	// Thread default follows the variant machine's core count.
 	req := Request{Method: FastForward, Sched: Static, Machine: "embedded4+4"}
-	if est := p.Estimate(req); est.Threads != 8 {
+	if est := mustEstimate(t, p, req); est.Threads != 8 {
 		t.Errorf("embedded4+4 defaulted threads = %d, want 8", est.Threads)
 	}
 
 	// Unknown names surface the typed sentinel.
 	req = base
 	req.Machine = "no-such-machine"
-	est := p.Estimate(req)
-	if !errors.Is(est.Err, ErrUnknownMachine) {
-		t.Errorf("unknown machine error = %v, want ErrUnknownMachine", est.Err)
+	est, err := p.EstimateCtx(context.Background(), req)
+	if !errors.Is(err, ErrUnknownMachine) || !errors.Is(est.Err, ErrUnknownMachine) {
+		t.Errorf("unknown machine error = %v (Err field %v), want ErrUnknownMachine", err, est.Err)
 	}
 }
 
@@ -93,14 +88,14 @@ func TestEstimateMachineVariants(t *testing.T) {
 // variant machine: the asymmetric embedded part must be slower than the
 // default testbed on the same tree.
 func TestMachineVariantGroundTruth(t *testing.T) {
-	p, err := ProfileProgram(memoryHeavyProgram(24), nil)
+	p, err := ProfileProgramCtx(context.Background(), memoryHeavyProgram(24), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req := Request{Threads: 8, Sched: Static}
-	def := p.RealSpeedup(req)
+	def := mustReal(t, p, req)
 	req.Machine = "embedded4+4"
-	emb := p.RealSpeedup(req)
+	emb := mustReal(t, p, req)
 	if def <= 0 || emb <= 0 {
 		t.Fatalf("ground truth speedups: default %.3f, embedded %.3f", def, emb)
 	}

@@ -14,10 +14,8 @@ import (
 // when unset: the instrumented code paths are benchmarked at zero
 // allocations per operation with observability disabled.
 //
-// Observer replaces the earlier write-only Recorder plumbing
-// (sim.Recorder threaded through realrun), which captured work slices
-// only and offered no machine-readable export. The Recorder remains as
-// the backend of the text Gantt rendering (Profile.Timeline).
+// The trace stream is also the single source of the text Gantt chart:
+// Profile.TimelineCtx renders it from the KSlice events of the run.
 
 // ExecTracer receives execution events from the simulated machine and
 // the emulators. A *TraceBuffer is the standard implementation; custom

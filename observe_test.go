@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -16,7 +17,7 @@ import (
 func TestObserverEndToEnd(t *testing.T) {
 	buf := &TraceBuffer{}
 	reg := &Metrics{}
-	p, err := ProfileProgram(balancedProgram(16, 50_000), &Options{
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(16, 50_000), &Options{
 		Machine:            testMachine(4),
 		DisableMemoryModel: true,
 		Observer:           Observer{Trace: buf, Metrics: reg},
@@ -28,9 +29,7 @@ func TestObserverEndToEnd(t *testing.T) {
 	for _, m := range []Method{FastForward, Synthesizer} {
 		r := req
 		r.Method = m
-		if est := p.Estimate(r); est.Err != nil {
-			t.Fatalf("%v: %v", m, est.Err)
-		}
+		mustEstimate(t, p, r)
 	}
 	if _, err := p.RealSpeedupCtx(context.Background(), req); err != nil {
 		t.Fatal(err)
@@ -86,7 +85,7 @@ func TestObserverEndToEnd(t *testing.T) {
 // memory model off, a known section explains as a gated β = 1, and an
 // unknown section reports not-found.
 func TestExplainBurdenDisabledGate(t *testing.T) {
-	p, err := ProfileProgram(balancedProgram(8, 10_000), &Options{
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(8, 10_000), &Options{
 		Machine:            testMachine(2),
 		DisableMemoryModel: true,
 	})
@@ -129,7 +128,7 @@ func (c *countdownCtx) Err() error {
 // points evaluated before the cancellation are returned alongside the
 // error, and the point that observed the cancellation carries it in Err.
 func TestCurveCtxPartialOnCancel(t *testing.T) {
-	p, err := ProfileProgram(balancedProgram(8, 10_000), &Options{
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(8, 10_000), &Options{
 		Machine:            testMachine(4),
 		DisableMemoryModel: true,
 	})
@@ -165,25 +164,23 @@ func TestCurveCtxPartialOnCancel(t *testing.T) {
 	}
 }
 
-// TestTimelineCtxReturnsError pins the fixed contract: the legacy Timeline
-// swallowed ground-truth failures, TimelineCtx returns them.
+// TestTimelineCtxReturnsError: a ground-truth failure comes back as the
+// error, together with the non-empty chart of what ran up to it.
 func TestTimelineCtxReturnsError(t *testing.T) {
 	mc := testMachine(2)
 	mc.MaxEvents = 10 // far below what any real run needs
-	p, err := ProfileProgram(balancedProgram(8, 10_000), &Options{
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(8, 10_000), &Options{
 		Machine:            mc,
 		DisableMemoryModel: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = p.TimelineCtx(context.Background(), Request{Threads: 2, Sched: Static}, 40)
+	gantt, _, err := p.TimelineCtx(context.Background(), Request{Threads: 2, Sched: Static}, 40)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("TimelineCtx err = %v, want ErrBudgetExceeded", err)
 	}
-	// The documented wrapper still swallows it.
-	gantt, _ := p.Timeline(Request{Threads: 2, Sched: Static}, 40)
-	if gantt == "" {
-		t.Error("Timeline returned empty output (should render the partial recording)")
+	if gantt == "" || strings.Contains(gantt, "empty") {
+		t.Errorf("TimelineCtx returned no partial chart with its error:\n%s", gantt)
 	}
 }

@@ -7,6 +7,7 @@ package prophet_test
 // implementing packages; EXPERIMENTS.md holds the full numbers.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,6 +23,26 @@ import (
 	"prophet/internal/workloads"
 )
 
+// mustEstimate is p.EstimateCtx, failing the test on a failed estimate.
+func mustEstimate(t testing.TB, p *prophet.Profile, req prophet.Request) prophet.Estimate {
+	t.Helper()
+	est, err := p.EstimateCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
+
+// mustReal is p.RealSpeedupCtx, failing the test on a failed run.
+func mustReal(t testing.TB, p *prophet.Profile, req prophet.Request) float64 {
+	t.Helper()
+	s, err := p.RealSpeedupCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // Claim (Fig. 5): for the three-iteration loop with a lock on two cores,
 // the FF emulates (static,1) to 1150 cycles, (static) to 1250 and
 // (dynamic,1) to 900 (the paper's 950 includes its dispatch-overhead ε).
@@ -33,7 +54,11 @@ func TestClaimFig5ExactSchedules(t *testing.T) {
 	want := map[string]int64{"(static,1)": 1150, "(static)": 1250, "(dynamic,1)": 900}
 	for _, sched := range []omprt.Sched{omprt.SchedStatic1, omprt.SchedStatic, omprt.SchedDynamic1} {
 		e := &ff.Emulator{Threads: 2, Sched: sched}
-		if got := int64(e.PredictTime(root)); got != want[sched.String()] {
+		d, err := e.PredictTimeCtx(context.Background(), root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := int64(d); got != want[sched.String()] {
 			t.Errorf("%v: %d cycles, paper walkthrough says %d", sched, got, want[sched.String()])
 		}
 	}
@@ -48,16 +73,19 @@ func TestClaimFig7NestedLimitation(t *testing.T) {
 	lb := tree.NewSec("B", tree.NewTask("b0", tree.NewU(5*scale)), tree.NewTask("b1", tree.NewU(10*scale)))
 	root := tree.NewRoot(tree.NewSec("L1", tree.NewTask("t0", la), tree.NewTask("t1", lb)))
 	mc := sim.Config{Cores: 2, Quantum: 10_000, ContextSwitch: -1}
-	p, err := prophet.ProfileTree(root, &prophet.Options{Machine: mc, DisableMemoryModel: true, CompressTolerance: -1})
+	p, err := prophet.ProfileTreeCtx(context.Background(), root, &prophet.Options{Machine: mc, DisableMemoryModel: true, CompressTolerance: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ffS := (&ff.Emulator{Threads: 2, Sched: omprt.SchedStatic1}).Speedup(root)
+	ffS, err := (&ff.Emulator{Threads: 2, Sched: omprt.SchedStatic1}).SpeedupCtx(context.Background(), root)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(ffS-1.5) > 1e-9 {
 		t.Errorf("FF = %.3f, paper says exactly 1.5", ffS)
 	}
-	real := p.RealSpeedup(prophet.Request{Threads: 2, Sched: prophet.Static1})
-	syn := p.Estimate(prophet.Request{Method: prophet.Synthesizer, Threads: 2, Sched: prophet.Static1}).Speedup
+	real := mustReal(t, p, prophet.Request{Threads: 2, Sched: prophet.Static1})
+	syn := mustEstimate(t, p, prophet.Request{Method: prophet.Synthesizer, Threads: 2, Sched: prophet.Static1}).Speedup
 	if real < 1.9 || syn < 1.9 {
 		t.Errorf("real %.2f / synthesizer %.2f, paper says ~2.0", real, syn)
 	}
@@ -67,7 +95,7 @@ func TestClaimFig7NestedLimitation(t *testing.T) {
 // achieved traffic, ω = a·δ^b with b ≈ −1 (the paper fits −0.964 on real
 // hardware; the streaming identity gives exactly −1).
 func TestClaimEq7PowerLaw(t *testing.T) {
-	m, _, err := memmodel.Calibrate(sim.Config{Cores: 12, Quantum: 10_000, ContextSwitch: -1},
+	m, _, err := memmodel.CalibrateCtx(context.Background(), sim.Config{Cores: 12, Quantum: 10_000, ContextSwitch: -1},
 		[]int{2, 4, 6, 8, 10, 12})
 	if err != nil {
 		t.Fatal(err)
@@ -86,18 +114,18 @@ func TestClaimFig2FTSaturation(t *testing.T) {
 	}
 	w, _ := workloads.ByName("NPB-FT")
 	mc := sim.Config{Cores: 12, Quantum: 10_000, ContextSwitch: -1}
-	p, err := prophet.ProfileProgram(w.Program, &prophet.Options{Machine: mc})
+	p, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{Machine: mc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := prophet.Request{Threads: 12, Paradigm: w.Paradigm, Sched: w.Sched}
-	real := p.RealSpeedup(base)
+	real := mustReal(t, p, base)
 	predReq := base
 	predReq.Method = prophet.Synthesizer
-	pred := p.Estimate(predReq).Speedup
+	pred := mustEstimate(t, p, predReq).Speedup
 	predMReq := predReq
 	predMReq.MemoryModel = true
-	predM := p.Estimate(predMReq).Speedup
+	predM := mustEstimate(t, p, predMReq).Speedup
 	if real > 9 {
 		t.Errorf("FT real = %.1f on 12 cores; should saturate well below 12", real)
 	}
@@ -146,13 +174,13 @@ func TestClaimTest1Accuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(20120521))
 	for i := 0; i < 20; i++ {
 		prog := workloads.RandomTest1(rng).Program()
-		p, err := prophet.ProfileProgram(prog, &prophet.Options{Machine: mc, DisableMemoryModel: true})
+		p, err := prophet.ProfileProgramCtx(context.Background(), prog, &prophet.Options{Machine: mc, DisableMemoryModel: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		req := prophet.Request{Threads: 8, Sched: prophet.Static1}
-		real := p.RealSpeedup(req)
-		pred := p.Estimate(req).Speedup
+		real := mustReal(t, p, req)
+		pred := mustEstimate(t, p, req).Speedup
 		sumErr += math.Abs(pred-real) / real
 		n++
 	}

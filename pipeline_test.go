@@ -1,6 +1,7 @@
 package prophet
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -22,7 +23,7 @@ func pipelineProgram(ctx Context) {
 }
 
 func TestPipelineEndToEnd(t *testing.T) {
-	prof, err := ProfileProgram(pipelineProgram, &Options{Machine: testMachine(4)})
+	prof, err := ProfileProgramCtx(context.Background(), pipelineProgram, &Options{Machine: testMachine(4)})
 	if err != nil {
 		t.Fatalf("profile: %v", err)
 	}
@@ -40,9 +41,9 @@ func TestPipelineEndToEnd(t *testing.T) {
 	// Theoretical: throughput bound by the 30k stage => ~40*30k + fill
 	// = ~1.22M => speedup ~1.63.
 	req := Request{Threads: 3, Sched: Static}
-	ffPred := prof.Estimate(Request{Method: FastForward, Threads: 3, Sched: Static}).Speedup
-	synPred := prof.Estimate(Request{Method: Synthesizer, Threads: 3, Sched: Static}).Speedup
-	real := prof.RealSpeedup(req)
+	ffPred := mustEstimate(t, prof, Request{Method: FastForward, Threads: 3, Sched: Static}).Speedup
+	synPred := mustEstimate(t, prof, Request{Method: Synthesizer, Threads: 3, Sched: Static}).Speedup
+	real := mustReal(t, prof, req)
 	want := 2_000_000.0 / (40*30_000 + 20_000)
 	for name, got := range map[string]float64{"FF": ffPred, "synthesizer": synPred, "real": real} {
 		if math.Abs(got-want)/want > 0.15 {
@@ -58,19 +59,19 @@ func TestPipelineEndToEnd(t *testing.T) {
 func TestPipelineCompressionPreservesSemantics(t *testing.T) {
 	// The 40 identical iterations compress to one Repeat=40 task; the
 	// prediction must be unchanged.
-	compressed, err := ProfileProgram(pipelineProgram, &Options{Machine: testMachine(4)})
+	compressed, err := ProfileProgramCtx(context.Background(), pipelineProgram, &Options{Machine: testMachine(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := ProfileProgram(pipelineProgram, &Options{Machine: testMachine(4), CompressTolerance: -1})
+	raw, err := ProfileProgramCtx(context.Background(), pipelineProgram, &Options{Machine: testMachine(4), CompressTolerance: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if compressed.Compression.NodesAfter >= compressed.Compression.NodesBefore {
 		t.Fatal("pipeline tree did not compress")
 	}
-	a := compressed.Estimate(Request{Method: FastForward, Threads: 3, Sched: Static}).Speedup
-	b := raw.Estimate(Request{Method: FastForward, Threads: 3, Sched: Static}).Speedup
+	a := mustEstimate(t, compressed, Request{Method: FastForward, Threads: 3, Sched: Static}).Speedup
+	b := mustEstimate(t, raw, Request{Method: FastForward, Threads: 3, Sched: Static}).Speedup
 	if math.Abs(a-b) > 1e-9 {
 		t.Fatalf("compressed %.4f != raw %.4f", a, b)
 	}
@@ -86,7 +87,7 @@ func TestStageBreakInOrdinaryTaskIsHarmless(t *testing.T) {
 		ctx.TaskEnd()
 		ctx.SecEnd(false)
 	}
-	prof, err := ProfileProgram(prog, &Options{Machine: testMachine(2), CompressTolerance: -1})
+	prof, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(2), CompressTolerance: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestStageBreakInOrdinaryTaskIsHarmless(t *testing.T) {
 
 func TestStageBreakOutsideTaskFails(t *testing.T) {
 	prog := func(ctx Context) { ctx.StageBreak() }
-	if _, err := ProfileProgram(prog, nil); err == nil {
+	if _, err := ProfileProgramCtx(context.Background(), prog, nil); err == nil {
 		t.Fatal("StageBreak outside a task accepted")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"prophet/internal/obs"
 	"prophet/internal/omprt"
 	"prophet/internal/realrun"
-	"prophet/internal/sim"
 	"prophet/internal/synth"
 )
 
@@ -97,7 +96,7 @@ type Estimate struct {
 	// Err is the typed error of a failed prediction (nil on success);
 	// Speedup and Time are zero when set. The error also comes back as
 	// the second return of EstimateCtx — the field exists so batched
-	// results (Curve) carry their per-point failures.
+	// results (CurveCtx) carry their per-point failures.
 	Err error `json:"-"`
 	// Source marks how the estimate was produced: SourceSurrogate for
 	// answers served from the learned surrogate predictor, empty for
@@ -151,14 +150,7 @@ func (p *Profile) threadsOf(req Request) int {
 	return p.opts.Machine.Normalized().Cores
 }
 
-// Estimate runs one prediction against the profile. It never panics: a
-// failed prediction returns with Err set (and zero Speedup/Time).
-func (p *Profile) Estimate(req Request) Estimate {
-	est, _ := p.EstimateCtx(context.Background(), req)
-	return est
-}
-
-// EstimateCtx is Estimate with cancellation and typed errors: the emulated
+// EstimateCtx runs one prediction against the profile. The emulated
 // machine runs (Synthesizer) and the FF's event loop poll ctx, and
 // simulation failures — a deadlocked emulation (ErrDeadlock, with the wait
 // graph in *DeadlockError), a watchdog budget (ErrBudgetExceeded), a
@@ -257,7 +249,7 @@ func (p *Profile) emulate(ctx context.Context, req Request) (est Estimate, err e
 		speedup, err = s.SpeedupCtx(ctx, p.Tree)
 	case Suitability:
 		s := &baseline.Suitability{Threads: t}
-		speedup = s.Speedup(p.Tree)
+		speedup, err = s.SpeedupCtx(ctx, p.Tree)
 	case AmdahlLaw:
 		speedup = baseline.AmdahlFromTree(p.Tree, t)
 	case CriticalPathBound:
@@ -287,17 +279,11 @@ func (p *Profile) emulate(ctx context.Context, req Request) (est Estimate, err e
 	return Estimate{Request: req, Speedup: speedup, Time: predTime}, nil
 }
 
-// Curve evaluates the request across several thread counts (one line of a
-// Fig. 12 plot).
-func (p *Profile) Curve(req Request, threads []int) []Estimate {
-	out, _ := p.CurveCtx(context.Background(), req, threads)
-	return out
-}
-
-// CurveCtx is Curve with cancellation. Per-point failures are recorded in
-// each Estimate's Err field and the sweep continues; a canceled context
-// stops the sweep and returns the points evaluated so far along with the
-// cancellation error.
+// CurveCtx evaluates the request across several thread counts (one line
+// of a Fig. 12 plot). Per-point failures are recorded in each Estimate's
+// Err field and the sweep continues; a canceled context stops the sweep
+// and returns the points evaluated so far along with the cancellation
+// error.
 func (p *Profile) CurveCtx(ctx context.Context, req Request, threads []int) ([]Estimate, error) {
 	out := make([]Estimate, 0, len(threads))
 	for _, t := range threads {
@@ -312,21 +298,16 @@ func (p *Profile) CurveCtx(ctx context.Context, req Request, threads []int) ([]E
 	return out, nil
 }
 
-// EstimateOnHost runs the program-synthesis emulation on the real host
+// EstimateOnHostCtx runs the program-synthesis emulation on the real host
 // machine — goroutines, spin delays and sync.Mutex — instead of the
 // simulated machine. This is the paper's original deployment mode
 // ("programmers should run Parallel Prophet where they will run a
 // parallelized code"): on a multicore host it measures real parallel
-// behaviour; results are only as stable as the host is quiet.
-func (p *Profile) EstimateOnHost(req Request) Estimate {
-	est, _ := p.EstimateOnHostCtx(context.Background(), req)
-	return est
-}
-
-// EstimateOnHostCtx is EstimateOnHost with panic containment and an entry
-// cancellation check. Once the host emulation is launched it runs to
-// completion — real goroutines spinning real delays have no preemption
-// point the library could honour without perturbing the measurement.
+// behaviour; results are only as stable as the host is quiet. ctx is
+// checked on entry and panics return as *PanicError. Once the host
+// emulation is launched it runs to completion — real goroutines spinning
+// real delays have no preemption point the library could honour without
+// perturbing the measurement.
 func (p *Profile) EstimateOnHostCtx(ctx context.Context, req Request) (est Estimate, err error) {
 	defer func() {
 		if err != nil {
@@ -393,18 +374,12 @@ func (p *Profile) Regions() []Region {
 	return baseline.Regions(p.Tree)
 }
 
-// RealSpeedup runs the profiled tree as an actually parallelized program
-// on the simulated machine (the evaluation's ground truth; not available
-// to a user of the real tool, but essential for validating predictions —
-// §VII's "Real" series).
-func (p *Profile) RealSpeedup(req Request) float64 {
-	s, _ := p.RealSpeedupCtx(context.Background(), req)
-	return s
-}
-
-// RealSpeedupCtx is RealSpeedup with cancellation and typed errors: a
-// ground-truth run that deadlocks or exceeds the machine's watchdog budget
-// returns the typed error instead of panicking.
+// RealSpeedupCtx runs the profiled tree as an actually parallelized
+// program on the simulated machine (the evaluation's ground truth; not
+// available to a user of the real tool, but essential for validating
+// predictions — §VII's "Real" series). A ground-truth run that deadlocks,
+// exceeds the machine's watchdog budget or is canceled returns the typed
+// error.
 func (p *Profile) RealSpeedupCtx(ctx context.Context, req Request) (s float64, err error) {
 	defer recoverToError(&err)
 	if req.Machine != "" {
@@ -429,25 +404,14 @@ func (p *Profile) RealSpeedupCtx(ctx context.Context, req Request) (s float64, e
 	})
 }
 
-// Timeline executes the ground truth for req on the simulated machine with
-// a slice recorder attached and returns a per-core text timeline (width
-// columns wide) plus each core's busy fraction — the per-CPU lanes Fig. 5
-// and Fig. 7 draw by hand.
-//
-// Timeline is the legacy convenience wrapper around TimelineCtx: it
-// swallows the error, returning whatever partial timeline the recorder
-// captured (possibly empty) when the ground-truth run fails. Callers that
-// need to distinguish a genuinely idle machine from a deadlocked or
-// over-budget run should use TimelineCtx.
-func (p *Profile) Timeline(req Request, width int) (gantt string, utilization map[int]float64) {
-	gantt, utilization, _ = p.TimelineCtx(context.Background(), req, width)
-	return gantt, utilization
-}
-
-// TimelineCtx is Timeline with cancellation and typed errors: a
-// ground-truth run that deadlocks (ErrDeadlock), exceeds the watchdog
-// budget (ErrBudgetExceeded) or is canceled returns the error alongside
-// the timeline of whatever executed up to the failure.
+// TimelineCtx executes the ground truth for req on the simulated machine
+// and returns a per-core text timeline (width columns wide) plus each
+// core's busy fraction — the per-CPU lanes Fig. 5 and Fig. 7 draw by
+// hand — rendered from the run's work slices. A ground-truth run that
+// deadlocks (ErrDeadlock), exceeds the watchdog budget
+// (ErrBudgetExceeded) or is canceled returns the error alongside the
+// timeline of whatever executed up to the failure. Options.Observer.Trace
+// still receives every event of the run.
 func (p *Profile) TimelineCtx(ctx context.Context, req Request, width int) (gantt string, utilization map[int]float64, err error) {
 	defer recoverToError(&err)
 	if req.Machine != "" {
@@ -461,18 +425,19 @@ func (p *Profile) TimelineCtx(ctx context.Context, req Request, width int) (gant
 			return vp.TimelineCtx(ctx, sub, width)
 		}
 	}
-	rec := &sim.Recorder{}
-	_, runErr := realrun.TimeTracedCtx(ctx, p.Tree, realrun.Config{
+	buf := &obs.TraceBuffer{}
+	_, runErr := realrun.TimeCtx(ctx, p.Tree, realrun.Config{
 		Machine:  p.opts.Machine,
 		Threads:  p.threadsOf(req),
 		Paradigm: req.Paradigm,
 		Sched:    req.Sched,
-		Tracer:   p.opts.Observer.Trace,
+		Tracer:   obs.MultiTracer{buf, p.opts.Observer.Trace},
 		Metrics:  p.opts.Observer.Metrics,
-	}, rec)
+	})
+	events := buf.Events()
 	var b strings.Builder
-	if werr := rec.Gantt(&b, width); werr != nil && runErr == nil {
+	if werr := obs.WriteGantt(&b, events, width); werr != nil && runErr == nil {
 		runErr = werr
 	}
-	return b.String(), rec.Utilization(), runErr
+	return b.String(), obs.Utilization(events), runErr
 }

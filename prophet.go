@@ -11,11 +11,11 @@
 //     TaskBegin/TaskEnd, and protected regions in LockBegin/LockEnd
 //     (Table II of the paper). Computation goes through Compute with an
 //     (instruction-cycles, LLC-misses) cost.
-//  2. ProfileProgram runs the program serially under interval profiling,
+//  2. ProfileProgramCtx runs the program serially under interval profiling,
 //     builds and compresses the program tree, collects per-section
 //     counters and calibrates the memory performance model (burden
 //     factors β_t).
-//  3. Estimate emulates the parallel behaviour for a chosen method (the
+//  3. EstimateCtx emulates the parallel behaviour for a chosen method (the
 //     fast-forwarding emulator or the program-synthesis emulator),
 //     threading paradigm (OpenMP or Cilk), schedule and thread count, and
 //     returns the predicted speedup.
@@ -222,18 +222,13 @@ func modelFor(ctx context.Context, mc sim.Config, threads []int) (*memmodel.Mode
 	})
 }
 
-// ProfileProgram profiles prog (serially, on the virtual cycle clock),
-// compresses the tree, and attaches counters and burden factors.
-func ProfileProgram(prog Program, opts *Options) (*Profile, error) {
-	return ProfileProgramCtx(context.Background(), prog, opts)
-}
-
-// ProfileProgramCtx is ProfileProgram with cancellation: ctx gates the
-// profiling run and the memory-model calibration (the expensive part; a
-// canceled calibration is not cached, so a later call with a live context
-// recalibrates). All errors are typed — errors.Is against the prophet
-// sentinels — and panics anywhere below this boundary, including in the
-// user's annotated program body, return as *PanicError instead of
+// ProfileProgramCtx profiles prog (serially, on the virtual cycle clock),
+// compresses the tree, and attaches counters and burden factors. ctx gates
+// the profiling run and the memory-model calibration (the expensive part;
+// a canceled calibration is not cached, so a later call with a live
+// context recalibrates). All errors are typed — errors.Is against the
+// prophet sentinels — and panics anywhere below this boundary, including
+// in the user's annotated program body, return as *PanicError instead of
 // crashing the caller.
 func ProfileProgramCtx(ctx context.Context, prog Program, opts *Options) (p *Profile, err error) {
 	defer recoverToError(&err)
@@ -285,27 +280,19 @@ func ProfileProgramCtx(ctx context.Context, prog Program, opts *Options) (p *Pro
 	return p, nil
 }
 
-// CalibrateModel runs the §V-D microbenchmark against the given machine
-// and returns the fitted memory performance model (the reproduction of
-// Eq. 6/7). Results are cached per machine configuration; pass the model
-// to Options.MemModel, or marshal it to JSON for reuse across processes.
-func CalibrateModel(machine MachineConfig) (*MemModel, error) {
-	return CalibrateModelCtx(context.Background(), machine)
-}
-
-// CalibrateModelCtx is CalibrateModel with cancellation.
+// CalibrateModelCtx runs the §V-D microbenchmark against the given
+// machine and returns the fitted memory performance model (the
+// reproduction of Eq. 6/7). Results are cached per machine configuration;
+// pass the model to Options.MemModel, or marshal it to JSON for reuse
+// across processes. A canceled calibration is not cached.
 func CalibrateModelCtx(ctx context.Context, machine MachineConfig) (m *MemModel, err error) {
 	defer recoverToError(&err)
 	return modelFor(ctx, machine, DefaultThreadCounts())
 }
 
-// ProfileTree wraps an already-built program tree (e.g. loaded from JSON)
-// in a Profile so it can be estimated with the same API.
-func ProfileTree(root *tree.Node, opts *Options) (*Profile, error) {
-	return ProfileTreeCtx(context.Background(), root, opts)
-}
-
-// ProfileTreeCtx is ProfileTree with cancellation and panic containment.
+// ProfileTreeCtx wraps an already-built program tree (e.g. loaded from
+// JSON) in a Profile so it can be estimated with the same API. Panics
+// below it return as *PanicError.
 func ProfileTreeCtx(ctx context.Context, root *tree.Node, opts *Options) (p *Profile, err error) {
 	defer recoverToError(&err)
 	if err := ctx.Err(); err != nil {

@@ -16,6 +16,36 @@ func testMachine(cores int) MachineConfig {
 	return MachineConfig{Cores: cores, Quantum: 10_000, ContextSwitch: -1}
 }
 
+// mustEstimate is p.EstimateCtx, failing the test on a failed estimate.
+func mustEstimate(t testing.TB, p *Profile, req Request) Estimate {
+	t.Helper()
+	est, err := p.EstimateCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
+
+// mustReal is p.RealSpeedupCtx, failing the test on a failed run.
+func mustReal(t testing.TB, p *Profile, req Request) float64 {
+	t.Helper()
+	s, err := p.RealSpeedupCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// mustAdvise is p.AdviseCtx, failing the test on an error.
+func mustAdvise(t testing.TB, p *Profile, opts *AdviseOptions) Advice {
+	t.Helper()
+	adv, err := p.AdviseCtx(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return adv
+}
+
 // balancedProgram is a simple annotated loop: n tasks of `work` cycles.
 func balancedProgram(n int, work int64) Program {
 	return func(ctx Context) {
@@ -30,9 +60,9 @@ func balancedProgram(n int, work int64) Program {
 }
 
 func TestProfileAndEstimateRoundTrip(t *testing.T) {
-	p, err := ProfileProgram(balancedProgram(48, 100_000), &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(48, 100_000), &Options{Machine: testMachine(12)})
 	if err != nil {
-		t.Fatalf("ProfileProgram: %v", err)
+		t.Fatalf("ProfileProgramCtx: %v", err)
 	}
 	if p.SerialCycles != 4_800_000 {
 		t.Fatalf("serial = %d", p.SerialCycles)
@@ -41,7 +71,7 @@ func TestProfileAndEstimateRoundTrip(t *testing.T) {
 		t.Error("uniform loop did not compress")
 	}
 	for _, m := range []Method{FastForward, Synthesizer} {
-		est := p.Estimate(Request{Method: m, Threads: 8, Sched: Static})
+		est := mustEstimate(t, p, Request{Method: m, Threads: 8, Sched: Static})
 		if est.Speedup < 6.5 || est.Speedup > 8.1 {
 			t.Errorf("%v speedup = %.2f, want ~8", m, est.Speedup)
 		}
@@ -52,22 +82,25 @@ func TestProfileAndEstimateRoundTrip(t *testing.T) {
 }
 
 func TestEstimateDefaultsToMachineCores(t *testing.T) {
-	p, err := ProfileProgram(balancedProgram(24, 50_000), &Options{Machine: testMachine(4)})
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(24, 50_000), &Options{Machine: testMachine(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := p.Estimate(Request{Method: FastForward, Sched: Static})
+	est := mustEstimate(t, p, Request{Method: FastForward, Sched: Static})
 	if est.Threads != 4 {
 		t.Fatalf("defaulted threads = %d, want 4", est.Threads)
 	}
 }
 
 func TestCurve(t *testing.T) {
-	p, err := ProfileProgram(balancedProgram(24, 50_000), &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(24, 50_000), &Options{Machine: testMachine(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	curve := p.Curve(Request{Method: FastForward, Sched: Static}, []int{1, 2, 4, 8})
+	curve, err := p.CurveCtx(context.Background(), Request{Method: FastForward, Sched: Static}, []int{1, 2, 4, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(curve) != 4 {
 		t.Fatalf("curve length %d", len(curve))
 	}
@@ -79,13 +112,13 @@ func TestCurve(t *testing.T) {
 }
 
 func TestRealSpeedupMatchesPredictionOnSimpleLoop(t *testing.T) {
-	p, err := ProfileProgram(balancedProgram(48, 100_000), &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(48, 100_000), &Options{Machine: testMachine(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	req := Request{Threads: 6, Sched: Static}
-	real := p.RealSpeedup(req)
-	pred := p.Estimate(req).Speedup
+	real := mustReal(t, p, req)
+	pred := mustEstimate(t, p, req).Speedup
 	if e := math.Abs(pred-real) / real; e > 0.15 {
 		t.Fatalf("pred %.2f vs real %.2f: %.0f%% error", pred, real, 100*e)
 	}
@@ -103,16 +136,16 @@ func TestMemoryModelChangesMemoryBoundEstimate(t *testing.T) {
 		}
 		ctx.SecEnd(false)
 	}
-	p, err := ProfileProgram(streaming, &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), streaming, &Options{Machine: testMachine(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := p.Estimate(Request{Method: FastForward, Threads: 12, Sched: Static})
-	withMem := p.Estimate(Request{Method: FastForward, Threads: 12, Sched: Static, MemoryModel: true})
+	plain := mustEstimate(t, p, Request{Method: FastForward, Threads: 12, Sched: Static})
+	withMem := mustEstimate(t, p, Request{Method: FastForward, Threads: 12, Sched: Static, MemoryModel: true})
 	if withMem.Speedup >= plain.Speedup {
 		t.Fatalf("memory model did not reduce estimate: %.2f vs %.2f", withMem.Speedup, plain.Speedup)
 	}
-	real := p.RealSpeedup(Request{Threads: 12, Sched: Static})
+	real := mustReal(t, p, Request{Threads: 12, Sched: Static})
 	// PredM must be closer to reality than Pred (the Fig. 2/12 story).
 	if math.Abs(withMem.Speedup-real) >= math.Abs(plain.Speedup-real) {
 		t.Fatalf("PredM %.2f not closer to real %.2f than Pred %.2f", withMem.Speedup, real, plain.Speedup)
@@ -120,14 +153,14 @@ func TestMemoryModelChangesMemoryBoundEstimate(t *testing.T) {
 }
 
 func TestDisableMemoryModel(t *testing.T) {
-	p, err := ProfileProgram(balancedProgram(8, 200_000), &Options{Machine: testMachine(4), DisableMemoryModel: true})
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(8, 200_000), &Options{Machine: testMachine(4), DisableMemoryModel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Model != nil {
 		t.Fatal("model present despite DisableMemoryModel")
 	}
-	est := p.Estimate(Request{Method: FastForward, Threads: 4, Sched: Static, MemoryModel: true})
+	est := mustEstimate(t, p, Request{Method: FastForward, Threads: 4, Sched: Static, MemoryModel: true})
 	if est.Speedup < 3.5 {
 		t.Fatalf("estimate should ignore missing model: %.2f", est.Speedup)
 	}
@@ -144,20 +177,20 @@ func TestBaselineMethods(t *testing.T) {
 		}
 		ctx.SecEnd(false)
 	}
-	p, err := ProfileProgram(prog, &Options{Machine: testMachine(8)})
+	p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	amdahl := p.Estimate(Request{Method: AmdahlLaw, Threads: 8})
+	amdahl := mustEstimate(t, p, Request{Method: AmdahlLaw, Threads: 8})
 	want := 1 / (0.5 + 0.5/8.0)
 	if math.Abs(amdahl.Speedup-want) > 0.01 {
 		t.Fatalf("Amdahl = %.3f, want %.3f", amdahl.Speedup, want)
 	}
-	cp := p.Estimate(Request{Method: CriticalPathBound, Threads: 8})
+	cp := mustEstimate(t, p, Request{Method: CriticalPathBound, Threads: 8})
 	if cp.Speedup < amdahl.Speedup-0.01 {
 		t.Fatalf("critical-path bound %.3f below Amdahl %.3f", cp.Speedup, amdahl.Speedup)
 	}
-	suit := p.Estimate(Request{Method: Suitability, Threads: 8})
+	suit := mustEstimate(t, p, Request{Method: Suitability, Threads: 8})
 	if suit.Speedup <= 1 || suit.Speedup > 2 {
 		t.Fatalf("suitability = %.3f", suit.Speedup)
 	}
@@ -165,28 +198,28 @@ func TestBaselineMethods(t *testing.T) {
 
 func TestAnnotationErrorsSurface(t *testing.T) {
 	bad := func(ctx Context) { ctx.TaskBegin("orphan") }
-	if _, err := ProfileProgram(bad, &Options{Machine: testMachine(2)}); err == nil {
+	if _, err := ProfileProgramCtx(context.Background(), bad, &Options{Machine: testMachine(2)}); err == nil {
 		t.Fatal("annotation error not surfaced")
 	}
 }
 
 func TestProfileTree(t *testing.T) {
-	p1, err := ProfileProgram(balancedProgram(12, 20_000), &Options{Machine: testMachine(4)})
+	p1, err := ProfileProgramCtx(context.Background(), balancedProgram(12, 20_000), &Options{Machine: testMachine(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := ProfileTree(p1.Tree.Clone(), &Options{Machine: testMachine(4)})
+	p2, err := ProfileTreeCtx(context.Background(), p1.Tree.Clone(), &Options{Machine: testMachine(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := p1.Estimate(Request{Method: FastForward, Threads: 4, Sched: Static}).Speedup
-	b := p2.Estimate(Request{Method: FastForward, Threads: 4, Sched: Static}).Speedup
+	a := mustEstimate(t, p1, Request{Method: FastForward, Threads: 4, Sched: Static}).Speedup
+	b := mustEstimate(t, p2, Request{Method: FastForward, Threads: 4, Sched: Static}).Speedup
 	if a != b {
 		t.Fatalf("tree round trip changed estimate: %g vs %g", a, b)
 	}
 	// Invalid trees are rejected.
 	bad := tree.NewRoot(tree.NewTask("task-under-root"))
-	if _, err := ProfileTree(bad, nil); err == nil {
+	if _, err := ProfileTreeCtx(context.Background(), bad, nil); err == nil {
 		t.Fatal("invalid tree accepted")
 	}
 }
@@ -229,11 +262,14 @@ func TestEstimateOnHost(t *testing.T) {
 		}
 		ctx.SecEnd(false)
 	}
-	p, err := ProfileProgram(prog, &Options{Machine: testMachine(4), DisableMemoryModel: true})
+	p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(4), DisableMemoryModel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := p.EstimateOnHost(Request{Threads: 2, Sched: Dynamic1})
+	est, err := p.EstimateOnHostCtx(context.Background(), Request{Threads: 2, Sched: Dynamic1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if est.Speedup <= 0 || est.Time <= 0 {
 		t.Fatalf("host estimate = %+v", est)
 	}
@@ -253,7 +289,7 @@ func TestExplainBurdenAndRegions(t *testing.T) {
 		ctx.SecEnd(false)
 		ctx.Compute(5_000, 0)
 	}
-	p, err := ProfileProgram(streaming, &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), streaming, &Options{Machine: testMachine(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,12 +329,12 @@ func TestConcurrentUseOfLibrary(t *testing.T) {
 		g := g
 		go func() {
 			prog := balancedProgram(8+g, 50_000)
-			p, err := ProfileProgram(prog, &Options{Machine: testMachine(4)})
+			p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(4)})
 			if err != nil {
 				done <- err
 				return
 			}
-			est := p.Estimate(Request{Method: FastForward, Threads: 4, Sched: Static, MemoryModel: true})
+			est := mustEstimate(t, p, Request{Method: FastForward, Threads: 4, Sched: Static, MemoryModel: true})
 			if est.Speedup <= 0 {
 				done <- errNonPositive
 				return
@@ -333,7 +369,7 @@ func TestAverageBurdensByNameOption(t *testing.T) {
 			ctx.SecEnd(false)
 		}
 	}
-	avg, err := ProfileProgram(prog, &Options{Machine: testMachine(12), AverageBurdensByName: true, CompressTolerance: -1})
+	avg, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(12), AverageBurdensByName: true, CompressTolerance: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +380,7 @@ func TestAverageBurdensByNameOption(t *testing.T) {
 	if secs[0].BurdenFor(12) != secs[1].BurdenFor(12) {
 		t.Fatalf("averaged burdens differ: %g vs %g", secs[0].BurdenFor(12), secs[1].BurdenFor(12))
 	}
-	perExec, err := ProfileProgram(prog, &Options{Machine: testMachine(12), CompressTolerance: -1})
+	perExec, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(12), CompressTolerance: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +427,7 @@ func TestHostProfilePublicAPI(t *testing.T) {
 	if len(sec) != 1 || sec[0].Tasks() > 8 {
 		t.Fatalf("tree shape: %d sections", len(sec))
 	}
-	est := prof.Estimate(Request{Method: FastForward, Threads: 4, Sched: Static})
+	est := mustEstimate(t, prof, Request{Method: FastForward, Threads: 4, Sched: Static})
 	if est.Speedup <= 0 {
 		t.Fatalf("estimate %+v", est)
 	}
@@ -406,11 +442,14 @@ func TestHostProfileErrorsSurface(t *testing.T) {
 }
 
 func TestTimeline(t *testing.T) {
-	p, err := ProfileProgram(balancedProgram(8, 50_000), &Options{Machine: testMachine(4), DisableMemoryModel: true})
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(8, 50_000), &Options{Machine: testMachine(4), DisableMemoryModel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gantt, util := p.Timeline(Request{Threads: 4, Sched: Static}, 60)
+	gantt, util, err := p.TimelineCtx(context.Background(), Request{Threads: 4, Sched: Static}, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(gantt, "core  0") || !strings.Contains(gantt, "core  3") {
 		t.Fatalf("timeline missing cores:\n%s", gantt)
 	}

@@ -107,24 +107,19 @@ func surrogateEstimate(req Request, speedup float64, serial clock.Cycles) Estima
 	return est
 }
 
-// SeedSurrogate pre-seeds the surrogate's training store from a request
-// grid — typically the grid of a completed sweep, so interactive traffic
-// starts against a warm store. Cells the surrogate already answers
-// confidently are served from it (and not re-observed); everything else
-// feeds back its emulated result. See SeedSurrogateCtx for cancellation.
-func (p *Profile) SeedSurrogate(reqs []Request, workers int) error {
-	return p.SeedSurrogateCtx(context.Background(), reqs, workers)
-}
-
-// SeedSurrogateCtx is SeedSurrogate with cancellation: once ctx fires no
-// new cell starts. The cells emulate on a pool of workers, but the store
+// SeedSurrogateCtx pre-seeds the surrogate's training store from a
+// request grid — typically the grid of a completed sweep, so interactive
+// traffic starts against a warm store. Cells the surrogate already
+// answers confidently are served from it (and not re-observed);
+// everything else feeds back its emulated result. Once ctx fires no new
+// cell starts. The cells emulate on a pool of workers, but the store
 // consults and learns them in request order, so it ends exactly as
 // EstimateCtx over reqs one by one leaves it, whatever the worker count.
 // The first cell error (or the cancellation) is returned; cells already
 // seeded stay in the store.
 func (p *Profile) SeedSurrogateCtx(ctx context.Context, reqs []Request, workers int) error {
 	if p.opts.Surrogate == nil {
-		return errors.New("prophet: SeedSurrogate needs Options.Surrogate armed")
+		return errors.New("prophet: SeedSurrogateCtx needs Options.Surrogate armed")
 	}
 	outs := sweep.RunCtx(ctx, sweep.Engine{Workers: workers, Metrics: p.opts.Observer.Metrics},
 		len(reqs), func(ctx context.Context, i int) (Estimate, error) {

@@ -19,7 +19,7 @@ func surrogateBenchProfile(tb testing.TB, surr *prophet.Surrogate) *prophet.Prof
 	if err != nil {
 		tb.Fatal(err)
 	}
-	p, err := prophet.ProfileProgram(w.Program, &prophet.Options{
+	p, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{
 		DisableMemoryModel: true,
 		Surrogate:          surr,
 	})
@@ -51,19 +51,20 @@ func BenchmarkSurrogateEval(b *testing.B) {
 	p := surrogateBenchProfile(b, surr)
 	grid := surrogateGrid([]prophet.Method{prophet.FastForward},
 		[]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
-	if err := p.SeedSurrogate(grid, 4); err != nil {
-		b.Fatalf("SeedSurrogate: %v", err)
+	ctx := context.Background()
+	if err := p.SeedSurrogateCtx(ctx, grid, 4); err != nil {
+		b.Fatalf("SeedSurrogateCtx: %v", err)
 	}
 	req := prophet.Request{Method: prophet.FastForward, Threads: 8}
-	if est := p.Estimate(req); est.Source != prophet.SourceSurrogate {
+	if est := mustEstimate(b, p, req); est.Source != prophet.SourceSurrogate {
 		b.Fatalf("warm cell not served by surrogate (source %q)", est.Source)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est := p.Estimate(req)
-		if est.Err != nil {
-			b.Fatal(est.Err)
+		est, err := p.EstimateCtx(ctx, req)
+		if err != nil {
+			b.Fatal(err)
 		}
 		if est.Source != prophet.SourceSurrogate {
 			b.Fatalf("iteration fell back to emulation (source %q)", est.Source)
@@ -81,11 +82,7 @@ func TestSurrogateShadowAccuracy(t *testing.T) {
 	// emulator is deterministic, so these are the exact answers.
 	plain := surrogateBenchProfile(t, nil)
 	golden := func(req prophet.Request) float64 {
-		est := plain.Estimate(req)
-		if est.Err != nil {
-			t.Fatalf("golden estimate %+v: %v", req, est.Err)
-		}
-		return est.Speedup
+		return mustEstimate(t, plain, req).Speedup
 	}
 
 	surr := prophet.NewSurrogate(prophet.SurrogateConfig{
@@ -94,17 +91,14 @@ func TestSurrogateShadowAccuracy(t *testing.T) {
 	p := surrogateBenchProfile(t, surr)
 	methods := []prophet.Method{prophet.FastForward, prophet.AmdahlLaw}
 	train := surrogateGrid(methods, []int{2, 4, 6, 8, 10, 12})
-	if err := p.SeedSurrogate(train, 4); err != nil {
-		t.Fatalf("SeedSurrogate: %v", err)
+	if err := p.SeedSurrogateCtx(context.Background(), train, 4); err != nil {
+		t.Fatalf("SeedSurrogateCtx: %v", err)
 	}
 
 	// Trained cells: must come back from the surrogate, byte-for-byte
 	// the emulated speedup (the store memoizes exact matches).
 	for _, req := range train {
-		est := p.Estimate(req)
-		if est.Err != nil {
-			t.Fatalf("estimate %+v: %v", req, est.Err)
-		}
+		est := mustEstimate(t, p, req)
 		if est.Source != prophet.SourceSurrogate {
 			t.Errorf("trained cell %+v not served by surrogate (source %q)", req, est.Source)
 		}
@@ -120,10 +114,7 @@ func TestSurrogateShadowAccuracy(t *testing.T) {
 	var served int
 	var sumRel, worstRel float64
 	for _, req := range surrogateGrid(methods, []int{3, 5, 7, 9, 11}) {
-		est := p.Estimate(req)
-		if est.Err != nil {
-			t.Fatalf("estimate %+v: %v", req, est.Err)
-		}
+		est := mustEstimate(t, p, req)
 		if est.Source != prophet.SourceSurrogate {
 			continue
 		}
@@ -178,7 +169,7 @@ func TestSeedSurrogateMatchesSequentialSeeding(t *testing.T) {
 		}
 		out := make([]prophet.Estimate, len(probe))
 		for i, r := range probe {
-			out[i] = p.Estimate(r)
+			out[i] = mustEstimate(t, p, r)
 		}
 		data, err := json.Marshal(struct {
 			Samples   int
@@ -201,7 +192,9 @@ func TestSeedSurrogateMatchesSequentialSeeding(t *testing.T) {
 		t.Fatalf("fewer than two probes served by the surrogate; the comparison proves little:\n%s", want)
 	}
 	for _, workers := range []int{1, 4} {
-		got := answers(func(p *prophet.Profile) error { return p.SeedSurrogate(train, workers) })
+		got := answers(func(p *prophet.Profile) error {
+			return p.SeedSurrogateCtx(context.Background(), train, workers)
+		})
 		if got != want {
 			t.Errorf("workers=%d: seeded store answers differ from sequential seeding:\n%s\nvs\n%s", workers, got, want)
 		}

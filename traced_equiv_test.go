@@ -1,6 +1,9 @@
 package prophet
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestTracedUntracedEquivalent checks that attaching an execution tracer
 // is purely observational: every prediction method and the ground-truth
@@ -15,7 +18,7 @@ func TestTracedUntracedEquivalent(t *testing.T) {
 
 	profile := func(o Observer) *Profile {
 		t.Helper()
-		p, err := ProfileProgram(prog, &Options{Machine: mc, Observer: o})
+		p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: mc, Observer: o})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,8 +34,8 @@ func TestTracedUntracedEquivalent(t *testing.T) {
 	for _, method := range []Method{FastForward, Synthesizer, Suitability} {
 		for _, threads := range []int{2, 8, 12} {
 			req := Request{Method: method, Threads: threads}
-			a := plain.Estimate(req)
-			b := traced.Estimate(req)
+			a := mustEstimate(t, plain, req)
+			b := mustEstimate(t, traced, req)
 			if a.Speedup != b.Speedup {
 				t.Errorf("%v threads=%d: speedup %v untraced vs %v traced",
 					method, threads, a.Speedup, b.Speedup)
@@ -41,7 +44,7 @@ func TestTracedUntracedEquivalent(t *testing.T) {
 		// The real machine run drives the tracer hardest: scheduling,
 		// preemption and lock events all flow through it.
 		req := Request{Method: method, Threads: 12}
-		if a, b := plain.RealSpeedup(req), traced.RealSpeedup(req); a != b {
+		if a, b := mustReal(t, plain, req), mustReal(t, traced, req); a != b {
 			t.Errorf("RealSpeedup: %v untraced vs %v traced", a, b)
 		}
 	}
