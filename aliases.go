@@ -27,11 +27,9 @@ type Cycles = clock.Cycles
 // Tree is a program-tree node (§IV-B, Fig. 4).
 type Tree = tree.Node
 
-// MachineConfig describes the simulated target machine.
+// MachineConfig selects the simulated target machine (Spec; nil is
+// DefaultMachineSpec) and the emulation run budgets.
 type MachineConfig = sim.Config
-
-// DefaultMachine returns the paper's 12-core Westmere-class machine.
-func DefaultMachine() MachineConfig { return sim.DefaultConfig() }
 
 // Paradigm selects the threading model of generated/parallelized code.
 type Paradigm = synth.Paradigm

@@ -29,9 +29,15 @@ import (
 	"prophet/internal/workloads"
 )
 
-func benchMachine() sim.Config {
-	return sim.Config{Cores: 12, Quantum: 10_000, ContextSwitch: -1}
-}
+// benchSpec is the paper machine with a 10k-cycle quantum and free
+// context switches, built once so every benchmark shares its calibration.
+var benchSpec = func() *machine.Spec {
+	s := machine.Default().WithCores("bench-q10k", 12)
+	s.Quantum, s.ContextSwitch = 10_000, 0
+	return s
+}()
+
+func benchMachine() sim.Config { return sim.Config{Spec: benchSpec} }
 
 // mustSim runs main on a machine built from cfg, failing the benchmark on
 // a simulation error.
@@ -136,7 +142,7 @@ func BenchmarkProfilingOverhead(b *testing.B) {
 	w, _ := workloads.ByName("MD-OMP")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		root, _, err := trace.Profile(w.Program, benchMachine().DRAM)
+		root, _, err := trace.Profile(w.Program, machine.Default())
 		if err != nil || root.TotalLen() == 0 {
 			b.Fatal(err)
 		}
@@ -292,13 +298,15 @@ func BenchmarkSimEngine(b *testing.B) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkSimEngineSpec is the same workload driven through a machine
-// spec (the default preset) instead of the flat legacy knobs: the
-// spec→machine derivation and the pooled spec-keyed reset must sustain
-// the engine's event throughput. CI gates the reported events/sec.
+// BenchmarkSimEngineSpec is the same workload on the paper machine's own
+// 50k-cycle quantum (free context switches): the spec→machine derivation
+// and the pooled spec-keyed reset must sustain the engine's event
+// throughput. CI gates the reported events/sec.
 func BenchmarkSimEngineSpec(b *testing.B) {
 	b.ReportAllocs()
-	cfg := sim.Config{Spec: machine.Default(), ContextSwitch: -1}
+	spec := machine.Default().WithCores("bench-freecs", 12)
+	spec.ContextSwitch = 0
+	cfg := sim.Config{Spec: spec}
 	var events int64
 	for i := 0; i < b.N; i++ {
 		_, st := mustSim(b, cfg, func(t *sim.Thread) {
@@ -382,7 +390,9 @@ func BenchmarkQuantumSensitivity(b *testing.B) {
 		q := q
 		name := map[prophet.Cycles]string{5_000: "q=5k", 50_000: "q=50k", 200_000: "q=200k"}[q]
 		b.Run(name, func(b *testing.B) {
-			mc := sim.Config{Cores: 2, Quantum: q, ContextSwitch: -1}
+			spec := machine.Default().WithCores("bench-"+name, 2)
+			spec.Quantum, spec.ContextSwitch = q, 0
+			mc := sim.Config{Spec: spec}
 			for i := 0; i < b.N; i++ {
 				s, err := realrun.SpeedupCtx(context.Background(), root, realrun.Config{Machine: mc, Threads: 2, Sched: omprt.SchedStatic1})
 				if err != nil {

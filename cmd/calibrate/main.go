@@ -39,7 +39,7 @@ func main() {
 		cores = append(cores, v)
 	}
 
-	m, data, err := memmodel.CalibrateCtx(context.Background(), sim.DefaultConfig(), cores)
+	m, data, err := memmodel.CalibrateCtx(context.Background(), sim.Config{}, cores)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "calibration failed:", err)
 		os.Exit(1)

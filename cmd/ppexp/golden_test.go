@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"prophet/internal/experiments"
+	"prophet/internal/machine"
 	"prophet/internal/sim"
 )
 
@@ -16,10 +17,13 @@ import (
 //	go test ./cmd/ppexp -run TestGolden -update
 var update = flag.Bool("update", false, "rewrite golden files under results/golden/")
 
-// goldenMachine matches the experiment tests' fast machine: exact
-// makespans (no context-switch cost), small quantum.
+// goldenMachine matches the experiment tests' fast machine: the paper
+// machine with exact makespans (no context-switch cost) and a small
+// quantum.
 func goldenMachine() sim.Config {
-	return sim.Config{Cores: 12, Quantum: 10_000, ContextSwitch: -1}
+	s := machine.Default().WithCores("t-golden", 12)
+	s.Quantum, s.ContextSwitch = 10_000, 0
+	return sim.Config{Spec: s}
 }
 
 func checkGolden(t *testing.T, name, got string) {

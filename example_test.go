@@ -20,10 +20,7 @@ func ExampleProfileProgramCtx() {
 		ctx.SecEnd(false)
 	}
 	ctx := context.Background()
-	prof, err := prophet.ProfileProgramCtx(ctx, program, &prophet.Options{
-		Machine:            prophet.MachineConfig{Cores: 12, Quantum: 10_000, ContextSwitch: -1},
-		DisableMemoryModel: true,
-	})
+	prof, err := prophet.ProfileProgramCtx(ctx, program, &prophet.Options{DisableMemoryModel: true})
 	if err != nil {
 		panic(err)
 	}
@@ -55,8 +52,10 @@ func ExampleProfile_EstimateCtx() {
 		ctx.SecEnd(false)
 	}
 	ctx := context.Background()
+	// A four-core cut of the paper machine.
+	quad := prophet.DefaultMachineSpec().WithCores("westmere4", 4)
 	prof, err := prophet.ProfileProgramCtx(ctx, program, &prophet.Options{
-		Machine:            prophet.MachineConfig{Cores: 4, Quantum: 10_000, ContextSwitch: -1},
+		Machine:            prophet.MachineConfig{Spec: quad},
 		DisableMemoryModel: true,
 	})
 	if err != nil {

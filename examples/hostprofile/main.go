@@ -68,7 +68,7 @@ func main() {
 	// timed by the monotonic clock at a nominal 2.4 GHz.
 	hp := prophet.NewHostProfile()
 	luProgram(a)(hp.Context())
-	prof, err := hp.Finish(nil)
+	prof, err := hp.FinishCtx(context.Background(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,7 +28,8 @@ func fetchComputeStore(ctx prophet.Context) {
 }
 
 func main() {
-	machine := prophet.MachineConfig{Cores: 4}
+	// The paper machine cut to four cores.
+	machine := prophet.MachineConfig{Spec: prophet.DefaultMachineSpec().WithCores("westmere4", 4)}
 	ctx := context.Background()
 	prof, err := prophet.ProfileProgramCtx(ctx, fetchComputeStore, &prophet.Options{Machine: machine})
 	if err != nil {

@@ -4,7 +4,9 @@ import (
 	"context"
 
 	"prophet/internal/compress"
+	"prophet/internal/memmodel"
 	"prophet/internal/trace"
+	"prophet/internal/tree"
 )
 
 // HostProfile profiles an annotated program that performs *real*
@@ -19,13 +21,16 @@ import (
 //
 //	hp := prophet.NewHostProfile()
 //	myAnnotatedProgram(hp.Context()) // does real work, annotated
-//	prof, err := hp.Finish(nil)
+//	prof, err := hp.FinishCtx(ctx, nil)
 //	est, err := prof.EstimateCtx(ctx, ...)
 //
 // Host timings carry host noise; on a busy machine expect the measured
 // lengths (not the tree shape) to wobble accordingly.
 type HostProfile struct {
 	p *trace.HostProfiler
+	// root is the closed session's tree while FinishCtx has not yet
+	// succeeded with it.
+	root *tree.Node
 }
 
 // NewHostProfile starts a host profiling session at the default nominal
@@ -45,23 +50,36 @@ func NewHostProfileHz(hz float64) *HostProfile {
 // annotation calls is simply measured.
 func (h *HostProfile) Context() Context { return h.p }
 
-// Finish closes profiling and builds a Profile ready for estimation.
+// FinishCtx closes profiling and builds a Profile ready for estimation.
 // Hardware counters are unavailable on the host (no PAPI substitute), so
 // unless the program reported misses through Compute the memory model
 // gates to β = 1; pass Options.MemModel to supply an external model.
-// Panics below the boundary return as *PanicError.
-func (h *HostProfile) Finish(opts *Options) (p *Profile, err error) {
+// ctx gates the memory-model calibration. A failed calibration (a
+// canceled ctx) keeps the measured tree, so FinishCtx can be called again
+// with a live context; after a success the session is spent. Panics below
+// the boundary return as *PanicError.
+func (h *HostProfile) FinishCtx(ctx context.Context, opts *Options) (p *Profile, err error) {
 	defer recoverToError(&err)
-	root, err := h.p.Finish()
-	if err != nil {
-		return nil, err
+	if h.root == nil {
+		if h.root, err = h.p.Finish(); err != nil {
+			return nil, err
+		}
 	}
 	o := opts.withDefaults()
+	var m *memmodel.Model
+	if !o.DisableMemoryModel {
+		if m, err = o.memModel(ctx); err != nil {
+			return nil, err
+		}
+	}
+	root := h.root
+	h.root = nil
 	prof := &Profile{
 		Tree:         root,
 		Counters:     h.p.Counters(),
 		SerialCycles: root.TotalLen(),
 		opts:         o,
+		Model:        m,
 	}
 	if o.CompressTolerance >= 0 {
 		prof.Compression = compress.Compress(root, compress.Options{
@@ -69,15 +87,7 @@ func (h *HostProfile) Finish(opts *Options) (p *Profile, err error) {
 			MaxNodes:  o.MaxTreeNodes,
 		})
 	}
-	if !o.DisableMemoryModel {
-		m := o.MemModel
-		if m == nil {
-			m, err = modelFor(context.Background(), o.Machine, o.ThreadCounts)
-			if err != nil {
-				return nil, err
-			}
-		}
-		prof.Model = m
+	if m != nil {
 		if o.AverageBurdensByName {
 			m.AssignBurdensAveraged(root, o.ThreadCounts)
 		} else {

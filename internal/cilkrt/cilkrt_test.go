@@ -2,16 +2,22 @@ package cilkrt
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"prophet/internal/clock"
+	"prophet/internal/machine"
 	"prophet/internal/sim"
 )
 
 var zeroOv = Overheads{}
 
+// mcfg is the paper machine cut to cores, with a 10k-cycle quantum and
+// free context switches so makespans are exact.
 func mcfg(cores int) sim.Config {
-	return sim.Config{Cores: cores, Quantum: 10_000, ContextSwitch: -1}
+	s := machine.Default().WithCores(fmt.Sprintf("t-cilkrt%d", cores), cores)
+	s.Quantum, s.ContextSwitch = 10_000, 0
+	return sim.Config{Spec: s}
 }
 
 // mustRun runs main on a machine built from c, failing the test on a

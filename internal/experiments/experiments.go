@@ -153,8 +153,10 @@ func (h *Harness) Fig7() (*report.Table, error) {
 	root := tree.NewRoot(tree.NewSec("Loop1",
 		tree.NewTask("t0", la), tree.NewTask("t1", lb)))
 
+	// The dual-core machine is the harness machine cut to two cores.
 	mc := h.cfg.Machine
-	mc.Cores = 2
+	spec := mc.MachineSpec()
+	mc.Spec = spec.WithCores(spec.Name+"-2core", 2)
 	p, err := prophet.ProfileTreeCtx(h.ctx, root, &prophet.Options{
 		Machine: mc, DisableMemoryModel: true, CompressTolerance: -1,
 	})

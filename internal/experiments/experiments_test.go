@@ -8,14 +8,18 @@ import (
 	"testing"
 
 	"prophet"
+	"prophet/internal/machine"
 	"prophet/internal/obs"
 	"prophet/internal/sim"
 	"prophet/internal/stats"
 )
 
-// fastMachine keeps experiment tests quick and exact.
+// fastMachine keeps experiment tests quick and exact: the paper machine
+// with a 10k-cycle quantum and free context switches.
 func fastMachine() sim.Config {
-	return sim.Config{Cores: 12, Quantum: 10_000, ContextSwitch: -1}
+	s := machine.Default().WithCores("t-experiments", 12)
+	s.Quantum, s.ContextSwitch = 10_000, 0
+	return sim.Config{Spec: s}
 }
 
 // harness is a harness for cfg that is never canceled.
@@ -73,6 +77,23 @@ func TestFig7Shape(t *testing.T) {
 	}
 	if realS < 1.85 || synS < 1.85 {
 		t.Errorf("Fig7 real %.2f / synthesizer %.2f, want ~2.0:\n%s", realS, synS, out)
+	}
+}
+
+// TestFig7SpecHarnessMatchesZero: Fig. 7 runs on a dual-core cut of the
+// harness machine, so a harness built on the default spec prints the same
+// table as the zero harness (whose nil spec is that machine).
+func TestFig7SpecHarnessMatchesZero(t *testing.T) {
+	render := func(mc sim.Config) string {
+		tb, err := harness(Config{Machine: mc}).Fig7()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb.String()
+	}
+	zero, spec := render(sim.Config{}), render(sim.Config{Spec: machine.Default()})
+	if zero != spec {
+		t.Errorf("Fig7 differs by harness machine spelling:\nzero harness:\n%s\nspec harness:\n%s", zero, spec)
 	}
 }
 

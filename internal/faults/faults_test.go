@@ -16,7 +16,7 @@ import (
 	"prophet"
 	"prophet/internal/clock"
 	"prophet/internal/faults"
-	"prophet/internal/mem"
+	"prophet/internal/machine"
 	"prophet/internal/sim"
 	"prophet/internal/trace"
 	"prophet/internal/tree"
@@ -46,7 +46,7 @@ func memProg(sections, tasks int) trace.Program {
 // counters the noise perturbed).
 func profileNoisy(t *testing.T, in *faults.Injector, prog trace.Program) *prophet.Profile {
 	t.Helper()
-	p := trace.NewSimProfiler(mem.DRAMConfig{})
+	p := trace.NewSimProfiler(machine.Default())
 	p.WithHooks(in.TraceHooks())
 	prog(p)
 	root, err := p.Finish()
@@ -153,11 +153,19 @@ func TestDroppedAndDuplicatedEventsFailTyped(t *testing.T) {
 	}
 }
 
+// exactMachine is the paper machine cut to two cores, with a 10k-cycle
+// quantum and free context switches.
+func exactMachine() sim.Config {
+	s := machine.Default().WithCores("t-faults2", 2)
+	s.Quantum, s.ContextSwitch = 10_000, 0
+	return sim.Config{Spec: s}
+}
+
 // TestQuantumJitterIsDeterministic: jittered machine runs reproduce
 // exactly for a fixed seed; the jitter stream actually perturbs the
 // schedule (different seeds may differ).
 func TestQuantumJitterIsDeterministic(t *testing.T) {
-	cfg := sim.Config{Cores: 2, Quantum: 10_000, ContextSwitch: -1, DRAM: mem.DefaultDRAM()}
+	cfg := exactMachine()
 	run := func(seed int64) clock.Cycles {
 		in := faults.New(faults.Config{Seed: seed, QuantumJitter: 0.25})
 		total, _, err := sim.Run(context.Background(), cfg, sim.RunOpts{Faults: in.SimFaults()}, func(th *sim.Thread) {
@@ -181,7 +189,7 @@ func TestQuantumJitterIsDeterministic(t *testing.T) {
 // not speed a memory-bound parallel run up, and should measurably slow
 // it down.
 func TestBandwidthDegradeSlowsMemoryBoundRun(t *testing.T) {
-	cfg := sim.Config{Cores: 8, DRAM: mem.DefaultDRAM()}
+	cfg := sim.Config{Spec: machine.Default().WithCores("t-faults8", 8)}
 	run := func(hooks *sim.FaultHooks) clock.Cycles {
 		total, _, err := sim.Run(context.Background(), cfg, sim.RunOpts{Faults: hooks}, func(th *sim.Thread) {
 			var ts []*sim.Thread
@@ -253,7 +261,7 @@ func TestClockSkewStillProducesValidTree(t *testing.T) {
 // degrade the failure taxonomy.
 func TestFaultsComposeWithTypedFailures(t *testing.T) {
 	in := faults.New(faults.Config{Seed: 3, QuantumJitter: 0.25})
-	cfg := sim.Config{Cores: 2, Quantum: 10_000, ContextSwitch: -1, DRAM: mem.DefaultDRAM()}
+	cfg := exactMachine()
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()

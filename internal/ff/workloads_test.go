@@ -19,7 +19,9 @@ func TestBenchmarksFastPathsMatchHeap(t *testing.T) {
 	for i := range counts {
 		counts[i] = i + 1
 	}
-	mc := prophet.MachineConfig{Cores: 12, Quantum: 10_000, ContextSwitch: -1}
+	spec := prophet.DefaultMachineSpec().WithCores("t-ff12", 12)
+	spec.Quantum, spec.ContextSwitch = 10_000, 0
+	mc := prophet.MachineConfig{Spec: spec}
 	for _, name := range workloads.Names() {
 		w, err := workloads.ByName(name)
 		if err != nil {

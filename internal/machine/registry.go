@@ -87,14 +87,12 @@ func Presets() []*Spec {
 	return out
 }
 
+// defaultSpec is the registered westmere12 pointer. A registered name is
+// never rebound, so Default can return it without a registry lookup.
+var defaultSpec *Spec
+
 // Default returns the canonical paper-machine spec (westmere12).
-func Default() *Spec {
-	s, err := ParseSpec(DefaultName)
-	if err != nil {
-		panic(err) // registered in init; unreachable
-	}
-	return s
-}
+func Default() *Spec { return defaultSpec }
 
 func mustRegister(s *Spec) {
 	if err := Register(s); err != nil {
@@ -103,11 +101,15 @@ func mustRegister(s *Spec) {
 }
 
 func init() {
-	// westmere12 is the paper's testbed and the system-wide default. Its
-	// parameters are byte-for-byte the historical defaults of
-	// sim.DefaultConfig / mem.DefaultDRAM / mem.DefaultLLC, so every
-	// pre-spec golden output reproduces exactly.
-	mustRegister(&Spec{
+	// westmere12 is the paper's testbed and the system-wide default, the
+	// machine every golden output pins. A two-socket Westmere-class
+	// memory system at a 2.4 GHz core clock: ω₀ = 40 cycles/miss gives a
+	// single-thread streaming bandwidth of 64/40 = 1.6 B/cycle
+	// (~3.8 GB/s), and the shared bus sustains 8 B/cycle (~19 GB/s), so
+	// bandwidth saturates around five streaming threads — the
+	// speedup-saturation points the paper observes on 12 cores (Fig. 2,
+	// Fig. 12). The L3 is 12 MiB, 16-way.
+	defaultSpec = &Spec{
 		Name:          DefaultName,
 		Desc:          "12-core two-socket Westmere-class machine, the paper's testbed (default)",
 		CoreGroups:    []CoreGroup{{Count: 12, Speed: 1}},
@@ -115,7 +117,8 @@ func init() {
 		ContextSwitch: 1_000,
 		LLC:           LLCSpec{SizeBytes: 12 << 20, Ways: 16, LineBytes: counters.LineSize},
 		DRAM:          DRAMSpec{UnloadedLatency: 40, BandwidthBytesPerCycle: 8, Knee: 0.75},
-	})
+	}
+	mustRegister(defaultSpec)
 	// gracelike72: a modern large server — many homogeneous cores, a big
 	// LLC, lots of bandwidth split across two NUMA-ish domains of 36
 	// cores each.

@@ -16,9 +16,7 @@
 // field that would be meaningless (no cores, zero quantum) is an error,
 // while a zero field with a legitimate meaning (ContextSwitch: 0 — free
 // context switches; SecondDomain: nil — a single bandwidth domain) is
-// kept exactly as written. This is deliberately different from the legacy
-// knob structs (sim.Config, mem.DRAMConfig), whose zero values silently
-// fall back to paper-machine defaults for compatibility.
+// kept exactly as written.
 package machine
 
 import (
@@ -125,8 +123,8 @@ type Spec struct {
 	// Quantum is the OS scheduling time slice in nominal cycles.
 	Quantum clock.Cycles `json:"quantum"`
 	// ContextSwitch is the cost of switching a core between threads, in
-	// nominal cycles. Zero means genuinely free — unlike the legacy
-	// sim.Config knob, it is never rewritten to a default.
+	// nominal cycles. Zero means genuinely free; it is never rewritten to
+	// a default.
 	ContextSwitch clock.Cycles `json:"context_switch"`
 	// LLC sizes the shared last-level cache.
 	LLC LLCSpec `json:"llc"`
@@ -160,7 +158,7 @@ func (s *Spec) SpeedOf(i int) float64 {
 }
 
 // Homogeneous reports whether every core runs at speed 1 — the case the
-// simulator's byte-identical legacy fast path covers.
+// simulator's unscaled fast path covers.
 func (s *Spec) Homogeneous() bool {
 	for _, g := range s.CoreGroups {
 		if g.Speed != 1 {
@@ -183,6 +181,33 @@ func (s *Spec) CoreSpeeds(n int) []float64 {
 		out[i] = s.SpeedOf(i % cores)
 	}
 	return out
+}
+
+// WithCores returns an unregistered copy of s named name that keeps the
+// first n of s's cores, cutting its core groups in order (a machine with
+// fewer than n cores grows its last group). A second bandwidth domain
+// that would leave no core on the primary domain is dropped. Every other
+// field is s's. The copy is not validated; the caller may adjust it
+// before first use and must treat it as immutable after.
+func (s *Spec) WithCores(name string, n int) *Spec {
+	d := *s
+	d.Name = name
+	d.CoreGroups = nil
+	for _, g := range s.CoreGroups {
+		if n == 0 {
+			break
+		}
+		g.Count = min(g.Count, n)
+		n -= g.Count
+		d.CoreGroups = append(d.CoreGroups, g)
+	}
+	if n > 0 {
+		d.CoreGroups[len(d.CoreGroups)-1].Count += n
+	}
+	if sd := d.DRAM.SecondDomain; sd != nil && sd.Cores >= d.Cores() {
+		d.DRAM.SecondDomain = nil
+	}
+	return &d
 }
 
 func (s *Spec) bad(field, format string, args ...any) error {

@@ -164,11 +164,14 @@ func TestRegisterRejectsDuplicateAndInvalid(t *testing.T) {
 	}
 }
 
-// TestDefaultMatchesPaperMachine pins westmere12 to the historical
-// sim/mem default values: the byte-identity of every pre-spec golden file
-// depends on these exact numbers.
+// TestDefaultMatchesPaperMachine pins westmere12, the only home of the
+// paper machine's constants: every golden file depends on these exact
+// numbers.
 func TestDefaultMatchesPaperMachine(t *testing.T) {
 	d := Default()
+	if p, err := ParseSpec(DefaultName); err != nil || p != d {
+		t.Errorf("ParseSpec(%q) = %p, %v; want Default() %p", DefaultName, p, err, d)
+	}
 	if d.Cores() != 12 || !d.Homogeneous() {
 		t.Errorf("default = %d cores homogeneous=%v, want 12 homogeneous", d.Cores(), d.Homogeneous())
 	}
@@ -181,6 +184,46 @@ func TestDefaultMatchesPaperMachine(t *testing.T) {
 	want := DRAMSpec{UnloadedLatency: 40, BandwidthBytesPerCycle: 8, Knee: 0.75}
 	if d.DRAM != want {
 		t.Errorf("default DRAM = %+v, want %+v", d.DRAM, want)
+	}
+}
+
+// TestWithCores: a derived spec keeps the first n cores of the layout
+// under its own name, drops a second domain it can no longer hold, and
+// leaves the original untouched.
+func TestWithCores(t *testing.T) {
+	emb, err := ParseSpec("embedded4+4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	six := emb.WithCores("emb6", 6)
+	if err := six.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if six == emb || six.Name != "emb6" || six.Cores() != 6 || six.SpeedOf(3) != 1 || six.SpeedOf(4) != 0.5 {
+		t.Errorf("WithCores(6) = %+v", six)
+	}
+	if six.Quantum != emb.Quantum || six.LLC != emb.LLC || six.DRAM != emb.DRAM {
+		t.Errorf("WithCores changed machine parameters: %+v vs %+v", six, emb)
+	}
+	if two := emb.WithCores("emb2", 2); len(two.CoreGroups) != 1 || two.Cores() != 2 || !two.Homogeneous() {
+		t.Errorf("WithCores(2) = %+v, want one speed-1 group of 2", two.CoreGroups)
+	}
+	if big := Default().WithCores("w16", 16); big.Cores() != 16 || !big.Homogeneous() {
+		t.Errorf("WithCores(16) = %+v, want the last group grown to 16 cores", big.CoreGroups)
+	}
+	if emb.Cores() != 8 || emb.CoreGroups[1].Count != 4 {
+		t.Errorf("WithCores mutated the original: %+v", emb.CoreGroups)
+	}
+
+	grace, err := ParseSpec("gracelike72")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := grace.WithCores("g48", 48); s.DRAM.SecondDomain == nil || s.Validate() != nil {
+		t.Errorf("WithCores(48) lost a second domain it can hold: %+v", s.DRAM)
+	}
+	if s := grace.WithCores("g2", 2); s.DRAM.SecondDomain != nil || s.Validate() != nil {
+		t.Errorf("WithCores(2) kept a second domain it cannot hold: %+v", s.DRAM)
 	}
 }
 

@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"prophet/internal/counters"
-	"prophet/internal/machine"
-)
+import "prophet/internal/machine"
 
 // Cache is a set-associative LRU last-level cache simulator. The paper's
 // tool reads LLC-miss counters instead of simulating (for speed); this
@@ -24,61 +21,22 @@ type Cache struct {
 	misses   int64
 }
 
-// CacheConfig sizes a cache.
-//
-// CacheConfig is the legacy knob form, kept as a thin wrapper over
-// machine.LLCSpec: zero-valued fields fall back to the DefaultLLC
-// (paper-machine) values in NewCache. New code should size caches from a
-// validated machine.Spec via ConfigFromLLC, which applies no fallbacks.
-type CacheConfig struct {
-	// SizeBytes is the total capacity (default 12 MiB, the Westmere L3
-	// used in the paper).
-	SizeBytes int64
-	// Ways is the associativity (default 16).
-	Ways int
-	// LineBytes is the line size (default counters.LineSize).
-	LineBytes int
-}
-
-// DefaultLLC returns the paper machine's 12 MB 16-way L3.
-func DefaultLLC() CacheConfig {
-	return CacheConfig{SizeBytes: 12 << 20, Ways: 16, LineBytes: counters.LineSize}
-}
-
-// ConfigFromLLC converts a validated machine-spec LLC to the knob form.
-// The spec is taken as-is: validation already rejected the zero values
-// NewCache would otherwise rewrite.
-func ConfigFromLLC(s machine.LLCSpec) CacheConfig {
-	return CacheConfig{SizeBytes: s.SizeBytes, Ways: s.Ways, LineBytes: s.LineBytes}
-}
-
-// NewCache builds a cache simulator. Zero-valued config fields take the
-// DefaultLLC values.
-func NewCache(cfg CacheConfig) *Cache {
-	def := DefaultLLC()
-	if cfg.SizeBytes <= 0 {
-		cfg.SizeBytes = def.SizeBytes
-	}
-	if cfg.Ways <= 0 {
-		cfg.Ways = def.Ways
-	}
-	if cfg.LineBytes <= 0 {
-		cfg.LineBytes = def.LineBytes
-	}
+// NewCache builds a cache simulator sized by a validated machine-spec LLC.
+func NewCache(llc machine.LLCSpec) *Cache {
 	lineBits := uint(0)
-	for 1<<lineBits < cfg.LineBytes {
+	for 1<<lineBits < llc.LineBytes {
 		lineBits++
 	}
-	sets := int(cfg.SizeBytes / int64(cfg.Ways) / int64(cfg.LineBytes))
+	sets := int(llc.SizeBytes / int64(llc.Ways) / int64(llc.LineBytes))
 	if sets < 1 {
 		sets = 1
 	}
-	c := &Cache{sets: sets, ways: cfg.Ways, lineBits: lineBits}
+	c := &Cache{sets: sets, ways: llc.Ways, lineBits: lineBits}
 	c.lines = make([][]uint64, sets)
 	c.lru = make([][]uint64, sets)
 	for i := range c.lines {
-		c.lines[i] = make([]uint64, cfg.Ways)
-		c.lru[i] = make([]uint64, cfg.Ways)
+		c.lines[i] = make([]uint64, llc.Ways)
+		c.lru[i] = make([]uint64, llc.Ways)
 		for w := range c.lines[i] {
 			c.lines[i][w] = ^uint64(0) // invalid
 		}
@@ -136,14 +94,14 @@ func (c *Cache) Reset() { c.accesses, c.misses = 0, 0 }
 // sequential sweep over footprintBytes with the given byte stride. This is
 // the offline helper the benchmark cost models use: it warms the cache with
 // one sweep and measures a second.
-func StreamMissRate(cfg CacheConfig, footprintBytes int64, stride int) float64 {
+func StreamMissRate(llc machine.LLCSpec, footprintBytes int64, stride int) float64 {
 	if stride <= 0 {
 		stride = 8
 	}
 	if footprintBytes <= 0 {
 		return 0
 	}
-	c := NewCache(cfg)
+	c := NewCache(llc)
 	sweep := func() {
 		for a := int64(0); a < footprintBytes; a += int64(stride) {
 			c.Access(uint64(a))

@@ -6,14 +6,26 @@ import (
 	"testing/quick"
 
 	"prophet/internal/counters"
+	"prophet/internal/machine"
 )
 
+// paperModel returns a DRAM model of the paper machine.
+func paperModel() *DRAM {
+	d := &DRAM{}
+	d.ResetSpec(machine.Default().DRAM)
+	return d
+}
+
+// paperDRAM returns the paper machine's DRAM parameters.
+func paperDRAM() params { return paperModel().cfg }
+
+// paperLLC is the paper machine's last-level cache.
+var paperLLC = machine.Default().LLC
+
 func TestDRAMDefaults(t *testing.T) {
-	d := NewDRAM(DRAMConfig{})
-	cfg := d.Config()
-	def := DefaultDRAM()
-	if cfg != def {
-		t.Fatalf("zero config not defaulted: %+v vs %+v", cfg, def)
+	cfg := paperDRAM()
+	if want := (params{unloadedLatency: 40, bandwidth: 8, knee: 0.75}); cfg != want {
+		t.Fatalf("paper-machine DRAM = %+v, want %+v", cfg, want)
 	}
 	if got := cfg.SingleThreadBandwidth(); math.Abs(got-64.0/40) > 1e-12 {
 		t.Fatalf("single-thread bandwidth = %g, want 1.6", got)
@@ -21,7 +33,7 @@ func TestDRAMDefaults(t *testing.T) {
 }
 
 func TestStretchRegions(t *testing.T) {
-	cfg := DefaultDRAM() // B=8, knee at 6
+	cfg := paperDRAM() // B=8, knee at 6
 	if got := cfg.StretchAt(0); got != 1 {
 		t.Errorf("stretch(0) = %g, want 1", got)
 	}
@@ -39,7 +51,7 @@ func TestStretchRegions(t *testing.T) {
 
 // Property: stretch is monotone non-decreasing in demand and >= 1.
 func TestStretchMonotoneProperty(t *testing.T) {
-	cfg := DefaultDRAM()
+	cfg := paperDRAM()
 	f := func(a, b uint16) bool {
 		da := float64(a) / 1000
 		db := float64(b) / 1000
@@ -55,7 +67,7 @@ func TestStretchMonotoneProperty(t *testing.T) {
 }
 
 func TestRegisterUnregisterBalance(t *testing.T) {
-	d := NewDRAM(DRAMConfig{})
+	d := paperModel()
 	h1 := d.Register(1.5)
 	h2 := d.Register(2.0)
 	if d.ActiveThreads() != 2 || math.Abs(d.ActiveDemand()-3.5) > 1e-12 {
@@ -74,7 +86,7 @@ func TestRegisterUnregisterBalance(t *testing.T) {
 }
 
 func TestUnconstrainedDemand(t *testing.T) {
-	cfg := DefaultDRAM()
+	cfg := paperDRAM()
 	// Pure streaming: instr=0 => demand equals single-thread bandwidth.
 	if got, want := cfg.UnconstrainedDemand(0, 1000), cfg.SingleThreadBandwidth(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("pure stream demand = %g, want %g", got, want)
@@ -92,17 +104,17 @@ func TestUnconstrainedDemand(t *testing.T) {
 }
 
 func TestOmegaGrowsPastSaturation(t *testing.T) {
-	cfg := DefaultDRAM()
-	if got := cfg.Omega(0); got != cfg.UnloadedLatency {
-		t.Errorf("omega unloaded = %g, want %g", got, cfg.UnloadedLatency)
+	cfg := paperDRAM()
+	if got := cfg.Omega(0); got != cfg.unloadedLatency {
+		t.Errorf("omega unloaded = %g, want %g", got, cfg.unloadedLatency)
 	}
-	if got := cfg.Omega(3 * cfg.BandwidthBytesPerCycle); math.Abs(got-3*cfg.UnloadedLatency) > 1e-9 {
-		t.Errorf("omega at 3x = %g, want %g", got, 3*cfg.UnloadedLatency)
+	if got := cfg.Omega(3 * cfg.bandwidth); math.Abs(got-3*cfg.unloadedLatency) > 1e-9 {
+		t.Errorf("omega at 3x = %g, want %g", got, 3*cfg.unloadedLatency)
 	}
 }
 
 func TestCacheBasics(t *testing.T) {
-	c := NewCache(CacheConfig{SizeBytes: 1 << 12, Ways: 2, LineBytes: 64}) // 4KB, 32 sets
+	c := NewCache(machine.LLCSpec{SizeBytes: 1 << 12, Ways: 2, LineBytes: 64}) // 4KB, 32 sets
 	if c.Sets() != 32 {
 		t.Fatalf("sets = %d, want 32", c.Sets())
 	}
@@ -126,7 +138,7 @@ func TestCacheBasics(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	// 2-way cache with 1 set: capacity 2 lines.
-	c := NewCache(CacheConfig{SizeBytes: 128, Ways: 2, LineBytes: 64})
+	c := NewCache(machine.LLCSpec{SizeBytes: 128, Ways: 2, LineBytes: 64})
 	if c.Sets() != 1 {
 		t.Fatalf("sets = %d, want 1", c.Sets())
 	}
@@ -143,7 +155,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestStreamMissRateRegimes(t *testing.T) {
-	cfg := CacheConfig{SizeBytes: 1 << 16, Ways: 8, LineBytes: 64} // 64 KB
+	cfg := machine.LLCSpec{SizeBytes: 1 << 16, Ways: 8, LineBytes: 64} // 64 KB
 	// Footprint fits: steady-state sweep should hit almost always.
 	small := StreamMissRate(cfg, 1<<14, 8)
 	if small > 0.01 {
@@ -163,11 +175,11 @@ func TestStreamMissRateRegimes(t *testing.T) {
 }
 
 func TestStreamMissRateDegenerate(t *testing.T) {
-	if got := StreamMissRate(DefaultLLC(), 0, 8); got != 0 {
+	if got := StreamMissRate(paperLLC, 0, 8); got != 0 {
 		t.Errorf("zero footprint miss rate = %g, want 0", got)
 	}
 	// Non-positive stride defaults rather than looping forever.
-	if got := StreamMissRate(CacheConfig{SizeBytes: 1 << 12}, 1<<10, 0); got < 0 {
+	if got := StreamMissRate(machine.LLCSpec{SizeBytes: 1 << 12, Ways: 2, LineBytes: 64}, 1<<10, 0); got < 0 {
 		t.Errorf("negative miss rate %g", got)
 	}
 }

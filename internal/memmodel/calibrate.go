@@ -73,8 +73,11 @@ func measure(ctx context.Context, mc sim.Config, hz float64, t int, instrPerMiss
 // microbenchmark sweep checks ctx between machine runs and aborts with an
 // error wrapping ctx.Err().
 func CalibrateCtx(ctx context.Context, mc sim.Config, threadCounts []int) (*Model, CalibrationData, error) {
-	// Context-switch noise would blur the symmetric measurement.
-	mc.ContextSwitch = -1
+	// Context-switch noise would blur the symmetric measurement: measure
+	// on an unregistered copy of the machine with free switches.
+	free := *mc.MachineSpec()
+	free.ContextSwitch = 0
+	mc.Spec = &free
 	hz := clock.DefaultHz
 	m := &Model{
 		Hz:             hz,

@@ -9,7 +9,7 @@ import (
 
 	"prophet/internal/clock"
 	"prophet/internal/counters"
-	"prophet/internal/mem"
+	"prophet/internal/machine"
 	"prophet/internal/sim"
 	"prophet/internal/tree"
 )
@@ -128,8 +128,11 @@ func TestPsiInterpolationForUncalibratedCounts(t *testing.T) {
 	}
 }
 
+// simCfg is the paper machine with free context switches.
 func simCfg() sim.Config {
-	return sim.Config{Cores: 12, Quantum: 50_000, ContextSwitch: -1, DRAM: mem.DefaultDRAM()}
+	s := machine.Default().WithCores("t-memmodel", 12)
+	s.ContextSwitch = 0
+	return sim.Config{Spec: s}
 }
 
 func TestCalibrationShapes(t *testing.T) {

@@ -2,17 +2,23 @@ package omprt
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"prophet/internal/clock"
+	"prophet/internal/machine"
 	"prophet/internal/sim"
 )
 
 // zeroOv removes all runtime overheads so tests can assert exact makespans.
 var zeroOv = Overheads{}
 
+// mcfg is the paper machine cut to cores, with a 10k-cycle quantum and
+// free context switches so makespans are exact.
 func mcfg(cores int) sim.Config {
-	return sim.Config{Cores: cores, Quantum: 10_000, ContextSwitch: -1}
+	s := machine.Default().WithCores(fmt.Sprintf("t-omprt%d", cores), cores)
+	s.Quantum, s.ContextSwitch = 10_000, 0
+	return sim.Config{Spec: s}
 }
 
 // mustRun runs main on a machine built from c, failing the test on a

@@ -2,15 +2,21 @@ package pipesim
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"prophet/internal/clock"
+	"prophet/internal/machine"
 	"prophet/internal/sim"
 	"prophet/internal/tree"
 )
 
+// mcfg is the paper machine cut to cores, with a 10k-cycle quantum and
+// free context switches so makespans are exact.
 func mcfg(cores int) sim.Config {
-	return sim.Config{Cores: cores, Quantum: 10_000, ContextSwitch: -1}
+	s := machine.Default().WithCores(fmt.Sprintf("t-pipesim%d", cores), cores)
+	s.Quantum, s.ContextSwitch = 10_000, 0
+	return sim.Config{Spec: s}
 }
 
 // mustRun runs main on a machine built from c, failing the test on a

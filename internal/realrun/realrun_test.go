@@ -2,19 +2,25 @@ package realrun
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"prophet/internal/cilkrt"
 	"prophet/internal/clock"
+	"prophet/internal/machine"
 	"prophet/internal/omprt"
 	"prophet/internal/sim"
 	"prophet/internal/synth"
 	"prophet/internal/tree"
 )
 
+// mcfg is the paper machine cut to cores, with a 10k-cycle quantum and
+// free context switches so makespans are exact.
 func mcfg(cores int) sim.Config {
-	return sim.Config{Cores: cores, Quantum: 10_000, ContextSwitch: -1}
+	s := machine.Default().WithCores(fmt.Sprintf("t-realrun%d", cores), cores)
+	s.Quantum, s.ContextSwitch = 10_000, 0
+	return sim.Config{Spec: s}
 }
 
 var zeroOmp = &omprt.Overheads{}

@@ -70,8 +70,7 @@ func TestTwoThreadsPinnedToSameCoreSerialize(t *testing.T) {
 // TestPinnedThreadWaitsForItsCore: an unpinned thread can overtake a
 // pinned one whose core is busy.
 func TestPinnedThreadWaitsForItsCore(t *testing.T) {
-	c := cfg(2)
-	c.Quantum = 1_000_000 // no preemption: the hog keeps core 0
+	c := machineCfg(2, 1_000_000, 0) // no preemption: the hog keeps core 0
 	var freeDone, pinnedDone clock.Cycles
 	mustRun(t, c, func(th *Thread) {
 		th.Pin(0)

@@ -21,9 +21,9 @@ import (
 // Excluded under the race detector, which instruments allocations and
 // coroutine switches enough to perturb the count.
 func TestSimStepZeroAlloc(t *testing.T) {
-	cfg := Config{Cores: 4, Quantum: 10_000, ContextSwitch: -1}
+	mc := cfg(4)
 	run := func(steps int) {
-		_, _, err := Run(context.Background(), cfg, RunOpts{}, func(m *Thread) {
+		_, _, err := Run(context.Background(), mc, RunOpts{}, func(m *Thread) {
 			ws := make([]*Thread, 0, 8)
 			for k := 0; k < 8; k++ {
 				ws = append(ws, m.Spawn(func(w *Thread) {
@@ -61,11 +61,9 @@ func TestSimStepZeroAlloc(t *testing.T) {
 // domains into retained storage, never fresh allocations.
 func TestSimSpecStepZeroAlloc(t *testing.T) {
 	spec := &machine.Spec{
-		Name:       "t-allocgate",
-		CoreGroups: []machine.CoreGroup{{Count: 2, Speed: 1}, {Count: 2, Speed: 0.5}},
-		Quantum:    10_000,
-		// ContextSwitch 0 in a spec is literal (free switches), matching
-		// the flat gate's ContextSwitch: -1.
+		Name:          "t-allocgate",
+		CoreGroups:    []machine.CoreGroup{{Count: 2, Speed: 1}, {Count: 2, Speed: 0.5}},
+		Quantum:       10_000,
 		ContextSwitch: 0,
 		LLC:           machine.LLCSpec{SizeBytes: 12 << 20, Ways: 16, LineBytes: 64},
 		DRAM:          machine.DRAMSpec{UnloadedLatency: 40, BandwidthBytesPerCycle: 8, Knee: 0.75},
@@ -112,9 +110,9 @@ func spawnWork(w *Thread) { w.Work(1_000) }
 // at most two threads alive however many it creates; without recycling
 // every spawn would allocate a fresh coroutine (about a dozen allocations).
 func TestSimSpawnAllocsBoundedByLiveThreads(t *testing.T) {
-	cfg := Config{Cores: 2, Quantum: 10_000, ContextSwitch: -1}
+	mc := cfg(2)
 	run := func(spawns int) {
-		_, _, err := Run(context.Background(), cfg, RunOpts{}, func(m *Thread) {
+		_, _, err := Run(context.Background(), mc, RunOpts{}, func(m *Thread) {
 			for k := 0; k < spawns; k++ {
 				m.Join(m.Spawn(spawnWork))
 			}

@@ -11,8 +11,7 @@ import (
 // must be chunked, with contention re-evaluated per chunk — total misses
 // are conserved either way.
 func TestWorkMemSplitsAcrossQuanta(t *testing.T) {
-	c := cfg(1)
-	c.Quantum = 1_000 // tiny quantum: many chunks
+	c := machineCfg(1, 1_000, 0) // tiny quantum: many chunks
 	end, st := mustRun(t, c, func(th *Thread) {
 		th.WorkMem(10_000, 500)
 	})
@@ -84,8 +83,7 @@ func TestStatsFields(t *testing.T) {
 
 // TestQuantumRefreshWithoutWaiters: a lone thread must not be preempted.
 func TestQuantumRefreshWithoutWaiters(t *testing.T) {
-	c := cfg(1)
-	c.Quantum = 100
+	c := machineCfg(1, 100, 0)
 	_, st := mustRun(t, c, func(th *Thread) { th.Work(1_000_000) })
 	if st.Preemptions != 0 {
 		t.Fatalf("lone thread preempted %d times", st.Preemptions)
@@ -180,18 +178,6 @@ func TestManyLocksIndependent(t *testing.T) {
 	})
 	if end != 20_000 {
 		t.Fatalf("independent locks serialized: %d", end)
-	}
-}
-
-// TestNormalizedConfig exposes the defaulted view used by callers.
-func TestNormalizedConfig(t *testing.T) {
-	n := (Config{}).Normalized()
-	if n.Cores != 12 || n.Quantum != 50_000 || n.DRAM.UnloadedLatency != 40 {
-		t.Fatalf("normalized = %+v", n)
-	}
-	n2 := (Config{ContextSwitch: -1}).Normalized()
-	if n2.ContextSwitch != 0 {
-		t.Fatalf("negative context switch not zeroed: %+v", n2)
 	}
 }
 

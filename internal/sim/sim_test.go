@@ -3,19 +3,26 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"prophet/internal/clock"
-	"prophet/internal/mem"
+	"prophet/internal/machine"
 )
 
-// cfg returns a test machine: cores as given, no context-switch cost so
-// makespans are exact, quantum 10k cycles.
-func cfg(cores int) Config {
-	return Config{Cores: cores, Quantum: 10_000, ContextSwitch: -1, DRAM: mem.DefaultDRAM()}
+// cfg returns a test machine: the paper machine cut to cores, with a
+// 10k-cycle quantum and free context switches so makespans are exact.
+func cfg(cores int) Config { return machineCfg(cores, 10_000, 0) }
+
+// machineCfg returns the paper machine cut to cores, with the given
+// quantum and context-switch cost, under its own name.
+func machineCfg(cores int, quantum, contextSwitch clock.Cycles) Config {
+	s := machine.Default().WithCores(fmt.Sprintf("t-sim%d-q%d-cs%d", cores, quantum, contextSwitch), cores)
+	s.Quantum, s.ContextSwitch = quantum, contextSwitch
+	return Config{Spec: s}
 }
 
 // mustRun is Run without options, failing the test on a simulation error.
@@ -374,7 +381,7 @@ func TestRunYieldsToWaitingGoroutines(t *testing.T) {
 	go close(ran)
 	steps := 4 * yieldEvery
 	var midRun bool
-	_, _, err := Run(context.Background(), Config{Cores: 1, Quantum: 1_000, ContextSwitch: -1}, RunOpts{}, func(th *Thread) {
+	_, _, err := Run(context.Background(), machineCfg(1, 1_000, 0), RunOpts{}, func(th *Thread) {
 		w := th.Spawn(func(w *Thread) {
 			for i := 0; i < steps; i++ {
 				w.Work(1_000)
@@ -508,7 +515,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestContextSwitchCost(t *testing.T) {
-	c := Config{Cores: 1, Quantum: 10_000, ContextSwitch: 500}
+	c := machineCfg(1, 10_000, 500)
 	end, _ := mustRun(t, c, func(th *Thread) {
 		w := th.Spawn(func(w *Thread) { w.Work(10_000) })
 		th.Work(10_000)
@@ -522,9 +529,12 @@ func TestContextSwitchCost(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	m := New(Config{})
-	c := m.Config()
-	if c.Cores != 12 || c.Quantum != 50_000 || c.ContextSwitch != 1_000 {
-		t.Fatalf("defaults not applied: %+v", c)
+	if c := m.Config(); c.Spec != machine.Default() {
+		t.Fatalf("nil spec resolved to %v, want %s", c.Spec, machine.DefaultName)
+	}
+	if len(m.cores) != 12 || m.quantum != 50_000 || m.contextSwitch != 1_000 || m.omega0 != 40 {
+		t.Fatalf("paper machine not applied: %d cores, quantum %d, switch %d, ω₀ %g",
+			len(m.cores), m.quantum, m.contextSwitch, m.omega0)
 	}
 	if m.Time() != 0 {
 		t.Fatalf("fresh machine time = %d", m.Time())

@@ -6,11 +6,10 @@ import (
 
 	"prophet/internal/clock"
 	"prophet/internal/machine"
-	"prophet/internal/mem"
 )
 
-// specFor builds a validated homogeneous spec mirroring the flat config
-// the legacy tests use.
+// specFor builds a validated spec with the paper machine's quantum,
+// context-switch cost and LLC.
 func specFor(t *testing.T, name string, groups []machine.CoreGroup, dram machine.DRAMSpec) *machine.Spec {
 	t.Helper()
 	s := &machine.Spec{
@@ -49,58 +48,25 @@ func memWorkload(n int) func(*Thread) {
 	}
 }
 
-// TestSpecVsFlatConfigIdentity is the wrapper-vs-spec contract: a run
-// against Config{Spec: westmere12} must be byte-identical (makespan and
-// every stat) to the same run against the legacy flat default config —
-// the flat knobs are now a wrapper over the spec, not a second truth.
-func TestSpecVsFlatConfigIdentity(t *testing.T) {
-	flat := Config{} // all defaults: the historical paper machine
-	spec := Config{Spec: machine.Default()}
-
-	fe, fs, err := Run(context.Background(), flat, RunOpts{}, memWorkload(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	se, ss, err := Run(context.Background(), spec, RunOpts{}, memWorkload(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fe != se {
-		t.Errorf("makespan differs: flat %d vs spec %d", fe, se)
-	}
-	if fs != ss {
-		t.Errorf("stats differ: flat %+v vs spec %+v", fs, ss)
-	}
-
-	// The normalized views agree on every derived knob.
-	nf, ns := flat.Normalized(), spec.Normalized()
-	if nf.Cores != ns.Cores || nf.Quantum != ns.Quantum || nf.ContextSwitch != ns.ContextSwitch || nf.DRAM != ns.DRAM {
-		t.Errorf("Normalized differs: flat %+v vs spec %+v", nf, ns)
-	}
-}
-
 // TestSpecContextSwitchZeroNotRewritten: a spec with ContextSwitch 0
-// means genuinely free switches — unlike the legacy flat config, where 0
-// selects the 1000-cycle default. This is the default-coupling fix: spec
-// fields are never silently rewritten.
+// means genuinely free switches — spec fields are never silently
+// rewritten to a default. Two 10k jobs serialized on one core take
+// exactly 20k cycles.
 func TestSpecContextSwitchZeroNotRewritten(t *testing.T) {
 	s := specFor(t, "t-freecs",
-		[]machine.CoreGroup{{Count: 2, Speed: 1}},
+		[]machine.CoreGroup{{Count: 1, Speed: 1}},
 		machine.DRAMSpec{UnloadedLatency: 40, BandwidthBytesPerCycle: 8, Knee: 0.75})
 	s.ContextSwitch = 0
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	n := Config{Spec: s}.Normalized()
-	if n.ContextSwitch != 0 {
-		t.Fatalf("spec ContextSwitch 0 normalized to %d, want 0 (not rewritten)", n.ContextSwitch)
-	}
-	if legacy := (Config{}).Normalized(); legacy.ContextSwitch != 1_000 {
-		t.Fatalf("legacy zero ContextSwitch = %d, want the 1000-cycle default", legacy.ContextSwitch)
-	}
-	// And the run-mode override still works on top of a spec.
-	if n := (Config{Spec: machine.Default(), ContextSwitch: -1}).Normalized(); n.ContextSwitch != 0 {
-		t.Fatalf("ContextSwitch -1 with spec = %d, want 0 (disabled)", n.ContextSwitch)
+	end, _ := mustRun(t, Config{Spec: s}, func(th *Thread) {
+		w := th.Spawn(func(w *Thread) { w.Work(10_000) })
+		th.Work(10_000)
+		th.Join(w)
+	})
+	if end != 20_000 {
+		t.Fatalf("makespan = %d, want exactly 20000 with free context switches", end)
 	}
 }
 
@@ -225,7 +191,7 @@ func TestSpecPooledReset(t *testing.T) {
 		if _, _, err := Run(context.Background(), Config{Spec: machine.Default()}, RunOpts{}, memWorkload(8)); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Run(context.Background(), Config{Cores: 3, DRAM: mem.DefaultDRAM()}, RunOpts{}, memWorkload(4)); err != nil {
+		if _, _, err := Run(context.Background(), cfg(3), RunOpts{}, memWorkload(4)); err != nil {
 			t.Fatal(err)
 		}
 		warmEnd, warmStats, err := Run(context.Background(), Config{Spec: little}, RunOpts{}, memWorkload(8))

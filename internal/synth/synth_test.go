@@ -2,18 +2,24 @@ package synth
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"prophet/internal/clock"
 	"prophet/internal/ff"
+	"prophet/internal/machine"
 	"prophet/internal/omprt"
 	"prophet/internal/sim"
 	"prophet/internal/tree"
 )
 
+// mcfg is the paper machine cut to cores, with a 10k-cycle quantum and
+// free context switches so makespans are exact.
 func mcfg(cores int) sim.Config {
-	return sim.Config{Cores: cores, Quantum: 10_000, ContextSwitch: -1}
+	s := machine.Default().WithCores(fmt.Sprintf("t-synth%d", cores), cores)
+	s.Quantum, s.ContextSwitch = 10_000, 0
+	return sim.Config{Spec: s}
 }
 
 // newSyn returns a synthesizer with zero runtime overheads and minimal

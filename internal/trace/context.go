@@ -5,7 +5,7 @@ import (
 
 	"prophet/internal/clock"
 	"prophet/internal/counters"
-	"prophet/internal/mem"
+	"prophet/internal/machine"
 	"prophet/internal/tree"
 )
 
@@ -59,30 +59,30 @@ const (
 	LengthInstructions
 )
 
-// SimProfiler profiles a Program on a virtual clock with the given DRAM
-// timing: Compute advances virtual time by instr + misses·ω₀ (a serial run
-// never saturates the bus) and feeds the counter model. It implements
-// Context and CounterSource.
+// SimProfiler profiles a Program on a virtual clock with a machine's
+// unloaded memory latency ω₀: Compute advances virtual time by
+// instr + misses·ω₀ (a serial run never saturates the bus) and feeds the
+// counter model. It implements Context and CounterSource.
 type SimProfiler struct {
 	*Tracer
-	clk  *clock.Virtual
-	dram mem.DRAMConfig
-	unit LengthUnit
+	clk    *clock.Virtual
+	omega0 float64
+	unit   LengthUnit
 
 	instr  int64
 	misses int64
 	cycles clock.Cycles
 }
 
-// NewSimProfiler returns a profiler over a fresh virtual clock, recording
-// lengths in cycles (the paper's unit).
-func NewSimProfiler(dram mem.DRAMConfig) *SimProfiler {
-	return NewSimProfilerWithUnit(dram, LengthCycles)
+// NewSimProfiler returns a profiler over a fresh virtual clock for the
+// machine spec, recording lengths in cycles (the paper's unit).
+func NewSimProfiler(spec *machine.Spec) *SimProfiler {
+	return NewSimProfilerWithUnit(spec, LengthCycles)
 }
 
 // NewSimProfilerWithUnit selects the interval-length unit (§VI-A).
-func NewSimProfilerWithUnit(dram mem.DRAMConfig, unit LengthUnit) *SimProfiler {
-	return NewSimProfilerArena(dram, unit, nil)
+func NewSimProfilerWithUnit(spec *machine.Spec, unit LengthUnit) *SimProfiler {
+	return NewSimProfilerArena(spec, unit, nil)
 }
 
 // NewSimProfilerArena is NewSimProfilerWithUnit with program-tree nodes
@@ -90,15 +90,10 @@ func NewSimProfilerWithUnit(dram mem.DRAMConfig, unit LengthUnit) *SimProfiler {
 // (benchmarks, validation sweeps that own their samples). The returned
 // tree is valid only until a.Reset; see tree.Arena for the lifetime
 // contract. A nil arena falls back to heap allocation.
-func NewSimProfilerArena(dram mem.DRAMConfig, unit LengthUnit, a *tree.Arena) *SimProfiler {
-	p := &SimProfiler{clk: &clock.Virtual{}, dram: *applyDRAMDefaults(&dram), unit: unit}
+func NewSimProfilerArena(spec *machine.Spec, unit LengthUnit, a *tree.Arena) *SimProfiler {
+	p := &SimProfiler{clk: &clock.Virtual{}, omega0: spec.DRAM.UnloadedLatency, unit: unit}
 	p.Tracer = NewWithArena(p.clk, p, a)
 	return p
-}
-
-func applyDRAMDefaults(d *mem.DRAMConfig) *mem.DRAMConfig {
-	cfg := mem.NewDRAM(*d).Config()
-	return &cfg
 }
 
 // Compute advances virtual time by the serial cost of the segment and
@@ -112,7 +107,7 @@ func (p *SimProfiler) Compute(instrCycles, llcMisses int64) {
 	if llcMisses < 0 {
 		llcMisses = 0
 	}
-	d := clock.Cycles(float64(instrCycles) + float64(llcMisses)*p.dram.UnloadedLatency + 0.5)
+	d := clock.Cycles(float64(instrCycles) + float64(llcMisses)*p.omega0 + 0.5)
 	p.cycles += d
 	if p.unit == LengthInstructions {
 		p.clk.Advance(clock.Cycles(instrCycles))
@@ -142,17 +137,18 @@ func (p *SimProfiler) Counters() counters.Sample {
 	return counters.Sample{Instructions: p.instr, Cycles: p.cycles, LLCMisses: p.misses}
 }
 
-// Profile runs prog under a fresh SimProfiler and returns the program tree
-// along with the profiler (whose Counters hold whole-run totals).
-func Profile(prog Program, dram mem.DRAMConfig) (*tree.Node, *SimProfiler, error) {
-	return ProfileArena(prog, dram, nil)
+// Profile runs prog under a fresh SimProfiler for the machine spec and
+// returns the program tree along with the profiler (whose Counters hold
+// whole-run totals).
+func Profile(prog Program, spec *machine.Spec) (*tree.Node, *SimProfiler, error) {
+	return ProfileArena(prog, spec, nil)
 }
 
 // ProfileArena is Profile with the tree allocated from a: repeated
 // profile-discard cycles (a.Reset between them) stop allocating node
 // storage once the arena is warm. The tree is only valid until a.Reset.
-func ProfileArena(prog Program, dram mem.DRAMConfig, a *tree.Arena) (*tree.Node, *SimProfiler, error) {
-	p := NewSimProfilerArena(dram, LengthCycles, a)
+func ProfileArena(prog Program, spec *machine.Spec, a *tree.Arena) (*tree.Node, *SimProfiler, error) {
+	p := NewSimProfilerArena(spec, LengthCycles, a)
 	prog(p)
 	root, err := p.Finish()
 	return root, p, err
@@ -165,7 +161,8 @@ func ProfileArena(prog Program, dram mem.DRAMConfig, a *tree.Arena) (*tree.Node,
 // traits are recorded for the tree but no cache traffic is generated.
 type HostProfiler struct {
 	*Tracer
-	clk *clock.Host
+	clk    *clock.Host
+	omega0 float64
 
 	instr  int64
 	misses int64
@@ -174,15 +171,15 @@ type HostProfiler struct {
 // NewHostProfiler returns a profiler over the host monotonic clock at hz
 // nominal cycles per second (non-positive selects clock.DefaultHz).
 func NewHostProfiler(hz float64) *HostProfiler {
-	p := &HostProfiler{clk: clock.NewHost(hz)}
+	p := &HostProfiler{clk: clock.NewHost(hz), omega0: machine.Default().DRAM.UnloadedLatency}
 	p.Tracer = New(p.clk, p)
 	return p
 }
 
 // Compute burns wall-clock time equivalent to instrCycles (+ misses at the
-// default unloaded latency) on the host.
+// default machine's unloaded latency) on the host.
 func (p *HostProfiler) Compute(instrCycles, llcMisses int64) {
-	total := float64(instrCycles) + float64(llcMisses)*mem.DefaultDRAM().UnloadedLatency
+	total := float64(instrCycles) + float64(llcMisses)*p.omega0
 	deadline := time.Duration(total / p.clk.Hz() * float64(time.Second))
 	start := time.Now()
 	for time.Since(start) < deadline {

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"prophet/internal/ff"
-	"prophet/internal/mem"
+	"prophet/internal/machine"
 	"prophet/internal/omprt"
 	"prophet/internal/realrun"
 	"prophet/internal/sim"
@@ -35,10 +35,12 @@ func mixedProgram(ctx Context) {
 // wrong relative durations, so the schedule emulation mispredicts — which
 // is why the paper settled on time as the unit.
 func TestInstructionUnitMispredictsMixes(t *testing.T) {
-	mc := sim.Config{Cores: 4, Quantum: 10_000, ContextSwitch: -1}
+	spec := machine.Default().WithCores("t-lengthunit4", 4)
+	spec.Quantum, spec.ContextSwitch = 10_000, 0
+	mc := sim.Config{Spec: spec}
 
 	profileWith := func(unit LengthUnit) *SimProfiler {
-		p := NewSimProfilerWithUnit(mem.DRAMConfig{}, unit)
+		p := NewSimProfilerWithUnit(spec, unit)
 		mixedProgram(p)
 		return p
 	}

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"prophet/internal/clock"
-	"prophet/internal/mem"
+	"prophet/internal/machine"
 	"prophet/internal/tree"
 )
 
@@ -41,7 +41,7 @@ func figure4Program(ctx Context) {
 }
 
 func TestFigure4Tree(t *testing.T) {
-	root, _, err := Profile(figure4Program, mem.DRAMConfig{})
+	root, _, err := Profile(figure4Program, machine.Default())
 	if err != nil {
 		t.Fatalf("Profile: %v", err)
 	}
@@ -110,7 +110,7 @@ func TestSerialGapsBecomeRootUNodes(t *testing.T) {
 		ctx.SecEnd(false)
 		ctx.Compute(30, 0) // trailing serial
 	}
-	root, _, err := Profile(prog, mem.DRAMConfig{})
+	root, _, err := Profile(prog, machine.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestCountersPerTopLevelSection(t *testing.T) {
 		ctx.TaskEnd()
 		ctx.SecEnd(false)
 	}
-	root, _, err := Profile(prog, mem.DRAMConfig{})
+	root, _, err := Profile(prog, machine.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestMemTraitsAttachedToLeaves(t *testing.T) {
 		ctx.TaskEnd()
 		ctx.SecEnd(false)
 	}
-	root, _, err := Profile(prog, mem.DRAMConfig{})
+	root, _, err := Profile(prog, machine.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestAnnotationErrors(t *testing.T) {
 		{"sec inside sec", func(c Context) { c.SecBegin("a"); c.SecBegin("b") }},
 	}
 	for _, tc := range cases {
-		_, _, err := Profile(tc.prog, mem.DRAMConfig{})
+		_, _, err := Profile(tc.prog, machine.Default())
 		if err == nil {
 			t.Errorf("%s: no error reported", tc.name)
 		} else if !errors.Is(err, ErrAnnotationMismatch) {
@@ -212,7 +212,7 @@ func TestAnnotationErrors(t *testing.T) {
 }
 
 func TestFinishTwice(t *testing.T) {
-	p := NewSimProfiler(mem.DRAMConfig{})
+	p := NewSimProfiler(machine.Default())
 	if _, err := p.Finish(); err != nil {
 		t.Fatalf("first Finish: %v", err)
 	}
@@ -222,7 +222,7 @@ func TestFinishTwice(t *testing.T) {
 }
 
 func TestEmptyProgram(t *testing.T) {
-	root, _, err := Profile(func(Context) {}, mem.DRAMConfig{})
+	root, _, err := Profile(func(Context) {}, machine.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestRepeatedTopLevelSectionAccumulatesCounters(t *testing.T) {
 			ctx.SecEnd(false)
 		}
 	}
-	root, _, err := Profile(prog, mem.DRAMConfig{})
+	root, _, err := Profile(prog, machine.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

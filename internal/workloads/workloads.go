@@ -20,7 +20,7 @@ import (
 	"sort"
 
 	"prophet/internal/counters"
-	"prophet/internal/mem"
+	"prophet/internal/machine"
 	"prophet/internal/omprt"
 	"prophet/internal/synth"
 	"prophet/internal/trace"
@@ -46,7 +46,7 @@ type Workload struct {
 
 // LLCBytes is the simulated machine's last-level cache size (12 MB, as on
 // the paper's Westmere).
-var LLCBytes = mem.DefaultLLC().SizeBytes
+var LLCBytes = machine.Default().LLC.SizeBytes
 
 // streamMisses models the LLC misses of streaming `bytes` of data that
 // belong to a working set of wsBytes: if the working set fits in the LLC

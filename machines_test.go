@@ -21,6 +21,31 @@ func memoryHeavyProgram(n int) Program {
 	}
 }
 
+// TestOneCalibrationPerMachine: a nil Spec and DefaultMachineSpec() are
+// one machine, so they share one calibration and one name.
+func TestOneCalibrationPerMachine(t *testing.T) {
+	ctx := context.Background()
+	configs := []MachineConfig{{}, {Spec: DefaultMachineSpec()}}
+	var models []*MemModel
+	for _, mc := range configs {
+		m, err := CalibrateModelCtx(ctx, mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, m)
+		p, err := ProfileProgramCtx(ctx, memoryHeavyProgram(4), &Options{Machine: mc, DisableMemoryModel: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.MachineName(); got != DefaultMachineName {
+			t.Errorf("MachineName() with %+v = %q, want %q", mc, got, DefaultMachineName)
+		}
+	}
+	if models[0] != models[1] {
+		t.Error("the default machine was calibrated twice: nil Spec and DefaultMachineSpec() returned different models")
+	}
+}
+
 // TestEstimateMachineVariants drives the machine dimension end-to-end
 // through the public API: naming the profile's own machine changes
 // nothing, naming a preset re-profiles against it and yields a distinct

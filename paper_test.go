@@ -8,6 +8,7 @@ package prophet_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"prophet"
 	"prophet/internal/compress"
 	"prophet/internal/ff"
+	"prophet/internal/machine"
 	"prophet/internal/memmodel"
 	"prophet/internal/omprt"
 	"prophet/internal/sim"
@@ -41,6 +43,14 @@ func mustReal(t testing.TB, p *prophet.Profile, req prophet.Request) float64 {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// claimMachine is the paper machine cut to cores, with a 10k-cycle
+// quantum and free context switches so makespans are exact.
+func claimMachine(cores int) sim.Config {
+	s := machine.Default().WithCores(fmt.Sprintf("t-claim%d", cores), cores)
+	s.Quantum, s.ContextSwitch = 10_000, 0
+	return sim.Config{Spec: s}
 }
 
 // Claim (Fig. 5): for the three-iteration loop with a lock on two cores,
@@ -72,7 +82,7 @@ func TestClaimFig7NestedLimitation(t *testing.T) {
 	la := tree.NewSec("A", tree.NewTask("a0", tree.NewU(10*scale)), tree.NewTask("a1", tree.NewU(5*scale)))
 	lb := tree.NewSec("B", tree.NewTask("b0", tree.NewU(5*scale)), tree.NewTask("b1", tree.NewU(10*scale)))
 	root := tree.NewRoot(tree.NewSec("L1", tree.NewTask("t0", la), tree.NewTask("t1", lb)))
-	mc := sim.Config{Cores: 2, Quantum: 10_000, ContextSwitch: -1}
+	mc := claimMachine(2)
 	p, err := prophet.ProfileTreeCtx(context.Background(), root, &prophet.Options{Machine: mc, DisableMemoryModel: true, CompressTolerance: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +105,7 @@ func TestClaimFig7NestedLimitation(t *testing.T) {
 // achieved traffic, ω = a·δ^b with b ≈ −1 (the paper fits −0.964 on real
 // hardware; the streaming identity gives exactly −1).
 func TestClaimEq7PowerLaw(t *testing.T) {
-	m, _, err := memmodel.CalibrateCtx(context.Background(), sim.Config{Cores: 12, Quantum: 10_000, ContextSwitch: -1},
+	m, _, err := memmodel.CalibrateCtx(context.Background(), claimMachine(12),
 		[]int{2, 4, 6, 8, 10, 12})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +123,7 @@ func TestClaimFig2FTSaturation(t *testing.T) {
 		t.Skip("slow")
 	}
 	w, _ := workloads.ByName("NPB-FT")
-	mc := sim.Config{Cores: 12, Quantum: 10_000, ContextSwitch: -1}
+	mc := claimMachine(12)
 	p, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{Machine: mc})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +153,7 @@ func TestClaimFig2FTSaturation(t *testing.T) {
 func TestClaimCompressionRegularVsIrregular(t *testing.T) {
 	reduction := func(name string) float64 {
 		w, _ := workloads.ByName(name)
-		root, _, err := trace.Profile(w.Program, sim.Config{}.Normalized().DRAM)
+		root, _, err := trace.Profile(w.Program, machine.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +177,7 @@ func TestClaimTest1Accuracy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	mc := sim.Config{Cores: 12, Quantum: 10_000, ContextSwitch: -1}
+	mc := claimMachine(12)
 	var sumErr float64
 	n := 0
 	// 20 samples keep the suite fast; cmd/ppexp runs the full 300.

@@ -147,7 +147,7 @@ func (p *Profile) threadsOf(req Request) int {
 	if req.Threads > 0 {
 		return req.Threads
 	}
-	return p.opts.Machine.Normalized().Cores
+	return p.opts.Machine.MachineSpec().Cores()
 }
 
 // EstimateCtx runs one prediction against the profile. The emulated

@@ -45,8 +45,8 @@ import (
 
 // Options configures profiling and prediction.
 type Options struct {
-	// Machine is the simulated target machine. The zero value is the
-	// paper's 12-core configuration.
+	// Machine is the simulated target machine. The zero value (nil Spec)
+	// is westmere12, the paper's 12-core machine.
 	Machine sim.Config
 	// ThreadCounts are the CPU counts predictions will be requested for;
 	// the memory model assigns one burden factor per count. Default:
@@ -136,21 +136,8 @@ type Profile struct {
 	surrKey   string
 }
 
-// MachineName returns the name of the profile's target machine: the spec
-// name when profiled against a machine spec, the default preset's name
-// when the flat knobs match the paper machine, and "" for an unnamed
-// custom flat configuration.
-func (p *Profile) MachineName() string {
-	if s := p.opts.Machine.Spec; s != nil {
-		return s.Name
-	}
-	n := p.opts.Machine.Normalized()
-	d := sim.Config{Spec: machine.Default()}.Normalized()
-	if n.Cores == d.Cores && n.Quantum == d.Quantum && n.ContextSwitch == d.ContextSwitch && n.DRAM == d.DRAM {
-		return machine.DefaultName
-	}
-	return ""
-}
+// MachineName returns the name of the profile's target machine spec.
+func (p *Profile) MachineName() string { return p.opts.Machine.MachineSpec().Name }
 
 // forMachine resolves a Request.Machine name to the profile to estimate
 // against: the receiver itself when the name is empty or already the
@@ -168,11 +155,7 @@ func (p *Profile) forMachine(ctx context.Context, name string) (*Profile, error)
 	}
 	return p.variants.Get(name, func() (*Profile, error) {
 		vo := p.opts
-		vo.Machine = sim.Config{
-			Spec:           spec,
-			MaxEvents:      p.opts.Machine.MaxEvents,
-			MaxVirtualTime: p.opts.Machine.MaxVirtualTime,
-		}
+		vo.Machine.Spec = spec
 		vo.MemModel = nil // calibrate against the variant machine
 		if p.prog != nil {
 			return ProfileProgramCtx(ctx, p.prog, &vo)
@@ -191,25 +174,28 @@ func (p *Profile) peekMachine(name string) (*Profile, bool) {
 }
 
 // calibrated caches one memory model per machine configuration —
-// calibration runs a microbenchmark sweep and is worth reusing. The
+// calibration runs a microbenchmark sweep and is worth reusing. It is
+// keyed on the resolved configuration (spec pointer plus run budgets), so
+// a nil Spec and machine.Default() share one calibration. The
 // singleflight cache matters under the parallel experiment sweeps:
 // concurrent profiles of the same machine share one calibration run
 // instead of racing to duplicate it.
 var calibrated sweep.Cache[sim.Config, *memmodel.Model]
 
 func modelFor(ctx context.Context, mc sim.Config, threads []int) (*memmodel.Model, error) {
-	key := mc.Normalized()
-	return calibrated.Get(key, func() (*memmodel.Model, error) {
+	mc.Spec = mc.MachineSpec()
+	return calibrated.Get(mc, func() (*memmodel.Model, error) {
 		// Calibrate over a full ladder up to the core count, not just the
 		// requested thread counts: the Φ power-law fit needs several
 		// saturated operating points to be well-conditioned (§V-D).
+		cores := mc.Spec.Cores()
 		ladder := map[int]bool{}
 		for _, t := range threads {
-			if t >= 2 && t <= key.Cores {
+			if t >= 2 && t <= cores {
 				ladder[t] = true
 			}
 		}
-		for t := 2; t <= key.Cores; t += 2 {
+		for t := 2; t <= cores; t += 2 {
 			ladder[t] = true
 		}
 		var ts []int
@@ -217,7 +203,7 @@ func modelFor(ctx context.Context, mc sim.Config, threads []int) (*memmodel.Mode
 			ts = append(ts, t)
 		}
 		sort.Ints(ts)
-		m, _, err := memmodel.CalibrateCtx(ctx, key, ts)
+		m, _, err := memmodel.CalibrateCtx(ctx, mc, ts)
 		return m, err
 	})
 }
@@ -237,10 +223,7 @@ func ProfileProgramCtx(ctx context.Context, prog Program, opts *Options) (p *Pro
 	}
 	o := opts.withDefaults()
 	tm := o.Observer.Metrics.StartTimer(obs.MStageProfile)
-	// Normalize the machine first so spec-built configs (whose flat DRAM
-	// knobs are zero) profile against the spec's memory parameters; for
-	// legacy flat configs this matches the profiler's own defaulting.
-	root, prof, err := trace.Profile(prog, o.Machine.Normalized().DRAM)
+	root, prof, err := trace.Profile(prog, o.Machine.MachineSpec())
 	tm.Stop()
 	if err != nil {
 		return nil, err
@@ -261,14 +244,9 @@ func ProfileProgramCtx(ctx context.Context, prog Program, opts *Options) (p *Pro
 		tm.Stop()
 	}
 	if !o.DisableMemoryModel {
-		m := o.MemModel
-		if m == nil {
-			tm := o.Observer.Metrics.StartTimer(obs.MStageCalibrate)
-			m, err = modelFor(ctx, o.Machine, o.ThreadCounts)
-			tm.Stop()
-			if err != nil {
-				return nil, err
-			}
+		m, err := o.memModel(ctx)
+		if err != nil {
+			return nil, err
 		}
 		p.Model = m
 		if o.AverageBurdensByName {
@@ -278,6 +256,17 @@ func ProfileProgramCtx(ctx context.Context, prog Program, opts *Options) (p *Pro
 		}
 	}
 	return p, nil
+}
+
+// memModel returns o.MemModel, or else the calibration of o.Machine under
+// ctx (timed as the calibrate stage).
+func (o Options) memModel(ctx context.Context) (*memmodel.Model, error) {
+	if o.MemModel != nil {
+		return o.MemModel, nil
+	}
+	tm := o.Observer.Metrics.StartTimer(obs.MStageCalibrate)
+	defer tm.Stop()
+	return modelFor(ctx, o.Machine, o.ThreadCounts)
 }
 
 // CalibrateModelCtx runs the §V-D microbenchmark against the given
@@ -308,14 +297,9 @@ func ProfileTreeCtx(ctx context.Context, root *tree.Node, opts *Options) (p *Pro
 		opts:         o,
 	}
 	if !o.DisableMemoryModel {
-		m := o.MemModel
-		if m == nil {
-			tm := o.Observer.Metrics.StartTimer(obs.MStageCalibrate)
-			m, err = modelFor(ctx, o.Machine, o.ThreadCounts)
-			tm.Stop()
-			if err != nil {
-				return nil, err
-			}
+		m, err := o.memModel(ctx)
+		if err != nil {
+			return nil, err
 		}
 		p.Model = m
 		m.AssignBurdens(root, o.ThreadCounts)

@@ -2,18 +2,23 @@ package prophet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 
-	"prophet/internal/sim"
+	"prophet/internal/machine"
 	"prophet/internal/tree"
 )
 
-// testMachine is a small, overhead-free machine so assertions are tight.
+// testMachine is a small, overhead-free machine so assertions are tight:
+// the paper machine cut to cores, with a 10k-cycle quantum and free
+// context switches.
 func testMachine(cores int) MachineConfig {
-	return MachineConfig{Cores: cores, Quantum: 10_000, ContextSwitch: -1}
+	s := machine.Default().WithCores(fmt.Sprintf("t-prophet%d", cores), cores)
+	s.Quantum, s.ContextSwitch = 10_000, 0
+	return MachineConfig{Spec: s}
 }
 
 // mustEstimate is p.EstimateCtx, failing the test on a failed estimate.
@@ -236,7 +241,7 @@ func TestMethodStrings(t *testing.T) {
 }
 
 func TestModelCacheReuse(t *testing.T) {
-	mc := sim.Config{Cores: 4, Quantum: 10_000, ContextSwitch: -1}
+	mc := testMachine(4)
 	m1, err := modelFor(context.Background(), mc, []int{2, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +418,7 @@ func TestHostProfilePublicAPI(t *testing.T) {
 		ctx.TaskEnd()
 	}
 	ctx.SecEnd(false)
-	prof, err := hp.Finish(&Options{Machine: testMachine(4), DisableMemoryModel: true})
+	prof, err := hp.FinishCtx(context.Background(), &Options{Machine: testMachine(4), DisableMemoryModel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,8 +441,40 @@ func TestHostProfilePublicAPI(t *testing.T) {
 func TestHostProfileErrorsSurface(t *testing.T) {
 	hp := NewHostProfileHz(1e9)
 	hp.Context().TaskBegin("orphan")
-	if _, err := hp.Finish(nil); err == nil {
+	if _, err := hp.FinishCtx(context.Background(), nil); err == nil {
 		t.Fatal("annotation error not surfaced")
+	}
+}
+
+// TestHostProfileFinishCtxCancel: FinishCtx calibrates under the caller's
+// ctx. On a machine nobody has calibrated yet, a pre-canceled ctx fails
+// with context.Canceled and keeps the measured session; a live retry
+// then succeeds, and the session is spent after it.
+func TestHostProfileFinishCtxCancel(t *testing.T) {
+	hp := NewHostProfileHz(1e9)
+	c := hp.Context()
+	c.SecBegin("s")
+	for i := 0; i < 4; i++ {
+		c.TaskBegin("t")
+		c.Compute(1_000, 10)
+		c.TaskEnd()
+	}
+	c.SecEnd(false)
+	opts := &Options{Machine: testMachine(4)} // a fresh spec: never calibrated
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := hp.FinishCtx(ctx, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("FinishCtx with a canceled ctx: err = %v, want context.Canceled", err)
+	}
+	prof, err := hp.FinishCtx(context.Background(), opts)
+	if err != nil {
+		t.Fatalf("live retry: %v", err)
+	}
+	if prof.Model == nil || len(prof.Tree.TopLevelSections()) != 1 {
+		t.Fatalf("retried profile: model %v, %d sections", prof.Model, len(prof.Tree.TopLevelSections()))
+	}
+	if _, err := hp.FinishCtx(context.Background(), opts); err == nil {
+		t.Fatal("a spent session finished again")
 	}
 }
 
