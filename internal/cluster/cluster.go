@@ -70,11 +70,6 @@ type Config struct {
 	// interval without risking live traffic.
 	ProbeInterval time.Duration
 
-	// StaleCap bounds the last-known-good cache used when a shard's
-	// peers are all down and local computation fails too (default 4096;
-	// negative disables stale serving).
-	StaleCap int
-
 	// Seed feeds the backoff jitter stream (default 1, so tests are
 	// reproducible by default).
 	Seed int64
@@ -131,9 +126,6 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Second
 	}
-	if c.StaleCap == 0 {
-		c.StaleCap = 4096
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -149,7 +141,6 @@ type Client struct {
 	ring     *ring
 	http     *http.Client
 	breakers map[string]*breaker // keyed by normalized peer, immutable map
-	stale    *staleCache
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
@@ -158,11 +149,11 @@ type Client struct {
 	probeDone chan struct{}
 	closeOnce sync.Once
 
-	cellsLocal, cellsRemote, degradedLocal, staleServes *obs.Counter
-	forwards, forwardErrors, retries, failovers         *obs.Counter
-	hedgesFired, hedgesWon                              *obs.Counter
-	probes, probeFailures                               *obs.Counter
-	forwardLat                                          *obs.Histogram
+	cellsLocal, cellsRemote, degradedLocal      *obs.Counter
+	forwards, forwardErrors, retries, failovers *obs.Counter
+	hedgesFired, hedgesWon                      *obs.Counter
+	probes, probeFailures                       *obs.Counter
+	forwardLat                                  *obs.Histogram
 }
 
 // New builds a client over cfg.Peers and starts the health prober.
@@ -174,14 +165,12 @@ func New(cfg Config) *Client {
 		cfg:           cfg,
 		ring:          newRing(cfg.Peers, cfg.VirtualNodes),
 		breakers:      make(map[string]*breaker),
-		stale:         newStaleCache(cfg.StaleCap),
 		jitter:        rand.New(rand.NewSource(cfg.Seed)),
 		stopProbe:     make(chan struct{}),
 		probeDone:     make(chan struct{}),
 		cellsLocal:    reg.Counter(obs.MClusterCellsLocal),
 		cellsRemote:   reg.Counter(obs.MClusterCellsRemote),
 		degradedLocal: reg.Counter(obs.MClusterDegradedLocal),
-		staleServes:   reg.Counter(obs.MClusterStaleServes),
 		forwards:      reg.Counter(obs.MClusterForwards),
 		forwardErrors: reg.Counter(obs.MClusterForwardErrors),
 		retries:       reg.Counter(obs.MClusterRetries),
@@ -235,10 +224,11 @@ var errBreakerOpen = errors.New("cluster: peer circuit open")
 
 // Estimate serves one cell through the cluster: local stack if the ring
 // assigns the cell to Self, otherwise forwarded to the owning peers with
-// retries, hedging and failover, degrading to local computation and
-// then to the last known-good result when every owner is down. cellKey
-// must be the serving layer's cache key for the cell so routing and
-// caching agree.
+// retries, hedging and failover, degrading to local computation when
+// every owner is down. cellKey must be the serving layer's cache key for
+// the cell so routing and caching agree; repeats of a cell the fleet
+// already answered are the serving layer's LRU's to serve, ahead of this
+// client.
 func (c *Client) Estimate(ctx context.Context, cellKey, workload string, req prophet.Request) (prophet.Estimate, error) {
 	owners := c.ring.owners(cellKey, c.cfg.OwnersPerCell)
 	if len(owners) == 0 || owners[0] == c.cfg.Self {
@@ -254,28 +244,15 @@ func (c *Client) Estimate(ctx context.Context, cellKey, workload string, req pro
 	c.cellsRemote.Inc()
 	est, err := c.forwardHedged(ctx, candidates, workload, req)
 	if err == nil {
-		if est.Err == nil {
-			c.stale.put(cellKey, est)
-		}
 		return est, nil
 	}
 	if ctx.Err() != nil {
 		return prophet.Estimate{Request: req, Err: ctx.Err()}, ctx.Err()
 	}
 	// Every remote owner is down or refusing: degrade to computing the
-	// cell here, and to the last known-good result if that fails too.
+	// cell here.
 	c.degradedLocal.Inc()
-	est, lerr := c.local(ctx, workload, req)
-	if lerr == nil {
-		return est, nil
-	}
-	if ctx.Err() == nil {
-		if stale, ok := c.stale.get(cellKey); ok {
-			c.staleServes.Inc()
-			return stale, nil
-		}
-	}
-	return est, lerr
+	return c.local(ctx, workload, req)
 }
 
 func (c *Client) local(ctx context.Context, workload string, req prophet.Request) (prophet.Estimate, error) {
@@ -547,46 +524,4 @@ func (c *Client) probeOne(peer string) {
 	// A non-ready peer (loading, draining) must not receive cells.
 	c.probeFailures.Inc()
 	br.onFailure()
-}
-
-// staleCache is the bounded last-known-good store behind stale serving:
-// newest successful remote result per cell, FIFO-evicted at capacity.
-type staleCache struct {
-	mu    sync.Mutex
-	m     map[string]prophet.Estimate
-	order []string
-	cap   int
-}
-
-func newStaleCache(capacity int) *staleCache {
-	if capacity <= 0 {
-		return &staleCache{cap: 0}
-	}
-	return &staleCache{m: make(map[string]prophet.Estimate, capacity), cap: capacity}
-}
-
-func (s *staleCache) put(key string, est prophet.Estimate) {
-	if s.cap <= 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[key]; !ok {
-		s.order = append(s.order, key)
-		if len(s.order) > s.cap {
-			delete(s.m, s.order[0])
-			s.order = s.order[1:]
-		}
-	}
-	s.m[key] = est
-}
-
-func (s *staleCache) get(key string) (prophet.Estimate, bool) {
-	if s.cap <= 0 {
-		return prophet.Estimate{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	est, ok := s.m[key]
-	return est, ok
 }

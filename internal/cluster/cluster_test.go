@@ -241,10 +241,12 @@ func TestClientHedgesSlowPrimary(t *testing.T) {
 	}
 }
 
-// TestClientDegradesToLocalThenStale: with every remote owner down the
-// cell is computed locally; when local computation fails too, the last
-// known-good result is served.
-func TestClientDegradesToLocalThenStale(t *testing.T) {
+// TestClientDegradesToLocal: with every remote owner down the cell is
+// computed locally; when local computation fails too, its error reaches
+// the caller. (Repeats of a cell a peer already answered are served by
+// the server's LRU ahead of the client; see the server package's
+// TestClusterCoordinatorLRUOutlivesPeers.)
+func TestClientDegradesToLocal(t *testing.T) {
 	peer := newStubPeer(t, 4)
 	self := "http://self.invalid:1"
 	localErr := errors.New("pool on fire")
@@ -262,7 +264,7 @@ func TestClientDegradesToLocalThenStale(t *testing.T) {
 	})
 	key := keyFor(t, c, peer.url())
 
-	// Healthy: remote answers; the result is recorded as last-known-good.
+	// Healthy: the remote owner answers.
 	est, err := c.Estimate(context.Background(), key, "W", prophet.Request{Threads: 2})
 	if err != nil || est.Speedup != 4 {
 		t.Fatalf("healthy remote: est=%+v err=%v", est, err)
@@ -278,24 +280,12 @@ func TestClientDegradesToLocalThenStale(t *testing.T) {
 		t.Errorf("%s = %d, want 1", obs.MClusterDegradedLocal, n)
 	}
 
-	// Local fails too: the stale last-known-good result is served.
+	// Local fails too: the local error surfaces, even for a cell the
+	// peer answered before.
 	localFail.Store(true)
 	est, err = c.Estimate(context.Background(), key, "W", prophet.Request{Threads: 2})
-	if err != nil || est.Speedup != 4 {
-		t.Fatalf("stale serve: est=%+v err=%v", est, err)
-	}
-	if n := reg.Snapshot().Counters[obs.MClusterStaleServes]; n != 1 {
-		t.Errorf("%s = %d, want 1", obs.MClusterStaleServes, n)
-	}
-
-	// A cell with no stale entry surfaces the local error.
-	otherKey := key + "-never-seen"
-	if c.ring.owners(otherKey, 1)[0] == NormalizeAddr(self) {
-		otherKey += "-x" // make sure it is remote-owned; both spellings miss the stale cache
-	}
-	_, err = c.Estimate(context.Background(), otherKey, "W", prophet.Request{Threads: 2})
-	if err == nil {
-		t.Fatal("cell with no stale fallback should fail")
+	if !errors.Is(err, localErr) || !errors.Is(est.Err, localErr) {
+		t.Fatalf("local failure: est=%+v err=%v, want %v", est, err, localErr)
 	}
 }
 

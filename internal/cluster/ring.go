@@ -1,11 +1,13 @@
 // Package cluster turns one prophetd into a fleet. A Client owns the
 // replica topology: a consistent-hash ring routes each prediction cell
-// to the replica whose LRU and singleflight group are hot for it, and a
+// to the replica whose LRU and singleflight are hot for it, and a
 // resilience stack — per-peer circuit breakers fed by a background
 // health prober, retries with exponential backoff and jitter, request
 // hedging to the next ring owner when the primary exceeds its latency
-// budget, and graceful degradation to local computation or stale-cache
-// serving — keeps cells answering while replicas crash, drain, or limp.
+// budget, and graceful degradation to local computation — keeps cells
+// answering while replicas crash, drain, or limp. Repeats of answered
+// cells never reach the Client: the serving layer's LRU answers them
+// first, even with every peer gone.
 //
 // The cell identity handed to Route is the same key the serving layer
 // caches on (workload, compressed-tree hash, canonical request), so a

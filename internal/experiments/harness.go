@@ -90,21 +90,21 @@ func (h *Harness) benchOpts() *prophet.Options {
 // Cancellation errors are never cached, so a canceled sweep does not
 // poison the cache for a later run.
 func (h *Harness) profileTest1(ctx context.Context, p workloads.Test1Params) (*prophet.Profile, error) {
-	return h.t1.Get(p, func() (*prophet.Profile, error) {
+	return h.t1.Get(ctx, p, func(ctx context.Context) (*prophet.Profile, error) {
 		return prophet.ProfileProgramCtx(ctx, p.Program(), h.validationOpts())
 	})
 }
 
 // profileTest2 profiles one Test2 sample through the shared cache.
 func (h *Harness) profileTest2(ctx context.Context, p workloads.Test2Params) (*prophet.Profile, error) {
-	return h.t2.Get(p, func() (*prophet.Profile, error) {
+	return h.t2.Get(ctx, p, func(ctx context.Context) (*prophet.Profile, error) {
 		return prophet.ProfileProgramCtx(ctx, p.Program(), h.validationOpts())
 	})
 }
 
 // profileBench profiles one named benchmark through the shared cache.
 func (h *Harness) profileBench(ctx context.Context, w *workloads.Workload) (*prophet.Profile, error) {
-	return h.bench.Get(w.Name, func() (*prophet.Profile, error) {
+	return h.bench.Get(ctx, w.Name, func(ctx context.Context) (*prophet.Profile, error) {
 		return prophet.ProfileProgramCtx(ctx, w.Program, h.benchOpts())
 	})
 }

@@ -94,12 +94,10 @@ const (
 	// whose ring owner is this replica is served from the local stack
 	// (cells_local); a cell owned by a peer is forwarded (cells_remote);
 	// a cell whose remote owners were all exhausted degrades to local
-	// computation (degraded_local) or, if that fails too, to the last
-	// known-good result (stale_serves).
+	// computation (degraded_local).
 	MClusterCellsLocal    = "cluster.cells_local"
 	MClusterCellsRemote   = "cluster.cells_remote"
 	MClusterDegradedLocal = "cluster.degraded_local"
-	MClusterStaleServes   = "cluster.stale_serves"
 
 	// Cluster forwarding: individual peer attempts, transient-failure
 	// retries on the same peer, and failovers to the next ring owner.
@@ -162,7 +160,7 @@ var allNames = []string{
 	MServerCacheHits, MServerCacheMisses, MServerCacheEvictions, MServerFlightDedups,
 	MServerBatches, MServerBatchCells, MServerPoolWait,
 	MImportRuns, MImportSamples, MImportFrames, MImportFramesDropped,
-	MClusterCellsLocal, MClusterCellsRemote, MClusterDegradedLocal, MClusterStaleServes,
+	MClusterCellsLocal, MClusterCellsRemote, MClusterDegradedLocal,
 	MClusterForwards, MClusterForwardErrors, MClusterRetries, MClusterFailovers,
 	MClusterHedgesFired, MClusterHedgesWon,
 	MClusterBreakerOpened, MClusterBreakerHalfOpen, MClusterBreakerClosed,

@@ -129,9 +129,9 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	}
 }
 
-// TestBatcherPanicIsolated: a panicking cell resolves with the contained
+// TestPoolPanicIsolated: a panicking cell resolves with the contained
 // panic error, leaves its neighbour alone and gives its slot back.
-func TestBatcherPanicIsolated(t *testing.T) {
+func TestPoolPanicIsolated(t *testing.T) {
 	p, reg := newTestPool(1)
 
 	bad := runAsync(context.Background(), p, func(context.Context) (prophet.Estimate, error) {
@@ -166,11 +166,11 @@ func TestBatcherPanicIsolated(t *testing.T) {
 	}
 }
 
-// TestBatcherExpiredJobSkipped: a cell whose context is already dead
+// TestPoolExpiredJobSkipped: a cell whose context is already dead
 // resolves with the cancellation without running. With a free slot the
 // pool may take either the slot or the cancellation first, so the check
 // repeats until both orders have almost surely been taken.
-func TestBatcherExpiredJobSkipped(t *testing.T) {
+func TestPoolExpiredJobSkipped(t *testing.T) {
 	p, _ := newTestPool(2)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -222,9 +222,7 @@ func waitFlights(t *testing.T, s *Server, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s.flights.mu.Lock()
-		open := len(s.flights.m)
-		s.flights.mu.Unlock()
+		open := s.flights.Len()
 		if open == n {
 			return
 		}
@@ -235,9 +233,9 @@ func waitFlights(t *testing.T, s *Server, n int) {
 	}
 }
 
-// TestBatcherShutdownResolvesQueued: cells waiting for a slot when the
+// TestPoolShutdownResolvesQueued: cells waiting for a slot when the
 // server shuts down resolve with a cancellation and never run.
-func TestBatcherShutdownResolvesQueued(t *testing.T) {
+func TestPoolShutdownResolvesQueued(t *testing.T) {
 	s := New(Config{Workers: 1})
 	release := holdSlot(t, s)
 
@@ -291,119 +289,5 @@ func TestPoolAbandonedFlightNeverRuns(t *testing.T) {
 	}
 	if got := counterValue(t, s, obs.MServerBatches); got != 1 {
 		t.Errorf("dispatches = %d, want 1 (the slot holder only)", got)
-	}
-}
-
-// TestFlightGroupDedup: concurrent callers of one key produce exactly one
-// leader; waiters get the leader's result.
-func TestFlightGroupDedup(t *testing.T) {
-	reg := &obs.Registry{}
-	g := newFlightGroup(reg)
-
-	var leads atomic.Int64
-	started := make(chan struct{})
-	unblock := make(chan struct{})
-	lead := func(_ context.Context, finish func(cellResult)) {
-		leads.Add(1)
-		go func() {
-			close(started)
-			<-unblock
-			finish(cellResult{est: est(42)})
-		}()
-	}
-
-	const waiters = 4
-	var wg sync.WaitGroup
-	results := make([]cellResult, waiters)
-	errsOut := make([]error, waiters)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		results[0], errsOut[0] = g.do(context.Background(), context.Background(), "k", lead)
-	}()
-	<-started // the leader exists; everyone else dedups onto its flight
-	for i := 1; i < waiters; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errsOut[i] = g.do(context.Background(), context.Background(), "k", func(context.Context, func(cellResult)) {
-				t.Error("second leader elected for an in-flight key")
-			})
-		}()
-	}
-	// Let the waiters park on the flight before releasing the leader.
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Snapshot().Counters[obs.MServerFlightDedups] < waiters-1 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiters never joined the flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(unblock)
-	wg.Wait()
-
-	if n := leads.Load(); n != 1 {
-		t.Fatalf("lead ran %d times, want 1", n)
-	}
-	for i := range results {
-		if errsOut[i] != nil || results[i].est.Speedup != 42 {
-			t.Errorf("caller %d: %+v, %v", i, results[i].est, errsOut[i])
-		}
-	}
-	if n := reg.Snapshot().Counters[obs.MServerFlightDedups]; n != waiters-1 {
-		t.Errorf("dedups = %d, want %d", n, waiters-1)
-	}
-}
-
-// TestFlightGroupLeaderCancelDoesNotPoison is the server-side twin of the
-// sweep.Cache leader-cancellation audit: a leader whose request dies
-// abandons the wait, but the flight still completes and is removed, so
-// later callers compute fresh instead of inheriting the cancellation.
-func TestFlightGroupLeaderCancelDoesNotPoison(t *testing.T) {
-	g := newFlightGroup(&obs.Registry{})
-
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	finishCh := make(chan func(cellResult), 1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, err := g.do(leaderCtx, context.Background(), "k", func(_ context.Context, finish func(cellResult)) {
-			finishCh <- finish
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("canceled leader err = %v, want context.Canceled", err)
-		}
-	}()
-	finish := <-finishCh
-	cancelLeader()
-	<-done
-
-	// The flight is still open (finish not called); a waiter with a live
-	// context gets the real result once the compute lands.
-	waiterRes := make(chan cellResult, 1)
-	go func() {
-		r, err := g.do(context.Background(), context.Background(), "k", func(context.Context, func(cellResult)) {
-			t.Error("waiter became leader while the flight was open")
-		})
-		if err != nil {
-			t.Errorf("waiter err: %v", err)
-		}
-		waiterRes <- r
-	}()
-	time.Sleep(10 * time.Millisecond) // let the waiter park on the flight
-	finish(cellResult{est: est(7)})
-	if r := <-waiterRes; r.est.Speedup != 7 {
-		t.Errorf("waiter got %+v, want the completed estimate", r.est)
-	}
-
-	// The completed flight is gone: the next caller is a fresh leader.
-	var ledAgain atomic.Bool
-	r, err := g.do(context.Background(), context.Background(), "k", func(_ context.Context, finish func(cellResult)) {
-		ledAgain.Store(true)
-		finish(cellResult{est: est(9)})
-	})
-	if err != nil || !ledAgain.Load() || r.est.Speedup != 9 {
-		t.Errorf("fresh leader: led=%v r=%+v err=%v", ledAgain.Load(), r.est, err)
 	}
 }

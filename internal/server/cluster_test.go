@@ -286,6 +286,61 @@ func TestClusterSweepKillReplicaByteIdentical(t *testing.T) {
 	}
 }
 
+// TestClusterCoordinatorLRUOutlivesPeers: a cell a remote owner answered
+// once stays answerable from the coordinator's LRU after every peer is
+// gone and the coordinator's own computation fails too. A cell never
+// answered before has no such fallback and fails.
+func TestClusterCoordinatorLRUOutlivesPeers(t *testing.T) {
+	f := newClusterFleet(t, 2, nil)
+	coord := f.servers[0]
+	coord.entriesMu.RLock()
+	entry := coord.entries["NPB-EP"]
+	coord.entriesMu.RUnlock()
+	var remote []int
+	for threads := 1; threads < 200 && len(remote) < 2; threads++ {
+		if coord.cluster.Owners(cellKey(entry, prophet.Request{Threads: threads}))[0] == f.urls[1] {
+			remote = append(remote, threads)
+		}
+	}
+	if len(remote) < 2 {
+		t.Fatal("replica 1 owns fewer than two probed cells")
+	}
+	body := func(threads int) map[string]any {
+		return map[string]any{"workload": "NPB-EP", "request": map[string]any{"threads": threads}}
+	}
+
+	code, answered := postJSON(t, f.urls[0]+"/v1/predict", body(remote[0]))
+	if code != http.StatusOK {
+		t.Fatalf("remote-owned predict: HTTP %d: %s", code, answered)
+	}
+	if n := f.regs[1].Snapshot().Counters[obs.MServerPredicts]; n != 1 {
+		t.Fatalf("owner replica served %d predicts, want 1", n)
+	}
+
+	// Every peer is gone, and local computation fails: the coordinator's
+	// lifetime context is canceled, so no cell can run on its slots.
+	f.https[1].Close()
+	coord.baseCancel()
+	if code, got := postJSON(t, f.urls[0]+"/v1/predict", body(remote[1])); code != http.StatusGatewayTimeout {
+		t.Fatalf("never-answered cell: HTTP %d (%s), want 504 with peers and local computation gone", code, got)
+	}
+	if n := f.regs[0].Snapshot().Counters[obs.MClusterDegradedLocal]; n != 1 {
+		t.Fatalf("%s = %d, want 1 (the never-answered cell degraded to local)", obs.MClusterDegradedLocal, n)
+	}
+
+	hits := counterValue(t, coord, obs.MServerCacheHits)
+	code, got := postJSON(t, f.urls[0]+"/v1/predict", body(remote[0]))
+	if code != http.StatusOK || string(got) != string(answered) {
+		t.Fatalf("repeat of the answered cell: HTTP %d\ngot:  %s\nwant: %s", code, got, answered)
+	}
+	if n := counterValue(t, coord, obs.MServerCacheHits); n != hits+1 {
+		t.Errorf("%s moved %d, want the repeat answered by the LRU", obs.MServerCacheHits, n-hits)
+	}
+	if n := f.regs[0].Snapshot().Counters[obs.MClusterDegradedLocal]; n != 1 {
+		t.Errorf("%s = %d, want the repeat to stop at the LRU", obs.MClusterDegradedLocal, n)
+	}
+}
+
 // TestClusterForwardedCellServedLocally pins the one-hop contract at the
 // HTTP layer: a request carrying the cluster routing header is served by
 // the receiving replica even when the ring assigns the cell elsewhere.

@@ -13,6 +13,7 @@ import (
 
 	"prophet"
 	"prophet/internal/profimport"
+	"prophet/internal/sweep"
 )
 
 // POST /v1/workloads ingests a captured execution profile — a pprof
@@ -127,7 +128,7 @@ func (s *Server) handleWorkloadImport(w http.ResponseWriter, r *http.Request) {
 		Observer:           prophet.Observer{Metrics: s.metrics},
 		Surrogate:          s.surr,
 	})
-	if isCancellation(err) {
+	if sweep.IsCancellation(err) {
 		writeError(w, http.StatusGatewayTimeout, fmt.Sprintf("profiling canceled: %v", err))
 		return
 	}

@@ -9,6 +9,9 @@ import (
 	"prophet/internal/obs"
 )
 
+// cacheShards is the estimate LRU's shard count.
+const cacheShards = 16
+
 // estimateCache is a sharded LRU over completed estimates, keyed on
 // (workload, compressed-tree hash, request). It sits in front of the
 // library's singleflight calibration cache: the calibration cache saves

@@ -19,9 +19,16 @@
 //     the library's own tier (prophet.Profile.Lookup, armed on every
 //     workload profile), consulted on the replica that owns the cell.
 //     Misses hand back the emulation, which trains it.
-//  5. A singleflight group deduplicates identical concurrent cells.
+//  5. A singleflight (sweep.Cache.Do) deduplicates identical concurrent
+//     cells. The cell runs under a flight context that ends only when
+//     every request waiting for it has left (or the server shuts down),
+//     so one request's timeout never cancels another's answer.
 //  6. A pool of Workers slots bounds emulation: each remaining cell
 //     waits for a free slot and runs as soon as one opens.
+//
+// In cluster mode the LRU (tier 2) is also the fallback for repeats: a
+// cell a remote owner answered once is served from it even after every
+// peer is gone and local computation fails.
 //
 // Endpoints: POST /v1/predict, POST /v1/sweep, POST /v1/advise (causal
 // region advisor), GET /v1/workloads,
@@ -74,9 +81,8 @@ type Config struct {
 	RetryAfter time.Duration
 
 	// CacheSize is the total estimate-LRU capacity (0 = 4096; negative
-	// disables caching). CacheShards is the shard count (0 = 16).
-	CacheSize   int
-	CacheShards int
+	// disables caching).
+	CacheSize int
 
 	// RequestTimeout caps the per-request deadline (0 = 30s; negative
 	// means no server-imposed deadline). A request's timeout_ms can only
@@ -126,9 +132,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
 	}
-	if c.CacheShards == 0 {
-		c.CacheShards = 16
-	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
@@ -173,7 +176,7 @@ type Server struct {
 
 	inflight chan struct{} // admission semaphore
 	cache    *estimateCache
-	flights  *flightGroup
+	flights  sweep.Cache[string, prophet.Estimate] // singleflight in front of the pool
 	pool     *slotPool
 	cluster  *cluster.Client    // nil outside cluster mode
 	surr     *prophet.Surrogate // armed on every profile; nil unless Config.Surrogate set
@@ -204,8 +207,7 @@ func New(cfg Config) *Server {
 		metrics:    reg,
 		entries:    make(map[string]*workloadEntry),
 		inflight:   make(chan struct{}, cfg.MaxInFlight),
-		cache:      newEstimateCache(cfg.CacheSize, cfg.CacheShards, reg),
-		flights:    newFlightGroup(reg),
+		cache:      newEstimateCache(cfg.CacheSize, cacheShards, reg),
 		pool:       newSlotPool(baseCtx, cfg.Workers, reg),
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
@@ -219,6 +221,7 @@ func New(cfg Config) *Server {
 		sweepLat:   reg.Histogram(obs.MServerSweepLatency),
 		adviseLat:  reg.Histogram(obs.MServerAdviseLatency),
 	}
+	s.flights.Instrument(sweep.CacheCounters{Dedups: reg.Counter(obs.MServerFlightDedups)})
 	if cfg.Surrogate != nil {
 		scfg := *cfg.Surrogate
 		if scfg.Metrics == nil {
@@ -398,11 +401,7 @@ func (s *Server) estimate(ctx context.Context, entry *workloadEntry, req prophet
 		req.Threads = defaultThreads(req)
 	}
 	key := cellKey(entry, req)
-	if est, ok := s.cache.Get(key); ok {
-		// The key canonicalizes the machine name, so a hit may have been
-		// computed under the other spelling (explicit default name vs
-		// empty); echo the spelling of this request.
-		est.Machine = req.Machine
+	if est, ok := s.cached(key, req); ok {
 		return est, true, nil
 	}
 	if s.cluster != nil && !forwarded {
@@ -431,26 +430,36 @@ func (s *Server) localCell(ctx context.Context, entry *workloadEntry, key string
 }
 
 // cellOn runs one cell of req, computed by estimate, through the
-// singleflight → slot pool stack. The registered workload profiles and the advisor's
-// synthesized region variants both funnel through here, so every
-// emulated cell — whatever tree it runs on — shares the same worker
-// slots and deduplicates on its key. The flight leader's goroutine waits
-// for the slot under the flight context, so a flight every waiter
-// abandons leaves the queue without running.
+// singleflight → slot pool stack. The registered workload profiles and
+// the advisor's synthesized region variants both funnel through here, so
+// every emulated cell — whatever tree it runs on — shares the same worker
+// slots and deduplicates on its key. The flight waits for its slot under
+// the flight context, which ends when every waiter has left, so an
+// abandoned cell leaves the queue without running.
 func (s *Server) cellOn(ctx context.Context, key string, req prophet.Request, estimate func(context.Context) (prophet.Estimate, error)) (est prophet.Estimate, cached bool, err error) {
-	res, err := s.flights.do(ctx, s.baseCtx, key, func(fctx context.Context, finish func(cellResult)) {
-		go func() {
-			r := s.pool.run(fctx, estimate)
-			if r.err == nil && r.est.Err == nil && r.est.Source == "" {
-				s.cache.Put(key, r.est)
-			}
-			finish(r)
-		}()
+	est, err = s.flights.Do(ctx, key, func(fctx context.Context) (prophet.Estimate, error) {
+		r := s.pool.run(fctx, estimate)
+		if r.err == nil && r.est.Err == nil && r.est.Source == "" {
+			s.cache.Put(key, r.est)
+		}
+		return r.est, r.err
 	})
-	if err != nil {
-		return prophet.Estimate{Request: req, Err: err}, false, err
+	if err != nil && est.Err == nil {
+		// This caller's own ctx fired before the flight landed.
+		est = prophet.Estimate{Request: req, Err: err}
 	}
-	return res.est, false, res.err
+	return est, false, err
+}
+
+// cached answers req from the LRU. The key canonicalizes the machine
+// name, so a hit may have been computed under the other spelling
+// (explicit default name vs empty); the answer echoes this request's.
+func (s *Server) cached(key string, req prophet.Request) (prophet.Estimate, bool) {
+	est, ok := s.cache.Get(key)
+	if ok {
+		est.Machine = req.Machine
+	}
+	return est, ok
 }
 
 // localEstimate is the cluster client's view of this replica's estimate
@@ -468,8 +477,7 @@ func (s *Server) localEstimate(ctx context.Context, workload string, req prophet
 		req.Threads = defaultThreads(req)
 	}
 	key := cellKey(entry, req)
-	if est, ok := s.cache.Get(key); ok {
-		est.Machine = req.Machine
+	if est, ok := s.cached(key, req); ok {
 		return est, nil
 	}
 	est, _, err := s.localCell(ctx, entry, key, req)
@@ -518,7 +526,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		(*hook)()
 	}
 	est, cached, err := s.estimate(ctx, entry, pr.Request, isForwarded(r))
-	if isCancellation(err) {
+	if sweep.IsCancellation(err) {
 		writeError(w, http.StatusGatewayTimeout, fmt.Sprintf("prediction canceled: %v", err))
 		return
 	}
@@ -593,7 +601,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			if err == nil && est.Err != nil {
 				o.Err = est.Err
 			}
-			if isCancellation(err) {
+			if sweep.IsCancellation(err) {
 				o.Skipped = true
 			}
 			mu.Lock()
@@ -672,7 +680,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		Workers:   s.cfg.Workers,
 		Estimator: s.adviseEstimator(entry),
 	})
-	if isCancellation(aerr) {
+	if sweep.IsCancellation(aerr) {
 		writeError(w, http.StatusGatewayTimeout, fmt.Sprintf("advise canceled: %v", aerr))
 		return
 	}
@@ -703,8 +711,7 @@ func (s *Server) adviseEstimator(entry *workloadEntry) prophet.AdviseEstimator {
 			return est, err
 		}
 		key := "advise\x00" + scope + "\x00" + cellKey(entry, req)
-		if est, ok := s.cache.Get(key); ok {
-			est.Machine = req.Machine
+		if est, ok := s.cached(key, req); ok {
 			return est, nil
 		}
 		est, _, err := s.cellOn(ctx, key, req, func(ctx context.Context) (prophet.Estimate, error) {
@@ -908,8 +915,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorResponse{Error: msg})
-}
-
-func isCancellation(err error) bool {
-	return err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }

@@ -453,6 +453,46 @@ func TestRequestDeadline(t *testing.T) {
 	s.testHook.Store(nil)
 }
 
+// TestFollowerPredictSurvivesOtherCellTimeout: two predicts for different
+// cells on one machine variant share the variant's build inside the
+// library. The first request's timeout_ms fires mid-build; the second,
+// with no deadline of its own, must still be answered with 200 rather
+// than inherit the first request's cancellation as a 504.
+func TestFollowerPredictSurvivesOtherCellTimeout(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workloads: []string{"NPB-CG"}, CacheSize: -1, Workers: 2})
+	data, err := json.Marshal(predictRequest{
+		Workload:  "NPB-CG",
+		Request:   prophet.Request{Threads: 4, Machine: "gracelike72"},
+		TimeoutMS: 12,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		if resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(data)); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	time.Sleep(5 * time.Millisecond)
+	status, body := postJSON(t, ts.URL+"/v1/predict", predictRequest{
+		Workload: "NPB-CG",
+		Request:  prophet.Request{Threads: 8, Machine: "gracelike72"},
+	})
+	if status != http.StatusOK {
+		t.Fatalf("second predict: status %d (%s), want 200", status, body)
+	}
+	var est prophet.Estimate
+	if err := json.Unmarshal(body, &est); err != nil {
+		t.Fatal(err)
+	}
+	if est.Err != nil || est.Speedup <= 0 {
+		t.Fatalf("second predict: %+v", est)
+	}
+	<-first // 504 or 200; only the second request's answer is pinned
+}
+
 // TestBadInputs sweeps the validation surface: wrong method, malformed
 // body, unknown fields/workloads, and out-of-range requests.
 func TestBadInputs(t *testing.T) {

@@ -10,23 +10,36 @@ import (
 	"prophet/internal/obs"
 )
 
-// Cache memoizes expensive deterministic computations by key with
-// singleflight semantics: concurrent Gets for the same key run the
-// compute function exactly once and share its result. The experiment
-// harness uses it so figures that share samples (Fig. 11's six panels
-// reuse the same random trees; Fig. 12 / Table III reuse benchmark
-// profiles) profile each input once no matter how many cells need it.
+// Cache is the repo's one singleflight: concurrent callers of the same
+// key share one computation ("flight") of its value. Get memoizes the
+// result, so the experiment harness profiles each input once however
+// many cells need it (Fig. 11's six panels reuse the same random trees;
+// Fig. 12 / Table III reuse benchmark profiles) and the library
+// calibrates each machine once. Do forgets the result as soon as the
+// flight lands, for callers that keep completed values elsewhere (the
+// server's LRU).
 //
-// The zero value is ready to use. Compute functions must be
-// deterministic for the cache to preserve the harness's determinism
-// guarantee; errors (including recovered panics) are cached like values,
-// EXCEPT cancellation errors (context.Canceled / DeadlineExceeded), which
-// are returned to the waiters of that flight but never memoized — a later
-// Get with a live context recomputes instead of replaying the stale
-// cancellation.
+// A flight runs its compute on its own goroutine, under a flight context
+// derived from the first caller's ctx with context.WithoutCancel: it
+// keeps that ctx's values but none of its cancellation. Every caller
+// waits on its own ctx, and the flight context is canceled only when the
+// last waiter leaves. A caller whose ctx is live therefore never receives
+// another caller's cancellation, and a flight nobody waits for any more
+// is told to stop. A panic in the compute is recovered into a *PanicError
+// (Cell -1) shared by all waiters.
+//
+// A flight is never retained if its context fired (every waiter left) or
+// its error is a cancellation (IsCancellation): the next caller starts a
+// fresh flight instead of replaying a stale abort. Other errors,
+// recovered panics included, are memoized by Get like values. Compute
+// functions must be deterministic for Get to preserve the harness's
+// determinism guarantee.
+//
+// The zero value is ready to use. A cache serves either Get or Do, not
+// both.
 type Cache[K comparable, V any] struct {
 	mu     sync.Mutex
-	m      map[K]*cacheEntry[V]
+	m      map[K]*flight[V]
 	hits   atomic.Int64
 	misses atomic.Int64
 	dedups atomic.Int64
@@ -36,13 +49,13 @@ type Cache[K comparable, V any] struct {
 // CacheCounters are optional external metric handles for a cache; nil
 // members are no-ops, so a zero value disables instrumentation.
 type CacheCounters struct {
-	// Hits counts Gets that found the key present (completed or still
+	// Hits counts calls that found the key present (completed or still
 	// in flight).
 	Hits *obs.Counter
-	// Misses counts Gets that ran the compute function.
+	// Misses counts calls that started a flight.
 	Misses *obs.Counter
-	// Dedups counts singleflight deduplications: Gets that found the
-	// key's compute still in flight and waited for it instead of
+	// Dedups counts singleflight deduplications: calls that found the
+	// key's compute still in flight and joined it instead of
 	// recomputing.
 	Dedups *obs.Counter
 }
@@ -54,73 +67,127 @@ func (c *Cache[K, V]) Instrument(ctrs CacheCounters) {
 	c.ctrs = ctrs
 }
 
-type cacheEntry[V any] struct {
-	ready chan struct{} // closed when v/err are final for this flight
-	v     V
-	err   error
+// flight is one computation of a key's value.
+type flight[V any] struct {
+	done chan struct{} // closed once v/err are final
+	v    V
+	err  error
+	// cancel cancels the flight context; waiters counts callers still
+	// waiting; finished is set when the compute lands. All three are
+	// guarded by the cache mutex.
+	cancel   context.CancelFunc
+	waiters  int
+	finished bool
 }
 
-// Get returns the cached value for key, computing it with compute on
-// first use. Concurrent callers of the same key block until the single
-// compute finishes. A panic inside compute is recovered into a
-// *PanicError (Cell -1) shared by all waiters.
-func (c *Cache[K, V]) Get(key K, compute func() (V, error)) (V, error) {
+// IsCancellation reports whether err stems from a canceled or expired
+// context rather than from the computation itself.
+func IsCancellation(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// Get returns the value memoized for key, computing it with compute on
+// first use. Concurrent callers of the same key share one flight; a
+// caller whose ctx fires first returns ctx.Err() without disturbing the
+// others.
+func (c *Cache[K, V]) Get(ctx context.Context, key K, compute func(context.Context) (V, error)) (V, error) {
+	return c.join(ctx, key, compute, true)
+}
+
+// Do returns the result of a flight of compute for key, joining one
+// already in progress. Unlike Get it keeps nothing: the entry is dropped
+// when the flight lands, so the next Do computes afresh.
+func (c *Cache[K, V]) Do(ctx context.Context, key K, compute func(context.Context) (V, error)) (V, error) {
+	return c.join(ctx, key, compute, false)
+}
+
+func (c *Cache[K, V]) join(ctx context.Context, key K, compute func(context.Context) (V, error), keep bool) (V, error) {
 	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[K]*cacheEntry[V])
-	}
-	e, ok := c.m[key]
-	if !ok {
-		e = &cacheEntry[V]{ready: make(chan struct{})}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	if ok {
+	f, ok := c.m[key]
+	if ok && f.finished {
+		v, err := f.v, f.err
+		c.mu.Unlock()
 		c.hits.Add(1)
 		c.ctrs.Hits.Inc()
-		select {
-		case <-e.ready:
-			// Completed flight: a plain hit.
-		default:
-			// Still computing: this Get deduplicates onto the flight.
-			c.dedups.Add(1)
-			c.ctrs.Dedups.Inc()
-		}
-		<-e.ready
-		return e.v, e.err
+		return v, err
 	}
+	// A caller whose ctx already fired neither starts nor joins a flight.
+	if err := ctx.Err(); err != nil {
+		c.mu.Unlock()
+		var zero V
+		return zero, err
+	}
+	if ok {
+		f.waiters++
+		c.mu.Unlock()
+		c.hits.Add(1)
+		c.ctrs.Hits.Inc()
+		c.dedups.Add(1)
+		c.ctrs.Dedups.Inc()
+		return c.wait(ctx, key, f)
+	}
+	if c.m == nil {
+		c.m = make(map[K]*flight[V])
+	}
+	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	f = &flight[V]{done: make(chan struct{}), cancel: cancel, waiters: 1}
+	c.m[key] = f
+	c.mu.Unlock()
 	c.misses.Add(1)
 	c.ctrs.Misses.Inc()
-	func() {
+	go c.run(fctx, key, f, compute, keep)
+	return c.wait(ctx, key, f)
+}
+
+// run computes one flight and publishes its result.
+func (c *Cache[K, V]) run(fctx context.Context, key K, f *flight[V], compute func(context.Context) (V, error), keep bool) {
+	v, err := func() (v V, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				var zero V
-				e.v = zero
-				// A legacy panicking cancellation path (a compute layer that
-				// still signals ctx expiry by panicking with the context
-				// error) must stay a cancellation: wrapped in a *PanicError
-				// it would no longer satisfy isCancellation and the flight's
-				// abort would be memoized for every later Get of the key.
-				if err, ok := r.(error); ok && isCancellation(err) {
-					e.err = err
-					return
-				}
-				e.err = &PanicError{Cell: -1, Value: r, Stack: debug.Stack()}
+				v, err = zero, &PanicError{Cell: -1, Value: r, Stack: debug.Stack()}
 			}
 		}()
-		e.v, e.err = compute()
+		return compute(fctx)
 	}()
-	if isCancellation(e.err) {
-		// Drop the entry before releasing the waiters: this flight's
-		// cancellation must not answer future Gets.
-		c.mu.Lock()
-		if c.m[key] == e {
+	c.mu.Lock()
+	f.v, f.err, f.finished = v, err, true
+	// A memoized flight must not pin the first caller's ctx, which the
+	// flight context's cancel func still references.
+	cancel := f.cancel
+	f.cancel = nil
+	if (!keep || fctx.Err() != nil || IsCancellation(err)) && c.m[key] == f {
+		delete(c.m, key)
+	}
+	c.mu.Unlock()
+	close(f.done)
+	cancel()
+}
+
+// wait parks one caller on f until the flight lands or ctx fires. The
+// last caller to leave an unfinished flight drops it from the map and
+// cancels its context.
+func (c *Cache[K, V]) wait(ctx context.Context, key K, f *flight[V]) (V, error) {
+	select {
+	case <-f.done:
+		return f.v, f.err
+	case <-ctx.Done():
+	}
+	c.mu.Lock()
+	f.waiters--
+	var cancel context.CancelFunc
+	if f.waiters == 0 && !f.finished {
+		cancel = f.cancel
+		if c.m[key] == f {
 			delete(c.m, key)
 		}
-		c.mu.Unlock()
 	}
-	close(e.ready)
-	return e.v, e.err
+	c.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
+	var zero V
+	return zero, ctx.Err()
 }
 
 // Peek returns the value cached for key without computing it or waiting
@@ -128,34 +195,24 @@ func (c *Cache[K, V]) Get(key K, compute func() (V, error)) (V, error) {
 // failed. Peek touches no hit/miss counter.
 func (c *Cache[K, V]) Peek(key K) (v V, ok bool) {
 	c.mu.Lock()
-	e := c.m[key]
-	c.mu.Unlock()
-	if e == nil {
+	defer c.mu.Unlock()
+	f := c.m[key]
+	if f == nil || !f.finished {
 		return v, false
 	}
-	select {
-	case <-e.ready:
-		return e.v, e.err == nil
-	default:
-		return v, false
-	}
+	return f.v, f.err == nil
 }
 
-// isCancellation reports whether err stems from a canceled or expired
-// caller context rather than from the computation itself.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// Len returns the number of cached keys.
+// Len returns the number of keys present: memoized values plus flights
+// still in progress.
 func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
 }
 
-// Stats returns the hit/miss counters (a "hit" is any Get that found the
-// key already present, even if the compute was still in flight).
+// Stats returns the hit/miss counters (a "hit" is any call that found
+// the key already present, even if the compute was still in flight).
 func (c *Cache[K, V]) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }

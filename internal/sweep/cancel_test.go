@@ -4,9 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"prophet/internal/obs"
 )
 
 // TestRunCtxPreCanceledSkipsAllCells: a context canceled before the sweep
@@ -185,51 +189,270 @@ func TestRunCtxErrorWithoutFailFastContinues(t *testing.T) {
 	}
 }
 
-// TestCacheLeaderCancelPanicDoesNotPoison: a leader canceled via context
-// must not install the cancellation as the cached value for later
-// waiters — including when the cancellation escapes the compute as a
-// panic (the legacy panicking paths the public API still unwraps with
-// recoverToError). Pre-fix, such a panic was memoized as a *PanicError,
-// poisoning the key forever.
+// TestCacheLeaderCancelPanicDoesNotPoison: a caller whose ctx is canceled
+// must neither hand its cancellation to the callers still waiting on the
+// same flight nor leave it memoized for later callers — including when
+// the compute of a flight everyone abandoned aborts by panicking with the
+// flight context's error.
 func TestCacheLeaderCancelPanicDoesNotPoison(t *testing.T) {
 	var c Cache[string, int]
-	ctx, cancel := context.WithCancel(context.Background())
 
-	// Leader: a waiter deduplicates onto the flight, then the leader is
-	// canceled and aborts by panicking with the context error.
-	leaderIn := make(chan struct{})
-	waiterIn := make(chan struct{})
-	waiterErr := make(chan error, 1)
+	// A waiter joins the leader's flight, then the leader is canceled.
+	// The flight keeps computing for the waiter, which gets the value.
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	inside, release := make(chan struct{}), make(chan struct{})
+	leaderErr := make(chan error, 1)
 	go func() {
-		<-leaderIn // leader's compute is running
-		go func() {
-			close(waiterIn)
-			_, err := c.Get("k", func() (int, error) {
-				t.Error("waiter recomputed while the leader's flight was live")
-				return 0, nil
-			})
-			waiterErr <- err
-		}()
-		<-waiterIn
-		time.Sleep(time.Millisecond) // let the waiter park on the flight
-		cancel()
+		_, err := c.Get(leaderCtx, "k", func(ctx context.Context) (int, error) {
+			close(inside)
+			select {
+			case <-release:
+				return 42, nil
+			case <-ctx.Done():
+				panic(ctx.Err())
+			}
+		})
+		leaderErr <- err
 	}()
-	_, err := c.Get("k", func() (int, error) {
-		close(leaderIn)
-		<-ctx.Done()
-		panic(ctx.Err()) // legacy cancellation-by-panic
-	})
-	if !errors.Is(err, context.Canceled) {
+	<-inside
+	waiterRes := make(chan int, 1)
+	go func() {
+		v, err := c.Get(context.Background(), "k", func(context.Context) (int, error) {
+			t.Error("waiter recomputed while the leader's flight was live")
+			return 0, nil
+		})
+		if err != nil {
+			t.Errorf("waiter err = %v, want the computed value", err)
+		}
+		waiterRes <- v
+	}()
+	for c.Dedups() < 1 {
+		runtime.Gosched()
+	}
+	cancelLeader()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("leader err = %v, want context.Canceled", err)
 	}
-	if err := <-waiterErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("waiter err = %v, want the flight's cancellation", err)
+	close(release)
+	if v := <-waiterRes; v != 42 {
+		t.Fatalf("waiter got %d, want 42 from the flight the leader left", v)
+	}
+	if v, err := c.Get(context.Background(), "k", func(context.Context) (int, error) { return 0, errors.New("must not run") }); err != nil || v != 42 {
+		t.Fatalf("later Get = %d, %v; want the memoized 42", v, err)
 	}
 
-	// The key must not be poisoned: a fresh Get recomputes and succeeds.
-	v, err := c.Get("k", func() (int, error) { return 42, nil })
-	if err != nil || v != 42 {
-		t.Fatalf("fresh Get = %d, %v; want 42 after canceled leader", v, err)
+	// Every caller leaves: the flight context fires, the compute panics
+	// with its error, and nothing is memoized — a fresh Get recomputes.
+	ctx, cancel := context.WithCancel(context.Background())
+	running, panicked := make(chan struct{}), make(chan struct{})
+	go func() {
+		<-running
+		cancel()
+	}()
+	_, err := c.Get(ctx, "p", func(fctx context.Context) (int, error) {
+		defer close(panicked)
+		close(running)
+		<-fctx.Done()
+		panic(fctx.Err())
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoning caller err = %v, want context.Canceled", err)
+	}
+	<-panicked
+	v, err := c.Get(context.Background(), "p", func(context.Context) (int, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Fatalf("fresh Get = %d, %v; want 7 after the abandoned flight", v, err)
+	}
+}
+
+// TestCacheAbandonedFlightExits: when its only caller leaves, a flight's
+// context is canceled, the compute observes it, and the flight's
+// goroutine exits; the key is gone, so the next caller starts afresh.
+func TestCacheAbandonedFlightExits(t *testing.T) {
+	var c Cache[string, int]
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	inside, observed := make(chan struct{}), make(chan struct{})
+	go func() {
+		<-inside
+		cancel()
+	}()
+	_, err := c.Get(ctx, "k", func(fctx context.Context) (int, error) {
+		close(inside)
+		<-fctx.Done()
+		close(observed)
+		return 0, fctx.Err()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("caller err = %v, want context.Canceled", err)
+	}
+	select {
+	case <-observed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the abandoned compute never saw its context canceled")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d, want <= %d once the abandoned flight returned", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := c.Len(); n != 0 {
+		t.Fatalf("Len = %d after an abandoned flight, want 0", n)
+	}
+}
+
+// TestCacheDeadCallerStartsNoFlight: a caller whose ctx already fired
+// gets its cancellation without running a compute or leaving a key
+// behind, while a memoized value still answers it.
+func TestCacheDeadCallerStartsNoFlight(t *testing.T) {
+	var c Cache[string, int]
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := c.Get(ctx, "k", func(context.Context) (int, error) {
+		t.Error("compute ran for a caller whose ctx had fired")
+		return 0, nil
+	})
+	if !errors.Is(err, context.Canceled) || c.Len() != 0 {
+		t.Fatalf("dead caller: err=%v Len=%d, want context.Canceled and no key", err, c.Len())
+	}
+	c.Get(context.Background(), "k", func(context.Context) (int, error) { return 5, nil })
+	if v, err := c.Get(ctx, "k", nil); err != nil || v != 5 {
+		t.Fatalf("dead caller on a memoized key: %d, %v; want 5", v, err)
+	}
+}
+
+// TestCacheDoDedup: concurrent Do callers of one key share one compute,
+// every waiter gets its result, and the landed flight is forgotten.
+func TestCacheDoDedup(t *testing.T) {
+	reg := &obs.Registry{}
+	var c Cache[string, int]
+	c.Instrument(CacheCounters{Dedups: reg.Counter(obs.MServerFlightDedups)})
+
+	var computes atomic.Int64
+	started, unblock := make(chan struct{}), make(chan struct{})
+	compute := func(context.Context) (int, error) {
+		if computes.Add(1) == 1 {
+			close(started)
+		}
+		<-unblock
+		return 42, nil
+	}
+	const waiters = 4
+	var wg sync.WaitGroup
+	results := make([]int, waiters)
+	errs := make([]error, waiters)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		results[0], errs[0] = c.Do(context.Background(), "k", compute)
+	}()
+	<-started // the flight exists; everyone else joins it
+	for i := 1; i < waiters; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = c.Do(context.Background(), "k", compute)
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Snapshot().Counters[obs.MServerFlightDedups] < waiters-1 {
+		if time.Now().After(deadline) {
+			t.Fatal("waiters never joined the flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(unblock)
+	wg.Wait()
+
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("compute ran %d times, want 1", n)
+	}
+	for i := range results {
+		if errs[i] != nil || results[i] != 42 {
+			t.Errorf("caller %d: %d, %v", i, results[i], errs[i])
+		}
+	}
+	if n := reg.Snapshot().Counters[obs.MServerFlightDedups]; n != waiters-1 {
+		t.Errorf("dedups = %d, want %d", n, waiters-1)
+	}
+	if n := c.Len(); n != 0 {
+		t.Errorf("Len = %d after the flight landed, want 0 (Do keeps nothing)", n)
+	}
+}
+
+// TestCacheDoLeaderCancelDoesNotPoison: a leader whose ctx dies abandons
+// its wait, but the flight completes for the waiter still on it and is
+// then removed, so later callers compute fresh instead of inheriting the
+// cancellation. A caller arriving after every waiter left starts a new
+// flight instead of joining the abandoned one.
+func TestCacheDoLeaderCancelDoesNotPoison(t *testing.T) {
+	var c Cache[string, int]
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	inside, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, err := c.Do(leaderCtx, "k", func(context.Context) (int, error) {
+			close(inside)
+			<-release
+			return 7, nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("canceled leader err = %v, want context.Canceled", err)
+		}
+	}()
+	<-inside
+	waiterRes := make(chan int, 1)
+	go func() {
+		v, err := c.Do(context.Background(), "k", func(context.Context) (int, error) {
+			t.Error("waiter became leader while the flight was open")
+			return 0, nil
+		})
+		if err != nil {
+			t.Errorf("waiter err: %v", err)
+		}
+		waiterRes <- v
+	}()
+	for c.Dedups() < 1 {
+		runtime.Gosched()
+	}
+	cancelLeader()
+	<-done
+	close(release)
+	if v := <-waiterRes; v != 7 {
+		t.Errorf("waiter got %d, want the completed value 7", v)
+	}
+
+	// The completed flight is gone: the next caller is a fresh leader.
+	v, err := c.Do(context.Background(), "k", func(context.Context) (int, error) { return 9, nil })
+	if err != nil || v != 9 {
+		t.Errorf("fresh leader: %d, %v; want 9", v, err)
+	}
+
+	// Abandoned by its only caller, a flight is dropped at once: a later
+	// caller with a live ctx leads a new flight and never sees the old
+	// flight's cancellation.
+	ctx, cancel := context.WithCancel(context.Background())
+	running, hold := make(chan struct{}), make(chan struct{})
+	defer close(hold)
+	go func() {
+		<-running
+		cancel()
+	}()
+	if _, err := c.Do(ctx, "a", func(context.Context) (int, error) {
+		close(running)
+		<-hold
+		return 0, nil
+	}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoning caller err = %v, want context.Canceled", err)
+	}
+	v, err = c.Do(context.Background(), "a", func(context.Context) (int, error) { return 11, nil })
+	if err != nil || v != 11 {
+		t.Errorf("caller after abandonment: %d, %v; want a fresh flight's 11", v, err)
 	}
 }
 
@@ -238,23 +461,23 @@ func TestCacheLeaderCancelPanicDoesNotPoison(t *testing.T) {
 // panicked.
 func TestCacheWrappedCancellationPanicNotMemoized(t *testing.T) {
 	var c Cache[string, int]
-	_, err := c.Get("k", func() (int, error) {
+	_, err := c.Get(context.Background(), "k", func(context.Context) (int, error) {
 		panic(fmt.Errorf("calibrate: %w", context.DeadlineExceeded))
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("first Get err = %v, want wrapped DeadlineExceeded", err)
 	}
-	v, err := c.Get("k", func() (int, error) { return 7, nil })
+	v, err := c.Get(context.Background(), "k", func(context.Context) (int, error) { return 7, nil })
 	if err != nil || v != 7 {
 		t.Fatalf("recompute = %d, %v; want 7", v, err)
 	}
 	// Non-cancellation panics still cache (the documented contract).
-	_, err = c.Get("boom", func() (int, error) { panic("kaboom") })
+	_, err = c.Get(context.Background(), "boom", func(context.Context) (int, error) { panic("kaboom") })
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("panic err = %v, want *PanicError", err)
 	}
-	_, err2 := c.Get("boom", func() (int, error) { return 0, nil })
+	_, err2 := c.Get(context.Background(), "boom", func(context.Context) (int, error) { return 0, nil })
 	if !errors.As(err2, &pe) {
 		t.Fatalf("cached panic err = %v, want the memoized *PanicError", err2)
 	}
@@ -266,20 +489,20 @@ func TestCacheWrappedCancellationPanicNotMemoized(t *testing.T) {
 // TestCacheErrorsAndPanicsAreCached.)
 func TestCacheDoesNotMemoizeCancellation(t *testing.T) {
 	var c Cache[string, int]
-	_, err := c.Get("k", func() (int, error) { return 0, context.Canceled })
+	_, err := c.Get(context.Background(), "k", func(context.Context) (int, error) { return 0, context.Canceled })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("first Get err = %v", err)
 	}
-	_, err = c.Get("k", func() (int, error) { return 0, context.DeadlineExceeded })
+	_, err = c.Get(context.Background(), "k", func(context.Context) (int, error) { return 0, context.DeadlineExceeded })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("second Get err = %v, want recompute (DeadlineExceeded)", err)
 	}
-	v, err := c.Get("k", func() (int, error) { return 42, nil })
+	v, err := c.Get(context.Background(), "k", func(context.Context) (int, error) { return 42, nil })
 	if err != nil || v != 42 {
 		t.Fatalf("third Get = %d, %v; want 42 after cancellation retries", v, err)
 	}
 	// Now memoized for real.
-	v, err = c.Get("k", func() (int, error) { return 0, errors.New("must not run") })
+	v, err = c.Get(context.Background(), "k", func(context.Context) (int, error) { return 0, errors.New("must not run") })
 	if err != nil || v != 42 {
 		t.Fatalf("fourth Get = %d, %v; want cached 42", v, err)
 	}
@@ -297,7 +520,7 @@ func TestCachePeekNeverComputes(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.Get("k", func() (int, error) {
+		c.Get(context.Background(), "k", func(context.Context) (int, error) {
 			close(inside)
 			<-release
 			return 7, nil
@@ -312,7 +535,7 @@ func TestCachePeekNeverComputes(t *testing.T) {
 	if v, ok := c.Peek("k"); !ok || v != 7 {
 		t.Fatalf("Peek = %d, %v; want 7, true once computed", v, ok)
 	}
-	c.Get("bad", func() (int, error) { return 0, errors.New("boom") })
+	c.Get(context.Background(), "bad", func(context.Context) (int, error) { return 0, errors.New("boom") })
 	if _, ok := c.Peek("bad"); ok {
 		t.Fatal("Peek hit a cached error")
 	}

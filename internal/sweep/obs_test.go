@@ -85,7 +85,7 @@ func TestCacheDedupCounting(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c.Get(1, func() (int, error) {
+		c.Get(context.Background(), 1, func(context.Context) (int, error) {
 			close(computing) // flight is now in progress
 			<-release
 			return 42, nil
@@ -97,7 +97,7 @@ func TestCacheDedupCounting(t *testing.T) {
 	for i := 0; i < waiters; i++ {
 		go func(i int) {
 			defer wg.Done()
-			results[i], _ = c.Get(1, func() (int, error) {
+			results[i], _ = c.Get(context.Background(), 1, func(context.Context) (int, error) {
 				t.Error("deduplicated Get recomputed")
 				return 0, nil
 			})
@@ -131,7 +131,7 @@ func TestCacheDedupCounting(t *testing.T) {
 	}
 
 	// A post-completion Get is a plain hit, not a dedup.
-	if v, _ := c.Get(1, nil); v != 42 {
+	if v, _ := c.Get(context.Background(), 1, nil); v != 42 {
 		t.Errorf("completed hit = %d", v)
 	}
 	if c.Dedups() != waiters {

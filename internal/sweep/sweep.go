@@ -64,6 +64,13 @@ func (p *PanicError) Error() string {
 	return fmt.Sprintf("sweep: cell %d panicked: %v", p.Cell, p.Value)
 }
 
+// Unwrap exposes a panic value that is itself an error, so errors.Is and
+// errors.As (and IsCancellation) see through the recovery.
+func (p *PanicError) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
+}
+
 // Outcome is the result of one cell. It marshals to JSON with stable
 // field names (index/value/err/skipped), Err as its string message, so
 // sweep results share one vocabulary with traces and metrics snapshots.

@@ -103,7 +103,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := c.Get("k", func() (int, error) {
+			v, err := c.Get(context.Background(), "k", func(context.Context) (int, error) {
 				computes.Add(1)
 				return 42, nil
 			})
@@ -130,20 +130,20 @@ func TestCacheErrorsAndPanicsAreCached(t *testing.T) {
 	boom := errors.New("boom")
 	var computes atomic.Int64
 	for i := 0; i < 3; i++ {
-		if _, err := c.Get(1, func() (int, error) { computes.Add(1); return 0, boom }); !errors.Is(err, boom) {
+		if _, err := c.Get(context.Background(), 1, func(context.Context) (int, error) { computes.Add(1); return 0, boom }); !errors.Is(err, boom) {
 			t.Fatalf("err = %v, want boom", err)
 		}
 	}
 	if n := computes.Load(); n != 1 {
 		t.Errorf("error compute ran %d times, want 1", n)
 	}
-	_, err := c.Get(2, func() (int, error) { panic("compute exploded") })
+	_, err := c.Get(context.Background(), 2, func(context.Context) (int, error) { panic("compute exploded") })
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Value != "compute exploded" {
 		t.Fatalf("err = %v, want PanicError(compute exploded)", err)
 	}
 	// Waiters arriving after the panic share the cached failure.
-	if _, err2 := c.Get(2, func() (int, error) { t.Fatal("recomputed"); return 0, nil }); !errors.As(err2, &pe) {
+	if _, err2 := c.Get(context.Background(), 2, func(context.Context) (int, error) { t.Fatal("recomputed"); return 0, nil }); !errors.As(err2, &pe) {
 		t.Fatalf("second err = %v, want cached PanicError", err2)
 	}
 }
@@ -155,7 +155,7 @@ func TestRunCacheRaceStress(t *testing.T) {
 	var c Cache[int, []int]
 	out := RunCtx(context.Background(), Engine{Workers: 8}, 200, func(_ context.Context, i int) (int, error) {
 		key := i % 9 // heavy sharing across cells
-		v, err := c.Get(key, func() ([]int, error) {
+		v, err := c.Get(context.Background(), key, func(context.Context) ([]int, error) {
 			s := make([]int, 64)
 			for j := range s {
 				s[j] = key * j

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
+
+	"prophet/internal/workloads"
 )
 
 // memoryHeavyProgram is an annotated loop whose tasks stream enough LLC
@@ -144,4 +147,37 @@ func TestParseMachines(t *testing.T) {
 	if _, err := ParseMachines("westmere12,bogus"); !errors.Is(err, ErrUnknownMachine) {
 		t.Errorf("unknown entry error = %v, want ErrUnknownMachine", err)
 	}
+}
+
+// TestFollowerSurvivesLeaderCancelOnMachineVariant: two estimates on one
+// machine variant share its build (re-profile plus calibration). The
+// first caller's ctx is canceled mid-build; the second, whose ctx never
+// fires, must still get its estimate rather than the first caller's
+// cancellation.
+func TestFollowerSurvivesLeaderCancelOnMachineVariant(t *testing.T) {
+	w, err := workloads.ByName("NPB-CG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ProfileProgramCtx(context.Background(), w.Program, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(10*time.Millisecond, cancel)
+	first := make(chan error, 1)
+	go func() {
+		_, err := p.EstimateCtx(ctx, Request{Threads: 4, Machine: "gracelike72"})
+		first <- err
+	}()
+	time.Sleep(5 * time.Millisecond)
+	est, err := p.EstimateCtx(context.Background(), Request{Threads: 8, Machine: "gracelike72"})
+	if err != nil || est.Err != nil {
+		t.Fatalf("second caller: err=%v est.Err=%v, want an estimate despite the first caller's cancel", err, est.Err)
+	}
+	if est.Speedup <= 0 {
+		t.Fatalf("second caller: speedup %v", est.Speedup)
+	}
+	<-first // canceled or finished; either is fine for the first caller
 }

@@ -153,7 +153,7 @@ func (p *Profile) forMachine(ctx context.Context, name string) (*Profile, error)
 	if err != nil {
 		return nil, err
 	}
-	return p.variants.Get(name, func() (*Profile, error) {
+	return p.variants.Get(ctx, name, func(ctx context.Context) (*Profile, error) {
 		vo := p.opts
 		vo.Machine.Spec = spec
 		vo.MemModel = nil // calibrate against the variant machine
@@ -184,7 +184,7 @@ var calibrated sweep.Cache[sim.Config, *memmodel.Model]
 
 func modelFor(ctx context.Context, mc sim.Config, threads []int) (*memmodel.Model, error) {
 	mc.Spec = mc.MachineSpec()
-	return calibrated.Get(mc, func() (*memmodel.Model, error) {
+	return calibrated.Get(ctx, mc, func(ctx context.Context) (*memmodel.Model, error) {
 		// Calibrate over a full ladder up to the core count, not just the
 		// requested thread counts: the Φ power-law fit needs several
 		// saturated operating points to be well-conditioned (§V-D).
