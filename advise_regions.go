@@ -288,13 +288,7 @@ func (p *Profile) regionVariant(c regionCandidate, targetThreads int) (*Profile,
 	// surviving sections recompute to the same values (same model, same
 	// counters). Hand-assigned burdens on counter-less sections survive,
 	// as everywhere else.
-	if p.Model != nil {
-		if vo.AverageBurdensByName {
-			p.Model.AssignBurdensAveraged(clone, vo.ThreadCounts)
-		} else {
-			p.Model.AssignBurdens(clone, vo.ThreadCounts)
-		}
-	}
+	vo.assignBurdens(p.Model, clone)
 	return v, nil
 }
 

@@ -24,7 +24,7 @@ import (
 //     which turns a failure into a silent zero.
 func TestOneFormPerOperation(t *testing.T) {
 	panicFree := map[string]bool{}
-	for _, p := range []string{"ff", "synth", "realrun", "sim", "memmodel", "baseline"} {
+	for _, p := range []string{"ff", "synth", "realrun", "sim", "memmodel", "baseline", "hostexec"} {
 		panicFree[filepath.Join("internal", p)] = true
 	}
 	fset := token.NewFileSet()

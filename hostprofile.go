@@ -3,8 +3,6 @@ package prophet
 import (
 	"context"
 
-	"prophet/internal/compress"
-	"prophet/internal/memmodel"
 	"prophet/internal/trace"
 	"prophet/internal/tree"
 )
@@ -65,34 +63,9 @@ func (h *HostProfile) FinishCtx(ctx context.Context, opts *Options) (p *Profile,
 			return nil, err
 		}
 	}
-	o := opts.withDefaults()
-	var m *memmodel.Model
-	if !o.DisableMemoryModel {
-		if m, err = o.memModel(ctx); err != nil {
-			return nil, err
-		}
+	if p, err = build(ctx, h.root, h.p.Counters(), nil, true, opts.withDefaults()); err != nil {
+		return nil, err
 	}
-	root := h.root
 	h.root = nil
-	prof := &Profile{
-		Tree:         root,
-		Counters:     h.p.Counters(),
-		SerialCycles: root.TotalLen(),
-		opts:         o,
-		Model:        m,
-	}
-	if o.CompressTolerance >= 0 {
-		prof.Compression = compress.Compress(root, compress.Options{
-			Tolerance: o.CompressTolerance,
-			MaxNodes:  o.MaxTreeNodes,
-		})
-	}
-	if m != nil {
-		if o.AverageBurdensByName {
-			m.AssignBurdensAveraged(root, o.ThreadCounts)
-		} else {
-			m.AssignBurdens(root, o.ThreadCounts)
-		}
-	}
-	return prof, nil
+	return p, nil
 }

@@ -46,10 +46,6 @@ type Options struct {
 	// DisableDictionary turns off subtree sharing (used by the ablation
 	// benchmarks to separate RLE and dictionary gains).
 	DisableDictionary bool
-	// Arena, when set, supplies the nodes RLE clones for merged-run
-	// representatives, keeping an arena-backed tree fully inside its
-	// arena. Nil (the default) clones on the heap.
-	Arena *tree.Arena
 }
 
 // Stats reports the effect of one Compress call.
@@ -99,7 +95,7 @@ func Compress(root *tree.Node, opts Options) Stats {
 		// fixpoint (bounded — each pass strictly reduces node count).
 		for i := 0; i < 8; i++ {
 			before := uniqueNodes(root)
-			rle(root, tol, opts.Arena)
+			rle(root, tol)
 			if !opts.DisableDictionary {
 				dedupe(root, tol)
 			}
@@ -131,11 +127,10 @@ func Compress(root *tree.Node, opts Options) Stats {
 }
 
 // rle merges runs of equivalent consecutive siblings, recursively,
-// bottom-up. Merged-run representatives are cloned from arena when one is
-// supplied (nil falls back to the heap).
-func rle(n *tree.Node, tol float64, arena *tree.Arena) {
+// bottom-up.
+func rle(n *tree.Node, tol float64) {
 	for _, c := range n.Children {
-		rle(c, tol, arena)
+		rle(c, tol)
 	}
 	if tol < 0 || len(n.Children) < 2 {
 		return
@@ -149,7 +144,7 @@ func rle(n *tree.Node, tol float64, arena *tree.Arena) {
 			j++
 		}
 		if j > i+1 {
-			merged := arena.Clone(run)
+			merged := run.Clone()
 			weight := merged.Reps()
 			for k := i + 1; k < j; k++ {
 				mergeInto(merged, n.Children[k], weight, n.Children[k].Reps())

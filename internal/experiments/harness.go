@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"prophet"
 	"prophet/internal/obs"
@@ -107,15 +106,4 @@ func (h *Harness) profileBench(ctx context.Context, w *workloads.Workload) (*pro
 	return h.bench.Get(ctx, w.Name, func(ctx context.Context) (*prophet.Profile, error) {
 		return prophet.ProfileProgramCtx(ctx, w.Program, h.benchOpts())
 	})
-}
-
-// CacheStats describes the harness's profile caches (for logs and the
-// scaling benchmark).
-func (h *Harness) CacheStats() string {
-	t1h, t1m := h.t1.Stats()
-	t2h, t2m := h.t2.Stats()
-	bh, bm := h.bench.Stats()
-	return fmt.Sprintf("profile cache: test1 %d/%d hit, test2 %d/%d hit, bench %d/%d hit, %d deduped in flight",
-		t1h, t1h+t1m, t2h, t2h+t2m, bh, bh+bm,
-		h.t1.Dedups()+h.t2.Dedups()+h.bench.Dedups())
 }

@@ -1,6 +1,8 @@
 package hostexec
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +17,16 @@ import (
 // The host has an unknown core count (possibly 1), so these tests assert
 // correctness — every iteration exactly once, mutual exclusion, ordering —
 // not speedups.
+
+// mustTime is s.PredictTimeCtx, failing the test on an error.
+func mustTime(t *testing.T, s *HostSynthesizer, root *tree.Node) clock.Cycles {
+	t.Helper()
+	d, err := s.PredictTimeCtx(context.Background(), root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
 func TestParallelForAllSchedules(t *testing.T) {
 	for _, sched := range []omprt.Sched{
@@ -137,7 +149,7 @@ func TestHostSynthesizerMeasuresSection(t *testing.T) {
 	}
 	root := tree.NewRoot(tree.NewSec("s", tasks...))
 	s := &HostSynthesizer{Threads: 2, Sched: omprt.SchedDynamic1}
-	got := s.PredictTime(root)
+	got := mustTime(t, s, root)
 	serial := root.TotalLen()
 	if got <= 0 {
 		t.Fatal("no time measured")
@@ -145,8 +157,42 @@ func TestHostSynthesizerMeasuresSection(t *testing.T) {
 	if float64(got) > 3*float64(serial) {
 		t.Fatalf("measured %d far beyond serial %d", got, serial)
 	}
-	if sp := s.Speedup(root); sp <= 0 {
-		t.Fatalf("speedup %f", sp)
+	if sp, err := s.SpeedupCtx(context.Background(), root); err != nil || sp <= 0 {
+		t.Fatalf("speedup %f, %v", sp, err)
+	}
+}
+
+// cancelAfterPolls is a context that turns canceled once it has been
+// polled n times: a cancellation landing while a section is measured.
+type cancelAfterPolls struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfterPolls) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestHostSynthesizerCanceledMidRun: a context canceled while the first
+// of two top-level sections runs stops the measurement before the second
+// and returns the cancellation.
+func TestHostSynthesizerCanceledMidRun(t *testing.T) {
+	per := clock.FromSeconds(0.001, clock.DefaultHz)
+	root := tree.NewRoot(
+		tree.NewSec("a", tree.NewTask("t", tree.NewU(per))),
+		tree.NewSec("b", tree.NewTask("t", tree.NewU(per))),
+	)
+	s := &HostSynthesizer{Threads: 2}
+	ctx := &cancelAfterPolls{Context: context.Background(), n: 1}
+	sp, err := s.SpeedupCtx(ctx, root)
+	if !errors.Is(err, context.Canceled) || sp != 0 {
+		t.Fatalf("SpeedupCtx = %v, %v; want 0, context.Canceled", sp, err)
+	}
+	if ctx.n != -1 {
+		t.Fatalf("polled %d times, want 2 (once per section reached)", 1-ctx.n)
 	}
 }
 
@@ -194,7 +240,7 @@ func TestHostSynthesizerCilkRecursion(t *testing.T) {
 		tree.NewTask("u", tree.NewU(clock.FromSeconds(0.001, clock.DefaultHz))),
 	))
 	s := &HostSynthesizer{Threads: 2, Paradigm: synth.Cilk}
-	if got := s.PredictTime(root); got <= 0 {
+	if got := mustTime(t, s, root); got <= 0 {
 		t.Fatalf("recursive cilk measurement = %d", got)
 	}
 }
@@ -205,8 +251,8 @@ func TestHostSynthesizerBurden(t *testing.T) {
 	root := tree.NewRoot(sec)
 	plain := &HostSynthesizer{Threads: 1}
 	loaded := &HostSynthesizer{Threads: 1, UseBurden: true}
-	a := plain.PredictTime(root)
-	b := loaded.PredictTime(root)
+	a := mustTime(t, plain, root)
+	b := mustTime(t, loaded, root)
 	if float64(b) < 1.5*float64(a) {
 		t.Fatalf("burden not applied on host: %d vs %d", a, b)
 	}
@@ -269,7 +315,7 @@ func TestHostSynthesizerPipelineSection(t *testing.T) {
 	sec.Pipeline = true
 	root := tree.NewRoot(sec)
 	s := &HostSynthesizer{Threads: 2}
-	got := s.PredictTime(root)
+	got := mustTime(t, s, root)
 	if got <= 0 || float64(got) > 3*float64(root.TotalLen()) {
 		t.Fatalf("host pipeline measurement = %d vs serial %d", got, root.TotalLen())
 	}

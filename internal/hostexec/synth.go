@@ -1,6 +1,7 @@
 package hostexec
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -66,23 +67,30 @@ func (s *HostSynthesizer) scaled(l clock.Cycles, burden float64) clock.Cycles {
 	return clock.Cycles(float64(l)*burden + 0.5)
 }
 
-// PredictTime measures the synthetic program on the host and returns its
-// duration in nominal cycles.
-func (s *HostSynthesizer) PredictTime(root *tree.Node) clock.Cycles {
+// PredictTimeCtx measures the synthetic program on the host and returns
+// its duration in nominal cycles. ctx is polled before each top-level
+// section: a section already running on real goroutines finishes first.
+func (s *HostSynthesizer) PredictTimeCtx(ctx context.Context, root *tree.Node) (clock.Cycles, error) {
 	total := root.SerialOutsideSections()
 	for _, sec := range root.TopLevelSections() {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
 		total += s.EmulateTopLevelParSec(sec) * clock.Cycles(sec.Reps())
 	}
-	return total
+	return total, nil
 }
 
-// Speedup returns profiled serial time / measured synthetic time.
-func (s *HostSynthesizer) Speedup(root *tree.Node) float64 {
-	pred := s.PredictTime(root)
-	if pred <= 0 {
-		return 1
+// SpeedupCtx returns profiled serial time / measured synthetic time.
+func (s *HostSynthesizer) SpeedupCtx(ctx context.Context, root *tree.Node) (float64, error) {
+	pred, err := s.PredictTimeCtx(ctx, root)
+	if err != nil {
+		return 0, err
 	}
-	return float64(root.TotalLen()) / float64(pred)
+	if pred <= 0 {
+		return 1, nil
+	}
+	return float64(root.TotalLen()) / float64(pred), nil
 }
 
 // EmulateTopLevelParSec generates and times one parallel section on the

@@ -67,7 +67,6 @@ type DRAM struct {
 	// traffic in one NUMA-ish domain does not stretch the other. All
 	// fields stay zero for single-domain machines, whose code path is
 	// byte-identical to the pre-domain model.
-	hasDom2     bool
 	cfg2        params // cfg with the second domain's bandwidth
 	demand2     float64
 	active2     int
@@ -83,7 +82,6 @@ func (d *DRAM) ResetSpec(s machine.DRAMSpec) {
 	cfg := params{unloadedLatency: s.UnloadedLatency, bandwidth: s.BandwidthBytesPerCycle, knee: s.Knee}
 	*d = DRAM{cfg: cfg}
 	if sd := s.SecondDomain; sd != nil {
-		d.hasDom2 = true
 		d.cfg2 = cfg
 		d.cfg2.bandwidth = sd.BandwidthBytesPerCycle
 	}
@@ -155,9 +153,6 @@ func (d *DRAM) Stretch() float64 {
 	d.stretchDemand, d.stretchVal, d.stretchOK = d.demand, v, true
 	return v
 }
-
-// HasSecondDomain reports whether a second bandwidth domain is installed.
-func (d *DRAM) HasSecondDomain() bool { return d.hasDom2 }
 
 // RegisterDom is Register for a specific bandwidth domain (0 = primary).
 // On single-domain machines only domain 0 exists and RegisterDom(0, ·) is

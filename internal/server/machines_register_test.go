@@ -2,19 +2,25 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"prophet"
 )
 
-// registrableSpec builds a valid custom spec under the given name. The
-// machine registry is process-global, so every test registers unique
-// names.
-func registrableSpec(name string) *prophet.MachineSpec {
+// regSeq numbers the names registrableSpec hands out.
+var regSeq atomic.Int64
+
+// registrableSpec builds a valid custom spec named base plus a sequence
+// number. The machine registry is process-global and keeps every
+// registration, so a fixed name would collide with itself on the second
+// run of a test (go test -count=N).
+func registrableSpec(base string) *prophet.MachineSpec {
 	return &prophet.MachineSpec{
-		Name:          name,
+		Name:          fmt.Sprintf("%s-%d", base, regSeq.Add(1)),
 		Desc:          "six-core test rig",
 		CoreGroups:    []prophet.CoreGroup{{Count: 6, Speed: 1}},
 		Quantum:       50_000,
@@ -89,7 +95,7 @@ func TestMachineRegisterDuplicateAndListing(t *testing.T) {
 	if err := json.Unmarshal(body, &info); err != nil {
 		t.Fatal(err)
 	}
-	if info.Name != "t-reg-dup" || info.Cores != 6 || info.Default {
+	if info.Name != spec.Name || info.Cores != 6 || info.Default {
 		t.Fatalf("201 body %+v, want name/cores echoed and no default flag", info)
 	}
 
@@ -112,7 +118,7 @@ func TestMachineRegisterDuplicateAndListing(t *testing.T) {
 	}
 	found := false
 	for _, m := range listing {
-		found = found || m.Name == "t-reg-dup"
+		found = found || m.Name == spec.Name
 	}
 	if !found {
 		t.Fatal("registered spec missing from GET /v1/machines")
@@ -131,7 +137,7 @@ func TestRegisteredMachineIsServable(t *testing.T) {
 
 	code, body := postJSON(t, ts.URL+"/v1/predict", predictRequest{
 		Workload: "NPB-EP",
-		Request:  prophet.Request{Method: prophet.FastForward, Threads: 4, Machine: "t-reg-use"},
+		Request:  prophet.Request{Method: prophet.FastForward, Threads: 4, Machine: spec.Name},
 	})
 	if code != http.StatusOK {
 		t.Fatalf("predict on registered machine: %d %s", code, body)
@@ -140,13 +146,13 @@ func TestRegisteredMachineIsServable(t *testing.T) {
 	if err := json.Unmarshal(body, &est); err != nil {
 		t.Fatal(err)
 	}
-	if est.Machine != "t-reg-use" || est.Err != nil || est.Speedup <= 0 {
+	if est.Machine != spec.Name || est.Err != nil || est.Speedup <= 0 {
 		t.Fatalf("estimate %+v, want a successful run on the custom machine", est)
 	}
 
 	code, body = postJSON(t, ts.URL+"/v1/sweep", sweepRequest{
 		Workload: "NPB-EP",
-		Machines: []string{prophet.DefaultMachineName, "t-reg-use"},
+		Machines: []string{prophet.DefaultMachineName, spec.Name},
 		Cores:    []int{2, 4},
 	})
 	if code != http.StatusOK {

@@ -82,17 +82,8 @@ func NewSimProfiler(spec *machine.Spec) *SimProfiler {
 
 // NewSimProfilerWithUnit selects the interval-length unit (§VI-A).
 func NewSimProfilerWithUnit(spec *machine.Spec, unit LengthUnit) *SimProfiler {
-	return NewSimProfilerArena(spec, unit, nil)
-}
-
-// NewSimProfilerArena is NewSimProfilerWithUnit with program-tree nodes
-// drawn from a, for callers that profile repeatedly and discard each tree
-// (benchmarks, validation sweeps that own their samples). The returned
-// tree is valid only until a.Reset; see tree.Arena for the lifetime
-// contract. A nil arena falls back to heap allocation.
-func NewSimProfilerArena(spec *machine.Spec, unit LengthUnit, a *tree.Arena) *SimProfiler {
 	p := &SimProfiler{clk: &clock.Virtual{}, omega0: spec.DRAM.UnloadedLatency, unit: unit}
-	p.Tracer = NewWithArena(p.clk, p, a)
+	p.Tracer = New(p.clk, p)
 	return p
 }
 
@@ -141,14 +132,7 @@ func (p *SimProfiler) Counters() counters.Sample {
 // returns the program tree along with the profiler (whose Counters hold
 // whole-run totals).
 func Profile(prog Program, spec *machine.Spec) (*tree.Node, *SimProfiler, error) {
-	return ProfileArena(prog, spec, nil)
-}
-
-// ProfileArena is Profile with the tree allocated from a: repeated
-// profile-discard cycles (a.Reset between them) stop allocating node
-// storage once the arena is warm. The tree is only valid until a.Reset.
-func ProfileArena(prog Program, spec *machine.Spec, a *tree.Arena) (*tree.Node, *SimProfiler, error) {
-	p := NewSimProfilerArena(spec, LengthCycles, a)
+	p := NewSimProfiler(spec)
 	prog(p)
 	root, err := p.Finish()
 	return root, p, err

@@ -62,7 +62,6 @@ type Tracer struct {
 	err      error
 	finished bool
 	hooks    Hooks // fault-injection points; zero value = pass-through
-	arena    *tree.Arena
 
 	// pending memory traits to attach to the next U/L leaf (sim mode).
 	pendingMem tree.MemTraits
@@ -71,22 +70,8 @@ type Tracer struct {
 // New returns a tracer reading cycle stamps from clk and (optionally)
 // counters from src.
 func New(clk clock.Clock, src CounterSource) *Tracer {
-	return NewWithArena(clk, src, nil)
+	return &Tracer{clk: clk, src: src, root: &tree.Node{Kind: tree.Root}}
 }
-
-// NewWithArena is New with tree nodes drawn from a instead of the heap.
-// The produced tree is valid only until a.Reset; see tree.Arena for the
-// lifetime contract. A nil arena is equivalent to New.
-func NewWithArena(clk clock.Clock, src CounterSource, a *tree.Arena) *Tracer {
-	t := &Tracer{clk: clk, src: src, arena: a}
-	t.root = t.newNode()
-	t.root.Kind = tree.Root
-	return t
-}
-
-// newNode allocates a tree node from the arena, or the heap when no arena
-// is attached (a nil *tree.Arena handles the fallback).
-func (t *Tracer) newNode() *tree.Node { return t.arena.New() }
 
 // now returns the adjusted current time: raw clock minus the accumulated
 // profiling overhead, so recorded lengths exclude the profiler itself.
@@ -131,8 +116,7 @@ func (t *Tracer) closeGap(parent *tree.Node, f *frame, until clock.Cycles, kind 
 	if gap == 0 && t.pendingMem == (tree.MemTraits{}) && kind != tree.L {
 		return
 	}
-	n := t.newNode()
-	n.Kind, n.Len, n.LockID, n.Mem = kind, gap, lockID, t.pendingMem
+	n := &tree.Node{Kind: kind, Len: gap, LockID: lockID, Mem: t.pendingMem}
 	t.pendingMem = tree.MemTraits{}
 	parent.Children = append(parent.Children, n)
 }
@@ -155,8 +139,7 @@ func (t *Tracer) secBegin(name string, pipeline bool) {
 	defer t.exclude(raw)
 	now := raw - t.excluded
 	f := t.top()
-	node := t.newNode()
-	node.Kind, node.Name, node.Pipeline = tree.Sec, name, pipeline
+	node := &tree.Node{Kind: tree.Sec, Name: name, Pipeline: pipeline}
 	switch {
 	case f == nil:
 		// Top-level section: close the serial gap at root.
@@ -257,8 +240,7 @@ func (t *Tracer) taskBegin(name string) {
 		t.fail("PAR_TASK_BEGIN(%q) outside a section", name)
 		return
 	}
-	node := t.newNode()
-	node.Kind, node.Name = tree.Task, name
+	node := &tree.Node{Kind: tree.Task, Name: name}
 	f.node.Children = append(f.node.Children, node)
 	t.stack = append(t.stack, frame{node: node, kind: tree.Task, start: now, lastEvent: now})
 	t.pendingMem = tree.MemTraits{}
@@ -341,9 +323,7 @@ func (t *Tracer) ioWait(now clock.Cycles, cycles int64) {
 		return
 	}
 	t.closeGap(f.node, f, now, tree.U, 0)
-	w := t.newNode()
-	w.Kind, w.Len = tree.W, clock.Cycles(cycles)
-	f.node.Children = append(f.node.Children, w)
+	f.node.Children = append(f.node.Children, &tree.Node{Kind: tree.W, Len: clock.Cycles(cycles)})
 	f.lastEvent = now + clock.Cycles(cycles)
 }
 

@@ -305,3 +305,14 @@ func TestHostProfilerCounters(t *testing.T) {
 		t.Fatalf("host counters = %+v", c)
 	}
 }
+
+// BenchmarkProfileHeap measures one profile of the Fig. 4 example: the
+// tracer's node allocations plus the serial run.
+func BenchmarkProfileHeap(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Profile(figure4Program, machine.Default()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -208,7 +208,11 @@ func (p *Profile) lookup(req Request) (Estimate, func(context.Context) (Estimate
 	req.Threads = p.threadsOf(req)
 	c := p.query(req)
 	if c.hit {
-		return surrogateEstimate(req, c.pred, p.SerialCycles), nil
+		// The emulated wire format plus Source; emulated estimates omit
+		// it, so their payloads match the pre-surrogate format.
+		est := p.estimateOf(req, c.pred)
+		est.Source = SourceSurrogate
+		return est, nil
 	}
 	return Estimate{}, func(ctx context.Context) (Estimate, error) {
 		est, err := p.emulate(ctx, req)
@@ -272,11 +276,18 @@ func (p *Profile) emulate(ctx context.Context, req Request) (est Estimate, err e
 	if err != nil {
 		return Estimate{Request: req, Err: err}, err
 	}
-	var predTime clock.Cycles
+	return p.estimateOf(req, speedup), nil
+}
+
+// estimateOf wraps a speedup predicted for req in an Estimate, with the
+// parallel time serial/speedup rounded to the nearest cycle (zero for a
+// non-positive speedup).
+func (p *Profile) estimateOf(req Request, speedup float64) Estimate {
+	est := Estimate{Request: req, Speedup: speedup}
 	if speedup > 0 {
-		predTime = clock.Cycles(float64(p.SerialCycles)/speedup + 0.5)
+		est.Time = clock.Cycles(float64(p.SerialCycles)/speedup + 0.5)
 	}
-	return Estimate{Request: req, Speedup: speedup, Time: predTime}, nil
+	return est
 }
 
 // CurveCtx evaluates the request across several thread counts (one line
@@ -304,10 +315,10 @@ func (p *Profile) CurveCtx(ctx context.Context, req Request, threads []int) ([]E
 // ("programmers should run Parallel Prophet where they will run a
 // parallelized code"): on a multicore host it measures real parallel
 // behaviour; results are only as stable as the host is quiet. ctx is
-// checked on entry and panics return as *PanicError. Once the host
-// emulation is launched it runs to completion — real goroutines spinning
-// real delays have no preemption point the library could honour without
-// perturbing the measurement.
+// polled between top-level sections, so a cancellation returns once the
+// section in flight finishes — real goroutines spinning real delays have
+// no finer preemption point the library could honour without perturbing
+// the measurement. Panics return as *PanicError.
 func (p *Profile) EstimateOnHostCtx(ctx context.Context, req Request) (est Estimate, err error) {
 	defer func() {
 		if err != nil {
@@ -315,38 +326,25 @@ func (p *Profile) EstimateOnHostCtx(ctx context.Context, req Request) (est Estim
 		}
 	}()
 	defer recoverToError(&err)
-	if req.Machine != "" {
-		vp, verr := p.forMachine(ctx, req.Machine)
-		if verr != nil {
-			err = verr
-			return Estimate{Request: req, Err: err}, err
-		}
-		if vp != p {
-			sub := req
-			sub.Machine = ""
-			est, err := vp.EstimateOnHostCtx(ctx, sub)
-			est.Machine = req.Machine
-			return est, err
-		}
+	if p, err = p.forMachine(ctx, req.Machine); err != nil {
+		return Estimate{}, err
 	}
-	t := p.threadsOf(req)
-	req.Threads = t
+	req.Threads = p.threadsOf(req)
 	req.Method = Synthesizer
 	if err := ctx.Err(); err != nil {
-		return Estimate{Request: req, Err: err}, err
+		return Estimate{}, err
 	}
 	s := &hostexec.HostSynthesizer{
-		Threads:   t,
+		Threads:   req.Threads,
 		Paradigm:  req.Paradigm,
 		Sched:     req.Sched,
 		UseBurden: req.MemoryModel && p.Model != nil,
 	}
-	speedup := s.Speedup(p.Tree)
-	var predTime clock.Cycles
-	if speedup > 0 {
-		predTime = clock.Cycles(float64(p.SerialCycles)/speedup + 0.5)
+	speedup, err := s.SpeedupCtx(ctx, p.Tree)
+	if err != nil {
+		return Estimate{}, err
 	}
-	return Estimate{Request: req, Speedup: speedup, Time: predTime}, nil
+	return p.estimateOf(req, speedup), nil
 }
 
 // ExplainBurden returns the memory-model internals (Eq. 1–5 intermediates)
@@ -382,21 +380,12 @@ func (p *Profile) Regions() []Region {
 // error.
 func (p *Profile) RealSpeedupCtx(ctx context.Context, req Request) (s float64, err error) {
 	defer recoverToError(&err)
-	if req.Machine != "" {
-		vp, err := p.forMachine(ctx, req.Machine)
-		if err != nil {
-			return 0, err
-		}
-		if vp != p {
-			sub := req
-			sub.Machine = ""
-			return vp.RealSpeedupCtx(ctx, sub)
-		}
+	if p, err = p.forMachine(ctx, req.Machine); err != nil {
+		return 0, err
 	}
-	t := p.threadsOf(req)
 	return realrun.SpeedupCtx(ctx, p.Tree, realrun.Config{
 		Machine:  p.opts.Machine,
-		Threads:  t,
+		Threads:  p.threadsOf(req),
 		Paradigm: req.Paradigm,
 		Sched:    req.Sched,
 		Tracer:   p.opts.Observer.Trace,
@@ -414,16 +403,8 @@ func (p *Profile) RealSpeedupCtx(ctx context.Context, req Request) (s float64, e
 // still receives every event of the run.
 func (p *Profile) TimelineCtx(ctx context.Context, req Request, width int) (gantt string, utilization map[int]float64, err error) {
 	defer recoverToError(&err)
-	if req.Machine != "" {
-		vp, verr := p.forMachine(ctx, req.Machine)
-		if verr != nil {
-			return "", nil, verr
-		}
-		if vp != p {
-			sub := req
-			sub.Machine = ""
-			return vp.TimelineCtx(ctx, sub, width)
-		}
+	if p, err = p.forMachine(ctx, req.Machine); err != nil {
+		return "", nil, err
 	}
 	buf := &obs.TraceBuffer{}
 	_, runErr := realrun.TimeCtx(ctx, p.Tree, realrun.Config{

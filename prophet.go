@@ -53,10 +53,10 @@ type Options struct {
 	// 2, 4, 6, 8, 10, 12 (the paper's x-axis).
 	ThreadCounts []int
 	// CompressTolerance is the program-tree compression tolerance
-	// (default 0.05, the paper's 5%; negative disables compression).
+	// (default 0.05, the paper's 5%; negative disables compression). It
+	// applies to profiled trees (ProfileProgramCtx, HostProfile); a tree
+	// given to ProfileTreeCtx is used as is.
 	CompressTolerance float64
-	// MaxTreeNodes, when > 0, arms the lossy compression fallback.
-	MaxTreeNodes int64
 	// MemModel overrides the memory performance model; nil selects a
 	// model calibrated against Machine (cached per machine config).
 	MemModel *memmodel.Model
@@ -66,7 +66,9 @@ type Options struct {
 	// AverageBurdensByName applies the paper's exact §V policy: burden
 	// factors of same-named top-level sections are averaged across their
 	// dynamic executions. The default assigns per-execution factors,
-	// which is strictly finer-grained.
+	// which is strictly finer-grained. The policy holds for every profile
+	// the options build — program, host and tree profiles alike — and for
+	// their machine variants and advise's region variants.
 	AverageBurdensByName bool
 	// Observer attaches observability sinks: an execution tracer fed by
 	// every simulated machine run and emulation made through the profile,
@@ -228,34 +230,51 @@ func ProfileProgramCtx(ctx context.Context, prog Program, opts *Options) (p *Pro
 	if err != nil {
 		return nil, err
 	}
-	p = &Profile{
+	return build(ctx, root, prof.Counters(), prog, true, o)
+}
+
+// build is the one profile pipeline behind every constructor: it resolves
+// the memory model, then compresses root (§IV-B) when it was profiled
+// (program and host trees; a given tree is used as is) and
+// Options.CompressTolerance allows, then assigns burden factors (§V). The
+// model is resolved before root is touched, so a failed calibration
+// leaves the caller's tree as it was. o must already carry its defaults.
+func build(ctx context.Context, root *tree.Node, ctrs counters.Sample, prog Program, profiled bool, o Options) (*Profile, error) {
+	var m *memmodel.Model
+	if !o.DisableMemoryModel {
+		var err error
+		if m, err = o.memModel(ctx); err != nil {
+			return nil, err
+		}
+	}
+	p := &Profile{
 		Tree:         root,
-		Counters:     prof.Counters(),
+		Counters:     ctrs,
+		Model:        m,
 		SerialCycles: root.TotalLen(),
 		opts:         o,
 		prog:         prog,
 	}
-	if o.CompressTolerance >= 0 {
+	if profiled && o.CompressTolerance >= 0 {
 		tm := o.Observer.Metrics.StartTimer(obs.MStageCompress)
-		p.Compression = compress.Compress(root, compress.Options{
-			Tolerance: o.CompressTolerance,
-			MaxNodes:  o.MaxTreeNodes,
-		})
+		p.Compression = compress.Compress(root, compress.Options{Tolerance: o.CompressTolerance})
 		tm.Stop()
 	}
-	if !o.DisableMemoryModel {
-		m, err := o.memModel(ctx)
-		if err != nil {
-			return nil, err
-		}
-		p.Model = m
-		if o.AverageBurdensByName {
-			m.AssignBurdensAveraged(root, o.ThreadCounts)
-		} else {
-			m.AssignBurdens(root, o.ThreadCounts)
-		}
-	}
+	o.assignBurdens(m, root)
 	return p, nil
+}
+
+// assignBurdens stores m's burden factors on root's top-level sections
+// under the Options.AverageBurdensByName policy; a nil m (memory model
+// disabled) leaves the tree untouched.
+func (o Options) assignBurdens(m *memmodel.Model, root *tree.Node) {
+	switch {
+	case m == nil:
+	case o.AverageBurdensByName:
+		m.AssignBurdensAveraged(root, o.ThreadCounts)
+	default:
+		m.AssignBurdens(root, o.ThreadCounts)
+	}
 }
 
 // memModel returns o.MemModel, or else the calibration of o.Machine under
@@ -280,8 +299,9 @@ func CalibrateModelCtx(ctx context.Context, machine MachineConfig) (m *MemModel,
 }
 
 // ProfileTreeCtx wraps an already-built program tree (e.g. loaded from
-// JSON) in a Profile so it can be estimated with the same API. Panics
-// below it return as *PanicError.
+// JSON) in a Profile so it can be estimated with the same API. The tree
+// is not compressed; burden factors are assigned as for a profiled
+// program. Panics below it return as *PanicError.
 func ProfileTreeCtx(ctx context.Context, root *tree.Node, opts *Options) (p *Profile, err error) {
 	defer recoverToError(&err)
 	if err := ctx.Err(); err != nil {
@@ -290,19 +310,5 @@ func ProfileTreeCtx(ctx context.Context, root *tree.Node, opts *Options) (p *Pro
 	if err := root.Validate(); err != nil {
 		return nil, err
 	}
-	o := opts.withDefaults()
-	p = &Profile{
-		Tree:         root,
-		SerialCycles: root.TotalLen(),
-		opts:         o,
-	}
-	if !o.DisableMemoryModel {
-		m, err := o.memModel(ctx)
-		if err != nil {
-			return nil, err
-		}
-		p.Model = m
-		m.AssignBurdens(root, o.ThreadCounts)
-	}
-	return p, nil
+	return build(ctx, root, counters.Sample{}, nil, false, opts.withDefaults())
 }

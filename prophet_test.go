@@ -402,6 +402,27 @@ func TestAverageBurdensByNameOption(t *testing.T) {
 	if got < lo-1e-9 || got > hi+1e-9 {
 		t.Fatalf("average %g outside [%g, %g]", got, lo, hi)
 	}
+
+	// A given tree takes the same policy: the per-execution tree wrapped
+	// with AverageBurdensByName comes out averaged, as profiled.
+	tp, err := ProfileTreeCtx(context.Background(), perExec.Tree.Clone(), &Options{Machine: testMachine(12), AverageBurdensByName: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := tp.Tree.TopLevelSections()
+	if ts[0].BurdenFor(12) != ts[1].BurdenFor(12) {
+		t.Fatalf("tree profile ignores the policy: %g vs %g", ts[0].BurdenFor(12), ts[1].BurdenFor(12))
+	}
+	// And so does a machine variant of that tree-backed profile, on a
+	// preset whose narrow bus burdens the hot execution.
+	vp, err := tp.forMachine(context.Background(), "embedded4+4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := vp.Tree.TopLevelSections()
+	if vs[0].BurdenFor(8) != vs[1].BurdenFor(8) || vs[0].BurdenFor(8) == 1 {
+		t.Fatalf("machine variant drops the policy: %g vs %g", vs[0].BurdenFor(8), vs[1].BurdenFor(8))
+	}
 }
 
 func TestHostProfilePublicAPI(t *testing.T) {
@@ -418,12 +439,20 @@ func TestHostProfilePublicAPI(t *testing.T) {
 		ctx.TaskEnd()
 	}
 	ctx.SecEnd(false)
-	prof, err := hp.FinishCtx(context.Background(), &Options{Machine: testMachine(4), DisableMemoryModel: true})
+	reg := &Metrics{}
+	prof, err := hp.FinishCtx(context.Background(), &Options{
+		Machine: testMachine(4), DisableMemoryModel: true, Observer: Observer{Metrics: reg},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if data[100] != 150 {
 		t.Fatal("real computation did not run")
+	}
+	// FinishCtx compresses through the same pipeline as ProfileProgramCtx,
+	// so the compress stage is timed.
+	if n := reg.Snapshot().Histograms["stage.compress_ns"].Count; n != 1 {
+		t.Fatalf("stage.compress_ns recorded %d times, want 1", n)
 	}
 	if prof.SerialCycles <= 0 {
 		t.Fatal("no time measured")

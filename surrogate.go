@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"prophet/internal/clock"
 	"prophet/internal/surrogate"
 	"prophet/internal/sweep"
 )
@@ -93,18 +92,6 @@ func (c *surrogateCell) train(speedup float64) {
 		c.sg.RecordShadow(c.pred, speedup)
 	}
 	c.sg.Observe(c.key, c.vec, speedup)
-}
-
-// surrogateEstimate wraps a surrogate prediction in the wire format:
-// the same fields an emulated estimate carries, plus Source set to
-// SourceSurrogate (emulated estimates omit it, keeping their payloads
-// byte-identical to the pre-surrogate format).
-func surrogateEstimate(req Request, speedup float64, serial clock.Cycles) Estimate {
-	est := Estimate{Request: req, Speedup: speedup, Source: SourceSurrogate}
-	if speedup > 0 {
-		est.Time = clock.Cycles(float64(serial)/speedup + 0.5)
-	}
-	return est
 }
 
 // SeedSurrogateCtx pre-seeds the surrogate's training store from a
