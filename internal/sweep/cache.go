@@ -5,7 +5,6 @@ import (
 	"errors"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 
 	"prophet/internal/obs"
 )
@@ -38,12 +37,9 @@ import (
 // The zero value is ready to use. A cache serves either Get or Do, not
 // both.
 type Cache[K comparable, V any] struct {
-	mu     sync.Mutex
-	m      map[K]*flight[V]
-	hits   atomic.Int64
-	misses atomic.Int64
-	dedups atomic.Int64
-	ctrs   CacheCounters
+	mu   sync.Mutex
+	m    map[K]*flight[V]
+	ctrs CacheCounters
 }
 
 // CacheCounters are optional external metric handles for a cache; nil
@@ -61,8 +57,8 @@ type CacheCounters struct {
 }
 
 // Instrument attaches metric counters (typically from an obs.Registry)
-// that mirror the cache's internal hit/miss/dedup statistics from this
-// point on. Safe only before the cache is shared across goroutines.
+// that count the cache's hits, misses and dedups from this point on.
+// Safe only before the cache is shared across goroutines.
 func (c *Cache[K, V]) Instrument(ctrs CacheCounters) {
 	c.ctrs = ctrs
 }
@@ -107,7 +103,6 @@ func (c *Cache[K, V]) join(ctx context.Context, key K, compute func(context.Cont
 	if ok && f.finished {
 		v, err := f.v, f.err
 		c.mu.Unlock()
-		c.hits.Add(1)
 		c.ctrs.Hits.Inc()
 		return v, err
 	}
@@ -120,9 +115,7 @@ func (c *Cache[K, V]) join(ctx context.Context, key K, compute func(context.Cont
 	if ok {
 		f.waiters++
 		c.mu.Unlock()
-		c.hits.Add(1)
 		c.ctrs.Hits.Inc()
-		c.dedups.Add(1)
 		c.ctrs.Dedups.Inc()
 		return c.wait(ctx, key, f)
 	}
@@ -133,7 +126,6 @@ func (c *Cache[K, V]) join(ctx context.Context, key K, compute func(context.Cont
 	f = &flight[V]{done: make(chan struct{}), cancel: cancel, waiters: 1}
 	c.m[key] = f
 	c.mu.Unlock()
-	c.misses.Add(1)
 	c.ctrs.Misses.Inc()
 	go c.run(fctx, key, f, compute, keep)
 	return c.wait(ctx, key, f)
@@ -209,17 +201,4 @@ func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
-}
-
-// Stats returns the hit/miss counters (a "hit" is any call that found
-// the key already present, even if the compute was still in flight).
-func (c *Cache[K, V]) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
-// Dedups returns the number of singleflight deduplications: hits that
-// arrived while the key's compute was still in flight and shared its
-// result.
-func (c *Cache[K, V]) Dedups() int64 {
-	return c.dedups.Load()
 }

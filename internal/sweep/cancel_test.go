@@ -196,6 +196,7 @@ func TestRunCtxErrorWithoutFailFastContinues(t *testing.T) {
 // flight context's error.
 func TestCacheLeaderCancelPanicDoesNotPoison(t *testing.T) {
 	var c Cache[string, int]
+	ctrs := instrument(&c)
 
 	// A waiter joins the leader's flight, then the leader is canceled.
 	// The flight keeps computing for the waiter, which gets the value.
@@ -226,7 +227,7 @@ func TestCacheLeaderCancelPanicDoesNotPoison(t *testing.T) {
 		}
 		waiterRes <- v
 	}()
-	for c.Dedups() < 1 {
+	for ctrs.Dedups.Value() < 1 {
 		runtime.Gosched()
 	}
 	cancelLeader()
@@ -390,6 +391,7 @@ func TestCacheDoDedup(t *testing.T) {
 // flight instead of joining the abandoned one.
 func TestCacheDoLeaderCancelDoesNotPoison(t *testing.T) {
 	var c Cache[string, int]
+	ctrs := instrument(&c)
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	inside, release := make(chan struct{}), make(chan struct{})
@@ -417,7 +419,7 @@ func TestCacheDoLeaderCancelDoesNotPoison(t *testing.T) {
 		}
 		waiterRes <- v
 	}()
-	for c.Dedups() < 1 {
+	for ctrs.Dedups.Value() < 1 {
 		runtime.Gosched()
 	}
 	cancelLeader()
@@ -513,6 +515,7 @@ func TestCacheDoesNotMemoizeCancellation(t *testing.T) {
 // never runs a compute or counts a hit.
 func TestCachePeekNeverComputes(t *testing.T) {
 	var c Cache[string, int]
+	ctrs := instrument(&c)
 	if _, ok := c.Peek("k"); ok {
 		t.Fatal("Peek hit an absent key")
 	}
@@ -539,7 +542,7 @@ func TestCachePeekNeverComputes(t *testing.T) {
 	if _, ok := c.Peek("bad"); ok {
 		t.Fatal("Peek hit a cached error")
 	}
-	if hits, misses := c.Stats(); hits != 0 || misses != 2 {
+	if hits, misses := ctrs.Hits.Value(), ctrs.Misses.Value(); hits != 0 || misses != 2 {
 		t.Fatalf("stats = %d hits, %d misses; Peek must count neither", hits, misses)
 	}
 }

@@ -72,11 +72,12 @@ func TestSweepOutcomeCounters(t *testing.T) {
 func TestCacheDedupCounting(t *testing.T) {
 	var c Cache[int, int]
 	reg := &obs.Registry{}
-	c.Instrument(CacheCounters{
+	ctrs := CacheCounters{
 		Hits:   reg.Counter(obs.MCacheHits),
 		Misses: reg.Counter(obs.MCacheMisses),
 		Dedups: reg.Counter(obs.MCacheDedups),
-	})
+	}
+	c.Instrument(ctrs)
 
 	const waiters = 4
 	computing := make(chan struct{})
@@ -105,7 +106,7 @@ func TestCacheDedupCounting(t *testing.T) {
 	}
 	// The waiters' hit/dedup counts are registered before they block on
 	// the flight, so waiting for them avoids racing the assertion.
-	for c.Dedups() < waiters {
+	for ctrs.Dedups.Value() < waiters {
 		runtime.Gosched()
 	}
 	close(release)
@@ -116,12 +117,12 @@ func TestCacheDedupCounting(t *testing.T) {
 			t.Errorf("waiter %d got %d, want 42", i, v)
 		}
 	}
-	hits, misses := c.Stats()
+	hits, misses := ctrs.Hits.Value(), ctrs.Misses.Value()
 	if misses != 1 || hits != waiters {
 		t.Errorf("stats = %d hits / %d misses, want %d/1", hits, misses, waiters)
 	}
-	if c.Dedups() != waiters {
-		t.Errorf("dedups = %d, want %d", c.Dedups(), waiters)
+	if ctrs.Dedups.Value() != waiters {
+		t.Errorf("dedups = %d, want %d", ctrs.Dedups.Value(), waiters)
 	}
 	snap := reg.Snapshot()
 	if snap.Counters[obs.MCacheHits] != waiters ||
@@ -134,7 +135,20 @@ func TestCacheDedupCounting(t *testing.T) {
 	if v, _ := c.Get(context.Background(), 1, nil); v != 42 {
 		t.Errorf("completed hit = %d", v)
 	}
-	if c.Dedups() != waiters {
+	if ctrs.Dedups.Value() != waiters {
 		t.Errorf("completed hit counted as dedup")
 	}
+}
+
+// instrument attaches fresh hit, miss and dedup counters to c and
+// returns them.
+func instrument[K comparable, V any](c *Cache[K, V]) CacheCounters {
+	reg := &obs.Registry{}
+	ctrs := CacheCounters{
+		Hits:   reg.Counter(obs.MCacheHits),
+		Misses: reg.Counter(obs.MCacheMisses),
+		Dedups: reg.Counter(obs.MCacheDedups),
+	}
+	c.Instrument(ctrs)
+	return ctrs
 }

@@ -97,6 +97,7 @@ func TestWorkerCountDefaults(t *testing.T) {
 
 func TestCacheSingleflight(t *testing.T) {
 	var c Cache[string, int]
+	ctrs := instrument(&c)
 	var computes atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 32; g++ {
@@ -119,7 +120,7 @@ func TestCacheSingleflight(t *testing.T) {
 	if c.Len() != 1 {
 		t.Errorf("Len = %d, want 1", c.Len())
 	}
-	hits, misses := c.Stats()
+	hits, misses := ctrs.Hits.Value(), ctrs.Misses.Value()
 	if misses != 1 || hits != 31 {
 		t.Errorf("stats = %d hits / %d misses, want 31/1", hits, misses)
 	}

@@ -103,16 +103,34 @@ func (s *Synthesizer) threads() int {
 // regions (§IV-E's overall formula). The underlying machine runs are
 // cancelable through ctx, and simulation failures (deadlock, budget,
 // internal error) return as typed errors.
+//
+// Each distinct section node is emulated once per call. Compression's
+// dictionary pass makes structurally identical sections one shared node,
+// and a section's run depends only on that node (its burden factors live
+// on it), the thread count and s's fields; every machine run starts from
+// a reset machine. So a later occurrence of the same node reuses the
+// first one's net duration, bit-identically. With a Tracer attached
+// every occurrence is emulated, so the trace shows each section.
 func (s *Synthesizer) PredictTimeCtx(ctx context.Context, root *tree.Node) (clock.Cycles, error) {
 	total := root.SerialOutsideSections()
+	var memo map[*tree.Node]clock.Cycles
+	if s.Tracer == nil {
+		memo = make(map[*tree.Node]clock.Cycles)
+	}
 	for _, sec := range root.TopLevelSections() {
+		d, ok := memo[sec]
+		if !ok {
+			var err error
+			if d, err = s.emulateTopLevelParSec(ctx, sec); err != nil {
+				return 0, err
+			}
+			if memo != nil {
+				memo[sec] = d
+			}
+		}
 		// A Repeat-compressed top-level section ran Reps times
 		// back-to-back in the serial program; one emulation per
 		// repeat would waste time, so multiply.
-		d, err := s.emulateTopLevelParSec(ctx, sec)
-		if err != nil {
-			return 0, err
-		}
 		total += d * clock.Cycles(sec.Reps())
 	}
 	return total, nil

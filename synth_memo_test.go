@@ -1,0 +1,76 @@
+package prophet_test
+
+import (
+	"context"
+	"testing"
+
+	"prophet"
+	"prophet/internal/obs"
+	"prophet/internal/omprt"
+	"prophet/internal/synth"
+	"prophet/internal/tree"
+	"prophet/internal/workloads"
+)
+
+// countTracer counts execution events and keeps none of them.
+type countTracer struct{ n int }
+
+func (c *countTracer) Exec(obs.ExecEvent) { c.n++ }
+
+// TestSynthesizerEmulatesDistinctSectionsOnce pins the synthesizer's
+// per-estimate memo: NPB-CG's 80 top-level sections compress to 3
+// distinct nodes, so an untraced estimate runs the machine 3 times. A
+// traced estimate emulates every occurrence (80 runs, so the trace shows
+// each section) and must give the bit-identical speedup.
+func TestSynthesizerEmulatesDistinctSectionsOnce(t *testing.T) {
+	w, _ := workloads.ByName("NPB-CG")
+	prof, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{Machine: benchMachine()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := prof.Tree.TopLevelSections()
+	distinct := make(map[*tree.Node]bool)
+	for _, s := range secs {
+		distinct[s] = true
+	}
+	if len(secs) != 80 || len(distinct) != 3 {
+		t.Fatalf("NPB-CG has %d top-level sections, %d distinct; want 80 and 3", len(secs), len(distinct))
+	}
+
+	ctx := context.Background()
+	for threads := 2; threads <= 12; threads++ {
+		newSyn := func(reg *obs.Registry, tr obs.ExecTracer) *synth.Synthesizer {
+			return &synth.Synthesizer{
+				Threads:   threads,
+				Sched:     omprt.SchedStatic,
+				UseBurden: true,
+				Machine:   benchMachine(),
+				OmpOv:     omprt.DefaultOverheads(),
+				Tracer:    tr,
+				Metrics:   reg,
+			}
+		}
+		plainReg, tracedReg := &obs.Registry{}, &obs.Registry{}
+		plain, err := newSyn(plainReg, nil).SpeedupCtx(ctx, prof.Tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &countTracer{}
+		traced, err := newSyn(tracedReg, tr).SpeedupCtx(ctx, prof.Tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plainReg.Counter(obs.MSimRuns).Value(); got != int64(len(distinct)) {
+			t.Errorf("t=%d untraced: %d machine runs, want %d (one per distinct section)", threads, got, len(distinct))
+		}
+		if got := tracedReg.Counter(obs.MSimRuns).Value(); got != int64(len(secs)) {
+			t.Errorf("t=%d traced: %d machine runs, want %d (one per section)", threads, got, len(secs))
+		}
+		if tr.n == 0 {
+			t.Errorf("t=%d: tracer attached but saw no events", threads)
+		}
+		if plain != traced {
+			t.Errorf("t=%d: speedup %v untraced vs %v traced", threads, plain, traced)
+		}
+	}
+}
