@@ -174,6 +174,35 @@ func BenchmarkCompression(b *testing.B) {
 	}
 }
 
+// BenchmarkCompressProfiled compresses raw profiled trees of the two
+// largest benchmarks, LU-OMP (262,144 nodes) and NPB-FT (197,129). Unlike
+// the flat tree above, they nest Sec/Task levels, so a cost that grows
+// with tree depth shows here. Each iteration profiles a fresh tree
+// outside the timer.
+func BenchmarkCompressProfiled(b *testing.B) {
+	for _, name := range []string{"LU-OMP", "NPB-FT"} {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				root, _, err := trace.Profile(w.Program, machine.Default())
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				st := compress.Compress(root, compress.Options{Tolerance: compress.DefaultTolerance})
+				if st.Reduction() < 0.9 {
+					b.Fatalf("reduction %f", st.Reduction())
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCompressionTolerance is the ablation for the 5% tolerance
 // choice: it sweeps tolerances and reports nodes retained per run.
 func BenchmarkCompressionTolerance(b *testing.B) {

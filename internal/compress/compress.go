@@ -22,7 +22,6 @@ package compress
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"prophet/internal/clock"
@@ -84,22 +83,26 @@ func Compress(root *tree.Node, opts Options) Stats {
 		opts.LossyMaxTolerance = 0.5
 	}
 	var st Stats
-	st.NodesBefore = uniqueNodes(root)
+	physical, logical := root.NodeCount()
+	st.NodesBefore = uniqueNodes(root, physical)
 	st.BytesBefore = root.ApproxBytes()
-	_, st.LogicalNodes = root.NodeCount()
+	st.LogicalNodes = logical
 
+	// nodes is the unique count of the tree as it stands; each pass
+	// recounts once, after it has changed the tree.
+	nodes := st.NodesBefore
 	tol := opts.Tolerance
 	pass := func() {
 		// Dictionary sharing can turn near-equal siblings into equal
 		// pointers, enabling further RLE merges; iterate to a
 		// fixpoint (bounded — each pass strictly reduces node count).
 		for i := 0; i < 8; i++ {
-			before := uniqueNodes(root)
+			before := nodes
 			rle(root, tol)
 			if !opts.DisableDictionary {
 				dedupe(root, tol)
 			}
-			if uniqueNodes(root) == before {
+			if nodes = uniqueNodes(root, 0); nodes == before {
 				break
 			}
 		}
@@ -107,7 +110,7 @@ func Compress(root *tree.Node, opts Options) Stats {
 	pass()
 	st.FinalTolerance = tol
 	if opts.MaxNodes > 0 {
-		for uniqueNodes(root) > opts.MaxNodes && tol < opts.LossyMaxTolerance {
+		for nodes > opts.MaxNodes && tol < opts.LossyMaxTolerance {
 			if tol <= 0 {
 				tol = DefaultTolerance
 			} else {
@@ -121,8 +124,8 @@ func Compress(root *tree.Node, opts Options) Stats {
 			st.FinalTolerance = tol
 		}
 	}
-	st.NodesAfter = uniqueNodes(root)
-	st.BytesAfter = int64(float64(st.BytesBefore) * float64(st.NodesAfter) / float64(max64(st.NodesBefore, 1)))
+	st.NodesAfter = nodes
+	st.BytesAfter = int64(float64(st.BytesBefore) * float64(st.NodesAfter) / float64(max(st.NodesBefore, 1)))
 	return st
 }
 
@@ -182,70 +185,74 @@ func weightedAvg(a, b int64, wa, wb int) int64 {
 
 // dedupe shares identical subtrees through a structural-hash dictionary.
 // Two subtrees are shared only when tree.Equal within tol; the hash buckets
-// candidates (quantized lengths) and Equal confirms.
+// candidates (quantized lengths) and Equal confirms. visit returns each
+// node's hash, folded bottom-up from its own fields and its children's
+// hashes, so every node is hashed once rather than once per ancestor. A
+// child swapped for its candidate keeps its hash: both sit in one bucket.
 func dedupe(n *tree.Node, tol float64) {
 	dict := make(map[uint64][]*tree.Node)
-	var visit func(node *tree.Node)
-	visit = func(node *tree.Node) {
+	var visit func(node *tree.Node) uint64
+	visit = func(node *tree.Node) uint64 {
+		h := fnvMix(fnvOffset, fieldWord(node, tol))
 		for i, c := range node.Children {
-			visit(c)
-			h := structuralHash(c, tol)
+			ch := visit(c)
 			found := false
-			for _, cand := range dict[h] {
-				if cand != c && tree.Equal(cand, c, tol) && cand.Reps() == c.Reps() {
+			for _, cand := range dict[ch] {
+				// No bucket entry is Equal to a later one, so meeting c
+				// itself (a shared node seen again) ends the scan.
+				if found = cand == c || tree.Equal(cand, c, tol); found {
 					node.Children[i] = cand
-					found = true
 					break
 				}
 			}
 			if !found {
-				dict[h] = append(dict[h], node.Children[i])
+				dict[ch] = append(dict[ch], c)
 			}
+			h = fnvMix(h, ch)
 		}
+		return (h ^ 0xFF) * fnvPrime
 	}
 	visit(n)
 }
 
-// structuralHash hashes a subtree's shape. Leaf lengths are quantized by the
-// tolerance so near-equal subtrees collide and Equal can confirm.
-func structuralHash(n *tree.Node, tol float64) uint64 {
-	h := fnv.New64a()
-	var write func(node *tree.Node)
-	write = func(node *tree.Node) {
-		var buf [8]byte
-		buf[0] = byte(node.Kind)
-		buf[1] = byte(node.Reps())
-		buf[2] = byte(node.LockID)
-		if node.NoWait {
-			buf[3] = 1
-		}
-		q := int64(node.Len)
-		if tol > 0 && node.Len > 0 {
-			// Quantize to log-scale buckets of width ~tol.
-			q = int64(math.Log(float64(node.Len)) / tol / 2)
-		}
-		for i := 0; i < 4; i++ {
-			buf[4+i] = byte(q >> (8 * i))
-		}
-		h.Write(buf[:])
-		for _, c := range node.Children {
-			write(c)
-		}
-		h.Write([]byte{0xFF})
+// fieldWord packs the node fields the structural hash covers. Leaf lengths
+// are quantized by the tolerance so near-equal subtrees collide and Equal
+// can confirm.
+func fieldWord(node *tree.Node, tol float64) uint64 {
+	q := int64(node.Len)
+	if tol > 0 && node.Len > 0 {
+		// Quantize to log-scale buckets of width ~tol.
+		q = int64(math.Log(float64(node.Len)) / tol / 2)
 	}
-	write(n)
-	return h.Sum64()
+	w := uint64(byte(node.Kind)) | uint64(byte(node.Reps()))<<8 | uint64(byte(node.LockID))<<16 | uint64(uint32(q))<<32
+	if node.NoWait {
+		w |= 1 << 24
+	}
+	return w
+}
+
+const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+
+// fnvMix folds the eight little-endian bytes of v into the FNV-1a hash h.
+func fnvMix(h, v uint64) uint64 {
+	for i := 0; i < 64; i += 8 {
+		h = (h ^ (v >> i & 0xFF)) * fnvPrime
+	}
+	return h
 }
 
 // uniqueNodes counts distinct stored nodes (shared subtrees counted once).
-func uniqueNodes(root *tree.Node) int64 {
-	seen := make(map[*tree.Node]bool)
+// sizeHint, when it bounds the count (the physical count does), sizes the
+// identity set so it never grows.
+func uniqueNodes(root *tree.Node, sizeHint int64) int64 {
+	seen := make(map[*tree.Node]struct{}, sizeHint)
 	var visit func(n *tree.Node)
 	visit = func(n *tree.Node) {
-		if seen[n] {
+		// The insert leaves len unchanged exactly when n was seen.
+		l := len(seen)
+		if seen[n] = struct{}{}; len(seen) == l {
 			return
 		}
-		seen[n] = true
 		for _, c := range n.Children {
 			visit(c)
 		}
@@ -255,11 +262,4 @@ func uniqueNodes(root *tree.Node) int64 {
 }
 
 // UniqueNodes exposes the unique-node count for reports and tests.
-func UniqueNodes(root *tree.Node) int64 { return uniqueNodes(root) }
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
+func UniqueNodes(root *tree.Node) int64 { return uniqueNodes(root, 0) }
