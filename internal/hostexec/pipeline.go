@@ -67,10 +67,7 @@ func RunPipeline(sec *tree.Node, threads int, exec func(seg *tree.Node)) {
 		}
 		close(chans[0])
 	}()
-	done := 0
 	for range chans[nGroups] {
-		done++
 	}
 	wg.Wait()
-	_ = done
 }

@@ -130,51 +130,23 @@ func (s *HostSynthesizer) EmulateTopLevelParSec(sec *tree.Node) clock.Cycles {
 	return clock.Cycles(elapsed.Seconds() * s.hz())
 }
 
-// taskAt resolves logical iteration i of a (possibly Repeat-compressed)
-// section.
-func taskAt(sec *tree.Node, i int) *tree.Node {
-	for _, c := range sec.Children {
-		if c.Kind != tree.Task {
-			continue
-		}
-		if i < c.Reps() {
-			return c
-		}
-		i -= c.Reps()
-	}
-	return nil
-}
-
-func logicalTasks(sec *tree.Node) int {
-	n := 0
-	for _, c := range sec.Children {
-		if c.Kind == tree.Task {
-			n += c.Reps()
-		}
-	}
-	return n
-}
-
 func (s *HostSynthesizer) runSecOMP(sec *tree.Node, burden float64) {
-	n := logicalTasks(sec)
-	ParallelFor(s.threads(), n, s.Sched, func(w, i int) {
-		s.runTask(nil, taskAt(sec, i), burden)
+	ix := tree.NewTaskIndex(sec)
+	ParallelFor(s.threads(), ix.Len(), s.Sched, func(w, i int) {
+		s.runTask(nil, ix.At(i), burden)
 	})
 }
 
 func (s *HostSynthesizer) runSecCilk(c *Ctx, sec *tree.Node, burden float64) {
-	n := logicalTasks(sec)
-	c.For(n, 1, func(cc *Ctx, i int) {
-		s.runTask(cc, taskAt(sec, i), burden)
+	ix := tree.NewTaskIndex(sec)
+	c.For(ix.Len(), 1, func(cc *Ctx, i int) {
+		s.runTask(cc, ix.At(i), burden)
 	})
 }
 
 // runTask walks a task's segments with FakeDelay computation and real
 // mutexes; nested sections recurse through the active paradigm.
 func (s *HostSynthesizer) runTask(cc *Ctx, task *tree.Node, burden float64) {
-	if task == nil {
-		return
-	}
 	hz := s.hz()
 	for _, seg := range task.Children {
 		for r := 0; r < seg.Reps(); r++ {

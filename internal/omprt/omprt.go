@@ -1,10 +1,10 @@
 // Package omprt is an OpenMP-style runtime for the simulated machine
 // (internal/sim). It provides parallel-for with the schedules the paper
-// models — (static), (static,c), (dynamic,c) and (guided) — plus critical
-// sections, and reproduces OpenMP 2.0's naive nested behaviour: every
-// parallel region, nested or not, spawns a fresh team of physical threads,
-// which oversubscribes the machine exactly the way the paper describes
-// (§III "Nested and recursive parallelism", §IV-D).
+// models — (static), (static,c), (dynamic,c) and (guided) — and reproduces
+// OpenMP 2.0's naive nested behaviour: every parallel region, nested or
+// not, spawns a fresh team of physical threads, which oversubscribes the
+// machine exactly the way the paper describes (§III "Nested and recursive
+// parallelism", §IV-D).
 //
 // Runtime overheads (fork, join, chunk dispatch, lock enter/exit) are paid
 // as explicit Work cycles. The default constants are in the range reported
@@ -100,7 +100,9 @@ type Overheads struct {
 	// no shared counter).
 	StaticDispatch clock.Cycles
 	// LockEnter / LockExit are paid inside a critical section on entry
-	// and before exit.
+	// and before exit. The runtime has no critical-section API: callers
+	// take the machine mutex and pay these themselves (internal/realrun,
+	// internal/ff).
 	LockEnter, LockExit clock.Cycles
 }
 
@@ -257,14 +259,4 @@ func (rt *Runtime) runWorker(w *sim.Thread, k, nt, n int, sched Sched, body func
 			}
 		}
 	}
-}
-
-// Critical runs f while holding lock id, paying the critical-section
-// overheads (#pragma omp critical with a named lock, or an omp_lock).
-func (rt *Runtime) Critical(t *sim.Thread, id int, f func()) {
-	t.Lock(id)
-	t.Work(rt.ov.LockEnter)
-	f()
-	t.Work(rt.ov.LockExit)
-	t.Unlock(id)
 }

@@ -21,7 +21,6 @@ import (
 	"prophet/internal/clock"
 	"prophet/internal/obs"
 	"prophet/internal/omprt"
-	"prophet/internal/pipesim"
 	"prophet/internal/sim"
 	"prophet/internal/synth"
 	"prophet/internal/tree"
@@ -48,13 +47,6 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-func (c Config) threads() int {
-	if c.Threads < 1 {
-		return 1
-	}
-	return c.Threads
-}
-
 func (c Config) ompOv() omprt.Overheads {
 	if c.OmpOv != nil {
 		return *c.OmpOv
@@ -69,152 +61,75 @@ func (c Config) cilkOv() cilkrt.Overheads {
 	return cilkrt.DefaultOverheads()
 }
 
-// segWork replays one U/L leaf's computation on a sim thread: measured
-// memory traits when the profiler recorded them, otherwise the profiled
-// length as pure compute.
-func segWork(w *sim.Thread, n *tree.Node) {
-	if n.Kind == tree.W {
-		// I/O wait: blocks without occupying a core.
-		w.Sleep(n.Len)
-		return
-	}
-	if n.Mem.Instructions > 0 || n.Mem.LLCMisses > 0 {
-		w.WorkMem(clock.Cycles(n.Mem.Instructions), n.Mem.LLCMisses)
-	} else {
-		w.Work(n.Len)
-	}
-}
-
 // TimeCtx runs the whole tree as a parallelized program and returns its
 // makespan: top-level sections execute through the parallel runtime,
 // top-level U nodes serially in between. A deadlocked, over-budget or
 // canceled run returns its typed error.
+//
+// The sections run as the synthesizer's generated program (synth.Program)
+// whose leaves replay the measured memory traits. An L segment in an
+// OpenMP team is an omp critical section and pays LockEnter/LockExit
+// inside the lock; under Cilk and in pipelines it takes the bare mutex.
 func TimeCtx(ctx context.Context, root *tree.Node, cfg Config) (clock.Cycles, error) {
+	ov := cfg.ompOv()
+	critical := false // the running section is an OpenMP team
+	prog := &synth.Program{
+		Threads:  cfg.Threads,
+		Paradigm: cfg.Paradigm,
+		Sched:    cfg.Sched,
+		OmpOv:    ov,
+		CilkOv:   cfg.cilkOv(),
+		// Replay one U/W/L leaf: measured memory traits when the
+		// profiler recorded them, otherwise the profiled length as pure
+		// compute. The body calls only inlined Thread methods, so no
+		// frame sits between the walker and the machine: in CPU
+		// profiles each such frame costs time at its return after
+		// every coroutine switch.
+		Leaf: func(w *sim.Thread, seg *tree.Node) {
+			if seg.Kind == tree.W {
+				// I/O wait: blocks without occupying a core.
+				w.Sleep(seg.Len)
+				return
+			}
+			locked := seg.Kind == tree.L
+			if locked {
+				w.Lock(seg.LockID)
+				if critical {
+					w.Work(ov.LockEnter)
+				}
+			}
+			if seg.Mem.Instructions > 0 || seg.Mem.LLCMisses > 0 {
+				w.WorkMem(clock.Cycles(seg.Mem.Instructions), seg.Mem.LLCMisses)
+			} else {
+				w.Work(seg.Len)
+			}
+			if locked {
+				if critical {
+					w.Work(ov.LockExit)
+				}
+				w.Unlock(seg.LockID)
+			}
+		},
+	}
 	end, _, err := sim.Run(ctx, cfg.Machine, sim.RunOpts{Tracer: cfg.Tracer, Metrics: cfg.Metrics}, func(main *sim.Thread) {
 		for _, c := range root.Children {
 			switch c.Kind {
 			case tree.U:
 				for r := 0; r < c.Reps(); r++ {
-					segWork(main, c)
+					prog.Leaf(main, c)
 				}
 			case tree.Sec:
+				critical = cfg.Paradigm != synth.Cilk && !c.Pipeline
 				// Compression can fold identical back-to-back
 				// top-level sections into one node: execute it
 				// once per repeat.
 				for r := 0; r < c.Reps(); r++ {
-					runSection(main, c, cfg)
+					prog.RunSection(main, c)
 				}
 			}
 		}
 	})
 	return end, err
-}
-
-// runSection executes one top-level section through the configured runtime.
-func runSection(main *sim.Thread, sec *tree.Node, cfg Config) {
-	if sec.Pipeline {
-		pipesim.Run(main, sec, cfg.threads(), func(w *sim.Thread, seg *tree.Node) {
-			if seg.Kind == tree.L {
-				w.Lock(seg.LockID)
-				segWork(w, seg)
-				w.Unlock(seg.LockID)
-				return
-			}
-			segWork(w, seg)
-		})
-		return
-	}
-	switch cfg.Paradigm {
-	case synth.Cilk:
-		rt := cilkrt.New(cfg.threads(), cfg.cilkOv())
-		rt.Run(main, func(c *cilkrt.Ctx) {
-			runSecCilk(c, sec)
-		})
-	default:
-		rt := omprt.New(cfg.threads(), cfg.ompOv())
-		runSecOMP(rt, main, sec, cfg.Sched)
-	}
-}
-
-// taskIndex maps logical iteration numbers onto (possibly compressed) Task
-// nodes, shared with the synthesizer's indexing strategy.
-type taskIndex struct {
-	nodes []*tree.Node
-	cum   []int
-	total int
-}
-
-func buildTaskIndex(sec *tree.Node) *taskIndex {
-	ti := &taskIndex{}
-	for _, c := range sec.Children {
-		if c.Kind != tree.Task {
-			continue
-		}
-		ti.nodes = append(ti.nodes, c)
-		ti.cum = append(ti.cum, ti.total)
-		ti.total += c.Reps()
-	}
-	return ti
-}
-
-func (ti *taskIndex) at(i int) *tree.Node {
-	lo, hi := 0, len(ti.cum)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if ti.cum[mid] <= i {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return ti.nodes[lo]
-}
-
-func runSecOMP(rt *omprt.Runtime, t *sim.Thread, sec *tree.Node, sched omprt.Sched) {
-	ti := buildTaskIndex(sec)
-	rt.ParallelFor(t, ti.total, sched, func(w *sim.Thread, i int) {
-		runTaskOMP(rt, w, ti.at(i), sched)
-	})
-}
-
-func runTaskOMP(rt *omprt.Runtime, w *sim.Thread, task *tree.Node, sched omprt.Sched) {
-	for _, seg := range task.Children {
-		for r := 0; r < seg.Reps(); r++ {
-			switch seg.Kind {
-			case tree.U, tree.W:
-				segWork(w, seg)
-			case tree.L:
-				rt.Critical(w, seg.LockID, func() { segWork(w, seg) })
-			case tree.Sec:
-				// Naive OpenMP 2.0 nesting: a fresh nested team.
-				runSecOMP(rt, w, seg, sched)
-			}
-		}
-	}
-}
-
-func runSecCilk(c *cilkrt.Ctx, sec *tree.Node) {
-	ti := buildTaskIndex(sec)
-	c.For(ti.total, 1, func(cc *cilkrt.Ctx, i int) {
-		runTaskCilk(cc, ti.at(i))
-	})
-}
-
-func runTaskCilk(c *cilkrt.Ctx, task *tree.Node) {
-	for _, seg := range task.Children {
-		for r := 0; r < seg.Reps(); r++ {
-			switch seg.Kind {
-			case tree.U, tree.W:
-				segWork(c.Thread(), seg)
-			case tree.L:
-				c.Thread().Lock(seg.LockID)
-				segWork(c.Thread(), seg)
-				c.Thread().Unlock(seg.LockID)
-			case tree.Sec:
-				runSecCilk(c, seg)
-			}
-		}
-	}
 }
 
 // SerialTime returns the baseline: the profiled serial length of the tree

@@ -248,3 +248,37 @@ func TestThreadsDefaultToOne(t *testing.T) {
 		t.Fatalf("unspecified threads = %d, want serial 40000", end)
 	}
 }
+
+// TestLockCostOnlyInOpenMPTeams: an L segment in an OpenMP team is an omp
+// critical section — serialized, paying LockEnter/LockExit inside the
+// lock — while under Cilk and in a pipeline it takes the bare mutex.
+func TestLockCostOnlyInOpenMPTeams(t *testing.T) {
+	const n, l = 4, 1_000
+	lockOv := &omprt.Overheads{LockEnter: 300, LockExit: 200}
+	locked := func(pipeline bool) *tree.Node {
+		tasks := make([]*tree.Node, n)
+		for i := range tasks {
+			tasks[i] = tree.NewTask("t", tree.NewL(5, l))
+		}
+		sec := tree.NewSec("s", tasks...)
+		sec.Pipeline = pipeline
+		return tree.NewRoot(sec)
+	}
+	for _, tc := range []struct {
+		name     string
+		pipeline bool
+		cfg      Config
+		want     clock.Cycles
+	}{
+		{"openmp-one-thread", false, Config{Threads: 1, Sched: omprt.SchedStatic}, n * (300 + l + 200)},
+		{"openmp-team", false, Config{Threads: n, Sched: omprt.SchedStatic1}, n * (300 + l + 200)},
+		{"cilk", false, Config{Threads: n, Paradigm: synth.Cilk, CilkOv: &cilkrt.Overheads{}}, n * l},
+		{"pipeline", true, Config{Threads: n}, n * l},
+	} {
+		cfg := tc.cfg
+		cfg.Machine, cfg.OmpOv = mcfg(n), lockOv
+		if got := mustTime(t, locked(tc.pipeline), cfg); got != tc.want {
+			t.Errorf("%s: makespan = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}

@@ -20,13 +20,11 @@ package synth
 
 import (
 	"context"
-	"sort"
 
 	"prophet/internal/cilkrt"
 	"prophet/internal/clock"
 	"prophet/internal/obs"
 	"prophet/internal/omprt"
-	"prophet/internal/pipesim"
 	"prophet/internal/sim"
 	"prophet/internal/tree"
 )
@@ -117,11 +115,12 @@ func (s *Synthesizer) PredictTimeCtx(ctx context.Context, root *tree.Node) (cloc
 	if s.Tracer == nil {
 		memo = make(map[*tree.Node]clock.Cycles)
 	}
+	em := s.newEmulation()
 	for _, sec := range root.TopLevelSections() {
 		d, ok := memo[sec]
 		if !ok {
 			var err error
-			if d, err = s.emulateTopLevelParSec(ctx, sec); err != nil {
+			if d, err = em.emulateTopLevelParSec(ctx, sec); err != nil {
 				return 0, err
 			}
 			if memo != nil {
@@ -149,80 +148,77 @@ func (s *Synthesizer) SpeedupCtx(ctx context.Context, root *tree.Node) (float64,
 	return float64(serial) / float64(pred), nil
 }
 
-// overheadMgr accumulates per-worker tree-traversal overhead; the engine
-// serializes sim threads, so a plain map is safe.
-type overheadMgr struct {
-	perThread map[int]clock.Cycles
+// emulation is the program the synthesizer generates for one estimate.
+// Its Leaf and visit closures are built once and read the section being
+// emulated: its burden factor and the per-worker traversal overhead that
+// Fig. 8's OverheadManager accumulates (the engine serializes sim
+// threads, so a plain map is safe).
+type emulation struct {
+	s        *Synthesizer
+	prog     Program
+	burden   float64
+	overhead map[int]clock.Cycles
 }
 
-func newOverheadMgr() *overheadMgr {
-	return &overheadMgr{perThread: make(map[int]clock.Cycles)}
-}
-
-func (o *overheadMgr) charge(t *sim.Thread, c clock.Cycles) {
-	t.Work(c)
-	o.perThread[t.ID()] += c
-}
-
-// longest returns the largest per-worker overhead (Fig. 8's
-// GetLongestOverhead).
-func (o *overheadMgr) longest() clock.Cycles {
-	var best clock.Cycles
-	for _, v := range o.perThread {
-		if v > best {
-			best = v
-		}
+func (s *Synthesizer) newEmulation() *emulation {
+	e := &emulation{s: s, overhead: make(map[int]clock.Cycles)}
+	access, call := s.accessNode(), s.recursiveCall()
+	e.prog = Program{
+		Threads:  s.threads(),
+		Paradigm: s.Paradigm,
+		Sched:    s.Sched,
+		OmpOv:    s.OmpOv,
+		CilkOv:   s.CilkOv,
+		// FakeDelay for computation, a real machine mutex for L.
+		Leaf: func(w *sim.Thread, seg *tree.Node) {
+			switch seg.Kind {
+			case tree.W:
+				// I/O waits release the core: other workers run.
+				w.Sleep(seg.Len)
+			case tree.L:
+				w.Lock(seg.LockID)
+				w.Work(scaled(seg.Len, e.burden))
+				w.Unlock(seg.LockID)
+			default:
+				w.Work(scaled(seg.Len, e.burden))
+			}
+		},
+		visit: func(w *sim.Thread, seg *tree.Node) {
+			w.Work(access)
+			e.overhead[w.ID()] += access
+			if seg.Kind == tree.Sec {
+				w.Work(call)
+				e.overhead[w.ID()] += call
+			}
+		},
 	}
-	return best
+	return e
 }
 
-// emulateTopLevelParSec synthesizes and runs one top-level section and
-// returns its net duration (gross minus the longest traversal overhead).
-func (s *Synthesizer) emulateTopLevelParSec(ctx context.Context, sec *tree.Node) (clock.Cycles, error) {
-	burden := 1.0
+// emulateTopLevelParSec runs one top-level section of the generated
+// program and returns its net duration: gross minus the longest
+// per-worker traversal overhead (Fig. 8's GetLongestOverhead).
+func (e *emulation) emulateTopLevelParSec(ctx context.Context, sec *tree.Node) (clock.Cycles, error) {
+	s := e.s
+	e.burden = 1
 	if s.UseBurden {
-		burden = sec.BurdenFor(s.threads())
+		e.burden = sec.BurdenFor(s.threads())
 	}
-	om := newOverheadMgr()
+	clear(e.overhead)
 	gross, _, err := sim.Run(ctx, s.Machine, sim.RunOpts{Tracer: s.Tracer, Metrics: s.Metrics}, func(main *sim.Thread) {
-		if sec.Pipeline {
-			pipesim.Run(main, sec, s.threads(), func(w *sim.Thread, seg *tree.Node) {
-				om.charge(w, s.accessNode())
-				switch seg.Kind {
-				case tree.L:
-					w.Lock(seg.LockID)
-					w.Work(s.scaled(seg.Len, burden))
-					w.Unlock(seg.LockID)
-				case tree.W:
-					w.Sleep(seg.Len)
-				default:
-					w.Work(s.scaled(seg.Len, burden))
-				}
-			})
-			return
-		}
-		switch s.Paradigm {
-		case Cilk:
-			rt := cilkrt.New(s.threads(), s.CilkOv)
-			rt.Run(main, func(c *cilkrt.Ctx) {
-				s.runSecCilk(c, sec, burden, om)
-			})
-		default:
-			rt := omprt.New(s.threads(), s.OmpOv)
-			s.runSecOMP(rt, main, sec, burden, om)
-		}
+		e.prog.RunSection(main, sec)
 	})
 	if err != nil {
 		return 0, err
 	}
-	net := gross - om.longest()
-	if net < 0 {
-		net = 0
+	var longest clock.Cycles
+	for _, v := range e.overhead {
+		longest = max(longest, v)
 	}
-	return net, nil
+	return max(gross-longest, 0), nil
 }
 
-func (s *Synthesizer) scaled(l clock.Cycles, burden float64) clock.Cycles {
+func scaled(l clock.Cycles, burden float64) clock.Cycles {
 	if burden == 1 {
 		return l
 	}
@@ -241,84 +237,4 @@ func (s *Synthesizer) recursiveCall() clock.Cycles {
 		return s.RecursiveCall
 	}
 	return DefaultRecursiveCall
-}
-
-// taskIndex maps a logical iteration number to its (possibly
-// Repeat-compressed) Task node without expanding the tree.
-type taskIndex struct {
-	nodes []*tree.Node
-	cum   []int // cum[i] = logical tasks before nodes[i]
-	total int
-}
-
-func buildTaskIndex(sec *tree.Node) *taskIndex {
-	ti := &taskIndex{}
-	for _, c := range sec.Children {
-		if c.Kind != tree.Task {
-			continue
-		}
-		ti.nodes = append(ti.nodes, c)
-		ti.cum = append(ti.cum, ti.total)
-		ti.total += c.Reps()
-	}
-	return ti
-}
-
-func (ti *taskIndex) at(i int) *tree.Node {
-	k := sort.Search(len(ti.cum), func(j int) bool { return ti.cum[j] > i }) - 1
-	return ti.nodes[k]
-}
-
-// runSecOMP emulates a section with the OpenMP runtime: a parallel-for over
-// its logical tasks. Nested sections recurse with a fresh nested team
-// (EmulWorker's 'Sec' case in Fig. 8, OpenMP flavour).
-func (s *Synthesizer) runSecOMP(rt *omprt.Runtime, t *sim.Thread, sec *tree.Node, burden float64, om *overheadMgr) {
-	ti := buildTaskIndex(sec)
-	rt.ParallelFor(t, ti.total, s.Sched, func(w *sim.Thread, i int) {
-		s.runTask(rtExec{omp: rt}, w, nil, ti.at(i), burden, om)
-	})
-}
-
-// runSecCilk emulates a section with the Cilk runtime: a cilk_for over its
-// logical tasks (grain 1: each profiled task is one emulated task).
-func (s *Synthesizer) runSecCilk(c *cilkrt.Ctx, sec *tree.Node, burden float64, om *overheadMgr) {
-	ti := buildTaskIndex(sec)
-	c.For(ti.total, 1, func(cc *cilkrt.Ctx, i int) {
-		s.runTask(rtExec{}, cc.Thread(), cc, ti.at(i), burden, om)
-	})
-}
-
-// rtExec carries the OpenMP runtime when emulating under OpenMP; for Cilk
-// the context itself is passed along.
-type rtExec struct {
-	omp *omprt.Runtime
-}
-
-// runTask walks one task's segments, emulating computation with FakeDelay
-// (Work), locks with real machine mutexes, and nested sections with
-// recursive parallel loops — the body of EmulWorker in Fig. 8.
-func (s *Synthesizer) runTask(ex rtExec, w *sim.Thread, cc *cilkrt.Ctx, task *tree.Node, burden float64, om *overheadMgr) {
-	for _, seg := range task.Children {
-		for r := 0; r < seg.Reps(); r++ {
-			om.charge(w, s.accessNode())
-			switch seg.Kind {
-			case tree.U:
-				w.Work(s.scaled(seg.Len, burden))
-			case tree.W:
-				// I/O waits release the core: other workers run.
-				w.Sleep(seg.Len)
-			case tree.L:
-				w.Lock(seg.LockID)
-				w.Work(s.scaled(seg.Len, burden))
-				w.Unlock(seg.LockID)
-			case tree.Sec:
-				om.charge(w, s.recursiveCall())
-				if cc != nil {
-					s.runSecCilk(cc, seg, burden, om)
-				} else {
-					s.runSecOMP(ex.omp, w, seg, burden, om)
-				}
-			}
-		}
-	}
 }
