@@ -147,7 +147,7 @@ func rle(n *tree.Node, tol float64) {
 			j++
 		}
 		if j > i+1 {
-			merged := run.Clone()
+			merged := unshared(run)
 			weight := merged.Reps()
 			for k := i + 1; k < j; k++ {
 				mergeInto(merged, n.Children[k], weight, n.Children[k].Reps())
@@ -161,6 +161,20 @@ func rle(n *tree.Node, tol float64) {
 		i = j
 	}
 	n.Children = out
+}
+
+// unshared returns a copy of n's subtree in which no node is reached
+// twice. rle cannot use tree.Node.Clone, which keeps sharing: mergeInto
+// averages each run member into the representative position by position,
+// and a node dedupe shared between two positions would be averaged twice.
+// Counters and Burden stay shared with n, since mergeInto changes neither.
+func unshared(n *tree.Node) *tree.Node {
+	cp := *n
+	cp.Children = make([]*tree.Node, len(n.Children))
+	for i, c := range n.Children {
+		cp.Children[i] = unshared(c)
+	}
+	return &cp
 }
 
 // mergeInto folds b's leaf lengths into a as a running weighted average, so

@@ -147,3 +147,29 @@ func TestDictionaryShareStability(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCloneKeepsSharing: tree.Node.Clone copies a compressed tree's shared
+// nodes once each, so the clone has the original's distinct node count,
+// is structurally equal to it, and shares no node with it.
+func TestCloneKeepsSharing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 10; trial++ {
+		root := randomTree(rng, 30+rng.Intn(50), 2)
+		Compress(root, Options{Tolerance: DefaultTolerance})
+		cp := root.Clone()
+		if got, want := UniqueNodes(cp), UniqueNodes(root); got != want {
+			t.Fatalf("trial %d: clone has %d distinct nodes, original %d", trial, got, want)
+		}
+		if !tree.Equal(cp, root, 0) {
+			t.Fatalf("trial %d: clone not structurally equal to the original", trial)
+		}
+		orig := map[*tree.Node]bool{}
+		root.Walk(func(n *tree.Node) bool { orig[n] = true; return true })
+		cp.Walk(func(n *tree.Node) bool {
+			if orig[n] {
+				t.Fatalf("trial %d: clone shares node %p with the original", trial, n)
+			}
+			return true
+		})
+	}
+}

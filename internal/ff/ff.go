@@ -228,9 +228,6 @@ func appendTasks(dst []taskRef, sec *tree.Node) []taskRef {
 	return dst
 }
 
-// expandTasks returns the logical task list of a section.
-func expandTasks(sec *tree.Node) []taskRef { return appendTasks(nil, sec) }
-
 // worker is one emulated team member inside a section emulation. Workers
 // advance one segment at a time through the priority heap, so lock
 // acquisitions across workers happen in pseudo-time order (Fig. 5 depends

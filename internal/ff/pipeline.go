@@ -28,9 +28,8 @@ import (
 // (pipesim.PartitionStages), so the FF and the machine execution model the
 // same assignment.
 func emulatePipeline(st *state, sec *tree.Node, start clock.Cycles, p int) clock.Cycles {
-	tasks := expandTasks(sec)
-	n := len(tasks)
-	if n == 0 {
+	runs := pipesim.IterRuns(sec)
+	if len(runs) == 0 {
 		return 0
 	}
 	groups := pipesim.PartitionStages(sec, p)
@@ -52,39 +51,40 @@ func emulatePipeline(st *state, sec *tree.Node, start clock.Cycles, p int) clock
 	}
 	stageFinish := make([]clock.Cycles, depth) // finish of stage s, previous iteration
 	var finish clock.Cycles
-	for _, tr := range tasks {
-		st.tick()
-		slots := pipesim.StageSlots(tr.node)
-		var prevStageEnd clock.Cycles = begin
-		for s, seg := range slots {
-			if s >= depth {
-				break
-			}
-			w := groups[s]
-			t := workerTime[w]
-			if prevStageEnd > t {
-				t = prevStageEnd
-			}
-			if stageFinish[s] > t {
-				t = stageFinish[s]
-			}
-			t += st.ov.Dispatch
-			switch seg.Kind {
-			case tree.L:
-				if f := st.lockFree[seg.LockID]; f > t {
-					t = f
+	for _, run := range runs {
+		for k := 0; k < run.Reps; k++ {
+			st.tick()
+			var prevStageEnd clock.Cycles = begin
+			for s, seg := range run.Slots {
+				if s >= depth {
+					break
 				}
-				t += st.ov.LockEnter + st.scaledOn(w, seg.Len) + st.ov.LockExit
-				st.lockFree[seg.LockID] = t
-			default: // U
-				t += st.scaledOn(w, seg.Len)
+				w := groups[s]
+				t := workerTime[w]
+				if prevStageEnd > t {
+					t = prevStageEnd
+				}
+				if stageFinish[s] > t {
+					t = stageFinish[s]
+				}
+				t += st.ov.Dispatch
+				switch seg.Kind {
+				case tree.L:
+					if f := st.lockFree[seg.LockID]; f > t {
+						t = f
+					}
+					t += st.ov.LockEnter + st.scaledOn(w, seg.Len) + st.ov.LockExit
+					st.lockFree[seg.LockID] = t
+				default: // U
+					t += st.scaledOn(w, seg.Len)
+				}
+				workerTime[w] = t
+				stageFinish[s] = t
+				prevStageEnd = t
 			}
-			workerTime[w] = t
-			stageFinish[s] = t
-			prevStageEnd = t
-		}
-		if prevStageEnd > finish {
-			finish = prevStageEnd
+			if prevStageEnd > finish {
+				finish = prevStageEnd
+			}
 		}
 	}
 	return finish - start + st.ov.JoinBarrier

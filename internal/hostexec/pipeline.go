@@ -16,17 +16,9 @@ import (
 // exec runs one stage instance (a U or L leaf); implementations handle
 // L-node locking themselves.
 func RunPipeline(sec *tree.Node, threads int, exec func(seg *tree.Node)) {
-	var iters []*tree.Node
-	for _, c := range sec.Children {
-		if c.Kind != tree.Task {
-			continue
-		}
-		for r := 0; r < c.Reps(); r++ {
-			iters = append(iters, c)
-		}
-	}
+	runs := pipesim.IterRuns(sec)
 	depth := pipesim.Depth(sec)
-	if len(iters) == 0 || depth == 0 {
+	if len(runs) == 0 || depth == 0 {
 		return
 	}
 	groups := pipesim.PartitionStages(sec, threads)
@@ -37,10 +29,11 @@ func RunPipeline(sec *tree.Node, threads int, exec func(seg *tree.Node)) {
 		}
 	}
 
-	// Stage-group workers chained by channels carrying iteration indexes.
-	chans := make([]chan int, nGroups+1)
+	// Stage-group workers chained by channels carrying each iteration's
+	// stage slots.
+	chans := make([]chan []*tree.Node, nGroups+1)
 	for i := range chans {
-		chans[i] = make(chan int, 64)
+		chans[i] = make(chan []*tree.Node, 64)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < nGroups; g++ {
@@ -48,22 +41,23 @@ func RunPipeline(sec *tree.Node, threads int, exec func(seg *tree.Node)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range chans[g] {
-				slots := pipesim.StageSlots(iters[i])
+			for slots := range chans[g] {
 				for s, seg := range slots {
 					if s < len(groups) && groups[s] == g {
 						exec(seg)
 					}
 				}
-				chans[g+1] <- i
+				chans[g+1] <- slots
 			}
 			close(chans[g+1])
 		}()
 	}
 	// Feed iterations in order; drain the tail.
 	go func() {
-		for i := range iters {
-			chans[0] <- i
+		for _, run := range runs {
+			for k := 0; k < run.Reps; k++ {
+				chans[0] <- run.Slots
+			}
 		}
 		close(chans[0])
 	}()

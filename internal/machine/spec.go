@@ -157,8 +157,9 @@ func (s *Spec) SpeedOf(i int) float64 {
 	return 1
 }
 
-// Homogeneous reports whether every core runs at speed 1 — the case the
-// simulator's unscaled fast path covers.
+// Homogeneous reports whether every core runs at speed 1. Only the FF
+// keys on it, through CoreSpeeds; the simulator times every core on one
+// path that divides instruction cycles by the core's speed.
 func (s *Spec) Homogeneous() bool {
 	for _, g := range s.CoreGroups {
 		if g.Speed != 1 {
@@ -170,7 +171,8 @@ func (s *Spec) Homogeneous() bool {
 
 // CoreSpeeds returns the per-core speed ratios for n abstract CPUs,
 // mapping CPU i to physical core i mod Cores(). It returns nil when the
-// speeds are all 1 (callers treat nil as the homogeneous fast path).
+// speeds are all 1, which the FF (ff.Emulator.Speeds) takes as the
+// homogeneous machine and answers with its speed-free arithmetic.
 func (s *Spec) CoreSpeeds(n int) []float64 {
 	if s.Homogeneous() {
 		return nil

@@ -40,39 +40,35 @@ func (c params) SingleThreadBandwidth() float64 {
 	return counters.LineSize / c.unloadedLatency
 }
 
-// DRAM tracks the set of currently memory-active threads and computes the
-// latency stretch they experience. It is used by the simulator engine,
-// which serializes all accesses, so no locking is needed. The zero value
-// is unusable until ResetSpec installs a machine's parameters.
-type DRAM struct {
-	cfg    params
-	demand float64 // sum of registered unconstrained demands (B/cycle)
-	active int
-	// Stretch memo: the fluid-model curve only depends on the aggregate
-	// demand, which changes far less often than Stretch is called (the
-	// engine re-evaluates it at every slice start). Keyed on the exact
-	// demand value, so the cached result is bit-identical to a
-	// recomputation. Bypassed while bwHook is installed, since a hook may
-	// legitimately vary between calls.
+// domain is one DRAM bandwidth domain: its parameters, the demand its
+// cores have registered, and the Stretch memo. The fluid-model curve only
+// depends on the aggregate demand, which changes far less often than
+// Stretch is called (the engine re-evaluates it at every slice start).
+// The memo is keyed on the exact demand value, so the cached result is
+// bit-identical to a recomputation.
+type domain struct {
+	cfg           params
+	demand        float64 // sum of registered unconstrained demands (B/cycle)
 	stretchDemand float64
 	stretchVal    float64
 	stretchOK     bool
+}
+
+// DRAM is the machine's bandwidth-shared memory: one or two bandwidth
+// domains (machine.DRAMSpec.SecondDomain) that share ω₀ and the knee but
+// accumulate demand separately, so traffic in one NUMA-ish domain does
+// not stretch the other. Every method that touches demand takes the
+// domain index, 0 for the primary domain and 1 for the second; a
+// single-domain machine only ever uses domain 0. It is used by the
+// simulator engine, which serializes all accesses, so no locking is
+// needed. The zero value is unusable until ResetSpec installs a machine's
+// parameters.
+type DRAM struct {
+	dom [2]domain
 	// bwHook, when set, rescales the effective bandwidth (fault
 	// injection: internal/faults models DRAM degradation through it).
 	// No-op by default. The hook applies to both domains.
 	bwHook func(base float64) float64
-
-	// Second bandwidth domain (machine.DRAMSpec.SecondDomain). The
-	// domains share ω₀ and the knee but accumulate demand separately:
-	// traffic in one NUMA-ish domain does not stretch the other. All
-	// fields stay zero for single-domain machines, whose code path is
-	// byte-identical to the pre-domain model.
-	cfg2        params // cfg with the second domain's bandwidth
-	demand2     float64
-	active2     int
-	stretchDem2 float64
-	stretchVal2 float64
-	stretchOK2  bool
 }
 
 // ResetSpec reinitializes the model in place for a fresh run on a
@@ -80,10 +76,11 @@ type DRAM struct {
 // when present.
 func (d *DRAM) ResetSpec(s machine.DRAMSpec) {
 	cfg := params{unloadedLatency: s.UnloadedLatency, bandwidth: s.BandwidthBytesPerCycle, knee: s.Knee}
-	*d = DRAM{cfg: cfg}
+	*d = DRAM{}
+	d.dom[0].cfg = cfg
 	if sd := s.SecondDomain; sd != nil {
-		d.cfg2 = cfg
-		d.cfg2.bandwidth = sd.BandwidthBytesPerCycle
+		d.dom[1].cfg = cfg
+		d.dom[1].cfg.bandwidth = sd.BandwidthBytesPerCycle
 	}
 }
 
@@ -91,38 +88,27 @@ func (d *DRAM) ResetSpec(s machine.DRAMSpec) {
 // instrCycles CPU cycles and misses LLC misses generates when the bus is
 // idle. The domains share ω₀, so the demand is the same on either.
 func (d *DRAM) UnconstrainedDemand(instrCycles, misses float64) float64 {
-	return d.cfg.UnconstrainedDemand(instrCycles, misses)
+	return d.dom[0].cfg.UnconstrainedDemand(instrCycles, misses)
 }
 
-// Register adds a thread's unconstrained demand (bytes/cycle) to the active
-// set. It returns a handle value to pass to Unregister.
-func (d *DRAM) Register(demand float64) float64 {
+// Register adds a thread's unconstrained demand (bytes/cycle) to domain
+// dom. It returns a handle value to pass to Unregister.
+func (d *DRAM) Register(dom int, demand float64) float64 {
 	if demand < 0 {
 		demand = 0
 	}
-	d.demand += demand
-	d.active++
+	d.dom[dom].demand += demand
 	return demand
 }
 
-// Unregister removes a previously registered demand.
-func (d *DRAM) Unregister(demand float64) {
-	d.demand -= demand
-	d.active--
-	if d.demand < 0 {
-		d.demand = 0
-	}
-	if d.active < 0 {
-		d.active = 0
+// Unregister removes a demand previously registered on domain dom.
+func (d *DRAM) Unregister(dom int, demand float64) {
+	x := &d.dom[dom]
+	x.demand -= demand
+	if x.demand < 0 {
+		x.demand = 0
 	}
 }
-
-// ActiveDemand returns the current aggregate unconstrained demand in
-// bytes/cycle.
-func (d *DRAM) ActiveDemand() float64 { return d.demand }
-
-// ActiveThreads returns the number of registered memory-active threads.
-func (d *DRAM) ActiveThreads() int { return d.active }
 
 // SetBandwidthHook installs (or, with nil, removes) a bandwidth
 // perturbation: Stretch computes contention against hook(configured
@@ -132,77 +118,28 @@ func (d *DRAM) SetBandwidthHook(hook func(base float64) float64) {
 	d.bwHook = hook
 }
 
-// Stretch returns the factor by which the memory portion of the active
-// threads' work is dilated under the current aggregate demand.
+// Stretch returns the factor by which the memory portion of domain dom's
+// active threads' work is dilated under that domain's aggregate demand.
 //
 // Below Knee·B the bus is effectively uncontended (stretch 1). Between the
-// knee and saturation, queueing grows latency linearly; past saturation the
-// fluid-sharing limit applies: every byte takes demand/B times longer.
-func (d *DRAM) Stretch() float64 {
+// knee and saturation, queueing adds latency along a quadratic ramp; past
+// saturation the fluid-sharing limit applies: every byte takes demand/B
+// times longer (params.StretchAt). The memo is bypassed while a bandwidth hook is installed, since a hook
+// may legitimately vary between calls.
+func (d *DRAM) Stretch(dom int) float64 {
+	x := &d.dom[dom]
 	if d.bwHook != nil {
-		cfg := d.cfg
+		cfg := x.cfg
 		if b := d.bwHook(cfg.bandwidth); b > 0 {
 			cfg.bandwidth = b
 		}
-		return cfg.StretchAt(d.demand)
+		return cfg.StretchAt(x.demand)
 	}
-	if d.stretchOK && d.demand == d.stretchDemand {
-		return d.stretchVal
+	if x.stretchOK && x.demand == x.stretchDemand {
+		return x.stretchVal
 	}
-	v := d.cfg.StretchAt(d.demand)
-	d.stretchDemand, d.stretchVal, d.stretchOK = d.demand, v, true
-	return v
-}
-
-// RegisterDom is Register for a specific bandwidth domain (0 = primary).
-// On single-domain machines only domain 0 exists and RegisterDom(0, ·) is
-// exactly Register.
-func (d *DRAM) RegisterDom(dom int, demand float64) float64 {
-	if dom == 0 {
-		return d.Register(demand)
-	}
-	if demand < 0 {
-		demand = 0
-	}
-	d.demand2 += demand
-	d.active2++
-	return demand
-}
-
-// UnregisterDom removes a demand previously registered on the domain.
-func (d *DRAM) UnregisterDom(dom int, demand float64) {
-	if dom == 0 {
-		d.Unregister(demand)
-		return
-	}
-	d.demand2 -= demand
-	d.active2--
-	if d.demand2 < 0 {
-		d.demand2 = 0
-	}
-	if d.active2 < 0 {
-		d.active2 = 0
-	}
-}
-
-// StretchDom is Stretch for a specific bandwidth domain: each domain's
-// stretch depends only on its own aggregate demand.
-func (d *DRAM) StretchDom(dom int) float64 {
-	if dom == 0 {
-		return d.Stretch()
-	}
-	if d.bwHook != nil {
-		cfg := d.cfg2
-		if b := d.bwHook(cfg.bandwidth); b > 0 {
-			cfg.bandwidth = b
-		}
-		return cfg.StretchAt(d.demand2)
-	}
-	if d.stretchOK2 && d.demand2 == d.stretchDem2 {
-		return d.stretchVal2
-	}
-	v := d.cfg2.StretchAt(d.demand2)
-	d.stretchDem2, d.stretchVal2, d.stretchOK2 = d.demand2, v, true
+	v := x.cfg.StretchAt(x.demand)
+	x.stretchDemand, x.stretchVal, x.stretchOK = x.demand, v, true
 	return v
 }
 

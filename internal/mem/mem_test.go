@@ -17,7 +17,7 @@ func paperModel() *DRAM {
 }
 
 // paperDRAM returns the paper machine's DRAM parameters.
-func paperDRAM() params { return paperModel().cfg }
+func paperDRAM() params { return paperModel().dom[0].cfg }
 
 // paperLLC is the paper machine's last-level cache.
 var paperLLC = machine.Default().LLC
@@ -68,20 +68,56 @@ func TestStretchMonotoneProperty(t *testing.T) {
 
 func TestRegisterUnregisterBalance(t *testing.T) {
 	d := paperModel()
-	h1 := d.Register(1.5)
-	h2 := d.Register(2.0)
-	if d.ActiveThreads() != 2 || math.Abs(d.ActiveDemand()-3.5) > 1e-12 {
-		t.Fatalf("after register: threads=%d demand=%g", d.ActiveThreads(), d.ActiveDemand())
+	h1 := d.Register(0, 1.5)
+	h2 := d.Register(0, 2.0)
+	if math.Abs(d.dom[0].demand-3.5) > 1e-12 {
+		t.Fatalf("after register: demand=%g", d.dom[0].demand)
 	}
-	d.Unregister(h1)
-	d.Unregister(h2)
-	if d.ActiveThreads() != 0 || d.ActiveDemand() != 0 {
-		t.Fatalf("after unregister: threads=%d demand=%g", d.ActiveThreads(), d.ActiveDemand())
+	d.Unregister(0, h1)
+	d.Unregister(0, h2)
+	if d.dom[0].demand != 0 {
+		t.Fatalf("after unregister: demand=%g", d.dom[0].demand)
 	}
 	// Extra unregisters clamp at zero instead of going negative.
-	d.Unregister(1)
-	if d.ActiveDemand() != 0 || d.ActiveThreads() != 0 {
+	d.Unregister(0, 1)
+	if d.dom[0].demand != 0 {
 		t.Fatal("unregister underflow not clamped")
+	}
+	// Negative demand registers as zero.
+	if h := d.Register(0, -1); h != 0 || d.dom[0].demand != 0 {
+		t.Fatalf("negative demand registered as %g (total %g)", h, d.dom[0].demand)
+	}
+}
+
+// TestDomainsAccumulateSeparately: demand registered in one bandwidth
+// domain stretches that domain only, and the second domain takes its own
+// bandwidth from the spec.
+func TestDomainsAccumulateSeparately(t *testing.T) {
+	d := &DRAM{}
+	d.ResetSpec(machine.DRAMSpec{
+		UnloadedLatency: 40, BandwidthBytesPerCycle: 8, Knee: 0.75,
+		SecondDomain: &machine.DRAMDomain{BandwidthBytesPerCycle: 4, Cores: 2},
+	})
+	if got := d.dom[1].cfg; got != (params{unloadedLatency: 40, bandwidth: 4, knee: 0.75}) {
+		t.Fatalf("second domain params = %+v", got)
+	}
+	h := d.Register(1, 8)
+	if got := d.Stretch(1); got != 2 {
+		t.Errorf("second-domain stretch at 2x its bandwidth = %g, want 2", got)
+	}
+	if got := d.Stretch(0); got != 1 {
+		t.Errorf("primary stretch with demand only in the second domain = %g, want 1", got)
+	}
+	d.Register(0, 16)
+	if got := d.Stretch(0); got != 2 {
+		t.Errorf("primary stretch at 2x its bandwidth = %g, want 2", got)
+	}
+	d.Unregister(1, h)
+	if got := d.Stretch(1); got != 1 {
+		t.Errorf("second-domain stretch after unregister = %g, want 1", got)
+	}
+	if got := d.Stretch(0); got != 2 {
+		t.Errorf("primary stretch after a second-domain unregister = %g, want 2", got)
 	}
 }
 

@@ -19,16 +19,54 @@ import (
 // Implementations handle L-node locking themselves.
 type Exec func(w *sim.Thread, seg *tree.Node)
 
-// StageSlots flattens a task's (segment, repeat) positions into stage
-// slots — slot k of every iteration belongs to pipeline stage k.
-func StageSlots(task *tree.Node) []*tree.Node {
-	var out []*tree.Node
+// slotCount returns a task's stage-slot count: slot k of every iteration
+// belongs to pipeline stage k, one slot per (segment, repeat) position.
+func slotCount(task *tree.Node) int {
+	n := 0
 	for _, seg := range task.Children {
-		for r := 0; r < seg.Reps(); r++ {
-			out = append(out, seg)
+		n += seg.Reps()
+	}
+	return n
+}
+
+// IterRun is a run of Reps consecutive pipeline iterations of one task.
+// Slots flattens the task's (segment, repeat) positions: Slots[k] is the
+// segment the iterations execute as stage k.
+type IterRun struct {
+	Slots []*tree.Node
+	Reps  int
+}
+
+// IterRuns returns a section's logical iterations in order, one run per
+// task child, so Repeat-compressed tasks stay compressed. Every run's
+// slots share one backing array, which makes the cost two allocations
+// per section whatever its iteration and task counts.
+func IterRuns(sec *tree.Node) []IterRun {
+	tasks, slots := 0, 0
+	for _, c := range sec.Children {
+		if c.Kind == tree.Task {
+			tasks++
+			slots += slotCount(c)
 		}
 	}
-	return out
+	if tasks == 0 {
+		return nil
+	}
+	runs := make([]IterRun, 0, tasks)
+	buf := make([]*tree.Node, 0, slots)
+	for _, c := range sec.Children {
+		if c.Kind != tree.Task {
+			continue
+		}
+		start := len(buf)
+		for _, seg := range c.Children {
+			for r := 0; r < seg.Reps(); r++ {
+				buf = append(buf, seg)
+			}
+		}
+		runs = append(runs, IterRun{Slots: buf[start:len(buf):len(buf)], Reps: c.Reps()})
+	}
+	return runs
 }
 
 // Depth returns the pipeline depth of a section: the widest task's slot
@@ -39,7 +77,7 @@ func Depth(sec *tree.Node) int {
 		if c.Kind != tree.Task {
 			continue
 		}
-		if d := len(StageSlots(c)); d > depth {
+		if d := slotCount(c); d > depth {
 			depth = d
 		}
 	}
@@ -70,8 +108,12 @@ func PartitionStages(sec *tree.Node, nt int) []int {
 		if c.Kind != tree.Task {
 			continue
 		}
-		for s, seg := range StageSlots(c) {
-			weights[s] += float64(seg.Len) * float64(c.Reps())
+		s := 0
+		for _, seg := range c.Children {
+			for r := 0; r < seg.Reps(); r++ {
+				weights[s] += float64(seg.Len) * float64(c.Reps())
+				s++
+			}
 		}
 	}
 	// DP: cost[g][s] = minimal max-group-sum partitioning stages [0, s]
@@ -139,18 +181,9 @@ func PartitionStages(sec *tree.Node, nt int) []int {
 // workers, invoking exec for every stage instance. It returns when every
 // iteration has drained through every stage (the section's barrier).
 func Run(main *sim.Thread, sec *tree.Node, threads int, exec Exec) {
-	// Expand the logical iteration list (Repeat-compressed tasks).
-	var iters []*tree.Node
-	for _, c := range sec.Children {
-		if c.Kind != tree.Task {
-			continue
-		}
-		for r := 0; r < c.Reps(); r++ {
-			iters = append(iters, c)
-		}
-	}
+	runs := IterRuns(sec)
 	depth := Depth(sec)
-	if len(iters) == 0 || depth == 0 {
+	if len(runs) == 0 || depth == 0 {
 		return
 	}
 	groups := PartitionStages(sec, threads)
@@ -166,38 +199,43 @@ func Run(main *sim.Thread, sec *tree.Node, threads int, exec Exec) {
 	stageDone := make([]int, depth)
 	var parked []*sim.Thread
 
+	// wake unparks every waiting worker. Unpark never switches threads,
+	// so the list is not appended to while it is walked and its storage
+	// is reused.
 	wake := func(w *sim.Thread) {
 		for _, p := range parked {
 			w.Unpark(p)
 		}
-		parked = nil
+		parked = parked[:0]
 	}
 
 	worker := func(rank int) func(*sim.Thread) {
 		return func(w *sim.Thread) {
-			for i, task := range iters {
-				slots := StageSlots(task)
-				for s := 0; s < depth; s++ {
-					if groups[s] != rank {
-						continue
-					}
-					if s >= len(slots) {
-						// This iteration is narrower than
-						// the pipeline: the stage is a
-						// no-op, but still retires in
-						// order.
+			i := 0
+			for _, run := range runs {
+				for end := i + run.Reps; i < end; i++ {
+					for s := 0; s < depth; s++ {
+						if groups[s] != rank {
+							continue
+						}
+						if s >= len(run.Slots) {
+							// This iteration is narrower
+							// than the pipeline: the stage
+							// is a no-op, but still retires
+							// in order.
+							stageDone[s] = i + 1
+							wake(w)
+							continue
+						}
+						// Wait for stage s-1 of this iteration.
+						for s > 0 && stageDone[s-1] <= i {
+							parked = append(parked, w)
+							w.Park()
+						}
+						exec(w, run.Slots[s])
 						stageDone[s] = i + 1
 						wake(w)
-						continue
 					}
-					// Wait for stage s-1 of this iteration.
-					for s > 0 && stageDone[s-1] <= i {
-						parked = append(parked, w)
-						w.Park()
-					}
-					exec(w, slots[s])
-					stageDone[s] = i + 1
-					wake(w)
 				}
 			}
 		}

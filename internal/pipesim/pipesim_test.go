@@ -176,7 +176,7 @@ func TestDepthAndSlots(t *testing.T) {
 	seg := tree.NewU(5)
 	seg.Repeat = 4
 	task := tree.NewTask("t", seg)
-	if got := len(StageSlots(task)); got != 4 {
+	if got := len(IterRuns(tree.NewSec("s", task))[0].Slots); got != 4 {
 		t.Fatalf("slots with repeat = %d, want 4", got)
 	}
 }

@@ -56,9 +56,9 @@ func TestSimStepZeroAlloc(t *testing.T) {
 
 // TestSimSpecStepZeroAlloc is the same gate for spec-built machines: the
 // immutable-spec/pooled-instance split must keep the hot path at the same
-// allocs/op — a pooled machine reset against a spec (including an
-// asymmetric one, which takes the scaled slice path) derives speeds and
-// domains into retained storage, never fresh allocations.
+// allocs/op — a pooled machine reset against a spec (here an asymmetric
+// one, whose half-speed cores scale their instruction cycles) derives
+// speeds and domains into retained storage, never fresh allocations.
 func TestSimSpecStepZeroAlloc(t *testing.T) {
 	spec := &machine.Spec{
 		Name:          "t-allocgate",

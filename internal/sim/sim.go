@@ -11,11 +11,17 @@
 //     (internal/omprt, internal/cilkrt) are written in plain direct style
 //     with ordinary data structures and remain fully deterministic;
 //   - FIFO locks with direct handoff, park/unpark, spawn/join;
+//   - per-core speed ratios from the machine spec's core groups: one
+//     slice path (startSlice) divides a segment's instruction cycles by
+//     the core's speed and keeps memory stalls on the nominal clock, so a
+//     speed-1 core sees the profiled cycles exactly;
 //   - a bandwidth-shared DRAM (internal/mem): work segments carry an LLC
 //     miss count, and when the aggregate miss traffic of the running
 //     threads exceeds the DRAM bandwidth, their memory time stretches —
 //     this produces the speedup saturation the paper's memory model
-//     predicts (Fig. 2, Fig. 12).
+//     predicts (Fig. 2, Fig. 12). A spec may split the cores into two
+//     bandwidth domains (the highest-numbered cores form the second),
+//     each stretched by its own traffic only.
 //
 // Virtual time is in cycles. A thread advances time only through engine
 // calls (Work, WorkMem, Lock, ...); code between calls is free, and
@@ -135,9 +141,6 @@ type Thread struct {
 	inPark    bool
 	spawned   *Thread
 	now       clock.Cycles
-	// pinned restricts the thread to one core (-1 = any), like
-	// sched_setaffinity; the paper pins its tracer thread (§VI-A).
-	pinned int
 }
 
 // ID returns the thread's creation-ordered identifier (main is 0).
@@ -209,7 +212,7 @@ type coreState struct {
 	quantumLeft clock.Cycles
 	lastThread  *Thread
 	// speed is the core's clock ratio from the machine spec (1 on
-	// homogeneous machines, which take the unscaled timing path).
+	// homogeneous machines); startSlice divides instruction cycles by it.
 	speed float64
 	// dom is the core's DRAM bandwidth domain (0 unless the spec has a
 	// second domain).
@@ -280,8 +283,9 @@ type Machine struct {
 
 	// Last-segment demand memo: threads running identical work segments
 	// (the common case in data-parallel loops) reuse the previous
-	// UnconstrainedDemand result. Keyed on the exact float pair, so the
-	// cached value is bit-identical to a recomputation.
+	// UnconstrainedDemand result. Keyed on the exact pair of
+	// speed-scaled instruction cycles and misses, so the cached value is
+	// bit-identical to a recomputation on a core of any speed.
 	demandInstr  float64
 	demandMisses float64
 	demandVal    float64
@@ -412,18 +416,15 @@ func (m *Machine) Config() Config { return m.cfg }
 // Time returns the machine's current virtual time.
 func (m *Machine) Time() clock.Cycles { return m.now }
 
-// DRAM exposes the memory model (used by calibration benchmarks).
-func (m *Machine) DRAM() *mem.DRAM { return m.dram }
-
 func (m *Machine) newThread(f func(*Thread)) *Thread {
 	var t *Thread
 	if m.nextID < len(m.threads) {
 		t = m.threads[m.nextID]
 		joiners := t.joiners[:0]
-		*t = Thread{id: m.nextID, m: m, core: -1, state: stateReady, pinned: -1}
+		*t = Thread{id: m.nextID, m: m, core: -1, state: stateReady}
 		t.joiners = joiners
 	} else {
-		t = &Thread{id: m.nextID, m: m, core: -1, state: stateReady, pinned: -1}
+		t = &Thread{id: m.nextID, m: m, core: -1, state: stateReady}
 		m.threads = append(m.threads, t)
 	}
 	m.nextID++
@@ -512,21 +513,8 @@ func (m *Machine) advance() *Thread {
 				if m.cores[i].running != nil || len(m.ready) == 0 {
 					continue
 				}
-				// First ready thread compatible with this core (FIFO
-				// among compatible threads; pinned threads wait for
-				// their core).
-				picked := -1
-				for k, t := range m.ready {
-					if t.pinned == -1 || t.pinned == i {
-						picked = k
-						break
-					}
-				}
-				if picked < 0 {
-					continue
-				}
-				t := m.ready[picked]
-				m.ready = append(m.ready[:picked], m.ready[picked+1:]...)
+				t := m.ready[0]
+				m.ready = append(m.ready[:0], m.ready[1:]...)
 				m.assignPlaced = true
 				if next := m.startOn(i, t); next != nil {
 					m.assignIdx = i + 1
@@ -641,60 +629,27 @@ func (m *Machine) startOn(i int, t *Thread) *Thread {
 
 // startSlice begins (or continues) the thread's current work request on
 // core i, computing the slice duration under the current DRAM contention.
+// The instruction portion of the segment retires speed× faster (so a
+// half-rate efficiency core takes twice the cycles), while memory stalls
+// stay on the nominal clock — which also raises (or lowers) the
+// unconstrained DRAM demand the segment generates. On a speed-1 core the
+// division is exact, so homogeneous machines see the unscaled cycles.
 func (m *Machine) startSlice(i int, overhead clock.Cycles) {
 	c := &m.cores[i]
 	t := c.running
-	if c.speed != 1 {
-		// Asymmetric machines take a separate path so the speed-1 math
-		// below never divides by the speed and keeps the demand memo
-		// (byte-identical timing on every homogeneous machine,
-		// westmere12 included).
-		m.startSliceScaled(i, overhead)
-		return
-	}
+	instr := t.instrLeft / c.speed
 	stretch := 1.0
 	if t.missesLeft > 0 {
-		if m.demandOK && t.instrLeft == m.demandInstr && t.missesLeft == m.demandMisses {
+		if m.demandOK && instr == m.demandInstr && t.missesLeft == m.demandMisses {
 			t.demand = m.demandVal
 		} else {
-			t.demand = m.dram.UnconstrainedDemand(t.instrLeft, t.missesLeft)
-			m.demandInstr, m.demandMisses, m.demandVal, m.demandOK = t.instrLeft, t.missesLeft, t.demand, true
+			t.demand = m.dram.UnconstrainedDemand(instr, t.missesLeft)
+			m.demandInstr, m.demandMisses, m.demandVal, m.demandOK = instr, t.missesLeft, t.demand, true
 		}
-		m.dram.RegisterDom(int(c.dom), t.demand)
-		stretch = m.dram.StretchDom(int(c.dom))
+		m.dram.Register(int(c.dom), t.demand)
+		stretch = m.dram.Stretch(int(c.dom))
 	}
-	total := t.instrLeft + t.missesLeft*m.omega0*stretch
-	dur := clock.Cycles(total + 0.5)
-	if dur < 1 {
-		dur = 1
-	}
-	work := dur
-	if q := c.quantumLeft; work > q {
-		work = q
-	}
-	m.scheduleSlice(i, overhead, work)
-	t.sliceWork = work
-	t.sliceDur = dur
-}
-
-// startSliceScaled is startSlice for a core whose speed ratio is not 1:
-// the instruction portion of the segment retires speed× faster (so a
-// half-rate efficiency core takes twice the cycles), while memory stalls
-// stay on the nominal clock — which also raises (or lowers) the
-// unconstrained DRAM demand the segment generates. The demand memo is
-// bypassed: it is keyed on the segment alone and would alias segments
-// running on cores of different speeds.
-func (m *Machine) startSliceScaled(i int, overhead clock.Cycles) {
-	c := &m.cores[i]
-	t := c.running
-	sp := c.speed
-	stretch := 1.0
-	if t.missesLeft > 0 {
-		t.demand = m.dram.UnconstrainedDemand(t.instrLeft/sp, t.missesLeft)
-		m.dram.RegisterDom(int(c.dom), t.demand)
-		stretch = m.dram.StretchDom(int(c.dom))
-	}
-	total := t.instrLeft/sp + t.missesLeft*m.omega0*stretch
+	total := instr + t.missesLeft*m.omega0*stretch
 	dur := clock.Cycles(total + 0.5)
 	if dur < 1 {
 		dur = 1
@@ -724,7 +679,7 @@ func (m *Machine) sliceEnd(i int) *Thread {
 	c := &m.cores[i]
 	t := c.running
 	if t.demand > 0 {
-		m.dram.UnregisterDom(int(c.dom), t.demand)
+		m.dram.Unregister(int(c.dom), t.demand)
 		t.demand = 0
 	}
 	work := t.sliceWork

@@ -539,7 +539,7 @@ func TestConfigDefaults(t *testing.T) {
 	if m.Time() != 0 {
 		t.Fatalf("fresh machine time = %d", m.Time())
 	}
-	if m.DRAM() == nil {
+	if m.dram == nil {
 		t.Fatal("DRAM not initialized")
 	}
 }

@@ -96,23 +96,3 @@ func (t *Thread) Yield() {
 func (t *Thread) Sleep(d clock.Cycles) {
 	t.call(request{kind: opSleep, instr: float64(d)})
 }
-
-// Pin restricts the thread to one core (sched_setaffinity; the paper pins
-// its tracer thread to stabilize rdtsc, §VI-A). It takes effect at the
-// next scheduling decision: a running thread finishes its current slice
-// where it is, then only ever runs on the pinned core. Pin(-1) clears the
-// affinity. Out-of-range cores are clamped. The field is only read by the
-// engine while this thread is suspended, so no engine round trip is
-// needed.
-func (t *Thread) Pin(core int) {
-	if core >= len(t.m.cores) {
-		core = len(t.m.cores) - 1
-	}
-	if core < -1 {
-		core = -1
-	}
-	t.pinned = core
-}
-
-// Pinned returns the core this thread is pinned to, or -1.
-func (t *Thread) Pinned() int { return t.pinned }

@@ -214,9 +214,18 @@ func (n *Node) SerialOutsideSections() clock.Cycles {
 	return sum
 }
 
-// Clone returns a deep copy of the subtree.
-func (n *Node) Clone() *Node {
+// Clone returns a deep copy of the subtree that keeps its sharing: a node
+// reached through several parents (compression's dictionary pass shares
+// identical subtrees) is copied once, and every parent copy points at that
+// one copy, so the clone has as many distinct nodes as the original.
+func (n *Node) Clone() *Node { return n.clone(map[*Node]*Node{}) }
+
+func (n *Node) clone(copies map[*Node]*Node) *Node {
+	if cp, ok := copies[n]; ok {
+		return cp
+	}
 	cp := *n
+	copies[n] = &cp
 	if n.Counters != nil {
 		s := *n.Counters
 		cp.Counters = &s
@@ -229,7 +238,7 @@ func (n *Node) Clone() *Node {
 	}
 	cp.Children = make([]*Node, len(n.Children))
 	for i, c := range n.Children {
-		cp.Children[i] = c.Clone()
+		cp.Children[i] = c.clone(copies)
 	}
 	return &cp
 }

@@ -74,3 +74,39 @@ func TestSynthesizerEmulatesDistinctSectionsOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestMachineVariantKeepsSectionSharing: asking a tree-only profile about
+// another machine clones its tree, and the clone must keep compression's
+// sharing, so the variant's Synthesizer estimate emulates NPB-CG's 3
+// distinct sections just as the original's does — not all 80.
+func TestMachineVariantKeepsSectionSharing(t *testing.T) {
+	ctx := context.Background()
+	w, _ := workloads.ByName("NPB-CG")
+	prof, err := prophet.ProfileProgramCtx(ctx, w.Program, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := &prophet.Metrics{}
+	tp, err := prophet.ProfileTreeCtx(ctx, prof.Tree, &prophet.Options{Observer: prophet.Observer{Metrics: reg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := func(machine string) int64 {
+		req := prophet.Request{Method: prophet.Synthesizer, Threads: 12, MemoryModel: true, Machine: machine}
+		if _, err := tp.EstimateCtx(ctx, req); err != nil { // builds the variant
+			t.Fatal(err)
+		}
+		before := reg.Counter(obs.MSimRuns).Value()
+		if _, err := tp.EstimateCtx(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Counter(obs.MSimRuns).Value() - before
+	}
+	orig, variant := runs(""), runs("hbm12")
+	if orig != 3 {
+		t.Errorf("original: %d machine runs, want 3 (one per distinct section)", orig)
+	}
+	if variant != orig {
+		t.Errorf("hbm12 variant: %d machine runs, want the original's %d", variant, orig)
+	}
+}
