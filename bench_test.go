@@ -167,7 +167,7 @@ func BenchmarkCompression(b *testing.B) {
 		b.StopTimer()
 		root := build()
 		b.StartTimer()
-		st := compress.Compress(root, compress.Options{Tolerance: compress.DefaultTolerance})
+		st := compress.Compress(root, compress.DefaultTolerance)
 		if st.Reduction() < 0.9 {
 			b.Fatalf("reduction %f", st.Reduction())
 		}
@@ -194,7 +194,7 @@ func BenchmarkCompressProfiled(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				st := compress.Compress(root, compress.Options{Tolerance: compress.DefaultTolerance})
+				st := compress.Compress(root, compress.DefaultTolerance)
 				if st.Reduction() < 0.9 {
 					b.Fatalf("reduction %f", st.Reduction())
 				}
@@ -219,7 +219,7 @@ func BenchmarkCompressionTolerance(b *testing.B) {
 				}
 				root := tree.NewRoot(tree.NewSec("s", tasks...))
 				b.StartTimer()
-				st := compress.Compress(root, compress.Options{Tolerance: tol})
+				st := compress.Compress(root, tol)
 				b.ReportMetric(float64(st.NodesAfter), "nodes")
 			}
 		})
@@ -428,38 +428,6 @@ func BenchmarkQuantumSensitivity(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(s, "speedup")
-			}
-		})
-	}
-}
-
-// BenchmarkCompressionDictionary is the ablation separating the RLE and
-// dictionary contributions to §VI-B's reductions.
-func BenchmarkCompressionDictionary(b *testing.B) {
-	build := func() *tree.Node {
-		tasks := make([]*tree.Node, 10_000)
-		for i := range tasks {
-			l := prophet.Cycles(100)
-			if i%2 == 1 {
-				l = 200 // alternating: RLE can't merge, dictionary can share
-			}
-			tasks[i] = tree.NewTask("t", tree.NewU(l))
-		}
-		return tree.NewRoot(tree.NewSec("s", tasks...))
-	}
-	for _, dict := range []bool{true, false} {
-		dict := dict
-		name := "dict=on"
-		if !dict {
-			name = "dict=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				root := build()
-				b.StartTimer()
-				st := compress.Compress(root, compress.Options{Tolerance: 0, DisableDictionary: !dict})
-				b.ReportMetric(float64(st.NodesAfter), "nodes")
 			}
 		})
 	}

@@ -1,6 +1,8 @@
 // Command calibrate runs the paper's §V-D microbenchmark against the
 // simulated machine and prints the fitted Ψ and Φ formulas — the
-// reproduction of Eq. (6) and Eq. (7).
+// reproduction of Eq. (6) and Eq. (7). It fits the model predictions use:
+// the requested thread counts are widened to the same ladder a profile's
+// calibration runs on (memmodel.Ladder).
 //
 // Usage:
 //
@@ -13,9 +15,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
+	"prophet"
 	"prophet/internal/experiments"
 	"prophet/internal/memmodel"
 	"prophet/internal/sim"
@@ -29,17 +30,13 @@ func main() {
 	)
 	flag.Parse()
 
-	var cores []int
-	for _, p := range strings.Split(*coresArg, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 1 {
-			fmt.Fprintf(os.Stderr, "bad core count %q\n", p)
-			os.Exit(2)
-		}
-		cores = append(cores, v)
+	cores, err := prophet.ParseCores(*coresArg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-
-	m, data, err := memmodel.CalibrateCtx(context.Background(), sim.Config{}, cores)
+	var mc sim.Config
+	m, data, err := memmodel.CalibrateCtx(context.Background(), mc, memmodel.Ladder(cores, mc.MachineSpec().Cores()))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "calibration failed:", err)
 		os.Exit(1)
@@ -69,10 +66,8 @@ func main() {
 
 	if *points {
 		fmt.Println()
-		_, series := experiments.Calibration(experiments.Config{Cores: cores})
-		for _, s := range series {
+		for _, s := range experiments.CalibrationSeries(data) {
 			fmt.Print(s.Table())
 		}
 	}
-	_ = data
 }

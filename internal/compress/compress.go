@@ -14,10 +14,9 @@
 //     once. Consumers treat trees as immutable, which makes the sharing
 //     safe.
 //
-// If the lossless pass does not shrink the tree below a node budget, a lossy
-// fallback re-runs RLE with progressively larger tolerances (the paper's
-// "last resort"; it was never needed in their experiments and rarely in
-// ours).
+// The paper keeps a lossy fallback as a "last resort" that its
+// experiments never needed; neither do this reproduction's, so it is not
+// implemented.
 package compress
 
 import (
@@ -31,22 +30,6 @@ import (
 // DefaultTolerance is the paper's 5% length-variation tolerance.
 const DefaultTolerance = 0.05
 
-// Options configures compression.
-type Options struct {
-	// Tolerance is the relative leaf-length tolerance for considering two
-	// subtrees "the same". Negative disables merging; zero means exact.
-	Tolerance float64
-	// MaxNodes, when > 0, triggers the lossy fallback: if the lossless
-	// pass leaves more than MaxNodes unique nodes, tolerance is doubled
-	// (up to LossyMaxTolerance) and RLE re-applied.
-	MaxNodes int64
-	// LossyMaxTolerance bounds the fallback (default 0.5).
-	LossyMaxTolerance float64
-	// DisableDictionary turns off subtree sharing (used by the ablation
-	// benchmarks to separate RLE and dictionary gains).
-	DisableDictionary bool
-}
-
 // Stats reports the effect of one Compress call.
 type Stats struct {
 	// NodesBefore / NodesAfter are unique (stored) node counts.
@@ -56,11 +39,6 @@ type Stats struct {
 	LogicalNodes int64
 	// BytesBefore / BytesAfter estimate the in-memory footprint.
 	BytesBefore, BytesAfter int64
-	// FinalTolerance is the tolerance actually used (> Tolerance only if
-	// the lossy fallback ran).
-	FinalTolerance float64
-	// Lossy reports whether the fallback widened the tolerance.
-	Lossy bool
 }
 
 // Reduction returns the fractional node-count reduction, e.g. 0.93 for the
@@ -73,55 +51,35 @@ func (s Stats) Reduction() float64 {
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("nodes %d -> %d (%.1f%% reduction, logical %d), bytes %d -> %d, tol %.2g lossy=%v",
-		s.NodesBefore, s.NodesAfter, 100*s.Reduction(), s.LogicalNodes, s.BytesBefore, s.BytesAfter, s.FinalTolerance, s.Lossy)
+	return fmt.Sprintf("nodes %d -> %d (%.1f%% reduction, logical %d), bytes %d -> %d",
+		s.NodesBefore, s.NodesAfter, 100*s.Reduction(), s.LogicalNodes, s.BytesBefore, s.BytesAfter)
 }
 
 // Compress compresses the tree rooted at root in place and returns stats.
-func Compress(root *tree.Node, opts Options) Stats {
-	if opts.LossyMaxTolerance <= 0 {
-		opts.LossyMaxTolerance = 0.5
-	}
+// tol is the relative leaf-length tolerance for considering two subtrees
+// "the same": DefaultTolerance is the paper's, zero means exact and a
+// negative tol disables run merging.
+//
+// root must share no nodes, as a freshly profiled tree does: its stored
+// node count, NodesBefore, is then the physical count NodeCount returns,
+// with no identity walk over the raw tree.
+func Compress(root *tree.Node, tol float64) Stats {
 	var st Stats
-	physical, logical := root.NodeCount()
-	st.NodesBefore = uniqueNodes(root, physical)
+	st.NodesBefore, st.LogicalNodes = root.NodeCount()
 	st.BytesBefore = root.ApproxBytes()
-	st.LogicalNodes = logical
 
 	// nodes is the unique count of the tree as it stands; each pass
-	// recounts once, after it has changed the tree.
+	// recounts once, after it has changed the tree. Dictionary sharing
+	// can turn near-equal siblings into equal pointers, enabling further
+	// RLE merges; iterate to a fixpoint (bounded — each pass strictly
+	// reduces node count).
 	nodes := st.NodesBefore
-	tol := opts.Tolerance
-	pass := func() {
-		// Dictionary sharing can turn near-equal siblings into equal
-		// pointers, enabling further RLE merges; iterate to a
-		// fixpoint (bounded — each pass strictly reduces node count).
-		for i := 0; i < 8; i++ {
-			before := nodes
-			rle(root, tol)
-			if !opts.DisableDictionary {
-				dedupe(root, tol)
-			}
-			if nodes = uniqueNodes(root, 0); nodes == before {
-				break
-			}
-		}
-	}
-	pass()
-	st.FinalTolerance = tol
-	if opts.MaxNodes > 0 {
-		for nodes > opts.MaxNodes && tol < opts.LossyMaxTolerance {
-			if tol <= 0 {
-				tol = DefaultTolerance
-			} else {
-				tol *= 2
-			}
-			if tol > opts.LossyMaxTolerance {
-				tol = opts.LossyMaxTolerance
-			}
-			pass()
-			st.Lossy = true
-			st.FinalTolerance = tol
+	for i := 0; i < 8; i++ {
+		before := nodes
+		rle(root, tol)
+		dedupe(root, tol)
+		if nodes = uniqueNodes(root); nodes == before {
+			break
 		}
 	}
 	st.NodesAfter = nodes
@@ -256,10 +214,8 @@ func fnvMix(h, v uint64) uint64 {
 }
 
 // uniqueNodes counts distinct stored nodes (shared subtrees counted once).
-// sizeHint, when it bounds the count (the physical count does), sizes the
-// identity set so it never grows.
-func uniqueNodes(root *tree.Node, sizeHint int64) int64 {
-	seen := make(map[*tree.Node]struct{}, sizeHint)
+func uniqueNodes(root *tree.Node) int64 {
+	seen := make(map[*tree.Node]struct{})
 	var visit func(n *tree.Node)
 	visit = func(n *tree.Node) {
 		// The insert leaves len unchanged exactly when n was seen.
@@ -276,4 +232,4 @@ func uniqueNodes(root *tree.Node, sizeHint int64) int64 {
 }
 
 // UniqueNodes exposes the unique-node count for reports and tests.
-func UniqueNodes(root *tree.Node) int64 { return uniqueNodes(root, 0) }
+func UniqueNodes(root *tree.Node) int64 { return uniqueNodes(root) }

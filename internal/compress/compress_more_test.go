@@ -43,10 +43,10 @@ func TestCompressIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 10; trial++ {
 		root := randomTree(rng, 30+rng.Intn(50), 2)
-		Compress(root, Options{Tolerance: DefaultTolerance})
+		Compress(root, DefaultTolerance)
 		n1 := UniqueNodes(root)
 		l1 := root.TotalLen()
-		st2 := Compress(root, Options{Tolerance: DefaultTolerance})
+		st2 := Compress(root, DefaultTolerance)
 		if st2.NodesAfter != n1 {
 			t.Fatalf("second pass changed nodes: %d -> %d", n1, st2.NodesAfter)
 		}
@@ -63,7 +63,7 @@ func TestCompressPreservesValidityAndLength(t *testing.T) {
 		root := randomTree(rng, 20+rng.Intn(80), 2)
 		before := root.TotalLen()
 		_, logicalBefore := root.NodeCount()
-		Compress(root, Options{Tolerance: DefaultTolerance})
+		Compress(root, DefaultTolerance)
 		if err := root.Validate(); err != nil {
 			t.Fatalf("trial %d: invalid after compress: %v", trial, err)
 		}
@@ -90,7 +90,7 @@ func TestLockNodesNeverMergeAcrossIDs(t *testing.T) {
 		tree.NewTask("c", tree.NewL(1, 100)),
 	)
 	root := tree.NewRoot(sec)
-	Compress(root, Options{Tolerance: 0.5})
+	Compress(root, 0.5)
 	// Tasks a and b must stay separate (different lock).
 	if len(sec.Children) < 2 {
 		t.Fatalf("lock ids merged: %s", root)
@@ -116,7 +116,7 @@ func TestPipelineFlagBlocksMerging(t *testing.T) {
 		return s
 	}
 	root := tree.NewRoot(mk(true), mk(false))
-	Compress(root, Options{Tolerance: 0})
+	Compress(root, 0)
 	secs := root.TopLevelSections()
 	if len(secs) != 2 {
 		t.Fatalf("pipeline/plain sections merged: %s", root)
@@ -134,7 +134,7 @@ func TestDictionaryShareStability(t *testing.T) {
 		tasks[i] = tree.NewTask("t", tree.NewU(clock.Cycles(100+(i%2)*50)))
 	}
 	root := tree.NewRoot(tree.NewSec("s", tasks...))
-	Compress(root, Options{Tolerance: 0})
+	Compress(root, 0)
 	visits := 0
 	root.Walk(func(n *tree.Node) bool {
 		visits++
@@ -155,7 +155,7 @@ func TestCloneKeepsSharing(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		root := randomTree(rng, 30+rng.Intn(50), 2)
-		Compress(root, Options{Tolerance: DefaultTolerance})
+		Compress(root, DefaultTolerance)
 		cp := root.Clone()
 		if got, want := UniqueNodes(cp), UniqueNodes(root); got != want {
 			t.Fatalf("trial %d: clone has %d distinct nodes, original %d", trial, got, want)

@@ -21,7 +21,7 @@ func uniformLoop(n int, length clock.Cycles) *tree.Node {
 func TestRLEUniformLoop(t *testing.T) {
 	root := tree.NewRoot(uniformLoop(1000, 100))
 	before := root.TotalLen()
-	st := Compress(root, Options{Tolerance: 0})
+	st := Compress(root, 0)
 	if root.TotalLen() != before {
 		t.Fatalf("TotalLen changed: %d -> %d", before, root.TotalLen())
 	}
@@ -34,9 +34,6 @@ func TestRLEUniformLoop(t *testing.T) {
 	}
 	if st.Reduction() < 0.99 {
 		t.Errorf("reduction = %.3f, want > 0.99", st.Reduction())
-	}
-	if st.Lossy {
-		t.Error("lossless pass flagged lossy")
 	}
 	if err := root.Validate(); err != nil {
 		t.Fatalf("compressed tree invalid: %v", err)
@@ -55,7 +52,7 @@ func TestRLEToleranceMergesNearEqual(t *testing.T) {
 	}
 	root := tree.NewRoot(tree.NewSec("loop", tasks...))
 	before := root.TotalLen()
-	Compress(root, Options{Tolerance: DefaultTolerance})
+	Compress(root, DefaultTolerance)
 	sec := root.TopLevelSections()[0]
 	if len(sec.Children) != 1 {
 		t.Fatalf("children after 5%% RLE = %d, want 1", len(sec.Children))
@@ -78,7 +75,7 @@ func TestRLEExactToleranceKeepsDistinct(t *testing.T) {
 		tree.NewTask("t", tree.NewU(100)),
 	}
 	root := tree.NewRoot(tree.NewSec("loop", tasks...))
-	Compress(root, Options{Tolerance: 0, DisableDictionary: true})
+	rle(root, 0)
 	sec := root.TopLevelSections()[0]
 	if len(sec.Children) != 3 {
 		t.Fatalf("distinct iterations must survive exact RLE, got %d children", len(sec.Children))
@@ -97,7 +94,7 @@ func TestDictionarySharesNonAdjacent(t *testing.T) {
 		tasks[i] = tree.NewTask("t", tree.NewU(l))
 	}
 	root := tree.NewRoot(tree.NewSec("loop", tasks...))
-	st := Compress(root, Options{Tolerance: 0})
+	st := Compress(root, 0)
 	// Unique: root + sec + 2 tasks + 2 U = 6.
 	if st.NodesAfter != 6 {
 		t.Fatalf("unique nodes = %d, want 6 (%s)", st.NodesAfter, st)
@@ -107,6 +104,8 @@ func TestDictionarySharesNonAdjacent(t *testing.T) {
 	}
 }
 
+// TestDictionaryDisabled: RLE alone, without the dictionary pass, cannot
+// shrink alternating iterations.
 func TestDictionaryDisabled(t *testing.T) {
 	tasks := make([]*tree.Node, 50)
 	for i := range tasks {
@@ -117,30 +116,9 @@ func TestDictionaryDisabled(t *testing.T) {
 		tasks[i] = tree.NewTask("t", tree.NewU(l))
 	}
 	root := tree.NewRoot(tree.NewSec("loop", tasks...))
-	st := Compress(root, Options{Tolerance: 0, DisableDictionary: true})
-	if st.NodesAfter <= 6 {
-		t.Fatalf("dictionary disabled but nodes = %d", st.NodesAfter)
-	}
-}
-
-func TestLossyFallback(t *testing.T) {
-	// Random lengths spread over a 3x range: lossless RLE cannot shrink
-	// them, so the node budget forces the lossy fallback.
-	rng := rand.New(rand.NewSource(7))
-	tasks := make([]*tree.Node, 3000)
-	for i := range tasks {
-		tasks[i] = tree.NewTask("t", tree.NewU(clock.Cycles(1000+rng.Intn(9000))))
-	}
-	root := tree.NewRoot(tree.NewSec("loop", tasks...))
-	st := Compress(root, Options{Tolerance: DefaultTolerance, MaxNodes: 20})
-	if !st.Lossy {
-		t.Fatalf("expected lossy fallback, stats: %s", st)
-	}
-	if st.NodesAfter > 3*20 {
-		t.Errorf("fallback left %d nodes for budget 20", st.NodesAfter)
-	}
-	if st.FinalTolerance <= DefaultTolerance {
-		t.Errorf("final tolerance %g not widened", st.FinalTolerance)
+	rle(root, 0)
+	if nodes := UniqueNodes(root); nodes <= 6 {
+		t.Fatalf("dictionary disabled but nodes = %d", nodes)
 	}
 }
 
@@ -154,7 +132,7 @@ func TestNestedTreeCompression(t *testing.T) {
 	root := tree.NewRoot(tree.NewSec("outer", outer...))
 	before := root.TotalLen()
 	_, logical := root.NodeCount()
-	st := Compress(root, Options{Tolerance: DefaultTolerance})
+	st := Compress(root, DefaultTolerance)
 	if root.TotalLen() != before {
 		t.Fatalf("TotalLen changed %d -> %d", before, root.TotalLen())
 	}
@@ -183,7 +161,7 @@ func TestCompressionRatios(t *testing.T) {
 		tasks[i] = tree.NewTask("t", tree.NewU(l))
 	}
 	root := tree.NewRoot(tree.NewSec("cg", tasks...))
-	st := Compress(root, Options{Tolerance: DefaultTolerance})
+	st := Compress(root, DefaultTolerance)
 	if st.Reduction() < 0.90 {
 		t.Fatalf("CG-shaped reduction = %.1f%%, want >= 90%% (%s)", 100*st.Reduction(), st)
 	}
@@ -204,7 +182,7 @@ func TestCompressProperties(t *testing.T) {
 		root := tree.NewRoot(tree.NewSec("s", tasks...))
 		before := root.TotalLen()
 		nb := UniqueNodes(root)
-		st := Compress(root, Options{Tolerance: DefaultTolerance})
+		st := Compress(root, DefaultTolerance)
 		if root.Validate() != nil {
 			return false
 		}

@@ -74,7 +74,7 @@ func FuzzCompressRoundTrip(f *testing.F) {
 		before := root.TotalLen()
 		_, logicalBefore := root.NodeCount()
 
-		st := Compress(root, Options{Tolerance: tol})
+		st := Compress(root, tol)
 
 		if err := root.Validate(); err != nil {
 			t.Fatalf("compressed tree invalid (tol %.2f): %v\n%s", tol, err, root)

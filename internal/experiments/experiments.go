@@ -600,7 +600,12 @@ func Calibration(cfg Config) (string, []*report.Series) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fitted against the simulated machine (paper Eq. 6/7 on Westmere):\n%s\n", m)
 	fmt.Fprintf(&b, "Paper's Eq. (7) for reference: w = 101481 * d^-0.964\n")
+	return b.String(), CalibrationSeries(data)
+}
 
+// CalibrationSeries tabulates a calibration run's measured points, one
+// series per thread count in first-measured order.
+func CalibrationSeries(data memmodel.CalibrationData) []*report.Series {
 	byThreads := map[int]*report.Series{}
 	var order []int
 	for _, p := range data.Points {
@@ -617,5 +622,5 @@ func Calibration(cfg Config) (string, []*report.Series) {
 	for _, t := range order {
 		out = append(out, byThreads[t])
 	}
-	return b.String(), out
+	return out
 }

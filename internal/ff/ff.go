@@ -17,7 +17,12 @@
 // The FF models:
 //
 //   - OpenMP loop schedules — (static), (static,c), (dynamic,c), (guided) —
-//     so schedule-dependent speedups come out differently (Fig. 5);
+//     so schedule-dependent speedups come out differently (Fig. 5). Tasks
+//     are assigned by omprt.Plan, the runtime's own schedule rules: a
+//     static worker walks its plan ranges, a dynamic fetch claims one
+//     chunk of c tasks per dispatch, and a guided fetch takes one task of
+//     the shrinking chunk the runtime would hand out, its dispatch
+//     amortized over that chunk;
 //   - multiple locks with FIFO arbitration in pseudo-time order, so lock
 //     contention serializes critical sections exactly as a real mutex
 //     would for the profiled arrival order;
@@ -236,9 +241,9 @@ type worker struct {
 	id   int // worker rank
 	cpu  int
 	time clock.Cycles
-	// pos counts the static tasks taken so far; dynamic workers pull
-	// from the shared counter instead.
-	pos int
+	// [lo, hi) is the rest of the range the worker last fetched, and
+	// ranges counts the static ranges it has fetched.
+	lo, hi, ranges int
 
 	// Cursor into the currently executing task.
 	cur    *tree.Node
@@ -343,7 +348,7 @@ func emulateHeap(st *state, sec *tree.Node, start clock.Cycles, p int, wholeTask
 	for w := 0; w < nt; w++ {
 		sc.workers[w] = worker{id: w, cpu: w % p, time: begin + st.ov.WorkerInit}
 	}
-	sc.fetch = fetchState{tasks: tasks, plan: newStaticPlan(st.sched, n, nt), nt: nt}
+	sc.fetch = fetchState{tasks: tasks, plan: omprt.NewPlan(st.sched, n, nt)}
 	shared := &sc.fetch
 
 	h := &sc.order
@@ -404,50 +409,51 @@ func stepSegment(st *state, w *worker, p int) {
 }
 
 // fetchState is what a section's workers fetch tasks from: the expanded
-// task list, the static schedules' plan, and the shared iteration counter
-// of dynamic/guided schedules.
+// task list, the schedule's plan, and the shared counter of dynamic and
+// guided fetches.
 type fetchState struct {
 	tasks []taskRef
-	plan  staticPlan
+	plan  omprt.Plan
 	next  int
-	nt    int
 }
 
-// nextTask yields the worker's next task and its dispatch overhead.
+// nextTask yields the worker's next task and its dispatch overhead. Static
+// workers walk their plan ranges and pay StaticDispatch per task. A
+// dynamic fetch claims one chunk for Dispatch, and the chunk's later tasks
+// cost nothing. A guided fetch takes one task of the chunk the runtime
+// would hand out and pays Dispatch amortized over that chunk.
 func nextTask(st *state, w *worker, shared *fetchState) (taskRef, clock.Cycles, bool) {
-	switch st.sched.Kind {
-	case omprt.Static, omprt.StaticChunk:
-		i, ok := shared.plan.index(w.id, w.pos)
+	plan := &shared.plan
+	var d clock.Cycles
+	switch {
+	case plan.Static():
+		if w.lo == w.hi {
+			lo, hi, ok := plan.Range(w.id, w.ranges)
+			if !ok {
+				return taskRef{}, 0, false
+			}
+			w.lo, w.hi, w.ranges = lo, hi, w.ranges+1
+		}
+		d = st.ov.StaticDispatch
+	case st.sched.Kind == omprt.Guided:
+		hi, ok := plan.Take(shared.next)
 		if !ok {
 			return taskRef{}, 0, false
 		}
-		w.pos++
-		return shared.tasks[i], st.ov.StaticDispatch, true
-	case omprt.Dynamic:
-		if shared.next >= len(shared.tasks) {
+		d = clock.Cycles(math.Ceil(float64(st.ov.Dispatch) / float64(hi-shared.next)))
+		w.lo, w.hi = shared.next, shared.next+1
+		shared.next++
+	case w.lo == w.hi: // dynamic, and the last chunk is used up
+		hi, ok := plan.Take(shared.next)
+		if !ok {
 			return taskRef{}, 0, false
 		}
-		tr := shared.tasks[shared.next]
-		shared.next++
-		return tr, st.ov.Dispatch, true
-	case omprt.Guided:
-		// Guided hands out shrinking chunks; the FF emulates it at
-		// task granularity, charging the dispatch once per chunk.
-		if shared.next >= len(shared.tasks) {
-			return taskRef{}, 0, false
-		}
-		remaining := len(shared.tasks) - shared.next
-		c := remaining / (2 * shared.nt)
-		if c < 1 {
-			c = 1
-		}
-		// Return one task; amortize dispatch over the chunk.
-		tr := shared.tasks[shared.next]
-		shared.next++
-		d := clock.Cycles(math.Ceil(float64(st.ov.Dispatch) / float64(c)))
-		return tr, d, true
+		d = st.ov.Dispatch
+		w.lo, w.hi = shared.next, hi
+		shared.next = hi
 	}
-	return taskRef{}, 0, false
+	w.lo++
+	return shared.tasks[w.lo-1], d, true
 }
 
 // scaled applies the burden factor to a profiled length.

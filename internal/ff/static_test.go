@@ -133,62 +133,6 @@ func TestFlatShape(t *testing.T) {
 	}
 }
 
-// TestStaticPlanMatchesQueues checks the static plan against the
-// materialized queues it replaced: worker k's tasks, in order, are the
-// contiguous block (static) or every nt-th chunk (static,c), and owner
-// counts over any range agree with them.
-func TestStaticPlanMatchesQueues(t *testing.T) {
-	for n := 1; n <= 40; n++ {
-		for nt := 1; nt <= n && nt <= 13; nt++ {
-			for _, sched := range equivScheds[:5] {
-				sp := newStaticPlan(sched, n, nt)
-				owner := make([]int, n)
-				for k := 0; k < nt; k++ {
-					var queue []int
-					if sched.Kind == omprt.Static {
-						lo, hi := sp.block(k)
-						for i := lo; i < hi; i++ {
-							queue = append(queue, i)
-						}
-					} else {
-						// Chunks past the loop end change nothing;
-						// capping at n keeps lo from overflowing.
-						c := min(max(sched.Chunk, 1), n)
-						for lo := k * c; lo < n; lo += nt * c {
-							for i := lo; i < min(lo+c, n); i++ {
-								queue = append(queue, i)
-							}
-						}
-					}
-					for pos, i := range queue {
-						if got, ok := sp.index(k, pos); !ok || got != i {
-							t.Fatalf("%v n=%d nt=%d: index(%d, %d) = %d,%v, want %d", sched, n, nt, k, pos, got, ok, i)
-						}
-						owner[i] = k
-					}
-					if _, ok := sp.index(k, len(queue)); ok {
-						t.Fatalf("%v n=%d nt=%d: worker %d has more than %d tasks", sched, n, nt, k, len(queue))
-					}
-				}
-				for a := 0; a < n; a++ {
-					for b := a + 1; b <= n; b++ {
-						counts := make([]int, nt)
-						sp.eachOwner(a, b, func(k, count int) { counts[k] += count })
-						for i := a; i < b; i++ {
-							counts[owner[i]]--
-						}
-						for k, c := range counts {
-							if c != 0 {
-								t.Fatalf("%v n=%d nt=%d [%d,%d): worker %d count off by %d", sched, n, nt, a, b, k, c)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // FuzzFFStaticClosedForm drives the flat-section equivalence property
 // with fuzzer-chosen trees, thread counts and schedules.
 func FuzzFFStaticClosedForm(f *testing.F) {

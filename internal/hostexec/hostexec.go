@@ -53,76 +53,45 @@ func FakeDelay(c clock.Cycles, hz float64) {
 var spinSink atomic.Uint64
 
 // ParallelFor executes body(worker, i) for every i in [0, n) on nthreads
-// goroutines under the given OpenMP schedule. It returns after all
-// iterations complete (the implicit barrier).
+// goroutines under the given OpenMP schedule, assigned by omprt.Plan. It
+// returns after all iterations complete (the implicit barrier).
 func ParallelFor(nthreads, n int, sched omprt.Sched, body func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
-	if nthreads < 1 {
-		nthreads = 1
-	}
-	if nthreads > n {
-		nthreads = n
-	}
-	chunk := sched.Chunk
-	if chunk < 1 {
-		chunk = 1
-	}
+	plan := omprt.NewPlan(sched, n, nthreads)
 	var wg sync.WaitGroup
 	var next atomic.Int64
 	run := func(w int) {
 		defer wg.Done()
-		switch sched.Kind {
-		case omprt.Static:
-			base := n / nthreads
-			rem := n % nthreads
-			lo := w*base + min(w, rem)
-			hi := lo + base
-			if w < rem {
-				hi++
-			}
-			for i := lo; i < hi; i++ {
-				body(w, i)
-			}
-		case omprt.StaticChunk:
-			for lo := w * chunk; lo < n; lo += nthreads * chunk {
-				hi := min(lo+chunk, n)
-				for i := lo; i < hi; i++ {
-					body(w, i)
-				}
-			}
-		case omprt.Guided:
-			for {
-				remaining := n - int(next.Load())
-				c := remaining / (2 * nthreads)
-				if c < chunk {
-					c = chunk
-				}
-				lo := int(next.Add(int64(c))) - c
-				if lo >= n {
+		if plan.Static() {
+			for j := 0; ; j++ {
+				lo, hi, ok := plan.Range(w, j)
+				if !ok {
 					return
 				}
-				hi := min(lo+c, n)
-				for i := lo; i < hi; i++ {
-					body(w, i)
-				}
-			}
-		default: // Dynamic
-			for {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := min(lo+chunk, n)
 				for i := lo; i < hi; i++ {
 					body(w, i)
 				}
 			}
 		}
+		for {
+			lo := next.Load()
+			hi, ok := plan.Take(int(lo))
+			if !ok {
+				return
+			}
+			if !next.CompareAndSwap(lo, int64(hi)) {
+				continue // another worker claimed [lo, ...) first
+			}
+			for i := int(lo); i < hi; i++ {
+				body(w, i)
+			}
+		}
 	}
-	wg.Add(nthreads)
-	for w := 1; w < nthreads; w++ {
+	nt := plan.Threads()
+	wg.Add(nt)
+	for w := 1; w < nt; w++ {
 		go run(w)
 	}
 	run(0)
@@ -258,11 +227,4 @@ func (p *Pool) Run(root func(*Ctx)) {
 	ctx.Sync()
 	stop.Store(true)
 	wg.Wait()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -46,6 +46,24 @@ func TestParallelForAllSchedules(t *testing.T) {
 	}
 }
 
+// TestParallelForHugeChunk: a chunk far past the loop is the loop. The
+// shared counter and the static round-robin stride must not overflow, so
+// each of 10 iterations runs exactly once on 4 workers.
+func TestParallelForHugeChunk(t *testing.T) {
+	for _, kind := range []omprt.ScheduleKind{omprt.StaticChunk, omprt.Dynamic, omprt.Guided} {
+		sched := omprt.Sched{Kind: kind, Chunk: 1 << 62}
+		counts := make([]int32, 10)
+		ParallelFor(4, len(counts), sched, func(w, i int) {
+			atomic.AddInt32(&counts[i], 1)
+		})
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("%v: iteration %d ran %d times", sched, i, c)
+			}
+		}
+	}
+}
+
 func TestParallelForDegenerate(t *testing.T) {
 	ran := false
 	ParallelFor(0, 1, omprt.SchedStatic, func(w, i int) { ran = true })

@@ -2,6 +2,7 @@ package memmodel
 
 import (
 	"context"
+	"sort"
 
 	"prophet/internal/clock"
 	"prophet/internal/counters"
@@ -64,6 +65,29 @@ func measure(ctx context.Context, mc sim.Config, hz float64, t int, instrPerMiss
 		omega = 0
 	}
 	return delta, omega, nil
+}
+
+// Ladder returns the thread counts a model of a machine with the given
+// core count is calibrated on: every requested count in [2, cores] plus
+// every even count up to cores, ascending. The Φ power-law fit needs
+// several saturated operating points to be well-conditioned (§V-D), so
+// the ladder is never just the requested counts.
+func Ladder(threads []int, cores int) []int {
+	ladder := map[int]bool{}
+	for _, t := range threads {
+		if t >= 2 && t <= cores {
+			ladder[t] = true
+		}
+	}
+	for t := 2; t <= cores; t += 2 {
+		ladder[t] = true
+	}
+	ts := make([]int, 0, len(ladder))
+	for t := range ladder {
+		ts = append(ts, t)
+	}
+	sort.Ints(ts)
+	return ts
 }
 
 // CalibrateCtx runs the paper's §V-D microbenchmark against the simulated

@@ -33,52 +33,34 @@ type Explanation struct {
 // Explain computes the burden factor for (s, t) and returns every
 // intermediate. Explain(s, t).Burden always equals Burden(s, t).
 func (m *Model) Explain(s counters.Sample, t int) Explanation {
-	e := Explanation{
-		Threads:   t,
-		N:         s.Instructions,
-		T:         int64(s.Cycles),
-		D:         s.LLCMisses,
-		MPI:       s.MPI(),
-		DeltaMBps: s.TrafficMBps(m.Hz),
-		Burden:    1,
+	e := m.burden(s, t)
+	x := Explanation{
+		Threads:    t,
+		N:          s.Instructions,
+		T:          int64(s.Cycles),
+		D:          s.LLCMisses,
+		MPI:        e.mpi,
+		DeltaMBps:  e.delta,
+		Omega:      e.omega,
+		CPICache:   e.cpiCache,
+		DeltaT:     e.deltaT,
+		OmegaT:     e.omegaT,
+		Burden:     e.beta,
+		MemoryTime: e.memFrac,
 	}
-	switch {
-	case t <= 1:
-		e.Gate = "single thread"
-		return e
-	case s.Instructions == 0 || s.Cycles == 0:
-		e.Gate = "no profile data"
-		return e
-	case e.MPI < m.MinMPI:
-		e.Gate = fmt.Sprintf("Assumption 5: MPI %.5f below %.5f", e.MPI, m.MinMPI)
-		return e
-	case e.DeltaMBps < m.MinTrafficMBps:
-		e.Gate = fmt.Sprintf("traffic %.0f MB/s below Eq.(6/7) floor %.0f", e.DeltaMBps, m.MinTrafficMBps)
-		return e
+	switch e.gate {
+	case gateSingleThread:
+		x.Gate = "single thread"
+	case gateNoData:
+		x.Gate = "no profile data"
+	case gateLowMPI:
+		x.Gate = fmt.Sprintf("Assumption 5: MPI %.5f below %.5f", e.mpi, m.MinMPI)
+	case gateLowTraffic:
+		x.Gate = fmt.Sprintf("traffic %.0f MB/s below Eq.(6/7) floor %.0f", e.delta, m.MinTrafficMBps)
+	case gateNoPsi:
+		x.Gate = "no Psi calibration"
 	}
-	psi, ok := m.psiFor(t)
-	if !ok {
-		e.Gate = "no Psi calibration"
-		return e
-	}
-	e.Omega = m.Omega(e.DeltaMBps)
-	e.DeltaT = psi.Eval(e.DeltaMBps)
-	e.OmegaT = m.Omega(e.DeltaT)
-	if e.OmegaT < e.Omega {
-		e.OmegaT = e.Omega
-	}
-	n := float64(s.Instructions)
-	d := float64(s.LLCMisses)
-	e.CPICache = (float64(s.Cycles) - e.Omega*d) / n
-	if e.CPICache < 0 {
-		e.CPICache = 0
-	}
-	e.Burden = (e.CPICache + e.MPI*e.OmegaT) / (e.CPICache + e.MPI*e.Omega)
-	if e.Burden < 1 {
-		e.Burden = 1
-	}
-	e.MemoryTime = e.Omega * d / float64(s.Cycles)
-	return e
+	return x
 }
 
 // String renders the explanation as a short multi-line report.

@@ -161,39 +161,67 @@ func (m *Model) psiFor(t int) (Psi, bool) {
 // when parallelized on t threads (Eq. 3, with the Assumption-4/5 gates).
 // The result is always >= 1.
 func (m *Model) Burden(s counters.Sample, t int) float64 {
-	if t <= 1 || s.Instructions == 0 || s.Cycles == 0 {
-		return 1
-	}
-	mpi := s.MPI()
-	if mpi < m.MinMPI {
-		return 1 // Assumption 5: negligible memory traffic.
-	}
-	delta := s.TrafficMBps(m.Hz)
-	if delta < m.MinTrafficMBps {
-		return 1
+	return m.burden(s, t).beta
+}
+
+// gate names the assumption gate that short-circuited the model (β = 1).
+type gate uint8
+
+const (
+	gateNone gate = iota
+	gateSingleThread
+	gateNoData
+	gateLowMPI     // Assumption 5: negligible memory traffic
+	gateLowTraffic // below the Eq. (6/7) fit's floor
+	gateNoPsi
+)
+
+// terms holds β_t and every intermediate of Eq. 1–3. The model terms are
+// zero when a gate fired.
+type terms struct {
+	gate     gate
+	mpi      float64 // D/N
+	delta    float64 // δ: serial DRAM traffic (MB/s)
+	omega    float64 // ω = Φ(δ)
+	cpiCache float64 // CPI$ from Eq. (1)
+	deltaT   float64 // δ_t = Ψ(δ)
+	omegaT   float64 // ω_t = Φ(δ_t), never below ω
+	beta     float64 // β_t from Eq. (3), never below 1
+	memFrac  float64 // ω·D/T: the memory share of the serial time
+}
+
+// burden is the one computation of Eq. 1–3 behind Burden and Explain.
+func (m *Model) burden(s counters.Sample, t int) terms {
+	e := terms{mpi: s.MPI(), delta: s.TrafficMBps(m.Hz), beta: 1}
+	switch {
+	case t <= 1:
+		e.gate = gateSingleThread
+		return e
+	case s.Instructions == 0 || s.Cycles == 0:
+		e.gate = gateNoData
+		return e
+	case e.mpi < m.MinMPI:
+		e.gate = gateLowMPI
+		return e
+	case e.delta < m.MinTrafficMBps:
+		e.gate = gateLowTraffic
+		return e
 	}
 	psi, ok := m.psiFor(t)
 	if !ok {
-		return 1
+		e.gate = gateNoPsi
+		return e
 	}
-	omega := m.Omega(delta) // ω for the serial run
-	deltaT := psi.Eval(delta)
-	omegaT := m.Omega(deltaT) // ω_t under contention
-	if omegaT < omega {
-		omegaT = omega
-	}
+	e.omega = m.Omega(e.delta) // ω for the serial run
+	e.deltaT = psi.Eval(e.delta)
+	e.omegaT = max(m.Omega(e.deltaT), e.omega) // ω_t under contention
 	// Eq. 1 gives CPI$ from the measured T, N, D and modeled ω.
 	n := float64(s.Instructions)
 	d := float64(s.LLCMisses)
-	cpiC := (float64(s.Cycles) - omega*d) / n
-	if cpiC < 0 {
-		cpiC = 0
-	}
-	beta := (cpiC + mpi*omegaT) / (cpiC + mpi*omega)
-	if beta < 1 {
-		beta = 1
-	}
-	return beta
+	e.cpiCache = max((float64(s.Cycles)-e.omega*d)/n, 0)
+	e.beta = max((e.cpiCache+e.mpi*e.omegaT)/(e.cpiCache+e.mpi*e.omega), 1)
+	e.memFrac = e.omega * d / float64(s.Cycles)
+	return e
 }
 
 // AssignBurdens computes and stores β_t on every top-level section of the

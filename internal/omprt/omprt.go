@@ -4,7 +4,9 @@
 // OpenMP 2.0's naive nested behaviour: every parallel region, nested or
 // not, spawns a fresh team of physical threads, which oversubscribes the
 // machine exactly the way the paper describes (§III "Nested and recursive
-// parallelism", §IV-D).
+// parallelism", §IV-D). Plan is the one definition of which thread runs
+// which iteration; the host runtime (internal/hostexec) and the FF
+// (internal/ff) replay the same plan.
 //
 // Runtime overheads (fork, join, chunk dispatch, lock enter/exit) are paid
 // as explicit Work cycles. The default constants are in the range reported
@@ -14,6 +16,8 @@
 package omprt
 
 import (
+	"strconv"
+
 	"prophet/internal/clock"
 	"prophet/internal/sim"
 )
@@ -61,27 +65,13 @@ func (s Sched) String() string {
 	case Static:
 		return "(static)"
 	case StaticChunk:
-		return "(static," + itoa(s.Chunk) + ")"
+		return "(static," + strconv.Itoa(max(s.Chunk, 1)) + ")"
 	case Dynamic:
-		return "(dynamic," + itoa(s.Chunk) + ")"
+		return "(dynamic," + strconv.Itoa(max(s.Chunk, 1)) + ")"
 	case Guided:
 		return "(guided)"
 	}
 	return "(?)"
-}
-
-func itoa(n int) string {
-	if n <= 0 {
-		n = 1
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // Overheads are the runtime's parallel-overhead constants, in cycles.
@@ -151,112 +141,58 @@ func (rt *Runtime) ParallelFor(t *sim.Thread, n int, sched Sched, body func(w *s
 	if n <= 0 {
 		return
 	}
-	nt := rt.nthreads
-	if nt > n {
-		nt = n
-	}
+	plan := NewPlan(sched, n, rt.nthreads)
+	// next is the dynamic/guided shared counter; safe without locks
+	// because the engine runs one thread at a time and mutations happen
+	// between engine calls.
+	next := new(int)
+	nt := plan.Threads()
 	if nt == 1 {
-		rt.runWorker(t, 0, 1, n, sched, body, &counter{n: n})
+		rt.runWorker(t, 0, plan, body, next)
 		return
 	}
-	// Shared dynamic-dispatch state; safe without locks because the
-	// engine runs one thread at a time and mutations happen between
-	// engine calls.
-	ctr := &counter{next: 0, n: n}
 	t.Work(rt.ov.ForkPerThread * clock.Cycles(nt-1))
 	team := make([]*sim.Thread, 0, nt-1)
 	for k := 1; k < nt; k++ {
 		k := k
 		team = append(team, t.Spawn(func(w *sim.Thread) {
-			rt.runWorker(w, k, nt, n, sched, body, ctr)
+			rt.runWorker(w, k, plan, body, next)
 		}))
 	}
-	rt.runWorker(t, 0, nt, n, sched, body, ctr)
+	rt.runWorker(t, 0, plan, body, next)
 	for _, w := range team {
 		t.Join(w)
 	}
 	t.Work(rt.ov.JoinBarrier)
 }
 
-type counter struct {
-	next int
-	n    int
-}
-
-// take grabs up to chunk iterations, returning [lo, hi) or ok=false.
-func (c *counter) take(chunk int) (lo, hi int, ok bool) {
-	if c.next >= c.n {
-		return 0, 0, false
-	}
-	lo = c.next
-	hi = lo + chunk
-	if hi > c.n {
-		hi = c.n
-	}
-	c.next = hi
-	return lo, hi, true
-}
-
-func (rt *Runtime) runWorker(w *sim.Thread, k, nt, n int, sched Sched, body func(*sim.Thread, int), ctr *counter) {
+// runWorker runs team member k's share of the loop. A static range costs
+// StaticDispatch; every dynamic/guided fetch costs Dispatch, the final
+// empty one included.
+func (rt *Runtime) runWorker(w *sim.Thread, k int, plan Plan, body func(*sim.Thread, int), next *int) {
 	w.Work(rt.ov.WorkerInit)
-	chunk := sched.Chunk
-	if chunk < 1 {
-		chunk = 1
+	if plan.Static() {
+		for j := 0; ; j++ {
+			lo, hi, ok := plan.Range(k, j)
+			if !ok {
+				return
+			}
+			w.Work(rt.ov.StaticDispatch)
+			for i := lo; i < hi; i++ {
+				body(w, i)
+			}
+		}
 	}
-	switch sched.Kind {
-	case Static:
-		// One contiguous block per thread, remainder spread over the
-		// first threads (the usual static partition).
-		base := n / nt
-		rem := n % nt
-		lo := k*base + min(k, rem)
-		hi := lo + base
-		if k < rem {
-			hi++
+	for {
+		w.Work(rt.ov.Dispatch)
+		lo := *next
+		hi, ok := plan.Take(lo)
+		if !ok {
+			return
 		}
-		if lo < hi {
-			w.Work(rt.ov.StaticDispatch)
-			for i := lo; i < hi; i++ {
-				body(w, i)
-			}
-		}
-	case StaticChunk:
-		for lo := k * chunk; lo < n; lo += nt * chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			w.Work(rt.ov.StaticDispatch)
-			for i := lo; i < hi; i++ {
-				body(w, i)
-			}
-		}
-	case Dynamic:
-		for {
-			w.Work(rt.ov.Dispatch)
-			lo, hi, ok := ctr.take(chunk)
-			if !ok {
-				break
-			}
-			for i := lo; i < hi; i++ {
-				body(w, i)
-			}
-		}
-	case Guided:
-		for {
-			w.Work(rt.ov.Dispatch)
-			remaining := ctr.n - ctr.next
-			c := remaining / (2 * nt)
-			if c < chunk {
-				c = chunk
-			}
-			lo, hi, ok := ctr.take(c)
-			if !ok {
-				break
-			}
-			for i := lo; i < hi; i++ {
-				body(w, i)
-			}
+		*next = hi
+		for i := lo; i < hi; i++ {
+			body(w, i)
 		}
 	}
 }

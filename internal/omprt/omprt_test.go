@@ -45,11 +45,12 @@ func runFor(t *testing.T, cores, threads, n int, sched Sched, iter func(i int) c
 
 func TestSchedStrings(t *testing.T) {
 	cases := map[string]Sched{
-		"(static)":    SchedStatic,
-		"(static,1)":  SchedStatic1,
-		"(dynamic,1)": SchedDynamic1,
-		"(guided)":    SchedGuided,
-		"(dynamic,4)": {Kind: Dynamic, Chunk: 4},
+		"(static)":                     SchedStatic,
+		"(static,1)":                   SchedStatic1,
+		"(dynamic,1)":                  SchedDynamic1,
+		"(guided)":                     SchedGuided,
+		"(dynamic,4)":                  {Kind: Dynamic, Chunk: 4},
+		"(static,4611686018427387904)": {Kind: StaticChunk, Chunk: 1 << 62},
 	}
 	for want, s := range cases {
 		if got := s.String(); got != want {

@@ -163,7 +163,6 @@ const (
 	opJoin
 	opPark
 	opUnpark
-	opYield
 	opSleep
 	opExit
 	opPanic
@@ -817,15 +816,6 @@ func (m *Machine) handle(req request) bool {
 			o.parkToken = true
 		}
 		return false
-
-	case opYield:
-		if len(m.ready) == 0 {
-			return false
-		}
-		c := &m.cores[t.core]
-		c.running = nil
-		m.makeReady(t)
-		return true
 
 	case opSleep:
 		// Timed block without a core (I/O wait): wake at now + d.

@@ -148,17 +148,6 @@ func TestJoinMultipleWaiters(t *testing.T) {
 	}
 }
 
-// TestYieldNoReadyIsNoop: yielding with an empty ready queue keeps running.
-func TestYieldNoReadyIsNoop(t *testing.T) {
-	end, _ := mustRun(t, cfg(2), func(th *Thread) {
-		th.Yield()
-		th.Work(100)
-	})
-	if end != 100 {
-		t.Fatalf("makespan = %d", end)
-	}
-}
-
 // TestManyLocksIndependent: different lock ids never interfere. (9 cores:
 // 8 workers plus the spawning main thread, so nobody time-slices.)
 func TestManyLocksIndependent(t *testing.T) {

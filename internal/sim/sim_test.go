@@ -429,20 +429,6 @@ func TestQuantumFaultHookJittersSlices(t *testing.T) {
 	}
 }
 
-func TestYield(t *testing.T) {
-	// A yielding thread lets the other make progress without waiting for
-	// quantum expiry.
-	var woke bool
-	mustRun(t, cfg(1), func(th *Thread) {
-		w := th.Spawn(func(w *Thread) { woke = true; w.Work(10) })
-		th.Yield() // w runs first now
-		if !woke {
-			t.Error("yield did not run the ready thread")
-		}
-		th.Join(w)
-	})
-}
-
 func TestWorkMemUnloadedLatency(t *testing.T) {
 	c := cfg(1)
 	// 1000 instruction-cycles + 10 misses at ω0=40 => 1400 cycles.

@@ -83,12 +83,6 @@ func (t *Thread) Unpark(o *Thread) {
 	t.call(request{kind: opUnpark, other: o})
 }
 
-// Yield gives up the core to the next ready thread, if any, and re-enters
-// the tail of the ready queue.
-func (t *Thread) Yield() {
-	t.call(request{kind: opYield})
-}
-
 // Sleep blocks the thread for d cycles WITHOUT occupying a core — the
 // machine-level primitive behind I/O waits (tree.W nodes): other threads
 // run while this one sleeps. Sleep(0) and negative durations return

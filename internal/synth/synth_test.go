@@ -210,6 +210,22 @@ func TestTraversalOverheadSubtracted(t *testing.T) {
 	}
 }
 
+// TestHugeChunkIsTheLoop: a chunk far past the loop emulates exactly as a
+// chunk of the loop's length, one thread running every iteration, instead
+// of wrapping the runtime's iteration counter around.
+func TestHugeChunkIsTheLoop(t *testing.T) {
+	root := balancedLoop(10, 30_000)
+	for _, kind := range []omprt.ScheduleKind{omprt.StaticChunk, omprt.Dynamic} {
+		huge, whole := newSyn(4, 4), newSyn(4, 4)
+		huge.Machine.MaxEvents = 100_000
+		huge.Sched = omprt.Sched{Kind: kind, Chunk: 1 << 62}
+		whole.Sched = omprt.Sched{Kind: kind, Chunk: 10}
+		if got, want := mustTime(t, huge, root), mustTime(t, whole, root); got != want {
+			t.Errorf("%v: %d cycles, want %d as for %v", huge.Sched, got, want, whole.Sched)
+		}
+	}
+}
+
 func TestRepeatCompressedEquivalence(t *testing.T) {
 	expanded := balancedLoop(60, 30_000)
 	ctask := tree.NewTask("t", tree.NewU(30_000))

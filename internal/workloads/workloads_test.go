@@ -137,7 +137,7 @@ func TestBenchmarkTreesCompressWell(t *testing.T) {
 	for _, name := range []string{"NPB-FT", "NPB-EP", "MD-OMP", "NPB-CG"} {
 		w, _ := ByName(name)
 		root := profile(t, w.Program)
-		st := compress.Compress(root, compress.Options{Tolerance: compress.DefaultTolerance})
+		st := compress.Compress(root, compress.DefaultTolerance)
 		if st.Reduction() < 0.8 {
 			t.Errorf("%s: compression %.1f%%, want >= 80%%", name, 100*st.Reduction())
 		}
@@ -274,7 +274,7 @@ func TestISCompressionStressCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := profile(t, w.Program)
-	st := compress.Compress(root, compress.Options{Tolerance: compress.DefaultTolerance})
+	st := compress.Compress(root, compress.DefaultTolerance)
 	if st.NodesBefore < 10_000 {
 		t.Fatalf("IS tree suspiciously small before compression: %d", st.NodesBefore)
 	}

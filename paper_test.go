@@ -157,7 +157,7 @@ func TestClaimCompressionRegularVsIrregular(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := compress.Compress(root, compress.Options{Tolerance: compress.DefaultTolerance})
+		st := compress.Compress(root, compress.DefaultTolerance)
 		return st.Reduction()
 	}
 	if r := reduction("NPB-IS"); r < 0.99 {

@@ -27,7 +27,6 @@ package prophet
 
 import (
 	"context"
-	"sort"
 	"sync"
 
 	"prophet/internal/clock"
@@ -184,28 +183,12 @@ func (p *Profile) peekMachine(name string) (*Profile, bool) {
 // instead of racing to duplicate it.
 var calibrated sweep.Cache[sim.Config, *memmodel.Model]
 
+// modelFor returns mc's memory model, calibrated on memmodel.Ladder of the
+// requested thread counts (cmd/calibrate fits the same ladder).
 func modelFor(ctx context.Context, mc sim.Config, threads []int) (*memmodel.Model, error) {
 	mc.Spec = mc.MachineSpec()
 	return calibrated.Get(ctx, mc, func(ctx context.Context) (*memmodel.Model, error) {
-		// Calibrate over a full ladder up to the core count, not just the
-		// requested thread counts: the Φ power-law fit needs several
-		// saturated operating points to be well-conditioned (§V-D).
-		cores := mc.Spec.Cores()
-		ladder := map[int]bool{}
-		for _, t := range threads {
-			if t >= 2 && t <= cores {
-				ladder[t] = true
-			}
-		}
-		for t := 2; t <= cores; t += 2 {
-			ladder[t] = true
-		}
-		var ts []int
-		for t := range ladder {
-			ts = append(ts, t)
-		}
-		sort.Ints(ts)
-		m, _, err := memmodel.CalibrateCtx(ctx, mc, ts)
+		m, _, err := memmodel.CalibrateCtx(ctx, mc, memmodel.Ladder(threads, mc.Spec.Cores()))
 		return m, err
 	})
 }
@@ -257,7 +240,7 @@ func build(ctx context.Context, root *tree.Node, ctrs counters.Sample, prog Prog
 	}
 	if profiled && o.CompressTolerance >= 0 {
 		tm := o.Observer.Metrics.StartTimer(obs.MStageCompress)
-		p.Compression = compress.Compress(root, compress.Options{Tolerance: o.CompressTolerance})
+		p.Compression = compress.Compress(root, o.CompressTolerance)
 		tm.Stop()
 	}
 	o.assignBurdens(m, root)
