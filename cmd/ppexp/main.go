@@ -184,7 +184,8 @@ func main() {
 		mustWrite(h.MachineMatrix(names, machineNames), out)
 	}
 	if all || *calib {
-		text, series := experiments.Calibration(cfg)
+		text, series, err := h.Calibration()
+		exitOn(ctx, "calibration", err)
 		fmt.Fprintln(out, "## Eq. (6)/(7) — memory model calibration")
 		fmt.Fprintln(out)
 		fmt.Fprintln(out, text)

@@ -202,7 +202,7 @@ func zeroOverheadFF(root *tree.Node, threads int, sched prophet.Sched) (ffOut, e
 		return ffOut{}, err
 	}
 	// One FF run gives both numbers: speedup is serial / emulated time.
-	return ffOut{time: t, speedup: float64(root.TotalLen()) / float64(t)}, nil
+	return ffOut{time: t, speedup: tree.Speedup(root.TotalLen(), t)}, nil
 }
 
 // Fig11Case is one validation panel of Fig. 11.
@@ -589,18 +589,19 @@ func (h *Harness) OverheadTable(names []string) *report.Table {
 }
 
 // Calibration reproduces Eq. (6)/(7): it calibrates Ψ and Φ against the
-// simulated machine and returns the fitted formulas plus the raw
-// measurement series.
-func Calibration(cfg Config) (string, []*report.Series) {
-	cfg = cfg.withDefaults()
-	m, data, err := memmodel.CalibrateCtx(context.Background(), cfg.Machine, cfg.Cores)
+// harness machine on memmodel.Ladder of the configured thread counts (the
+// model predictions use) and returns the fitted formulas plus the raw
+// measurement series. The calibration polls the harness context.
+func (h *Harness) Calibration() (string, []*report.Series, error) {
+	mc := h.cfg.Machine
+	m, data, err := memmodel.CalibrateCtx(h.ctx, mc, memmodel.Ladder(h.cfg.Cores, mc.MachineSpec().Cores()))
 	if err != nil {
-		return "calibration failed: " + err.Error(), nil
+		return "", nil, err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fitted against the simulated machine (paper Eq. 6/7 on Westmere):\n%s\n", m)
 	fmt.Fprintf(&b, "Paper's Eq. (7) for reference: w = 101481 * d^-0.964\n")
-	return b.String(), CalibrationSeries(data)
+	return b.String(), CalibrationSeries(data), nil
 }
 
 // CalibrationSeries tabulates a calibration run's measured points, one

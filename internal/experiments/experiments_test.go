@@ -231,12 +231,42 @@ func TestTable3AndOverhead(t *testing.T) {
 }
 
 func TestCalibrationReport(t *testing.T) {
-	text, series := Calibration(Config{Machine: fastMachine(), Cores: []int{2, 4, 8, 12}})
+	text, series, err := harness(Config{Machine: fastMachine(), Cores: []int{2, 4, 8, 12}}).Calibration()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(text, "Phi") || !strings.Contains(text, "101481") {
 		t.Errorf("calibration text incomplete:\n%s", text)
 	}
 	if len(series) < 4 {
 		t.Errorf("calibration series = %d", len(series))
+	}
+}
+
+// TestCalibrationFitsTheLadder: the printed model is the one predictions
+// use, fitted on memmodel.Ladder of the requested thread counts, so asking
+// for {2, 4} prints the model of the full ladder 2, 4, …, 12.
+func TestCalibrationFitsTheLadder(t *testing.T) {
+	fit := func(cores []int) string {
+		text, _, err := harness(Config{Machine: fastMachine(), Cores: cores}).Calibration()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return text
+	}
+	if got, want := fit([]int{2, 4}), fit([]int{2, 4, 6, 8, 10, 12}); got != want {
+		t.Errorf("-cores 2,4 fits\n%s\nwant the ladder's\n%s", got, want)
+	}
+}
+
+// TestCalibrationCanceled: calibration polls the harness context and
+// returns its error instead of printing it as a result.
+func TestCalibrationCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	text, series, err := NewCtx(ctx, Config{Machine: fastMachine()}).Calibration()
+	if !errors.Is(err, context.Canceled) || text != "" || series != nil {
+		t.Fatalf("Calibration = %q, %d series, %v; want only context.Canceled", text, len(series), err)
 	}
 }
 

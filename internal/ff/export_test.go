@@ -1,6 +1,8 @@
 package ff
 
 import (
+	"context"
+
 	"prophet/internal/clock"
 	"prophet/internal/tree"
 )
@@ -9,22 +11,16 @@ import (
 // the heap one segment at a time, whatever its shape: the reference the
 // fast paths are checked against.
 func HeapPredictTime(e *Emulator, root *tree.Node) clock.Cycles {
-	total := root.SerialOutsideSections()
-	for _, sec := range root.TopLevelSections() {
+	d := e.driver()
+	d.Section = func(_ context.Context, sec *tree.Node, burden float64) (clock.Cycles, error) {
 		p := e.threads()
-		burden := 1.0
-		if e.UseBurden {
-			burden = sec.BurdenFor(p)
-		}
 		st := &state{}
 		st.init(p, burden, e.Speeds, e.Ov, e.Sched, nil, nil)
-		var d clock.Cycles
 		if sec.Pipeline {
-			d = emulatePipeline(st, sec, 0, p)
-		} else {
-			d = emulateHeap(st, sec, 0, p, false)
+			return emulatePipeline(st, sec, 0, p), nil
 		}
-		total += d * clock.Cycles(sec.Reps())
+		return emulateHeap(st, sec, 0, p, false), nil
 	}
-	return total
+	t, _ := d.PredictTime(context.Background(), root)
+	return t
 }

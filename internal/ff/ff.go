@@ -14,6 +14,13 @@
 // heap walk's result. Traced emulations always take the per-segment heap
 // walk, so every segment still emits its event.
 //
+// The whole-program loop is tree.Driver, shared with the synthesizers:
+// each distinct top-level section node is emulated once per estimate and
+// its duration reused for every later occurrence (NPB-CG's 80 sections are
+// 3 nodes), except in a traced run, which emulates every occurrence. The
+// driver polls ctx before each section it emulates, and the FF polls again
+// every 4096 events inside a section.
+//
 // The FF models:
 //
 //   - OpenMP loop schedules — (static), (static,c), (dynamic,c), (guided) —
@@ -85,39 +92,22 @@ type Emulator struct {
 type cancelPanic struct{ err error }
 
 // PredictTimeCtx returns the emulated parallel execution time of the whole
-// program: emulated top-level sections plus the untouched serial regions
-// (the formula of §IV-E applied to the FF). The emulation polls ctx
-// between events and returns an error wrapping ctx.Err() when it fires.
-func (e *Emulator) PredictTimeCtx(ctx context.Context, root *tree.Node) (t clock.Cycles, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			cp, ok := r.(cancelPanic)
-			if !ok {
-				panic(r)
-			}
-			t, err = 0, cp.err
-		}
-	}()
-	total := root.SerialOutsideSections()
-	for _, sec := range root.TopLevelSections() {
-		// A Repeat-compressed top-level section ran Reps times
-		// back-to-back in the serial program.
-		total += e.emulateTopSectionCtx(ctx, sec) * clock.Cycles(sec.Reps())
-	}
-	return total, nil
+// program (tree.Driver: the formula of §IV-E applied to the FF). ctx is
+// polled before each section and every 4096 events inside one, and the
+// error wraps ctx.Err() when it fires.
+func (e *Emulator) PredictTimeCtx(ctx context.Context, root *tree.Node) (clock.Cycles, error) {
+	return e.driver().PredictTime(ctx, root)
 }
 
 // SpeedupCtx returns serial time / predicted parallel time.
 func (e *Emulator) SpeedupCtx(ctx context.Context, root *tree.Node) (float64, error) {
-	serial := root.TotalLen()
-	pred, err := e.PredictTimeCtx(ctx, root)
-	if err != nil {
-		return 0, err
-	}
-	if pred <= 0 {
-		return 1, nil
-	}
-	return float64(serial) / float64(pred), nil
+	return e.driver().Speedup(ctx, root)
+}
+
+// driver is the whole-program loop around emulateTopSection; a traced run
+// emulates every section occurrence, so each one emits its events.
+func (e *Emulator) driver() tree.Driver {
+	return tree.Driver{Threads: e.threads(), UseBurden: e.UseBurden, EveryOccurrence: e.Tracer != nil, Section: e.emulateTopSection}
 }
 
 // threadCount clamps the configured thread count.
@@ -151,9 +141,9 @@ type state struct {
 	tracer   obs.ExecTracer
 }
 
-// tick polls the cancellation context every 4096 emulated events; on
-// cancellation it unwinds the (recursive) emulation with a private panic
-// recovered in PredictTimeCtx.
+// tick polls the cancellation context every 4096 emulated events of a
+// section; on cancellation it unwinds the (recursive) emulation with a
+// private panic recovered in emulateTopSection.
 func (st *state) tick() {
 	st.steps++
 	if st.steps&0xfff != 0 || st.ctx == nil {
@@ -200,19 +190,26 @@ func putState(st *state) {
 	statePool.Put(st)
 }
 
-func (e *Emulator) emulateTopSectionCtx(ctx context.Context, sec *tree.Node) clock.Cycles {
+// emulateTopSection emulates one top-level section on fresh state; a
+// cancellation inside it unwinds to here.
+func (e *Emulator) emulateTopSection(ctx context.Context, sec *tree.Node, burden float64) (d clock.Cycles, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			cp, ok := r.(cancelPanic)
+			if !ok {
+				panic(r)
+			}
+			d, err = 0, cp.err
+		}
+	}()
 	p := e.threads()
-	burden := 1.0
-	if e.UseBurden {
-		burden = sec.BurdenFor(p)
-	}
 	st := statePool.Get().(*state)
 	defer putState(st)
 	st.init(p, burden, e.Speeds, e.Ov, e.Sched, ctx, e.Tracer)
 	if sec.Pipeline {
-		return emulatePipeline(st, sec, 0, p)
+		return emulatePipeline(st, sec, 0, p), nil
 	}
-	return emulateSection(st, sec, 0, p)
+	return emulateSection(st, sec, 0, p), nil
 }
 
 // taskRef is one logical task (Repeat runs expanded lazily by index).
@@ -456,21 +453,13 @@ func nextTask(st *state, w *worker, shared *fetchState) (taskRef, clock.Cycles, 
 	return shared.tasks[w.lo-1], d, true
 }
 
-// scaled applies the burden factor to a profiled length.
-func (st *state) scaled(l clock.Cycles) clock.Cycles {
-	if st.burden == 1 {
-		return l
-	}
-	return clock.Cycles(float64(l)*st.burden + 0.5)
-}
-
-// scaledOn is scaled for a specific abstract CPU: on a heterogeneous
-// machine the burden-scaled length is additionally divided by the CPU's
-// speed ratio. With nil speeds it is exactly scaled, so homogeneous
+// scaledOn is a burden-scaled length (tree.Scaled) on a specific abstract
+// CPU: on a heterogeneous machine it is additionally divided by the CPU's
+// speed ratio. With nil speeds it is exactly tree.Scaled, so homogeneous
 // emulations keep the legacy arithmetic bit-for-bit.
 func (st *state) scaledOn(cpu int, l clock.Cycles) clock.Cycles {
 	if st.speeds == nil {
-		return st.scaled(l)
+		return tree.Scaled(l, st.burden)
 	}
 	sp := st.speeds[cpu%len(st.speeds)]
 	return clock.Cycles(float64(l)*st.burden/sp + 0.5)
@@ -551,7 +540,7 @@ func emulateNested(st *state, sec *tree.Node, start clock.Cycles, homeCPU, p int
 	if len(tasks) == 0 {
 		return 0
 	}
-	begin := start + st.ov.ForkPerThread*clock.Cycles(minInt(p, len(tasks))-1)
+	begin := start + st.ov.ForkPerThread*clock.Cycles(min(p, len(tasks))-1)
 	var finish clock.Cycles
 	var nw worker
 	for j, tr := range tasks {
@@ -570,11 +559,4 @@ func emulateNested(st *state, sec *tree.Node, start clock.Cycles, homeCPU, p int
 		}
 	}
 	return finish - start + st.ov.JoinBarrier
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

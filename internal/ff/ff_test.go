@@ -323,7 +323,7 @@ func TestSpeedsHeterogeneous(t *testing.T) {
 	base := mustTime(t, emu(2, omprt.SchedStatic1), root)
 
 	// Speeds of all ones must not change anything even though the scaled
-	// path runs (division by 1 then +0.5 rounding matches st.scaled).
+	// path runs (division by 1 then +0.5 rounding matches tree.Scaled).
 	ones := &Emulator{Threads: 2, Sched: omprt.SchedStatic1, Speeds: []float64{1, 1}}
 	if got := mustTime(t, ones, root); got != base {
 		t.Errorf("unit speeds predicted %d, want %d (legacy)", got, base)

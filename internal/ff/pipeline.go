@@ -17,32 +17,22 @@ import (
 //	stage s-1 of iteration i   (data flows through the iteration), and
 //	stage s   of iteration i-1 (each stage processes iterations in order).
 //
-// Stages are bound to workers round-robin (stage s -> worker s mod nt),
-// the standard decoupled-software-pipelining assignment, so a stage also
-// waits for its worker's previous work. L stages additionally serialize on
-// their lock.
+// Stages are fused into contiguous groups balanced by stage weight, one
+// worker per group (pipesim.PartitionStages, the decoupled-software-
+// pipelining assignment), so a stage also waits for its worker's previous
+// work. L stages additionally serialize on their lock.
 
 // emulatePipeline fast-forwards one pipeline section starting at start on
-// p CPUs and returns its duration including fork/join overhead. Stages
-// are fused into contiguous, weight-balanced groups, one worker per group
-// (pipesim.PartitionStages), so the FF and the machine execution model the
-// same assignment.
+// p CPUs and returns its duration including fork/join overhead. The FF
+// and the machine execution share the stage plan, so they model the same
+// assignment.
 func emulatePipeline(st *state, sec *tree.Node, start clock.Cycles, p int) clock.Cycles {
 	runs := pipesim.IterRuns(sec)
-	if len(runs) == 0 {
+	groups, nt := pipesim.PartitionStages(sec, p)
+	if len(runs) == 0 || nt == 0 {
 		return 0
 	}
-	groups := pipesim.PartitionStages(sec, p)
 	depth := len(groups)
-	if depth == 0 {
-		return 0
-	}
-	nt := 0
-	for _, g := range groups {
-		if g+1 > nt {
-			nt = g + 1
-		}
-	}
 	begin := start + st.ov.ForkPerThread*clock.Cycles(nt-1) + st.ov.WorkerInit
 
 	workerTime := make([]clock.Cycles, nt)

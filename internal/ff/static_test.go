@@ -58,7 +58,7 @@ var equivScheds = []omprt.Sched{
 	{Kind: omprt.Guided},
 }
 
-// newTestState is a state as emulateTopSectionCtx prepares it.
+// newTestState is a state as emulateTopSection prepares it.
 func newTestState(p int, burden float64, speeds []float64, ov omprt.Overheads, sched omprt.Sched) *state {
 	st := &state{}
 	st.init(p, burden, speeds, ov, sched, nil, nil)

@@ -214,6 +214,26 @@ func TestHostSynthesizerCanceledMidRun(t *testing.T) {
 	}
 }
 
+// TestHostSynthesizerMeasuresSharedSectionOnce: a section node that occurs
+// twice (compression shares identical sections) is measured once per
+// estimate and its time reused, so the estimate polls ctx once and counts
+// the section twice.
+func TestHostSynthesizerMeasuresSharedSectionOnce(t *testing.T) {
+	per := clock.FromSeconds(0.001, clock.DefaultHz)
+	sec := tree.NewSec("a", tree.NewTask("t", tree.NewU(per)))
+	s := &HostSynthesizer{Threads: 2}
+	ctx := &cancelAfterPolls{Context: context.Background(), n: 1}
+	twice, err := s.PredictTimeCtx(ctx, tree.NewRoot(sec, sec))
+	if err != nil {
+		t.Fatalf("shared section polled more than once: %v", err)
+	}
+	// One measured time counted twice is even, and at least twice the
+	// 1 ms delay.
+	if twice%2 != 0 || twice < 2*per {
+		t.Errorf("shared section: %d cycles, want one measured time (≥ %d) counted twice", twice, per)
+	}
+}
+
 func TestHostSynthesizerLocksExclusive(t *testing.T) {
 	// Mutual exclusion through the emulated L nodes: run a section whose
 	// tasks all hold lock 1 and assert no overlap via a guarded counter.

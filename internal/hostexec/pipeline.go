@@ -17,16 +17,9 @@ import (
 // L-node locking themselves.
 func RunPipeline(sec *tree.Node, threads int, exec func(seg *tree.Node)) {
 	runs := pipesim.IterRuns(sec)
-	depth := pipesim.Depth(sec)
-	if len(runs) == 0 || depth == 0 {
+	groups, nGroups := pipesim.PartitionStages(sec, threads)
+	if len(runs) == 0 || nGroups == 0 {
 		return
-	}
-	groups := pipesim.PartitionStages(sec, threads)
-	nGroups := 0
-	for _, g := range groups {
-		if g+1 > nGroups {
-			nGroups = g + 1
-		}
 	}
 
 	// Stage-group workers chained by channels carrying each iteration's

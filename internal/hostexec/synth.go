@@ -60,64 +60,31 @@ func (s *HostSynthesizer) lock(id int) *sync.Mutex {
 	return m
 }
 
-func (s *HostSynthesizer) scaled(l clock.Cycles, burden float64) clock.Cycles {
-	if burden == 1 {
-		return l
-	}
-	return clock.Cycles(float64(l)*burden + 0.5)
-}
-
 // PredictTimeCtx measures the synthetic program on the host and returns
-// its duration in nominal cycles. ctx is polled before each top-level
-// section: a section already running on real goroutines finishes first.
+// its duration in nominal cycles (tree.Driver: each distinct section is
+// measured once). ctx is polled before each section measured: a section
+// already running on real goroutines finishes first.
 func (s *HostSynthesizer) PredictTimeCtx(ctx context.Context, root *tree.Node) (clock.Cycles, error) {
-	total := root.SerialOutsideSections()
-	for _, sec := range root.TopLevelSections() {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		total += s.EmulateTopLevelParSec(sec) * clock.Cycles(sec.Reps())
-	}
-	return total, nil
+	return s.driver().PredictTime(ctx, root)
 }
 
 // SpeedupCtx returns profiled serial time / measured synthetic time.
 func (s *HostSynthesizer) SpeedupCtx(ctx context.Context, root *tree.Node) (float64, error) {
-	pred, err := s.PredictTimeCtx(ctx, root)
-	if err != nil {
-		return 0, err
-	}
-	if pred <= 0 {
-		return 1, nil
-	}
-	return float64(root.TotalLen()) / float64(pred), nil
+	return s.driver().Speedup(ctx, root)
 }
 
-// EmulateTopLevelParSec generates and times one parallel section on the
-// host (Fig. 8's EmulTopLevelParSec with rdtsc replaced by the monotonic
-// clock).
-func (s *HostSynthesizer) EmulateTopLevelParSec(sec *tree.Node) clock.Cycles {
-	burden := 1.0
-	if s.UseBurden {
-		burden = sec.BurdenFor(s.threads())
-	}
+func (s *HostSynthesizer) driver() tree.Driver {
+	return tree.Driver{Threads: s.threads(), UseBurden: s.UseBurden, Section: s.emulateTopLevelParSec}
+}
+
+// emulateTopLevelParSec generates and times one parallel section on the
+// host with its lengths scaled by burden (Fig. 8's EmulTopLevelParSec with
+// rdtsc replaced by the monotonic clock).
+func (s *HostSynthesizer) emulateTopLevelParSec(_ context.Context, sec *tree.Node, burden float64) (clock.Cycles, error) {
 	start := time.Now()
 	switch {
 	case sec.Pipeline:
-		hz := s.hz()
-		RunPipeline(sec, s.threads(), func(seg *tree.Node) {
-			switch seg.Kind {
-			case tree.L:
-				m := s.lock(seg.LockID)
-				m.Lock()
-				FakeDelay(s.scaled(seg.Len, burden), hz)
-				m.Unlock()
-			case tree.W:
-				time.Sleep(time.Duration(float64(seg.Len) / hz * float64(time.Second)))
-			default:
-				FakeDelay(s.scaled(seg.Len, burden), hz)
-			}
-		})
+		RunPipeline(sec, s.threads(), func(seg *tree.Node) { s.leaf(seg, burden) })
 	case s.Paradigm == synth.Cilk:
 		pool := NewPool(s.threads())
 		pool.Run(func(c *Ctx) {
@@ -127,7 +94,7 @@ func (s *HostSynthesizer) EmulateTopLevelParSec(sec *tree.Node) clock.Cycles {
 		s.runSecOMP(sec, burden)
 	}
 	elapsed := time.Since(start)
-	return clock.Cycles(elapsed.Seconds() * s.hz())
+	return clock.Cycles(elapsed.Seconds() * s.hz()), nil
 }
 
 func (s *HostSynthesizer) runSecOMP(sec *tree.Node, burden float64) {
@@ -144,31 +111,37 @@ func (s *HostSynthesizer) runSecCilk(c *Ctx, sec *tree.Node, burden float64) {
 	})
 }
 
-// runTask walks a task's segments with FakeDelay computation and real
-// mutexes; nested sections recurse through the active paradigm.
+// runTask walks a task's segments; nested sections recurse through the
+// active paradigm.
 func (s *HostSynthesizer) runTask(cc *Ctx, task *tree.Node, burden float64) {
-	hz := s.hz()
 	for _, seg := range task.Children {
 		for r := 0; r < seg.Reps(); r++ {
-			switch seg.Kind {
-			case tree.U:
-				FakeDelay(s.scaled(seg.Len, burden), hz)
-			case tree.W:
-				// Real sleep: the OS thread is released, as the
-				// annotated program's I/O would release it.
-				time.Sleep(time.Duration(float64(seg.Len) / hz * float64(time.Second)))
-			case tree.L:
-				m := s.lock(seg.LockID)
-				m.Lock()
-				FakeDelay(s.scaled(seg.Len, burden), hz)
-				m.Unlock()
-			case tree.Sec:
-				if cc != nil {
-					s.runSecCilk(cc, seg, burden)
-				} else {
-					s.runSecOMP(seg, burden)
-				}
+			switch {
+			case seg.Kind != tree.Sec:
+				s.leaf(seg, burden)
+			case cc != nil:
+				s.runSecCilk(cc, seg, burden)
+			default:
+				s.runSecOMP(seg, burden)
 			}
 		}
+	}
+}
+
+// leaf runs one U, W or L segment: FakeDelay computation, a real sleep for
+// I/O (the OS thread is released, as the annotated program's I/O would
+// release it), and a real mutex around L.
+func (s *HostSynthesizer) leaf(seg *tree.Node, burden float64) {
+	hz := s.hz()
+	switch seg.Kind {
+	case tree.W:
+		time.Sleep(time.Duration(float64(seg.Len) / hz * float64(time.Second)))
+	case tree.L:
+		m := s.lock(seg.LockID)
+		m.Lock()
+		FakeDelay(tree.Scaled(seg.Len, burden), hz)
+		m.Unlock()
+	default:
+		FakeDelay(tree.Scaled(seg.Len, burden), hz)
 	}
 }

@@ -3,9 +3,10 @@
 // FF's pipeline schedule (internal/ff/pipeline.go) used by both the
 // ground-truth runner and the synthesizer.
 //
-// Scheduling follows decoupled software pipelining: stage s is bound to
-// worker s mod nt; each worker processes its stages in iteration order and
-// blocks until stage s-1 of the same iteration has completed. The
+// Scheduling follows decoupled software pipelining: stages are fused into
+// contiguous weight-balanced groups, one worker per group
+// (PartitionStages); each worker processes its stages in iteration order
+// and blocks until stage s-1 of the same iteration has completed. The
 // iteration-major order within a worker matches the FF model, so the two
 // emulators agree on the schedule and differ only in machine effects.
 package pipesim
@@ -89,12 +90,13 @@ func Depth(sec *tree.Node) int {
 // Contiguity matters: a worker owning stages {0, 2} of the same iteration
 // would serialize the whole pipeline, while fusing adjacent stages merely
 // coarsens it — the decoupled-software-pipelining assignment. The result
-// maps stage index to worker rank and is shared by the FF's pipeline
-// schedule and the machine execution, so they model the same assignment.
-func PartitionStages(sec *tree.Node, nt int) []int {
+// maps stage index to worker rank, and workers is the number of ranks it
+// uses. It is the one stage plan of the FF's pipeline schedule, the machine
+// execution and the host runtime, so they model the same assignment.
+func PartitionStages(sec *tree.Node, nt int) (groups []int, workers int) {
 	depth := Depth(sec)
 	if depth == 0 {
-		return nil
+		return nil, 0
 	}
 	if nt > depth {
 		nt = depth
@@ -162,19 +164,16 @@ func PartitionStages(sec *tree.Node, nt int) []int {
 		}
 		s = k
 	}
-	// Stages 0..s stay in group 0 (already zero-valued).
-	// Normalize: group ids must be ascending without gaps.
-	next, seen := 0, map[int]int{}
-	for i, g := range out {
-		id, ok := seen[g]
-		if !ok {
-			id = next
-			seen[g] = id
-			next++
+	// Stages 0..s stay in group 0 (already zero-valued). The ids ascend
+	// but skip empty groups: renumber them without gaps.
+	for i, prev := 0, 0; i < depth; i++ {
+		if g := out[i]; g != prev {
+			prev = g
+			workers++
 		}
-		out[i] = id
+		out[i] = workers
 	}
-	return out
+	return out, workers + 1
 }
 
 // Run executes the pipeline section on main's machine with up to threads
@@ -182,16 +181,10 @@ func PartitionStages(sec *tree.Node, nt int) []int {
 // iteration has drained through every stage (the section's barrier).
 func Run(main *sim.Thread, sec *tree.Node, threads int, exec Exec) {
 	runs := IterRuns(sec)
-	depth := Depth(sec)
+	groups, nt := PartitionStages(sec, threads)
+	depth := len(groups)
 	if len(runs) == 0 || depth == 0 {
 		return
-	}
-	groups := PartitionStages(sec, threads)
-	nt := 0
-	for _, g := range groups {
-		if g+1 > nt {
-			nt = g + 1
-		}
 	}
 
 	// stageDone[s] counts iterations whose stage s has completed; the

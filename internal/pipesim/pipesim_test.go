@@ -185,37 +185,40 @@ func TestPartitionStages(t *testing.T) {
 	// Stage weights 20/90/30 over 64 iterations, 2 workers: optimal
 	// contiguous partition is {20,90 | 30} (max 110), not {20 | 90,30}.
 	sec := pipe(64, 20, 90, 30)
-	g := PartitionStages(sec, 2)
+	g, workers := PartitionStages(sec, 2)
 	want := []int{0, 0, 1}
-	if len(g) != 3 || g[0] != want[0] || g[1] != want[1] || g[2] != want[2] {
-		t.Fatalf("partition = %v, want %v", g, want)
+	if len(g) != 3 || g[0] != want[0] || g[1] != want[1] || g[2] != want[2] || workers != 2 {
+		t.Fatalf("partition = %v over %d workers, want %v over 2", g, workers, want)
 	}
 	// One worker: all stages in group 0.
-	g1 := PartitionStages(sec, 1)
+	g1, workers := PartitionStages(sec, 1)
 	for _, v := range g1 {
-		if v != 0 {
-			t.Fatalf("single-worker partition = %v", g1)
+		if v != 0 || workers != 1 {
+			t.Fatalf("single-worker partition = %v over %d workers", g1, workers)
 		}
 	}
 	// Workers >= depth: one stage per group, ascending.
-	g4 := PartitionStages(sec, 4)
+	g4, workers := PartitionStages(sec, 4)
 	for s, v := range g4 {
-		if v != s {
-			t.Fatalf("wide partition = %v", g4)
+		if v != s || workers != 3 {
+			t.Fatalf("wide partition = %v over %d workers", g4, workers)
 		}
 	}
 	// Groups are contiguous and ascending for any worker count.
 	wide := pipe(8, 10, 20, 30, 40, 50, 60, 70)
 	for nt := 1; nt <= 9; nt++ {
-		g := PartitionStages(wide, nt)
+		g, workers := PartitionStages(wide, nt)
 		for i := 1; i < len(g); i++ {
 			if g[i] < g[i-1] || g[i] > g[i-1]+1 {
 				t.Fatalf("nt=%d: non-contiguous groups %v", nt, g)
 			}
 		}
+		if last := g[len(g)-1]; workers != last+1 || workers > nt {
+			t.Fatalf("nt=%d: groups %v counted as %d workers", nt, g, workers)
+		}
 	}
-	if PartitionStages(tree.NewSec("empty"), 2) != nil {
-		t.Fatal("empty section should partition to nil")
+	if g, workers := PartitionStages(tree.NewSec("empty"), 2); g != nil || workers != 0 {
+		t.Fatal("empty section should partition to nil over 0 workers")
 	}
 }
 

@@ -132,21 +132,13 @@ func TimeCtx(ctx context.Context, root *tree.Node, cfg Config) (clock.Cycles, er
 	return end, err
 }
 
-// SerialTime returns the baseline: the profiled serial length of the tree
-// (the paper measures speedups against the serial run the profile came
-// from).
-func SerialTime(root *tree.Node) clock.Cycles {
-	return root.TotalLen()
-}
-
-// SpeedupCtx returns SerialTime / TimeCtx for the given configuration.
+// SpeedupCtx returns the profiled serial length of the tree (the paper
+// measures speedups against the serial run the profile came from) over
+// TimeCtx, by the predictors' speedup rule (tree.Speedup).
 func SpeedupCtx(ctx context.Context, root *tree.Node, cfg Config) (float64, error) {
 	t, err := TimeCtx(ctx, root, cfg)
 	if err != nil {
 		return 0, err
 	}
-	if t <= 0 {
-		return 1, nil
-	}
-	return float64(SerialTime(root)) / float64(t), nil
+	return tree.Speedup(root.TotalLen(), t), nil
 }

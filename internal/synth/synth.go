@@ -16,6 +16,9 @@
 // OVERHEAD_ACCESS_NODE per node and OVERHEAD_RECURSIVE_CALL per nested
 // section — is charged while running and the longest per-worker total is
 // subtracted from the gross time, exactly as Fig. 8's OverheadManager does.
+//
+// The whole-program loop, with the per-estimate memo that emulates each
+// distinct top-level section once, is tree.Driver, shared with the FF.
 package synth
 
 import (
@@ -97,55 +100,23 @@ func (s *Synthesizer) threads() int {
 }
 
 // PredictTimeCtx returns the synthesized-program execution time for the
-// whole program tree: emulated top-level sections plus untouched serial
-// regions (§IV-E's overall formula). The underlying machine runs are
-// cancelable through ctx, and simulation failures (deadlock, budget,
-// internal error) return as typed errors.
-//
-// Each distinct section node is emulated once per call. Compression's
-// dictionary pass makes structurally identical sections one shared node,
-// and a section's run depends only on that node (its burden factors live
-// on it), the thread count and s's fields; every machine run starts from
-// a reset machine. So a later occurrence of the same node reuses the
-// first one's net duration, bit-identically. With a Tracer attached
-// every occurrence is emulated, so the trace shows each section.
+// whole program tree (tree.Driver). The machine runs are cancelable
+// through ctx, and simulation failures (deadlock, budget, internal error)
+// return as typed errors. Every machine run starts from a reset machine,
+// so the driver's memo is exact; with a Tracer attached every occurrence
+// is emulated, so the trace shows each section.
 func (s *Synthesizer) PredictTimeCtx(ctx context.Context, root *tree.Node) (clock.Cycles, error) {
-	total := root.SerialOutsideSections()
-	var memo map[*tree.Node]clock.Cycles
-	if s.Tracer == nil {
-		memo = make(map[*tree.Node]clock.Cycles)
-	}
-	em := s.newEmulation()
-	for _, sec := range root.TopLevelSections() {
-		d, ok := memo[sec]
-		if !ok {
-			var err error
-			if d, err = em.emulateTopLevelParSec(ctx, sec); err != nil {
-				return 0, err
-			}
-			if memo != nil {
-				memo[sec] = d
-			}
-		}
-		// A Repeat-compressed top-level section ran Reps times
-		// back-to-back in the serial program; one emulation per
-		// repeat would waste time, so multiply.
-		total += d * clock.Cycles(sec.Reps())
-	}
-	return total, nil
+	return s.driver().PredictTime(ctx, root)
 }
 
 // SpeedupCtx returns serial time / predicted time.
 func (s *Synthesizer) SpeedupCtx(ctx context.Context, root *tree.Node) (float64, error) {
-	serial := root.TotalLen()
-	pred, err := s.PredictTimeCtx(ctx, root)
-	if err != nil {
-		return 0, err
-	}
-	if pred <= 0 {
-		return 1, nil
-	}
-	return float64(serial) / float64(pred), nil
+	return s.driver().Speedup(ctx, root)
+}
+
+// driver is the whole-program loop around one estimate's generated program.
+func (s *Synthesizer) driver() tree.Driver {
+	return tree.Driver{Threads: s.threads(), UseBurden: s.UseBurden, EveryOccurrence: s.Tracer != nil, Section: s.newEmulation().emulateTopLevelParSec}
 }
 
 // emulation is the program the synthesizer generates for one estimate.
@@ -177,10 +148,10 @@ func (s *Synthesizer) newEmulation() *emulation {
 				w.Sleep(seg.Len)
 			case tree.L:
 				w.Lock(seg.LockID)
-				w.Work(scaled(seg.Len, e.burden))
+				w.Work(tree.Scaled(seg.Len, e.burden))
 				w.Unlock(seg.LockID)
 			default:
-				w.Work(scaled(seg.Len, e.burden))
+				w.Work(tree.Scaled(seg.Len, e.burden))
 			}
 		},
 		visit: func(w *sim.Thread, seg *tree.Node) {
@@ -196,14 +167,12 @@ func (s *Synthesizer) newEmulation() *emulation {
 }
 
 // emulateTopLevelParSec runs one top-level section of the generated
-// program and returns its net duration: gross minus the longest
-// per-worker traversal overhead (Fig. 8's GetLongestOverhead).
-func (e *emulation) emulateTopLevelParSec(ctx context.Context, sec *tree.Node) (clock.Cycles, error) {
+// program with its lengths scaled by burden and returns its net duration:
+// gross minus the longest per-worker traversal overhead (Fig. 8's
+// GetLongestOverhead).
+func (e *emulation) emulateTopLevelParSec(ctx context.Context, sec *tree.Node, burden float64) (clock.Cycles, error) {
 	s := e.s
-	e.burden = 1
-	if s.UseBurden {
-		e.burden = sec.BurdenFor(s.threads())
-	}
+	e.burden = burden
 	clear(e.overhead)
 	gross, _, err := sim.Run(ctx, s.Machine, sim.RunOpts{Tracer: s.Tracer, Metrics: s.Metrics}, func(main *sim.Thread) {
 		e.prog.RunSection(main, sec)
@@ -216,13 +185,6 @@ func (e *emulation) emulateTopLevelParSec(ctx context.Context, sec *tree.Node) (
 		longest = max(longest, v)
 	}
 	return max(gross-longest, 0), nil
-}
-
-func scaled(l clock.Cycles, burden float64) clock.Cycles {
-	if burden == 1 {
-		return l
-	}
-	return clock.Cycles(float64(l)*burden + 0.5)
 }
 
 func (s *Synthesizer) accessNode() clock.Cycles {

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -280,5 +281,20 @@ func TestRecursiveTreeCilk(t *testing.T) {
 	}
 	if got > 4.01 {
 		t.Fatalf("speedup %.2f exceeds core count", got)
+	}
+}
+
+// TestCanceledCtxReturnsCanceled: a context canceled before the estimate
+// starts returns context.Canceled from the first section, in both
+// paradigms.
+func TestCanceledCtxReturnsCanceled(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, p := range []Paradigm{OpenMP, Cilk} {
+		s := newSyn(4, 4)
+		s.Paradigm = p
+		if sp, err := s.SpeedupCtx(canceled, balancedLoop(8, 1000)); !errors.Is(err, context.Canceled) || sp != 0 {
+			t.Errorf("%v: SpeedupCtx = %v, %v; want 0, context.Canceled", p, sp, err)
+		}
 	}
 }

@@ -135,11 +135,13 @@ func TestCurveCtxPartialOnCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Suitability consults ctx exactly once per estimate (at entry), so a
-	// budget of one Err() call completes the first point and cancels the
-	// second.
+	// A Suitability estimate at a power-of-two thread count consults ctx
+	// twice: once at EstimateCtx's entry and once as its FF emulates the
+	// program's one top-level section (tree.Driver polls before each
+	// section). A budget of two Err() calls completes the first point and
+	// cancels the second.
 	ctx := &countdownCtx{Context: context.Background()}
-	ctx.left.Store(1)
+	ctx.left.Store(2)
 	out, err := p.CurveCtx(ctx, Request{Method: Suitability}, []int{2, 4, 8})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

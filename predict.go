@@ -150,8 +150,9 @@ func (p *Profile) threadsOf(req Request) int {
 	return p.opts.Machine.MachineSpec().Cores()
 }
 
-// EstimateCtx runs one prediction against the profile. The emulated
-// machine runs (Synthesizer) and the FF's event loop poll ctx, and
+// EstimateCtx runs one prediction against the profile. The emulators
+// poll ctx before each top-level section, and inside one the emulated
+// machine runs (Synthesizer) and the FF's event loop poll it too;
 // simulation failures — a deadlocked emulation (ErrDeadlock, with the wait
 // graph in *DeadlockError), a watchdog budget (ErrBudgetExceeded), a
 // malformed tree — return as errors instead of panicking. The returned

@@ -2,9 +2,11 @@ package prophet_test
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
 	"prophet"
+	"prophet/internal/ff"
 	"prophet/internal/obs"
 	"prophet/internal/omprt"
 	"prophet/internal/synth"
@@ -71,6 +73,59 @@ func TestSynthesizerEmulatesDistinctSectionsOnce(t *testing.T) {
 		}
 		if plain != traced {
 			t.Errorf("t=%d: speedup %v untraced vs %v traced", threads, plain, traced)
+		}
+	}
+}
+
+// pollCounter is a context that is never canceled and counts its Err
+// calls.
+type pollCounter struct {
+	context.Context
+	polls atomic.Int64
+}
+
+func (c *pollCounter) Err() error {
+	c.polls.Add(1)
+	return nil
+}
+
+// TestFFEmulatesDistinctSectionsOnce is the synthesizer test above for the
+// FF, which shares its top-level loop (tree.Driver): an untraced NPB-CG
+// estimate emulates the 3 distinct section nodes, a traced one all 80
+// occurrences, and both give the bit-identical speedup under every
+// schedule and thread count. The driver polls ctx once before each
+// section it emulates, and no NPB-CG section runs the 4096 events that
+// trigger the FF's in-section poll, so the poll count is the number of
+// sections emulated.
+func TestFFEmulatesDistinctSectionsOnce(t *testing.T) {
+	w, _ := workloads.ByName("NPB-CG")
+	prof, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{Machine: benchMachine()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sched := range []omprt.Sched{omprt.SchedStatic, omprt.SchedStatic1, omprt.SchedDynamic1, omprt.SchedGuided} {
+		for threads := 2; threads <= 12; threads++ {
+			speedup := func(tr obs.ExecTracer) (float64, int64) {
+				ctx := &pollCounter{Context: context.Background()}
+				e := &ff.Emulator{Threads: threads, Sched: sched, Ov: omprt.DefaultOverheads(), UseBurden: true, Tracer: tr}
+				sp, err := e.SpeedupCtx(ctx, prof.Tree)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sp, ctx.polls.Load()
+			}
+			plain, plainSecs := speedup(nil)
+			tr := &countTracer{}
+			traced, tracedSecs := speedup(tr)
+			if plainSecs != 3 || tracedSecs != 80 {
+				t.Errorf("%v t=%d: emulated %d sections untraced and %d traced, want 3 and 80", sched, threads, plainSecs, tracedSecs)
+			}
+			if tr.n == 0 {
+				t.Errorf("%v t=%d: tracer attached but saw no events", sched, threads)
+			}
+			if plain != traced {
+				t.Errorf("%v t=%d: speedup %v untraced vs %v traced", sched, threads, plain, traced)
+			}
 		}
 	}
 }
