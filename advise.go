@@ -63,9 +63,9 @@ type AdviseEstimator func(ctx context.Context, scope string, prof *Profile, req 
 // AdviseOptions shapes the sweep.
 type AdviseOptions struct {
 	// Threads are the CPU counts to sweep (default: the profile's
-	// ThreadCounts). The list is normalized — deduplicated, ascending —
-	// exactly like ParseCores, so an unsorted input yields the same
-	// Advice as a sorted one.
+	// ThreadCounts), normalized by NormalizeCores: an unsorted input
+	// yields the same Advice as a sorted one, and a count below 1 is an
+	// error.
 	Threads []int
 	// Method is the prediction engine. Passing nil AdviseOptions selects
 	// Synthesizer (the paper's "more realistic predictions" choice,
@@ -85,7 +85,7 @@ type AdviseOptions struct {
 	Estimator AdviseEstimator
 }
 
-func (o *AdviseOptions) withDefaults(p *Profile) AdviseOptions {
+func (o *AdviseOptions) withDefaults(p *Profile) (AdviseOptions, error) {
 	var out AdviseOptions
 	if o != nil {
 		out = *o
@@ -93,20 +93,6 @@ func (o *AdviseOptions) withDefaults(p *Profile) AdviseOptions {
 	if len(out.Threads) == 0 {
 		out.Threads = p.opts.withDefaults().ThreadCounts
 	}
-	// Normalize the axis like ParseCores: ascending, deduplicated. The
-	// largest-count lookups and the saturation walk assume a monotone
-	// curve; an unsorted -cores input used to corrupt both.
-	ts := make([]int, 0, len(out.Threads))
-	seen := make(map[int]bool, len(out.Threads))
-	for _, t := range out.Threads {
-		if t < 1 || seen[t] {
-			continue
-		}
-		seen[t] = true
-		ts = append(ts, t)
-	}
-	sort.Ints(ts)
-	out.Threads = ts
 	if out.Method == FastForward && o == nil {
 		out.Method = Synthesizer
 	}
@@ -116,7 +102,11 @@ func (o *AdviseOptions) withDefaults(p *Profile) AdviseOptions {
 	if len(out.Scheds) == 0 {
 		out.Scheds = []Sched{Static, Static1, Dynamic1}
 	}
-	return out
+	// The largest-count lookups and the saturation walk assume a
+	// monotone curve; an unsorted -cores input used to corrupt both.
+	ts, err := NormalizeCores(out.Threads)
+	out.Threads = ts
+	return out, err
 }
 
 // AdviseCtx sweeps parallelization configurations with the memory model
@@ -127,9 +117,13 @@ func (o *AdviseOptions) withDefaults(p *Profile) AdviseOptions {
 // configuration could be estimated returns the first cell error (also on
 // Advice.Err). Per-cell failures with at least one success are not an
 // error: they surface on Advice.Err and in the errored tail of
-// Sweep/Regions.
+// Sweep/Regions. Thread counts NormalizeCores rejects return its error
+// before any cell runs.
 func (p *Profile) AdviseCtx(ctx context.Context, opts *AdviseOptions) (Advice, error) {
-	o := opts.withDefaults(p)
+	o, err := opts.withDefaults(p)
+	if err != nil {
+		return Advice{Err: err}, err
+	}
 	met := p.opts.Observer.Metrics
 	met.Counter(obs.MAdviseRuns).Inc()
 	tm := met.StartTimer(obs.MAdviseLatency)
@@ -144,10 +138,6 @@ func (p *Profile) AdviseCtx(ctx context.Context, opts *AdviseOptions) (Advice, e
 	eng := sweep.Engine{Workers: o.Workers, Metrics: met}
 
 	var adv Advice
-	if len(o.Threads) == 0 {
-		adv.Err = errors.New("prophet: advise: no valid thread counts")
-		return adv, adv.Err
-	}
 	maxT := o.Threads[len(o.Threads)-1]
 	adv.TargetThreads = maxT
 

@@ -246,7 +246,7 @@ func (p *Profile) coverageOf(work Cycles) float64 {
 // regionVariant synthesizes the tree variant of one candidate on a clone
 // of the profile tree — the baseline is never touched — and wraps it in
 // a tree-only Profile sharing the calibrated model, the way
-// Profile.forMachine builds machine variants. Total work is conserved
+// Profile.forRequest builds machine variants. Total work is conserved
 // exactly: only the region's parallel structure changes, so the
 // with/without estimates answer a pure causal question.
 func (p *Profile) regionVariant(c regionCandidate, targetThreads int) (*Profile, error) {

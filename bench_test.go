@@ -62,8 +62,9 @@ func BenchmarkFig4Tree(b *testing.B) {
 
 // BenchmarkFig5FF regenerates the Fig. 5 schedule walkthrough.
 func BenchmarkFig5FF(b *testing.B) {
+	h := experiments.NewCtx(context.Background(), experiments.Config{})
 	for i := 0; i < b.N; i++ {
-		if t, err := experiments.Fig5(); err != nil || len(t.Rows) != 3 {
+		if t, err := h.Fig5(); err != nil || len(t.Rows) != 3 {
 			b.Fatalf("bad table (%v)", err)
 		}
 	}

@@ -131,7 +131,7 @@ func main() {
 		fmt.Fprintln(out, experiments.Fig4())
 	}
 	if all || *fig == "5" {
-		t, err := experiments.Fig5()
+		t, err := h.Fig5()
 		exitOn(ctx, "fig 5", err)
 		mustWrite(t, out)
 	}

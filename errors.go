@@ -59,7 +59,19 @@ var (
 	// named a spec that is already registered; specs are immutable after
 	// publication, so names can never be rebound.
 	ErrDuplicateMachineSpec = machine.ErrDuplicateSpec
+	// ErrInvalidRequest: Profile.Resolve rejected a Request, or
+	// NormalizeCores / NormalizeMachines an axis.
+	ErrInvalidRequest = errors.New("prophet: invalid request")
 )
+
+// errorFamily is the family above, for recoverToError.
+var errorFamily = []error{
+	ErrAnnotationMismatch, ErrMalformedTree, ErrDeadlock, ErrLockMisuse,
+	ErrBudgetExceeded, ErrCanceled, context.DeadlineExceeded,
+	ErrProfileCorrupt, ErrProfileEmpty, ErrProfileTooLarge,
+	ErrInvalidMachineSpec, ErrUnknownMachine, ErrDuplicateMachineSpec,
+	ErrInvalidRequest,
+}
 
 // Diagnostic error types, re-exported so callers can errors.As without
 // reaching into internal packages.
@@ -109,13 +121,7 @@ func recoverToError(errp *error) {
 
 // isProphetError reports whether err belongs to the typed family.
 func isProphetError(err error) bool {
-	for _, sentinel := range []error{
-		ErrAnnotationMismatch, ErrMalformedTree, ErrDeadlock,
-		ErrLockMisuse, ErrBudgetExceeded, context.Canceled,
-		context.DeadlineExceeded, ErrProfileCorrupt, ErrProfileEmpty,
-		ErrProfileTooLarge, ErrInvalidMachineSpec, ErrUnknownMachine,
-		ErrDuplicateMachineSpec,
-	} {
+	for _, sentinel := range errorFamily {
 		if errors.Is(err, sentinel) {
 			return true
 		}

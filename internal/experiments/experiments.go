@@ -120,14 +120,16 @@ func figure5Tree() *tree.Node {
 }
 
 // Fig5 reproduces the Fig. 5 walkthrough: three schedules on a dual-core,
-// FF-predicted makespans and speedups with zero parallel overhead.
-func Fig5() (*report.Table, error) {
+// FF-predicted makespans and speedups with zero parallel overhead. The FF
+// runs poll the harness context; the first failure is returned instead
+// of a table.
+func (h *Harness) Fig5() (*report.Table, error) {
 	root := figure5Tree()
 	t := report.NewTable("Fig. 5 — FF schedule walkthrough (3 iterations + lock, 2 cores)",
 		"schedule", "emulated cycles", "speedup", "paper")
 	paper := map[string]string{"(static,1)": "1.30", "(static)": "1.20", "(dynamic,1)": "1.58 (incl. overhead ε)"}
 	for _, sched := range []prophet.Sched{prophet.Static1, prophet.Static, prophet.Dynamic1} {
-		est, err := zeroOverheadFF(root, 2, sched)
+		est, err := zeroOverheadFF(h.ctx, root, 2, sched)
 		if err != nil {
 			return nil, err
 		}
@@ -195,9 +197,9 @@ type ffOut struct {
 	speedup float64
 }
 
-func zeroOverheadFF(root *tree.Node, threads int, sched prophet.Sched) (ffOut, error) {
+func zeroOverheadFF(ctx context.Context, root *tree.Node, threads int, sched prophet.Sched) (ffOut, error) {
 	e := &ff.Emulator{Threads: threads, Sched: sched}
-	t, err := e.PredictTimeCtx(context.Background(), root)
+	t, err := e.PredictTimeCtx(ctx, root)
 	if err != nil {
 		return ffOut{}, err
 	}

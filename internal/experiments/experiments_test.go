@@ -35,7 +35,7 @@ func TestFig4TreeDump(t *testing.T) {
 }
 
 func TestFig5PaperNumbers(t *testing.T) {
-	tb, err := Fig5()
+	tb, err := harness(Config{}).Fig5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +45,17 @@ func TestFig5PaperNumbers(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Fig5 missing makespan %s:\n%s", want, out)
 		}
+	}
+}
+
+// TestFig5Canceled: the Fig. 5 FF runs poll the harness context, so a
+// canceled harness returns the cancellation instead of a table.
+func TestFig5Canceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tb, err := NewCtx(ctx, Config{}).Fig5()
+	if !errors.Is(err, context.Canceled) || tb != nil {
+		t.Fatalf("Fig5 = %v, %v; want only context.Canceled", tb, err)
 	}
 }
 

@@ -393,13 +393,9 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, 
 // that did not already arrive routed — the consistent-hash fleet, and
 // otherwise this replica's own stack (localCell). cached reports whether
 // the LRU answered. forwarded marks a cell another replica already
-// routed here; it must be served locally (one-hop contract).
+// routed here; it must be served locally (one-hop contract). req is
+// resolved, so "threads":0 and its explicit core count share a line.
 func (s *Server) estimate(ctx context.Context, entry *workloadEntry, req prophet.Request, forwarded bool) (est prophet.Estimate, cached bool, err error) {
-	// Normalize Threads the way the library does, so "threads":0 and an
-	// explicit machine core count share a cache line.
-	if req.Threads == 0 {
-		req.Threads = defaultThreads(req)
-	}
 	key := cellKey(entry, req)
 	if est, ok := s.cached(key, req); ok {
 		return est, true, nil
@@ -473,27 +469,12 @@ func (s *Server) localEstimate(ctx context.Context, workload string, req prophet
 		err := fmt.Errorf("unknown workload %q", workload)
 		return prophet.Estimate{Request: req, Err: err}, err
 	}
-	if req.Threads == 0 {
-		req.Threads = defaultThreads(req)
-	}
 	key := cellKey(entry, req)
 	if est, ok := s.cached(key, req); ok {
 		return est, nil
 	}
 	est, _, err := s.localCell(ctx, entry, key, req)
 	return est, err
-}
-
-// defaultThreads resolves "threads":0 — the requested machine's core
-// count, falling back to the default machine for unnamed (or not yet
-// validated) machines.
-func defaultThreads(req prophet.Request) int {
-	if req.Machine != "" {
-		if spec, err := prophet.ParseMachineSpec(req.Machine); err == nil {
-			return spec.Cores()
-		}
-	}
-	return prophet.DefaultMachineSpec().Cores()
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -508,7 +489,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := validateRequest(pr.Request); err != nil {
+	req, err := resolveRequest(entry.prof, pr.Request)
+	if err != nil {
 		s.clientError(w, err)
 		return
 	}
@@ -525,7 +507,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if hook := s.testHook.Load(); hook != nil {
 		(*hook)()
 	}
-	est, cached, err := s.estimate(ctx, entry, pr.Request, isForwarded(r))
+	est, cached, err := s.estimate(ctx, entry, req, isForwarded(r))
 	if sweep.IsCancellation(err) {
 		writeError(w, http.StatusGatewayTimeout, fmt.Sprintf("prediction canceled: %v", err))
 		return
@@ -638,17 +620,9 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	cores := ar.Cores
-	if len(cores) == 0 {
-		cores = entry.threadCounts
-	}
-	cores, err := normalizeCores(cores)
+	cores, err := normalizeCores(ar.Cores, entry)
 	if err != nil {
 		s.clientError(w, err)
-		return
-	}
-	if len(cores) == 0 {
-		s.clientError(w, badRequestf("empty cores axis"))
 		return
 	}
 	// Empty method selects the advisor's documented default, Synthesizer
@@ -700,9 +674,6 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 // for the wrong tree.
 func (s *Server) adviseEstimator(entry *workloadEntry) prophet.AdviseEstimator {
 	return func(ctx context.Context, scope string, prof *prophet.Profile, req prophet.Request) (prophet.Estimate, error) {
-		if req.Threads == 0 {
-			req.Threads = defaultThreads(req)
-		}
 		if scope == "" {
 			est, _, err := s.estimate(ctx, entry, req, false)
 			if err == nil && est.Err != nil {

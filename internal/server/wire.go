@@ -1,8 +1,8 @@
 package server
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"prophet"
@@ -39,15 +39,14 @@ type sweepRequest struct {
 	Paradigms []string `json:"paradigms,omitempty"`
 	Scheds    []string `json:"scheds,omitempty"`
 	// Cores is the thread-count axis; empty defaults to the profile's
-	// calibrated thread counts. Entries are normalized (deduplicated,
-	// ascending) exactly like prophet.ParseCores.
+	// calibrated thread counts. prophet.NormalizeCores normalizes it.
 	Cores []int `json:"cores,omitempty"`
 	// MemoryModel toggles burden factors (default true: the paper's
 	// PredM series).
 	MemoryModel *bool `json:"memory_model,omitempty"`
 	// Machines is the machine-preset axis (GET /v1/machines lists the
-	// vocabulary). Empty sweeps the workload's own machine; entries are
-	// deduplicated but keep their given order, like the -machines flag.
+	// vocabulary). Empty sweeps the workload's own machine; otherwise
+	// prophet.NormalizeMachines normalizes it, like the -machines flag.
 	Machines  []string `json:"machines,omitempty"`
 	TimeoutMS int64    `json:"timeout_ms,omitempty"`
 }
@@ -61,9 +60,9 @@ type sweepRequest struct {
 // as the estimator.
 type adviseRequest struct {
 	Workload string `json:"workload"`
-	// Cores is the thread-count axis (normalized like prophet.ParseCores;
-	// empty defaults to the profile's calibrated thread counts). The
-	// region experiments run at the largest count.
+	// Cores is the thread-count axis (normalized by
+	// prophet.NormalizeCores; empty defaults to the profile's calibrated
+	// thread counts). The region experiments run at the largest count.
 	Cores []int `json:"cores,omitempty"`
 	// Method is the prediction engine (prophet.ParseMethod vocabulary).
 	// Empty selects the advisor's default, Synthesizer — the same default
@@ -161,29 +160,29 @@ func badRequestf(format string, args ...any) error {
 	return &badRequestError{msg: fmt.Sprintf(format, args...)}
 }
 
-// validateRequest sanity-checks one prediction request before it reaches
-// the emulators: negative thread counts and absurd oversubscription are
-// client errors, not simulation inputs.
-func validateRequest(req prophet.Request) error {
-	if req.Threads < 0 {
-		return badRequestf("threads must be >= 0 (0 selects the machine core count), got %d", req.Threads)
+// resolveRequest resolves req with prophet.Profile.Resolve and adds the
+// server's own thread limit. Every failure is a 400.
+func resolveRequest(prof *prophet.Profile, req prophet.Request) (prophet.Request, error) {
+	req, err := prof.Resolve(req)
+	if err != nil {
+		return req, libraryError(err)
 	}
 	if req.Threads > maxThreads {
-		return badRequestf("threads %d exceeds the limit %d", req.Threads, maxThreads)
+		return req, badRequestf("threads %d exceeds the limit %d", req.Threads, maxThreads)
 	}
-	if req.Sched.Chunk < 0 {
-		return badRequestf("schedule chunk must be >= 0, got %d", req.Sched.Chunk)
-	}
-	if req.Machine != "" {
-		if _, err := prophet.ParseMachineSpec(req.Machine); err != nil {
-			return badRequestf("%v (GET /v1/machines lists them)", err)
-		}
-	}
-	return nil
+	return req, nil
 }
 
-// normalizeMachines validates and deduplicates a machines axis,
-// preserving the given order. Empty means "the workload's own machine",
+// libraryError is the 400 of a library rejection.
+func libraryError(err error) error {
+	if errors.Is(err, prophet.ErrUnknownMachine) {
+		return badRequestf("%v (GET /v1/machines lists them)", err)
+	}
+	return badRequestf("%v", err)
+}
+
+// normalizeMachines bounds a machines axis and normalizes it with
+// prophet.NormalizeMachines. Empty means "the workload's own machine",
 // represented as the single empty name.
 func normalizeMachines(machines []string) ([]string, error) {
 	if len(machines) == 0 {
@@ -192,45 +191,52 @@ func normalizeMachines(machines []string) ([]string, error) {
 	if len(machines) > maxAxisLen {
 		return nil, badRequestf("machines axis has %d entries, limit %d", len(machines), maxAxisLen)
 	}
-	seen := make(map[string]bool, len(machines))
-	out := make([]string, 0, len(machines))
-	for _, m := range machines {
-		spec, err := prophet.ParseMachineSpec(strings.TrimSpace(m))
-		if err != nil {
-			return nil, badRequestf("%v (GET /v1/machines lists them)", err)
-		}
-		if seen[spec.Name] {
-			continue
-		}
-		seen[spec.Name] = true
-		out = append(out, spec.Name)
+	specs, err := prophet.NormalizeMachines(machines)
+	if err != nil {
+		return nil, libraryError(err)
+	}
+	out := make([]string, len(specs))
+	for i, spec := range specs {
+		out[i] = spec.Name
 	}
 	return out, nil
 }
 
-// normalizeCores validates and normalizes a cores axis: every entry a
-// positive integer, duplicates collapsed, ascending order (the same
-// normalization prophet.ParseCores applies to its text form).
-func normalizeCores(cores []int) ([]int, error) {
+// normalizeCores bounds a cores axis and normalizes it with
+// prophet.NormalizeCores. Empty means the workload's calibrated counts.
+func normalizeCores(cores []int, entry *workloadEntry) ([]int, error) {
+	if len(cores) == 0 {
+		cores = entry.threadCounts
+	}
 	if len(cores) > maxAxisLen {
 		return nil, badRequestf("cores axis has %d entries, limit %d", len(cores), maxAxisLen)
 	}
-	seen := make(map[int]bool, len(cores))
-	out := make([]int, 0, len(cores))
-	for _, c := range cores {
-		if c < 1 {
-			return nil, badRequestf("bad core count %d (must be a positive integer)", c)
-		}
-		if c > maxThreads {
-			return nil, badRequestf("core count %d exceeds the limit %d", c, maxThreads)
-		}
-		if seen[c] {
-			continue
-		}
-		seen[c] = true
-		out = append(out, c)
+	out, err := prophet.NormalizeCores(cores)
+	if err != nil {
+		return nil, libraryError(err)
 	}
-	sort.Ints(out)
+	if c := out[len(out)-1]; c > maxThreads {
+		return nil, badRequestf("core count %d exceeds the limit %d", c, maxThreads)
+	}
+	return out, nil
+}
+
+// parseAxis bounds a text axis and parses each entry with the library's
+// parse. Empty means the single entry def.
+func parseAxis[T any](vals []string, def string, parse func(string) (T, error)) ([]T, error) {
+	if len(vals) == 0 {
+		vals = []string{def}
+	}
+	if len(vals) > maxAxisLen {
+		return nil, badRequestf("axis longer than the limit %d", maxAxisLen)
+	}
+	out := make([]T, len(vals))
+	for i, v := range vals {
+		var err error
+		if out[i], err = parse(strings.TrimSpace(v)); err != nil {
+			return nil, badRequestf("%v", err)
+		}
+	}
 	return out, nil
 }
 
@@ -241,60 +247,25 @@ func expandGrid(sr sweepRequest, entry *workloadEntry) ([]prophet.Request, error
 	if err != nil {
 		return nil, err
 	}
-	methods := sr.Methods
-	if len(methods) == 0 {
-		methods = []string{"ff"}
-	}
-	paradigms := sr.Paradigms
-	if len(paradigms) == 0 {
-		paradigms = []string{entry.paradigm.String()}
-	}
-	scheds := sr.Scheds
-	if len(scheds) == 0 {
-		scheds = []string{entry.sched.String()}
-	}
-	if len(methods) > maxAxisLen || len(paradigms) > maxAxisLen || len(scheds) > maxAxisLen {
-		return nil, badRequestf("axis longer than the limit %d", maxAxisLen)
-	}
-	cores := sr.Cores
-	if len(cores) == 0 {
-		cores = entry.threadCounts
-	}
-	cores, err = normalizeCores(cores)
+	ms, err := parseAxis(sr.Methods, "ff", prophet.ParseMethod)
 	if err != nil {
 		return nil, err
 	}
-	if len(cores) == 0 {
-		return nil, badRequestf("empty cores axis")
+	ps, err := parseAxis(sr.Paradigms, entry.paradigm.String(), prophet.ParseParadigm)
+	if err != nil {
+		return nil, err
+	}
+	ss, err := parseAxis(sr.Scheds, entry.sched.String(), prophet.ParseSched)
+	if err != nil {
+		return nil, err
+	}
+	cores, err := normalizeCores(sr.Cores, entry)
+	if err != nil {
+		return nil, err
 	}
 	useMem := true
 	if sr.MemoryModel != nil {
 		useMem = *sr.MemoryModel
-	}
-
-	ms := make([]prophet.Method, 0, len(methods))
-	for _, m := range methods {
-		parsed, err := prophet.ParseMethod(strings.TrimSpace(m))
-		if err != nil {
-			return nil, badRequestf("%v", err)
-		}
-		ms = append(ms, parsed)
-	}
-	ps := make([]prophet.Paradigm, 0, len(paradigms))
-	for _, p := range paradigms {
-		parsed, err := prophet.ParseParadigm(strings.TrimSpace(p))
-		if err != nil {
-			return nil, badRequestf("%v", err)
-		}
-		ps = append(ps, parsed)
-	}
-	ss := make([]prophet.Sched, 0, len(scheds))
-	for _, s := range scheds {
-		parsed, err := prophet.ParseSched(strings.TrimSpace(s))
-		if err != nil {
-			return nil, badRequestf("%v", err)
-		}
-		ss = append(ss, parsed)
 	}
 
 	n := len(machines) * len(ms) * len(ps) * len(ss) * len(cores)
@@ -307,11 +278,7 @@ func expandGrid(sr sweepRequest, entry *workloadEntry) ([]prophet.Request, error
 			for _, p := range ps {
 				for _, sc := range ss {
 					for _, c := range cores {
-						req := prophet.Request{Method: m, Threads: c, Paradigm: p, Sched: sc, MemoryModel: useMem, Machine: mach}
-						if err := validateRequest(req); err != nil {
-							return nil, err
-						}
-						grid = append(grid, req)
+						grid = append(grid, prophet.Request{Method: m, Threads: c, Paradigm: p, Sched: sc, MemoryModel: useMem, Machine: mach})
 					}
 				}
 			}

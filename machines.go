@@ -2,6 +2,7 @@ package prophet
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"prophet/internal/machine"
@@ -65,26 +66,33 @@ func MachineNames() []string { return machine.Names() }
 func MachinePresets() []*MachineSpec { return machine.Presets() }
 
 // ParseMachines parses a comma-separated list of machine preset names —
-// the -machines flag grammar, e.g. "westmere12,embedded4+4". Whitespace
-// around entries is allowed and duplicates collapse to the first
-// occurrence, but unlike ParseCores the given order is kept: it is the
-// column order of the resulting prediction matrix.
+// the -machines flag grammar, e.g. "westmere12,embedded4+4" — and
+// normalizes it with NormalizeMachines.
 func ParseMachines(s string) ([]*MachineSpec, error) {
 	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("prophet: empty machine list")
+		return NormalizeMachines(nil)
 	}
-	seen := make(map[string]bool)
+	return NormalizeMachines(strings.Split(s, ","))
+}
+
+// NormalizeMachines is the one normalization of a machine axis: each name
+// (spaces around it allowed) resolves to its spec, and duplicates
+// collapse to the first occurrence in the given order, the column order
+// of a prediction matrix. An empty axis wraps ErrInvalidRequest, an
+// unknown name ErrUnknownMachine.
+func NormalizeMachines(names []string) ([]*MachineSpec, error) {
+	if len(names) == 0 {
+		return nil, fmt.Errorf("%w: empty machine list", ErrInvalidRequest)
+	}
 	var out []*MachineSpec
-	for _, part := range strings.Split(s, ",") {
-		spec, err := machine.ParseSpec(strings.TrimSpace(part))
+	for _, name := range names {
+		spec, err := machine.ParseSpec(strings.TrimSpace(name))
 		if err != nil {
 			return nil, err
 		}
-		if seen[spec.Name] {
-			continue
+		if !slices.Contains(out, spec) {
+			out = append(out, spec)
 		}
-		seen[spec.Name] = true
-		out = append(out, spec)
 	}
 	return out, nil
 }

@@ -2,7 +2,7 @@ package prophet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -65,28 +65,35 @@ func ParseSched(s string) (Sched, error) {
 }
 
 // ParseCores parses a comma-separated list of CPU counts, e.g.
-// "2,4,6,8,10,12" (spaces around entries are allowed). Every entry must
-// be a positive integer. The result is normalized: duplicates collapse
-// to one entry and the counts come back sorted ascending, so "4,4,2"
-// parses to [2 4] — sweeps built from the list visit each core count
-// exactly once, in curve order.
+// "2,4,6,8,10,12" (spaces around entries allowed), normalized by
+// NormalizeCores: "4,4,2" parses to [2 4]. Errors wrap ErrInvalidRequest.
 func ParseCores(s string) ([]int, error) {
 	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("prophet: empty core list")
+		return NormalizeCores(nil)
 	}
-	seen := make(map[int]bool)
-	var out []int
-	for _, part := range strings.Split(s, ",") {
+	parts := strings.Split(s, ",")
+	cores := make([]int, len(parts))
+	for i, part := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("prophet: bad core count %q", part)
+		if err != nil {
+			return nil, fmt.Errorf("%w: bad core count %q", ErrInvalidRequest, part)
 		}
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		out = append(out, v)
+		cores[i] = v
 	}
-	sort.Ints(out)
-	return out, nil
+	return NormalizeCores(cores)
+}
+
+// NormalizeCores is the one normalization of a core-count axis: a copy,
+// deduplicated and ascending, so a sweep visits each count once in curve
+// order. An empty axis or a count below 1 wraps ErrInvalidRequest.
+func NormalizeCores(cores []int) ([]int, error) {
+	if len(cores) == 0 {
+		return nil, fmt.Errorf("%w: empty core list", ErrInvalidRequest)
+	}
+	out := slices.Clone(cores)
+	slices.Sort(out)
+	if out[0] < 1 {
+		return nil, fmt.Errorf("%w: bad core count %d (must be a positive integer)", ErrInvalidRequest, out[0])
+	}
+	return slices.Compact(out), nil
 }

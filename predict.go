@@ -11,6 +11,7 @@ import (
 	"prophet/internal/clock"
 	"prophet/internal/ff"
 	"prophet/internal/hostexec"
+	"prophet/internal/machine"
 	"prophet/internal/obs"
 	"prophet/internal/omprt"
 	"prophet/internal/realrun"
@@ -143,11 +144,46 @@ func (e *Estimate) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-func (p *Profile) threadsOf(req Request) int {
-	if req.Threads > 0 {
-		return req.Threads
+// Resolve is the one decision of what req means on p, made first by every
+// call that runs a request. An unknown Method, Paradigm or schedule kind,
+// Threads < 0 or Sched.Chunk < 0 wrap ErrInvalidRequest, an unknown
+// Machine ErrUnknownMachine; on error req comes back as given. Threads: 0
+// becomes the core count of the machine req.Machine names (the profile's
+// own when empty), read from the spec alone, so a server can resolve
+// before keying its cache. Machine keeps the caller's spelling.
+func (p *Profile) Resolve(req Request) (Request, error) {
+	req, _, err := p.resolve(req)
+	return req, err
+}
+
+// resolve is Resolve, also returning the spec of req's machine.
+func (p *Profile) resolve(req Request) (Request, *machine.Spec, error) {
+	bad := func(format string, args ...any) (Request, *machine.Spec, error) {
+		return req, nil, fmt.Errorf("%w: "+format, append([]any{ErrInvalidRequest}, args...)...)
 	}
-	return p.opts.Machine.MachineSpec().Cores()
+	switch {
+	case req.Method > CriticalPathBound:
+		return bad("unknown method %v", req.Method)
+	case req.Paradigm > Cilk:
+		return bad("unknown paradigm %d", uint8(req.Paradigm))
+	case req.Sched.Kind > omprt.Guided:
+		return bad("unknown schedule kind %d", uint8(req.Sched.Kind))
+	case req.Threads < 0:
+		return bad("threads must be >= 0 (0 selects the machine core count), got %d", req.Threads)
+	case req.Sched.Chunk < 0:
+		return bad("schedule chunk must be >= 0, got %d", req.Sched.Chunk)
+	}
+	spec := p.opts.Machine.MachineSpec()
+	if req.Machine != "" && req.Machine != spec.Name {
+		var err error
+		if spec, err = machine.ParseSpec(req.Machine); err != nil {
+			return req, nil, err
+		}
+	}
+	if req.Threads == 0 {
+		req.Threads = spec.Cores()
+	}
+	return req, spec, nil
 }
 
 // EstimateCtx runs one prediction against the profile. The emulators
@@ -159,7 +195,7 @@ func (p *Profile) threadsOf(req Request) int {
 // Estimate carries the same error in its Err field.
 //
 // EstimateCtx polls ctx once, then runs Lookup and the emulation it
-// returns.
+// returns. A request Resolve rejects returns its error.
 func (p *Profile) EstimateCtx(ctx context.Context, req Request) (Estimate, error) {
 	if err := ctx.Err(); err != nil {
 		return Estimate{Request: req, Err: err}, err
@@ -172,7 +208,8 @@ func (p *Profile) EstimateCtx(ctx context.Context, req Request) (Estimate, error
 }
 
 // Lookup is the surrogate tier of EstimateCtx, split out so a serving
-// layer can answer from it before queueing a cell for emulation. With
+// layer can answer from it before queueing a cell for emulation. A
+// request Resolve rejects returns its error, emulate nil. With
 // Options.Surrogate armed, a confident prediction that is not shadow
 // sampled returns at once, marked SourceSurrogate, and emulate is nil.
 // Otherwise emulate computes the cell: it resolves req.Machine, runs the
@@ -188,11 +225,14 @@ func (p *Profile) Lookup(req Request) (est Estimate, emulate func(context.Contex
 		}
 	}()
 	defer recoverToError(&err)
+	if req, err = p.Resolve(req); err != nil {
+		return
+	}
 	if vp, ok := p.peekMachine(req.Machine); ok {
 		return vp.lookup(req)
 	}
 	return Estimate{}, func(ctx context.Context) (Estimate, error) {
-		vp, err := p.forMachine(ctx, req.Machine)
+		vp, _, err := p.forRequest(ctx, req)
 		if err != nil {
 			return Estimate{Request: req, Err: err}, err
 		}
@@ -204,9 +244,8 @@ func (p *Profile) Lookup(req Request) (est Estimate, emulate func(context.Contex
 	}
 }
 
-// lookup is Lookup against p, the profile req.Machine resolves to.
+// lookup is Lookup of the resolved req on its machine's profile p.
 func (p *Profile) lookup(req Request) (Estimate, func(context.Context) (Estimate, error)) {
-	req.Threads = p.threadsOf(req)
 	c := p.query(req)
 	if c.hit {
 		// The emulated wire format plus Source; emulated estimates omit
@@ -224,8 +263,8 @@ func (p *Profile) lookup(req Request) (Estimate, func(context.Context) (Estimate
 	}
 }
 
-// emulate runs req's prediction engine on p, the profile req.Machine
-// resolves to. It never consults the surrogate.
+// emulate runs the resolved req's engine on its machine's profile p. It
+// never consults the surrogate.
 func (p *Profile) emulate(ctx context.Context, req Request) (est Estimate, err error) {
 	defer func() {
 		if err != nil {
@@ -233,8 +272,7 @@ func (p *Profile) emulate(ctx context.Context, req Request) (est Estimate, err e
 		}
 	}()
 	defer recoverToError(&err)
-	t := p.threadsOf(req)
-	req.Threads = t
+	t := req.Threads
 	tm := p.opts.Observer.Metrics.StartTimer(obs.MStageEmulate)
 	defer tm.Stop()
 	useMem := req.MemoryModel && p.Model != nil
@@ -327,10 +365,9 @@ func (p *Profile) EstimateOnHostCtx(ctx context.Context, req Request) (est Estim
 		}
 	}()
 	defer recoverToError(&err)
-	if p, err = p.forMachine(ctx, req.Machine); err != nil {
+	if p, req, err = p.forRequest(ctx, req); err != nil {
 		return Estimate{}, err
 	}
-	req.Threads = p.threadsOf(req)
 	req.Method = Synthesizer
 	if err := ctx.Err(); err != nil {
 		return Estimate{}, err
@@ -381,12 +418,12 @@ func (p *Profile) Regions() []Region {
 // error.
 func (p *Profile) RealSpeedupCtx(ctx context.Context, req Request) (s float64, err error) {
 	defer recoverToError(&err)
-	if p, err = p.forMachine(ctx, req.Machine); err != nil {
+	if p, req, err = p.forRequest(ctx, req); err != nil {
 		return 0, err
 	}
 	return realrun.SpeedupCtx(ctx, p.Tree, realrun.Config{
 		Machine:  p.opts.Machine,
-		Threads:  p.threadsOf(req),
+		Threads:  req.Threads,
 		Paradigm: req.Paradigm,
 		Sched:    req.Sched,
 		Tracer:   p.opts.Observer.Trace,
@@ -404,13 +441,13 @@ func (p *Profile) RealSpeedupCtx(ctx context.Context, req Request) (s float64, e
 // still receives every event of the run.
 func (p *Profile) TimelineCtx(ctx context.Context, req Request, width int) (gantt string, utilization map[int]float64, err error) {
 	defer recoverToError(&err)
-	if p, err = p.forMachine(ctx, req.Machine); err != nil {
+	if p, req, err = p.forRequest(ctx, req); err != nil {
 		return "", nil, err
 	}
 	buf := &obs.TraceBuffer{}
 	_, runErr := realrun.TimeCtx(ctx, p.Tree, realrun.Config{
 		Machine:  p.opts.Machine,
-		Threads:  p.threadsOf(req),
+		Threads:  req.Threads,
 		Paradigm: req.Paradigm,
 		Sched:    req.Sched,
 		Tracer:   obs.MultiTracer{buf, p.opts.Observer.Trace},

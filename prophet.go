@@ -32,7 +32,6 @@ import (
 	"prophet/internal/clock"
 	"prophet/internal/compress"
 	"prophet/internal/counters"
-	"prophet/internal/machine"
 	"prophet/internal/memmodel"
 	"prophet/internal/obs"
 	"prophet/internal/sim"
@@ -140,21 +139,18 @@ type Profile struct {
 // MachineName returns the name of the profile's target machine spec.
 func (p *Profile) MachineName() string { return p.opts.Machine.MachineSpec().Name }
 
-// forMachine resolves a Request.Machine name to the profile to estimate
-// against: the receiver itself when the name is empty or already the
-// profile's machine, otherwise a cached variant profiled for the named
-// preset. Program-backed profiles re-profile (segment lengths depend on
-// the machine's unloaded memory latency); tree-only profiles keep the
+// forRequest resolves req and returns it with the profile to run it on:
+// the receiver itself when req.Machine is empty or already the profile's
+// machine, otherwise a cached variant profiled for the named preset.
+// Program-backed profiles re-profile (segment lengths depend on the
+// machine's unloaded memory latency); tree-only profiles keep the
 // profiled lengths on a cloned tree and recalibrate burden factors only.
-func (p *Profile) forMachine(ctx context.Context, name string) (*Profile, error) {
-	if name == "" || name == p.MachineName() {
-		return p, nil
+func (p *Profile) forRequest(ctx context.Context, req Request) (*Profile, Request, error) {
+	req, spec, err := p.resolve(req)
+	if err != nil || req.Machine == "" || req.Machine == p.MachineName() {
+		return p, req, err
 	}
-	spec, err := machine.ParseSpec(name)
-	if err != nil {
-		return nil, err
-	}
-	return p.variants.Get(ctx, name, func(ctx context.Context) (*Profile, error) {
+	vp, err := p.variants.Get(ctx, req.Machine, func(ctx context.Context) (*Profile, error) {
 		vo := p.opts
 		vo.Machine.Spec = spec
 		vo.MemModel = nil // calibrate against the variant machine
@@ -163,10 +159,12 @@ func (p *Profile) forMachine(ctx context.Context, name string) (*Profile, error)
 		}
 		return ProfileTreeCtx(ctx, p.Tree.Clone(), &vo)
 	})
+	return vp, req, err
 }
 
-// peekMachine is forMachine without building: the profile name resolves
-// to when it is the receiver's own machine or an already-built variant.
+// peekMachine is forRequest without resolving or building: the profile a
+// resolved name runs on, when it is the receiver's own machine or an
+// already-built variant.
 func (p *Profile) peekMachine(name string) (*Profile, bool) {
 	if name == "" || name == p.MachineName() {
 		return p, true

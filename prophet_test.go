@@ -415,7 +415,7 @@ func TestAverageBurdensByNameOption(t *testing.T) {
 	}
 	// And so does a machine variant of that tree-backed profile, on a
 	// preset whose narrow bus burdens the hot execution.
-	vp, err := tp.forMachine(context.Background(), "embedded4+4")
+	vp, _, err := tp.forRequest(context.Background(), Request{Machine: "embedded4+4"})
 	if err != nil {
 		t.Fatal(err)
 	}

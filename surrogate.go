@@ -67,14 +67,13 @@ type surrogateCell struct {
 	shadow bool // confident but shadow sampled: pred is checked against the emulation
 }
 
-// query consults p's surrogate, if armed, for req; p is the profile
-// req.Machine resolves to.
+// query consults p's surrogate, if armed, for the resolved req on its
+// machine's profile p.
 func (p *Profile) query(req Request) surrogateCell {
 	c := surrogateCell{sg: p.opts.Surrogate}
 	if c.sg == nil {
 		return c
 	}
-	req.Threads = p.threadsOf(req)
 	c.vec = p.surrogateFeatures(req)
 	c.key = p.surrKey
 	val, ok, shadow := c.sg.Predict(c.key, c.vec)
@@ -102,15 +101,23 @@ func (c *surrogateCell) train(speedup float64) {
 // cell starts. The cells emulate on a pool of workers, but the store
 // consults and learns them in request order, so it ends exactly as
 // EstimateCtx over reqs one by one leaves it, whatever the worker count.
-// The first cell error (or the cancellation) is returned; cells already
-// seeded stay in the store.
+// A request Resolve rejects fails the seeding before any cell runs.
+// Otherwise the first cell error (or the cancellation) is returned; cells
+// already seeded stay in the store.
 func (p *Profile) SeedSurrogateCtx(ctx context.Context, reqs []Request, workers int) error {
 	if p.opts.Surrogate == nil {
 		return errors.New("prophet: SeedSurrogateCtx needs Options.Surrogate armed")
 	}
+	reqs = append([]Request(nil), reqs...)
+	for i := range reqs {
+		var err error
+		if reqs[i], err = p.Resolve(reqs[i]); err != nil {
+			return err
+		}
+	}
 	outs := sweep.RunCtx(ctx, sweep.Engine{Workers: workers, Metrics: p.opts.Observer.Metrics},
 		len(reqs), func(ctx context.Context, i int) (Estimate, error) {
-			vp, err := p.forMachine(ctx, reqs[i].Machine)
+			vp, _, err := p.forRequest(ctx, reqs[i])
 			if err != nil {
 				return Estimate{}, err
 			}
