@@ -68,9 +68,9 @@ type AdviseOptions struct {
 	// error.
 	Threads []int
 	// Method is the prediction engine. Passing nil AdviseOptions selects
-	// Synthesizer (the paper's "more realistic predictions" choice,
-	// Table III); with explicit options the zero value means
-	// FastForward, as everywhere else.
+	// the advisor's default, Synthesizer (see AdviseMethod); with
+	// explicit options the zero value means FastForward, as everywhere
+	// else, and AdviseMethod("") gives the default.
 	Method Method
 	// Paradigms to sweep (default: OpenMP and Cilk).
 	Paradigms []Paradigm
@@ -85,16 +85,29 @@ type AdviseOptions struct {
 	Estimator AdviseEstimator
 }
 
+// defaultAdviseMethod is the advisor's engine when the caller names none:
+// the synthesizer, the paper's "more realistic predictions" choice
+// (Table III).
+const defaultAdviseMethod = Synthesizer
+
+// AdviseMethod returns the engine an advise request names: the empty name
+// selects the advisor's default, Synthesizer, and any other name, with
+// surrounding space ignored, reads as ParseMethod reads it. The daemon's
+// /v1/advise and prophet -advise resolve their method here.
+func AdviseMethod(name string) (Method, error) {
+	if name == "" {
+		return defaultAdviseMethod, nil
+	}
+	return ParseMethod(strings.TrimSpace(name))
+}
+
 func (o *AdviseOptions) withDefaults(p *Profile) (AdviseOptions, error) {
-	var out AdviseOptions
+	out := AdviseOptions{Method: defaultAdviseMethod}
 	if o != nil {
 		out = *o
 	}
 	if len(out.Threads) == 0 {
 		out.Threads = p.opts.withDefaults().ThreadCounts
-	}
-	if out.Method == FastForward && o == nil {
-		out.Method = Synthesizer
 	}
 	if len(out.Paradigms) == 0 {
 		out.Paradigms = []Paradigm{OpenMP, Cilk}

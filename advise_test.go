@@ -166,6 +166,38 @@ func TestAdviseUnsortedThreads(t *testing.T) {
 	}
 }
 
+// TestAdviseMethodOwnsTheDefault: the empty name selects the advisor's
+// default, which is also what nil options run; other names read as
+// ParseMethod reads them, surrounding space ignored.
+func TestAdviseMethodOwnsTheDefault(t *testing.T) {
+	for name, want := range map[string]Method{"": Synthesizer, "ff": FastForward, " syn ": Synthesizer, "critical-path": CriticalPathBound} {
+		if got, err := AdviseMethod(name); err != nil || got != want {
+			t.Errorf("AdviseMethod(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{" ", "bogus"} {
+		if _, err := AdviseMethod(name); err == nil {
+			t.Errorf("AdviseMethod(%q) accepted", name)
+		}
+	}
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(24, 50_000), &Options{Machine: testMachine(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, _ := AdviseMethod("")
+	a, err := json.Marshal(mustAdvise(t, p, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(mustAdvise(t, p, &AdviseOptions{Method: def}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Fatalf("nil options and AdviseMethod(\"\") advise differently:\n%s\n%s", a, b)
+	}
+}
+
 // TestAdviseAllErrors is the regression for the zero-value report: when
 // every estimate fails (here: a 1-event watchdog budget), Best must stay
 // unranked, the first error must surface on Advice, and the report must

@@ -327,16 +327,19 @@ func main() {
 	}
 
 	if *advise || *adviseJSON != "" {
-		// The advisor's documented default method is Synthesizer (the
-		// paper's "more realistic predictions" choice) — honour it unless
-		// the user explicitly passed -method; the flag's own default
-		// ("ff") only governs the prediction table above.
-		adviseMethod := prophet.Synthesizer
+		// Unless -method was passed, the advisor picks its own default;
+		// the flag's default ("ff") only governs the prediction table
+		// above.
+		name := ""
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "method" {
-				adviseMethod = m
+				name = *method
 			}
 		})
+		adviseMethod, err := prophet.AdviseMethod(name)
+		if err != nil {
+			fail("advise", err)
+		}
 		adv, err := prof.AdviseCtx(ctx, &prophet.AdviseOptions{Threads: cores, Method: adviseMethod})
 		if err != nil {
 			fail("advise", err)

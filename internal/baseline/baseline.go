@@ -1,8 +1,7 @@
 // Package baseline implements the comparison predictors of the paper's
 // Table I and §II:
 //
-//   - Amdahl's law and Gustafson's law, the analytical bounds;
-//   - the Karp–Flatt metric (experimentally determined serial fraction);
+//   - Amdahl's law, the analytical bound;
 //   - a Kismet-style upper bound: hierarchical critical-path analysis of
 //     the program tree, which (like Kismet) can only bound the speedup
 //     from above and cannot predict saturation;
@@ -38,29 +37,6 @@ func Amdahl(f float64, p int) float64 {
 		f = 1
 	}
 	return 1 / ((1 - f) + f/float64(p))
-}
-
-// Gustafson returns Gustafson's-law scaled speedup: (1-f) + f·p.
-func Gustafson(f float64, p int) float64 {
-	if p < 1 {
-		p = 1
-	}
-	if f < 0 {
-		f = 0
-	}
-	if f > 1 {
-		f = 1
-	}
-	return (1 - f) + f*float64(p)
-}
-
-// KarpFlatt returns the experimentally determined serial fraction e from a
-// measured speedup s on p processors: e = (1/s − 1/p) / (1 − 1/p).
-func KarpFlatt(s float64, p int) float64 {
-	if p <= 1 || s <= 0 {
-		return 1
-	}
-	return (1/s - 1/float64(p)) / (1 - 1/float64(p))
 }
 
 // ParallelFraction returns the fraction of the program tree's serial time

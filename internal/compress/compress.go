@@ -230,6 +230,3 @@ func uniqueNodes(root *tree.Node) int64 {
 	visit(root)
 	return int64(len(seen))
 }
-
-// UniqueNodes exposes the unique-node count for reports and tests.
-func UniqueNodes(root *tree.Node) int64 { return uniqueNodes(root) }

@@ -44,7 +44,7 @@ func TestCompressIdempotent(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		root := randomTree(rng, 30+rng.Intn(50), 2)
 		Compress(root, DefaultTolerance)
-		n1 := UniqueNodes(root)
+		n1 := uniqueNodes(root)
 		l1 := root.TotalLen()
 		st2 := Compress(root, DefaultTolerance)
 		if st2.NodesAfter != n1 {
@@ -157,7 +157,7 @@ func TestCloneKeepsSharing(t *testing.T) {
 		root := randomTree(rng, 30+rng.Intn(50), 2)
 		Compress(root, DefaultTolerance)
 		cp := root.Clone()
-		if got, want := UniqueNodes(cp), UniqueNodes(root); got != want {
+		if got, want := uniqueNodes(cp), uniqueNodes(root); got != want {
 			t.Fatalf("trial %d: clone has %d distinct nodes, original %d", trial, got, want)
 		}
 		if !tree.Equal(cp, root, 0) {

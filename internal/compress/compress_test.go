@@ -117,7 +117,7 @@ func TestDictionaryDisabled(t *testing.T) {
 	}
 	root := tree.NewRoot(tree.NewSec("loop", tasks...))
 	rle(root, 0)
-	if nodes := UniqueNodes(root); nodes <= 6 {
+	if nodes := uniqueNodes(root); nodes <= 6 {
 		t.Fatalf("dictionary disabled but nodes = %d", nodes)
 	}
 }
@@ -181,7 +181,7 @@ func TestCompressProperties(t *testing.T) {
 		}
 		root := tree.NewRoot(tree.NewSec("s", tasks...))
 		before := root.TotalLen()
-		nb := UniqueNodes(root)
+		nb := uniqueNodes(root)
 		st := Compress(root, DefaultTolerance)
 		if root.Validate() != nil {
 			return false

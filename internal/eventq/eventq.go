@@ -99,34 +99,41 @@ func (h *Heap[T]) Init() {
 // last Append. This is the O(n) bulk-load path.
 func (h *Heap[T]) Append(x T) { h.s = append(h.s, x) }
 
+// up and down move the displaced element once, into the hole its
+// ancestors or descendants leave, instead of swapping it level by level:
+// the same comparisons and the same final array, with half the writes.
 func (h *Heap[T]) up(i int) {
 	s := h.s
+	x := s[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s[i].Less(s[parent]) {
+		if !x.Less(s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = x
 }
 
 func (h *Heap[T]) down(i int) {
 	s := h.s
 	n := len(s)
+	x := s[i]
 	for {
 		l := 2*i + 1
 		if l >= n {
-			return
+			break
 		}
 		min := l
 		if r := l + 1; r < n && s[r].Less(s[l]) {
 			min = r
 		}
-		if !s[min].Less(s[i]) {
-			return
+		if !s[min].Less(x) {
+			break
 		}
-		s[i], s[min] = s[min], s[i]
+		s[i] = s[min]
 		i = min
 	}
+	s[i] = x
 }

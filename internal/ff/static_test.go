@@ -27,7 +27,7 @@ func randomFlatSection(rng *rand.Rand) *tree.Node {
 			}
 			seg := tree.NewU(l)
 			if rng.Intn(4) == 0 {
-				seg = tree.NewW(l)
+				seg = &tree.Node{Kind: tree.W, Len: l}
 			}
 			seg.Repeat = rng.Intn(4)
 			task.Children = append(task.Children, seg)
@@ -120,7 +120,7 @@ func TestFlatShape(t *testing.T) {
 		flat bool
 	}{
 		{tree.NewSec("empty"), 0, true},
-		{tree.NewSec("u", task(tree.NewU(1), tree.NewW(2)), task()), 2, true},
+		{tree.NewSec("u", task(tree.NewU(1), &tree.Node{Kind: tree.W, Len: 2}), task()), 2, true},
 		{tree.NewSec("lock", task(tree.NewU(1)), task(tree.NewL(1, 2))), 2, false},
 		{tree.NewSec("nested", task(tree.NewSec("in", task(tree.NewU(1))))), 1, false},
 		{pipe, 1, false},

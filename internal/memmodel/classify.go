@@ -148,10 +148,3 @@ func Classify(trend MPITrend, traffic TrafficClass) Expectation {
 	}
 	return ExpectUnknown
 }
-
-// ClassifySample classifies a serial-profile sample under the tool's
-// operating assumption (Assumption 4: the MPI trend is "similar"). This is
-// the row of Table IV the paper's predictions live in.
-func (m *Model) ClassifySample(s counters.Sample) Expectation {
-	return Classify(TrendSimilar, m.ClassifyTraffic(s))
-}

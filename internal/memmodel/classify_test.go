@@ -53,14 +53,17 @@ func TestClassifyTrafficThresholds(t *testing.T) {
 	}
 }
 
+// TestClassifySampleUsesSimilarRow classifies serial-profile samples under
+// the tool's operating assumption (Assumption 4: the MPI trend is
+// "similar"), the row of Table IV the paper's predictions live in.
 func TestClassifySampleUsesSimilarRow(t *testing.T) {
 	m := PaperModel()
 	low := counters.Sample{Instructions: 1e9, Cycles: 1e9, LLCMisses: 10}
-	if got := m.ClassifySample(low); got != ExpectScalable {
+	if got := Classify(TrendSimilar, m.ClassifyTraffic(low)); got != ExpectScalable {
 		t.Errorf("low-traffic sample -> %v, want scalable", got)
 	}
 	hot := heavyTrafficSample()
-	if got := m.ClassifySample(hot); got == ExpectScalable {
+	if got := Classify(TrendSimilar, m.ClassifyTraffic(hot)); got == ExpectScalable {
 		t.Errorf("heavy sample classified scalable")
 	}
 }

@@ -15,6 +15,9 @@ const (
 	MSimRuns        = "sim.runs"
 	MSimEvents      = "sim.events"
 	MSimPreemptions = "sim.preemptions"
+	// MSimResumes counts coroutine resumes: the times a run handed
+	// control back to a thread's code (sim.Stats.Resumes).
+	MSimResumes = "sim.resumes"
 	// MSimHeadroom is a histogram of remaining watchdog budget
 	// (MaxEvents - processed events) per run; only recorded when a
 	// MaxEvents budget is armed. A shrinking minimum warns that
@@ -151,7 +154,7 @@ const (
 // metric name outside this vocabulary.
 var allNames = []string{
 	MStageProfile, MStageCompress, MStageCalibrate, MStageEmulate,
-	MSimRuns, MSimEvents, MSimPreemptions, MSimHeadroom,
+	MSimRuns, MSimEvents, MSimPreemptions, MSimResumes, MSimHeadroom,
 	MSweepCellsOK, MSweepCellsFailed, MSweepCellsSkipped,
 	MAdviseRuns, MAdviseRegions, MAdviseAntiRecs, MAdviseLatency,
 	MCacheHits, MCacheMisses, MCacheDedups,

@@ -137,6 +137,12 @@ func (rt *Runtime) Overheads() Overheads { return rt.ov }
 // participates, and rt.Threads()-1 workers are spawned (OpenMP 2.0
 // behaviour — fresh physical threads per region, nested regions included).
 // The call returns after the implicit end-of-loop barrier.
+//
+// body may queue its steps (sim.Thread.Queue) rather than call them, and
+// the runtime queues the static path's charges too. Queued steps run
+// later in virtual time than the code that queued them, so body must
+// play the queue (w.Play, or any engine call) before it reads state that
+// other threads write.
 func (rt *Runtime) ParallelFor(t *sim.Thread, n int, sched Sched, body func(w *sim.Thread, i int)) {
 	if n <= 0 {
 		return
@@ -168,16 +174,17 @@ func (rt *Runtime) ParallelFor(t *sim.Thread, n int, sched Sched, body func(w *s
 
 // runWorker runs team member k's share of the loop. A static range costs
 // StaticDispatch; every dynamic/guided fetch costs Dispatch, the final
-// empty one included.
+// empty one included. Only the fetch is a direct call: it plays the
+// queue before the shared counter is read.
 func (rt *Runtime) runWorker(w *sim.Thread, k int, plan Plan, body func(*sim.Thread, int), next *int) {
-	w.Work(rt.ov.WorkerInit)
+	w.Queue(sim.WorkOp(rt.ov.WorkerInit))
 	if plan.Static() {
 		for j := 0; ; j++ {
 			lo, hi, ok := plan.Range(k, j)
 			if !ok {
 				return
 			}
-			w.Work(rt.ov.StaticDispatch)
+			w.Queue(sim.WorkOp(rt.ov.StaticDispatch))
 			for i := lo; i < hi; i++ {
 				body(w, i)
 			}

@@ -226,6 +226,9 @@ func Run(main *sim.Thread, sec *tree.Node, threads int, exec Exec) {
 							w.Park()
 						}
 						exec(w, run.Slots[s])
+						// The stage retires when its queued
+						// steps have played.
+						w.Play()
 						stageDone[s] = i + 1
 						wake(w)
 					}

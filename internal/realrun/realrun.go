@@ -81,33 +81,31 @@ func TimeCtx(ctx context.Context, root *tree.Node, cfg Config) (clock.Cycles, er
 		CilkOv:   cfg.cilkOv(),
 		// Replay one U/W/L leaf: measured memory traits when the
 		// profiler recorded them, otherwise the profiled length as pure
-		// compute. The body calls only inlined Thread methods, so no
-		// frame sits between the walker and the machine: in CPU
-		// profiles each such frame costs time at its return after
-		// every coroutine switch.
+		// compute. Every step is queued, so the engine plays a
+		// worker's straight-line leaves without resuming its code.
 		Leaf: func(w *sim.Thread, seg *tree.Node) {
 			if seg.Kind == tree.W {
 				// I/O wait: blocks without occupying a core.
-				w.Sleep(seg.Len)
+				w.Queue(sim.SleepOp(seg.Len))
 				return
 			}
 			locked := seg.Kind == tree.L
 			if locked {
-				w.Lock(seg.LockID)
+				w.Queue(sim.LockOp(seg.LockID))
 				if critical {
-					w.Work(ov.LockEnter)
+					w.Queue(sim.WorkOp(ov.LockEnter))
 				}
 			}
 			if seg.Mem.Instructions > 0 || seg.Mem.LLCMisses > 0 {
-				w.WorkMem(clock.Cycles(seg.Mem.Instructions), seg.Mem.LLCMisses)
+				w.Queue(sim.MemOp(clock.Cycles(seg.Mem.Instructions), seg.Mem.LLCMisses))
 			} else {
-				w.Work(seg.Len)
+				w.Queue(sim.WorkOp(seg.Len))
 			}
 			if locked {
 				if critical {
-					w.Work(ov.LockExit)
+					w.Queue(sim.WorkOp(ov.LockExit))
 				}
-				w.Unlock(seg.LockID)
+				w.Queue(sim.UnlockOp(seg.LockID))
 			}
 		},
 	}

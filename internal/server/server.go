@@ -46,7 +46,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -625,15 +624,11 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, err)
 		return
 	}
-	// Empty method selects the advisor's documented default, Synthesizer
-	// — the same default prophet -advise applies when -method is unset.
-	method := prophet.Synthesizer
-	if ar.Method != "" {
-		method, err = prophet.ParseMethod(strings.TrimSpace(ar.Method))
-		if err != nil {
-			s.clientError(w, badRequestf("%v", err))
-			return
-		}
+	// An empty method selects the advisor's default.
+	method, err := prophet.AdviseMethod(ar.Method)
+	if err != nil {
+		s.clientError(w, badRequestf("%v", err))
+		return
 	}
 	release, ok := s.admit(w)
 	if !ok {

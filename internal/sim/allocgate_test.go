@@ -100,6 +100,40 @@ func TestSimSpecStepZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestQueuedStepZeroAlloc is the same gate for queued steps: once a pooled
+// machine's thread slots have grown their queue buffers, queuing and
+// playing more steps allocates nothing, and a detached thread's buffer
+// survives into the next run.
+func TestQueuedStepZeroAlloc(t *testing.T) {
+	mc := cfg(4)
+	run := func(steps int) {
+		_, _, err := Run(context.Background(), mc, RunOpts{}, func(m *Thread) {
+			ws := make([]*Thread, 0, 8)
+			for k := 0; k < 8; k++ {
+				ws = append(ws, m.Spawn(func(w *Thread) {
+					for i := 0; i < steps; i++ {
+						w.Queue(WorkOp(5_000))
+					}
+				}))
+			}
+			for _, w := range ws {
+				m.Join(w)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run(4096) // grow every slot's queue buffer
+	}
+	small := testing.AllocsPerRun(10, func() { run(16) })
+	large := testing.AllocsPerRun(10, func() { run(4096) })
+	if large > small+64 {
+		t.Errorf("queued step path allocates: %.1f allocs at 16 steps vs %.1f at 4096 steps", small, large)
+	}
+}
+
 // spawnWork is the non-capturing body of the spawn gate's threads.
 func spawnWork(w *Thread) { w.Work(1_000) }
 
@@ -137,13 +171,14 @@ func TestRecycledCoroutinePanicIsInternalError(t *testing.T) {
 	reused := false
 	_, _, err := Run(context.Background(), cfg(2), RunOpts{}, func(m *Thread) {
 		a := m.Spawn(spawnWork)
-		co := a.co
 		m.Join(a)
+		co := a.co // bound at a's first resume
 		b := m.Spawn(func(w *Thread) {
 			w.Work(1_000)
 			panic("recycled bug")
 		})
-		reused = b.co == co
+		m.Work(1) // b starts on the other core meanwhile
+		reused = co != nil && b.co == co
 		m.Join(b)
 	})
 	if !reused {

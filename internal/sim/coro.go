@@ -10,16 +10,16 @@ import "iter"
 // direct coroutine switch each way, with no scheduler, no wakeup of an
 // idle P and no goroutine migration.
 //
-// Coroutines are recycled within a run: when a thread exits, its
-// coroutine (grown stack included) parks on the machine's idle list and
-// the next Spawn runs its thread on it. Nothing crosses runs: stopCoros
-// stops every coroutine of the run before Run returns.
+// Coroutines are recycled within a run: when a thread's code returns
+// (the thread exited, or detached with steps still queued), its coroutine
+// (grown stack included) parks on the machine's idle list and the next
+// thread to be resumed for the first time runs on it. Nothing crosses
+// runs: stopCoros stops every coroutine of the run before Run returns.
 type coro struct {
 	m *Machine
-	// t and fn are the thread the coroutine currently runs and its body;
-	// Spawn reassigns them when it recycles an idle coroutine.
-	t  *Thread
-	fn func(*Thread)
+	// t is the thread the coroutine currently runs; coroFor reassigns it
+	// when it recycles an idle coroutine.
+	t *Thread
 
 	resume func() (struct{}, bool)
 	stop   func()
@@ -28,8 +28,8 @@ type coro struct {
 	yield func(struct{}) bool
 }
 
-// coroFor binds t and f to an idle coroutine of the run, or to a new one.
-func (m *Machine) coroFor(t *Thread, f func(*Thread)) *coro {
+// coroFor binds t to an idle coroutine of the run, or to a new one.
+func (m *Machine) coroFor(t *Thread) *coro {
 	var c *coro
 	if n := len(m.idle); n > 0 {
 		c = m.idle[n-1]
@@ -40,7 +40,7 @@ func (m *Machine) coroFor(t *Thread, f func(*Thread)) *coro {
 		c.resume, c.stop = iter.Pull(c.body)
 		m.coros = append(m.coros, c)
 	}
-	c.t, c.fn = t, f
+	c.t = t
 	return c
 }
 
@@ -49,7 +49,7 @@ func (m *Machine) coroFor(t *Thread, f func(*Thread)) *coro {
 func (c *coro) body(yield func(struct{}) bool) {
 	c.yield = yield
 	for {
-		if c.m.threadBody(c.t, c.fn) {
+		if c.m.threadBody(c.t) {
 			return // unwound by stopCoros
 		}
 		c.m.idle = append(c.m.idle, c)

@@ -85,6 +85,9 @@ func TestRunMetrics(t *testing.T) {
 	if snap.Counters[obs.MSimEvents] != int64(st.Events) {
 		t.Errorf("events counter %d != stats %d", snap.Counters[obs.MSimEvents], st.Events)
 	}
+	if snap.Counters[obs.MSimResumes] != st.Resumes || st.Resumes == 0 {
+		t.Errorf("resumes counter %d, stats %d; want equal and positive", snap.Counters[obs.MSimResumes], st.Resumes)
+	}
 	h := snap.Histograms[obs.MSimHeadroom]
 	if h.Count != 1 {
 		t.Fatalf("headroom observations = %d, want 1", h.Count)

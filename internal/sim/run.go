@@ -35,8 +35,8 @@ type RunOpts struct {
 	// cost of one branch per site (see internal/obs).
 	Tracer obs.ExecTracer
 	// Metrics, when set, aggregates run-level counters (sim.runs,
-	// sim.events, sim.preemptions, watchdog headroom) into the registry
-	// when the run ends.
+	// sim.events, sim.preemptions, sim.resumes, watchdog headroom) into
+	// the registry when the run ends.
 	Metrics *obs.Registry
 	// Faults installs deterministic perturbation hooks.
 	Faults *FaultHooks

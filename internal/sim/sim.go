@@ -40,12 +40,25 @@
 // if that is itself it returns at once, otherwise it leaves the choice in
 // Machine.pending and yields to the driver, which resumes the chosen
 // thread. A handoff therefore costs two coroutine switches and never
-// enters the Go scheduler; only the driver passes through it, once every
-// yieldEvery resumes, so a long run does not hold its P against the other
-// goroutines waiting there. Exactly one coroutine or the driver runs
-// engine code at any time, and every transfer is a coroutine switch,
-// which carries the happens-before edge, so the engine state needs no
-// locks.
+// enters the Go scheduler; only advance does, once every yieldEvery
+// events, so a long run does not hold its P against the other goroutines
+// waiting there. Exactly one coroutine or the driver runs engine code at
+// any time, and every transfer is a coroutine switch, which carries the
+// happens-before edge, so the engine state needs no locks.
+//
+// # Queued steps
+//
+// A thread may queue its Work, WorkMem, Lock, Unlock and Sleep steps
+// (Thread.Queue) instead of calling them. The engine plays them itself,
+// at exactly the point where it would have resumed the thread to make the
+// next call (cont), so handle sees the same requests in the same order
+// and the run is the same; only the coroutine resumes are saved. Every
+// other Thread call plays the queue first. Code between queued steps runs
+// ahead of them in virtual time, so it must play the queue before it
+// reads state that other threads write. A thread whose code returns with
+// steps still queued detaches: its exit joins the queue and its
+// coroutine is free at once. Coroutines are bound at a thread's first
+// resume, not at Spawn, so a team whose workers only queue shares one.
 package sim
 
 import (
@@ -104,6 +117,10 @@ type Stats struct {
 	// Events counts processed simulator events (for performance
 	// ablations).
 	Events int64
+	// Resumes counts coroutine resumes: how often the engine handed
+	// control back to a thread's code. Steps a thread queued (Queue) are
+	// played by the engine without one.
+	Resumes int64
 }
 
 type tstate uint8
@@ -124,7 +141,9 @@ const (
 type Thread struct {
 	id int
 	m  *Machine
-	// co is the coroutine running the thread's code.
+	// fn is the thread's code; co is the coroutine running it, bound at
+	// the thread's first resume (see Machine.run), not at Spawn.
+	fn    func(*Thread)
 	co    *coro
 	state tstate
 	core  int // core index while running, -1 otherwise
@@ -136,6 +155,12 @@ type Thread struct {
 	sliceWork  clock.Cycles
 	sliceDur   clock.Cycles
 
+	// queue holds the steps the thread queued and the engine has not
+	// played yet, from queue[head] on. The buffer outlives the thread: a
+	// pooled machine's next thread in this slot reuses it.
+	queue []Op
+	head  int
+
 	joiners   []*Thread
 	parkToken bool
 	inPark    bool
@@ -146,9 +171,13 @@ type Thread struct {
 // ID returns the thread's creation-ordered identifier (main is 0).
 func (t *Thread) ID() int { return t.id }
 
-// Now returns the thread's current virtual time. Time is frozen while the
-// thread's code runs; it advances only across engine calls.
-func (t *Thread) Now() clock.Cycles { return t.now }
+// Now returns the thread's current virtual time, after playing its queued
+// steps. Time is frozen while the thread's code runs; it advances only
+// across engine calls.
+func (t *Thread) Now() clock.Cycles {
+	t.Play()
+	return t.now
+}
 
 // Machine returns the machine the thread runs on.
 func (t *Thread) Machine() *Machine { return t.m }
@@ -165,20 +194,43 @@ const (
 	opUnpark
 	opSleep
 	opExit
-	opPanic
 )
 
-type request struct {
-	t      *Thread
+// Op is one step a thread can queue (Thread.Queue) instead of calling the
+// engine: a WorkOp, MemOp, LockOp, UnlockOp or SleepOp. The engine plays
+// a queued step exactly as the matching Thread call would have run at
+// that point.
+type Op struct {
 	kind   opKind
+	lock   int
 	instr  float64
 	misses float64
-	lock   int
-	other  *Thread
-	fn     func(*Thread)
-	// panicVal/stack carry a recovered thread panic (opPanic).
-	panicVal any
-	stack    []byte
+}
+
+// WorkOp is the queued form of Thread.Work(c).
+func WorkOp(c clock.Cycles) Op { return Op{kind: opWork, instr: float64(c)} }
+
+// MemOp is the queued form of Thread.WorkMem(instrCycles, misses).
+func MemOp(instrCycles clock.Cycles, misses int64) Op {
+	return Op{kind: opWork, instr: float64(instrCycles), misses: float64(misses)}
+}
+
+// LockOp is the queued form of Thread.Lock(id).
+func LockOp(id int) Op { return Op{kind: opLock, lock: id} }
+
+// UnlockOp is the queued form of Thread.Unlock(id).
+func UnlockOp(id int) Op { return Op{kind: opUnlock, lock: id} }
+
+// SleepOp is the queued form of Thread.Sleep(d).
+func SleepOp(d clock.Cycles) Op { return Op{kind: opSleep, instr: float64(d)} }
+
+// request is one engine call: an Op and the thread making it, plus the
+// operands of the calls that cannot be queued.
+type request struct {
+	Op
+	t     *Thread
+	other *Thread
+	fn    func(*Thread)
 }
 
 type lockState struct {
@@ -265,8 +317,8 @@ type Machine struct {
 	// retained for reuse.
 	threads []*Thread
 	// coros holds every coroutine of the current run and idle the ones
-	// whose thread has exited, ready for the next Spawn; both are empty
-	// between runs.
+	// whose thread has exited or detached, ready for the next thread's
+	// first resume; both are empty between runs.
 	coros []*coro
 	idle  []*coro
 	// pending is the thread a parking or exiting thread chose to resume
@@ -376,31 +428,32 @@ func (m *Machine) fail(err error) {
 	}
 }
 
-// yieldEvery is how many thread resumes the driver loop makes between
-// passes through the Go scheduler (about a tenth of a millisecond of
-// engine work). Coroutine switches never enter the scheduler, so without
-// these passes a run would hold its P until the runtime preempts it after
-// 10 ms, and the goroutines waiting on that P (other cells, request
-// handlers) would start late by however long the run happens to last.
+// yieldEvery is how many engine events pass between trips through the Go
+// scheduler (about a tenth of a millisecond of engine work; a power of
+// two). Coroutine switches never enter the scheduler, so without these
+// trips a run would hold its P until the runtime preempts it after 10 ms,
+// and the goroutines waiting on that P (other cells, request handlers)
+// would start late by however long the run happens to last.
 const yieldEvery = 256
 
 // run drives the engine to completion or failure, resuming each thread the
-// engine picks, then stops every coroutine so a finished run leaks
-// nothing.
+// engine picks (binding a coroutine at its first resume), then stops
+// every coroutine so a finished run leaks nothing.
 func (m *Machine) run() (clock.Cycles, Stats, error) {
-	resumes := 0
 	for next := m.advance(); next != nil; next = m.pending {
 		m.pending = nil
 		next.now = m.now
-		next.co.resume()
-		if resumes++; resumes%yieldEvery == 0 {
-			runtime.Gosched()
+		if next.co == nil {
+			next.co = m.coroFor(next)
 		}
+		m.stats.Resumes++
+		next.co.resume()
 	}
 	m.stopCoros()
 	if m.metrics != nil {
 		m.metrics.Counter(obs.MSimRuns).Inc()
 		m.metrics.Counter(obs.MSimEvents).Add(m.stats.Events)
+		m.metrics.Counter(obs.MSimResumes).Add(m.stats.Resumes)
 		m.metrics.Counter(obs.MSimPreemptions).Add(m.stats.Preemptions)
 		if m.cfg.MaxEvents > 0 {
 			m.metrics.Histogram(obs.MSimHeadroom).Observe(m.cfg.MaxEvents - m.stats.Events)
@@ -419,23 +472,25 @@ func (m *Machine) newThread(f func(*Thread)) *Thread {
 	var t *Thread
 	if m.nextID < len(m.threads) {
 		t = m.threads[m.nextID]
-		joiners := t.joiners[:0]
-		*t = Thread{id: m.nextID, m: m, core: -1, state: stateReady}
-		t.joiners = joiners
+		joiners, queue := t.joiners[:0], t.queue[:0]
+		*t = Thread{id: m.nextID, m: m, fn: f, core: -1, state: stateReady}
+		t.joiners, t.queue = joiners, queue
 	} else {
-		t = &Thread{id: m.nextID, m: m, core: -1, state: stateReady}
+		t = &Thread{id: m.nextID, m: m, fn: f, core: -1, state: stateReady}
 		m.threads = append(m.threads, t)
 	}
 	m.nextID++
 	m.live++
-	t.co = m.coroFor(t, f)
 	return t
 }
 
 // threadBody runs one virtual thread's code on its coroutine and reports
-// whether the run unwound it. A thread that returns or panics has exited:
-// its coroutine has already picked the next thread (Machine.pending).
-func (m *Machine) threadBody(t *Thread, f func(*Thread)) (aborted bool) {
+// whether the run unwound it. When the code returns, its exit joins the
+// end of its queue and the queue plays: if a step takes the thread off
+// its core first, the thread detaches, and the engine plays the rest,
+// exit included, while the coroutine is already free for another thread.
+// Either way the coroutine has picked the next thread (Machine.pending).
+func (m *Machine) threadBody(t *Thread) (aborted bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if r == errAbortRun {
@@ -446,14 +501,42 @@ func (m *Machine) threadBody(t *Thread, f func(*Thread)) (aborted bool) {
 			// while the thread's code runs, so this coroutine holds
 			// control — report the failure as a typed error and drive
 			// the engine into its unwind directly.
-			m.handle(request{t: t, kind: opPanic, panicVal: r, stack: debug.Stack()})
+			m.crash(t, r, debug.Stack())
 			m.pending = m.advance()
 		}
 	}()
-	f(t)
-	m.handle(request{t: t, kind: opExit})
+	t.fn(t)
+	t.Queue(Op{kind: opExit})
+	m.play(t)
 	m.pending = m.advance()
 	return false
+}
+
+// play hands t's queued steps to handle in order until one takes t off
+// the run of its code — t works, blocks or exits (true) — or none is left
+// (false).
+func (m *Machine) play(t *Thread) bool {
+	for t.head < len(t.queue) {
+		op := t.queue[t.head]
+		t.head++
+		if m.handle(request{Op: op, t: t}) {
+			return true
+		}
+	}
+	t.queue, t.head = t.queue[:0], 0
+	return false
+}
+
+// cont is the one point where the engine would resume t's code (its work
+// finished, or it was placed on a core with none pending). The engine
+// plays t's queued steps itself first and returns t only once none is
+// left and t still holds its core; nil means a step took t off again. A
+// detached thread's queue ends in its exit, so cont never returns it.
+func (m *Machine) cont(t *Thread) *Thread {
+	if len(t.queue) > 0 && m.play(t) {
+		return nil
+	}
+	return t
 }
 
 // handoff is called by t's coroutine after a handled request parked,
@@ -506,10 +589,12 @@ func (m *Machine) advance() *Thread {
 			// may free the core again or wake further threads, so
 			// passes repeat until a fixpoint.
 			for i := m.assignIdx; i < len(m.cores); i++ {
-				if m.err != nil {
+				// With nothing ready the rest of the pass is idle:
+				// only starting a thread can make another ready.
+				if m.err != nil || len(m.ready) == 0 {
 					break
 				}
-				if m.cores[i].running != nil || len(m.ready) == 0 {
+				if m.cores[i].running != nil {
 					continue
 				}
 				t := m.ready[0]
@@ -547,12 +632,18 @@ func (m *Machine) advance() *Thread {
 				m.fail(&BudgetError{Time: m.now, Events: m.stats.Events, MaxEvents: m.cfg.MaxEvents, MaxTime: maxT})
 				return nil
 			}
-			// Poll the context every 4096 events: often enough to meet a
+			// Pass through the Go scheduler every yieldEvery events, and
+			// poll the context every 4096: often enough to meet a
 			// deadline, rare enough to stay off the hot path.
-			if m.stats.Events&0xfff == 0 {
-				if err := m.ctx.Err(); err != nil {
-					m.fail(fmt.Errorf("sim: run aborted at t=%d after %d events: %w", m.now, m.stats.Events, err))
-					return nil
+			if n := m.stats.Events; n&(yieldEvery-1) == 0 {
+				if n > 0 {
+					runtime.Gosched()
+				}
+				if n&0xfff == 0 {
+					if err := m.ctx.Err(); err != nil {
+						m.fail(fmt.Errorf("sim: run aborted at t=%d after %d events: %w", m.now, n, err))
+						return nil
+					}
 				}
 			}
 			e := m.events.Pop()
@@ -596,8 +687,8 @@ func (m *Machine) quantumFor(i int) clock.Cycles {
 }
 
 // startOn places thread t on core i with a fresh quantum and either starts
-// its pending work slice (nil return) or asks the caller to resume its
-// code (t returned).
+// its pending work slice (nil return) or continues t (cont): its queued
+// steps play, and t is returned when the caller must resume its code.
 func (m *Machine) startOn(i int, t *Thread) *Thread {
 	if m.tracer != nil {
 		m.tracer.Exec(obs.ExecEvent{Kind: obs.KSchedule, Time: m.now, Core: i, Thread: t.id, Lock: -1})
@@ -623,7 +714,7 @@ func (m *Machine) startOn(i int, t *Thread) *Thread {
 		m.scheduleSlice(i, overhead, 0)
 		return nil
 	}
-	return t
+	return m.cont(t)
 }
 
 // startSlice begins (or continues) the thread's current work request on
@@ -672,8 +763,9 @@ func (m *Machine) scheduleSlice(i int, overhead, work clock.Cycles) {
 }
 
 // sliceEnd handles the expiry of core i's current slice: work progress is
-// booked, and the thread either continues, is preempted, or — when t is
-// returned — must resume its code.
+// booked, and the thread either keeps working, is preempted, or has
+// finished its work and continues (cont) — when t is returned, the caller
+// must resume its code.
 func (m *Machine) sliceEnd(i int) *Thread {
 	c := &m.cores[i]
 	t := c.running
@@ -705,7 +797,7 @@ func (m *Machine) sliceEnd(i int) *Thread {
 	const eps = 0.5
 	if t.instrLeft < eps && t.missesLeft < eps {
 		t.instrLeft, t.missesLeft = 0, 0
-		return t
+		return m.cont(t)
 	}
 	if c.quantumLeft <= 0 {
 		if len(m.ready) > 0 {
@@ -844,17 +936,19 @@ func (m *Machine) handle(req request) bool {
 		m.cores[t.core].running = nil
 		return true
 
-	case opPanic:
-		// A thread function panicked: surface it as an error and stop.
-		m.fail(&InternalError{Value: req.panicVal, Stack: req.stack})
-		t.state = stateExited
-		m.live--
-		if t.core >= 0 {
-			m.cores[t.core].running = nil
-		}
-		return true
 	}
 	panic("sim: unknown request kind")
+}
+
+// crash ends thread t, whose function panicked with v: the run fails with
+// an *InternalError and stops.
+func (m *Machine) crash(t *Thread, v any, stack []byte) {
+	m.fail(&InternalError{Value: v, Stack: stack})
+	t.state = stateExited
+	m.live--
+	if t.core >= 0 {
+		m.cores[t.core].running = nil
+	}
 }
 
 // block removes t from its core and marks it blocked.

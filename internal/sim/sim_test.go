@@ -375,33 +375,43 @@ func TestRunYieldsToWaitingGoroutines(t *testing.T) {
 	// Thread handoffs are coroutine switches, which never enter the Go
 	// scheduler. On a single P, a goroutine made runnable before the run
 	// starts must still get to run while the run is in progress, not only
-	// once it returns (or once the runtime preempts it after 10 ms).
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	ran := make(chan struct{})
-	go close(ran)
-	steps := 4 * yieldEvery
-	var midRun bool
-	_, _, err := Run(context.Background(), machineCfg(1, 1_000, 0), RunOpts{}, func(th *Thread) {
-		w := th.Spawn(func(w *Thread) {
-			for i := 0; i < steps; i++ {
-				w.Work(1_000)
+	// once it returns (or once the runtime preempts it after 10 ms). The
+	// engine yields by events, so this holds also when the threads queue
+	// their steps and are hardly ever resumed.
+	for _, queued := range []bool{false, true} {
+		name := "called"
+		if queued {
+			name = "queued"
+		}
+		t.Run(name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			ran := make(chan struct{})
+			go close(ran)
+			steps := 4 * yieldEvery
+			var midRun bool
+			_, _, err := Run(context.Background(), machineCfg(1, 1_000, 0), RunOpts{}, func(th *Thread) {
+				w := th.Spawn(func(w *Thread) {
+					for i := 0; i < steps; i++ {
+						makeStep(w, WorkOp(1_000), queued)
+					}
+				})
+				for i := 0; i < steps; i++ {
+					makeStep(th, WorkOp(1_000), queued)
+				}
+				th.Join(w)
+				select {
+				case <-ran:
+					midRun = true
+				default:
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !midRun {
+				t.Fatalf("a runnable goroutine did not run during a %d-slice run on one P", 2*steps)
 			}
 		})
-		for i := 0; i < steps; i++ {
-			th.Work(1_000)
-		}
-		th.Join(w)
-		select {
-		case <-ran:
-			midRun = true
-		default:
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !midRun {
-		t.Fatalf("a runnable goroutine did not run during a %d-slice run on one P", 2*steps)
 	}
 }
 

@@ -140,25 +140,26 @@ func (s *Synthesizer) newEmulation() *emulation {
 		Sched:    s.Sched,
 		OmpOv:    s.OmpOv,
 		CilkOv:   s.CilkOv,
-		// FakeDelay for computation, a real machine mutex for L.
+		// FakeDelay for computation, a real machine mutex for L, all
+		// queued: the engine plays a worker's straight-line steps.
 		Leaf: func(w *sim.Thread, seg *tree.Node) {
 			switch seg.Kind {
 			case tree.W:
 				// I/O waits release the core: other workers run.
-				w.Sleep(seg.Len)
+				w.Queue(sim.SleepOp(seg.Len))
 			case tree.L:
-				w.Lock(seg.LockID)
-				w.Work(tree.Scaled(seg.Len, e.burden))
-				w.Unlock(seg.LockID)
+				w.Queue(sim.LockOp(seg.LockID))
+				w.Queue(sim.WorkOp(tree.Scaled(seg.Len, e.burden)))
+				w.Queue(sim.UnlockOp(seg.LockID))
 			default:
-				w.Work(tree.Scaled(seg.Len, e.burden))
+				w.Queue(sim.WorkOp(tree.Scaled(seg.Len, e.burden)))
 			}
 		},
 		visit: func(w *sim.Thread, seg *tree.Node) {
-			w.Work(access)
+			w.Queue(sim.WorkOp(access))
 			e.overhead[w.ID()] += access
 			if seg.Kind == tree.Sec {
-				w.Work(call)
+				w.Queue(sim.WorkOp(call))
 				e.overhead[w.ID()] += call
 			}
 		},

@@ -28,25 +28,35 @@ type Driver struct {
 	Section SectionFunc
 }
 
+// memoPrefix is how many distinct sections the driver memoizes before it
+// needs a hit: a map operation per section costs more than it saves on a
+// tree whose sections are all distinct (LU-OMP has 511), so a hit-free
+// prefix this long switches the memo off for the rest of the estimate.
+const memoPrefix = 32
+
 // PredictTime returns the emulated parallel time of the whole program.
 //
 // Compression's dictionary pass makes identical sections one shared node,
 // and a section's emulation depends only on that node (its burden factors
 // live on it) and the engine's configuration, so a later occurrence reuses
-// the first one's duration bit-identically. ctx is polled before each
-// section is emulated. A Repeat-compressed section ran Reps times back to
-// back, so its duration is multiplied.
+// the first one's duration bit-identically. The memo stays on only while
+// it pays: once memoPrefix sections have been emulated without a hit, the
+// rest are emulated as they come. ctx is polled before each section is
+// emulated. A Repeat-compressed section ran Reps times back to back, so
+// its duration is multiplied.
 func (d Driver) PredictTime(ctx context.Context, root *Node) (clock.Cycles, error) {
 	var memo map[*Node]clock.Cycles
 	if n := root.sectionCount(); n > 1 && !d.EveryOccurrence {
-		memo = make(map[*Node]clock.Cycles, n)
+		memo = make(map[*Node]clock.Cycles, min(n, memoPrefix))
 	}
+	hit := false
 	total := root.SerialOutsideSections()
 	for _, sec := range root.Children {
 		if sec.Kind != Sec {
 			continue
 		}
 		dur, ok := memo[sec]
+		hit = hit || ok
 		if !ok {
 			if err := ctx.Err(); err != nil {
 				return 0, fmt.Errorf("emulation aborted before section %q: %w", sec.Name, err)
@@ -59,7 +69,11 @@ func (d Driver) PredictTime(ctx context.Context, root *Node) (clock.Cycles, erro
 			if dur, err = d.Section(ctx, sec, burden); err != nil {
 				return 0, err
 			}
-			if memo != nil {
+			switch {
+			case memo == nil:
+			case !hit && len(memo) == memoPrefix:
+				memo = nil
+			default:
 				memo[sec] = dur
 			}
 		}

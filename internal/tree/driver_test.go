@@ -56,6 +56,43 @@ func TestDriverEmulatesDistinctSectionsOnce(t *testing.T) {
 	}
 }
 
+// TestDriverMemoNeedsAnEarlyHit: the memo stays on once a section repeats
+// within the first memoPrefix distinct ones, and switches off after a
+// hit-free prefix that long, so a late repeat is emulated again. The
+// estimate is the same either way.
+func TestDriverMemoNeedsAnEarlyHit(t *testing.T) {
+	distinct := func(n int) []*Node {
+		out := make([]*Node, n)
+		for i := range out {
+			out[i] = NewSec("s", NewTask("t", NewU(clock.Cycles(10+i))))
+		}
+		return out
+	}
+	secs := distinct(memoPrefix + 8)
+	for _, tc := range []struct {
+		name  string
+		order []*Node
+		runs  int
+	}{
+		// A repeat as the second section: every later repeat hits.
+		{"early hit", append([]*Node{secs[0], secs[0]}, append(secs[1:], secs...)...), len(secs)},
+		// memoPrefix+8 distinct sections, then all of them again.
+		{"hit-free prefix", append(append([]*Node{}, secs...), secs...), 2 * len(secs)},
+	} {
+		root := NewRoot(tc.order...)
+		l := &lenSection{}
+		got, err := Driver{Threads: 4, Section: l.emulate}.PredictTime(context.Background(), root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		every := &lenSection{}
+		want, _ := Driver{Threads: 4, EveryOccurrence: true, Section: every.emulate}.PredictTime(context.Background(), root)
+		if got != want || len(l.seen) != tc.runs {
+			t.Errorf("%s: %d over %d emulations, want %d over %d", tc.name, got, len(l.seen), want, tc.runs)
+		}
+	}
+}
+
 func TestDriverResolvesBurden(t *testing.T) {
 	root, _, _ := sharedRoot()
 	l := &lenSection{}

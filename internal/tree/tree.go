@@ -417,8 +417,3 @@ func NewU(len clock.Cycles) *Node {
 func NewL(lockID int, len clock.Cycles) *Node {
 	return &Node{Kind: L, Len: len, LockID: lockID}
 }
-
-// NewW returns a W (I/O wait) leaf of the given length.
-func NewW(len clock.Cycles) *Node {
-	return &Node{Kind: W, Len: len}
-}
