@@ -20,6 +20,7 @@ import (
 	"prophet/internal/ff"
 	"prophet/internal/machine"
 	"prophet/internal/memmodel"
+	"prophet/internal/obs"
 	"prophet/internal/omprt"
 	"prophet/internal/realrun"
 	"prophet/internal/sim"
@@ -400,6 +401,25 @@ func BenchmarkRealGroundTruth(b *testing.B) {
 			b.Fatal("bad speedup")
 		}
 	}
+}
+
+// BenchmarkRealLUOMP12 measures one ground-truth machine run of LU-OMP at
+// 12 threads on the default machine: ROADMAP item 9's engine-cost target
+// (≤ 50 ms per run). It also reports the run's DES events.
+func BenchmarkRealLUOMP12(b *testing.B) {
+	w, _ := workloads.ByName("LU-OMP")
+	reg := &prophet.Metrics{}
+	prof, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{Observer: prophet.Observer{Metrics: reg}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s := mustReal(b, prof, prophet.Request{Threads: 12, Sched: w.Sched}); s < 1 {
+			b.Fatal("bad speedup")
+		}
+	}
+	b.ReportMetric(float64(reg.Counter(obs.MSimEvents).Value())/float64(b.N), "events/op")
 }
 
 // BenchmarkQuantumSensitivity is the ablation for the OS time-slice

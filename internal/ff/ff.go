@@ -251,14 +251,11 @@ type worker struct {
 	pendingJoin clock.Cycles
 }
 
-// Less orders workers by pseudo-clock, rank breaking ties — a strict total
-// order, so the monomorphic heap visits workers in exactly the order the
-// container/heap implementation did.
-func (w *worker) Less(o *worker) bool {
-	if w.time != o.time {
-		return w.time < o.time
-	}
-	return w.id < o.id
+// key is the worker's place in the pseudo-clock heap: its clock, rank
+// breaking ties — a strict total order, so the heap visits workers in
+// exactly the order the container/heap implementation did.
+func (w *worker) key() eventq.Key {
+	return eventq.Key{At: int64(w.time), Seq: uint64(w.id)}
 }
 
 // sectionScratch is the pooled per-section working set: the worker array,
@@ -269,7 +266,7 @@ func (w *worker) Less(o *worker) bool {
 // thousands of sections a sweep emulates.
 type sectionScratch struct {
 	workers []worker
-	order   eventq.Heap[*worker]
+	order   eventq.Heap[int32] // indexes into workers
 	tasks   []taskRef
 	fetch   fetchState
 	times   []clock.Cycles
@@ -351,13 +348,14 @@ func emulateHeap(st *state, sec *tree.Node, start clock.Cycles, p int, wholeTask
 	h := &sc.order
 	h.Grow(nt)
 	for w := range sc.workers {
-		h.Append(&sc.workers[w])
+		h.Append(sc.workers[w].key(), int32(w))
 	}
 	h.Init()
 	var finish clock.Cycles
 	for h.Len() > 0 {
 		st.tick()
-		w := h.Peek()
+		_, wi := h.Peek()
+		w := &sc.workers[wi]
 		if w.cur == nil {
 			tr, dispatch, ok := nextTask(st, w, shared)
 			if !ok {
@@ -370,13 +368,13 @@ func emulateHeap(st *state, sec *tree.Node, start clock.Cycles, p int, wholeTask
 			w.time += dispatch
 			if wholeTasks {
 				w.time += st.flatTaskLen(tr.node, w.cpu)
-				h.FixTop()
+				h.UpdateTop(w.key())
 				continue
 			}
 			w.cur, w.segIdx, w.repIdx = tr.node, 0, 0
 		}
 		stepSegment(st, w, p)
-		h.FixTop()
+		h.UpdateTop(w.key())
 	}
 	return finish - start + st.ov.JoinBarrier
 }

@@ -238,23 +238,15 @@ type lockState struct {
 	waiters []*Thread
 }
 
+// event is the payload of a slice-end or wake event, queued at the key
+// (time, seq): the monotonic sequence number breaks ties, so pop order is
+// deterministic. It holds no pointers, so neither does the event heap.
 type event struct {
-	time clock.Cycles
-	seq  uint64
-	core int
 	gen  uint64
-	// wake, when non-nil, marks a sleep-expiry event for that thread
-	// instead of a core slice end.
-	wake *Thread
-}
-
-// Less orders events by time, with the monotonic sequence number breaking
-// ties so pop order is deterministic (eventq requires caller tie-breaks).
-func (a event) Less(b event) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	return a.seq < b.seq
+	core int32
+	// wake, when not -1, marks a sleep-expiry event for the thread in
+	// that slot of Machine.threads instead of a core slice end.
+	wake int32
 }
 
 type coreState struct {
@@ -303,8 +295,8 @@ type Machine struct {
 	now   clock.Cycles
 	ready []*Thread
 	cores []coreState
-	// events is the monomorphic min-heap of slice-end and wake events —
-	// no interface{} boxing, backing array reused across pooled runs.
+	// events is the min-heap of slice-end and wake events, keyed by
+	// (time, seq); its backing array is reused across pooled runs.
 	events eventq.Heap[event]
 	seq    uint64
 	live   int
@@ -646,24 +638,25 @@ func (m *Machine) advance() *Thread {
 					}
 				}
 			}
-			e := m.events.Pop()
+			k, e := m.events.Pop()
 			m.stats.Events++
 			m.phase = phTop
-			if e.wake != nil {
-				if e.time > m.now {
-					m.now = e.time
+			at := clock.Cycles(k.At)
+			if e.wake >= 0 {
+				if at > m.now {
+					m.now = at
 				}
-				m.makeReady(e.wake)
+				m.makeReady(m.threads[e.wake])
 				continue
 			}
 			c := &m.cores[e.core]
 			if c.gen != e.gen || c.running == nil {
 				continue // stale event from a cancelled slice
 			}
-			if e.time > m.now {
-				m.now = e.time
+			if at > m.now {
+				m.now = at
 			}
-			if next := m.sliceEnd(e.core); next != nil {
+			if next := m.sliceEnd(int(e.core)); next != nil {
 				return next
 			}
 		}
@@ -759,7 +752,7 @@ func (m *Machine) scheduleSlice(i int, overhead, work clock.Cycles) {
 	c := &m.cores[i]
 	c.gen++
 	m.seq++
-	m.events.Push(event{time: m.now + overhead + work, seq: m.seq, core: i, gen: c.gen})
+	m.events.Push(eventq.Key{At: int64(m.now + overhead + work), Seq: m.seq}, event{gen: c.gen, core: int32(i), wake: -1})
 }
 
 // sliceEnd handles the expiry of core i's current slice: work progress is
@@ -917,7 +910,7 @@ func (m *Machine) handle(req request) bool {
 		}
 		m.block(t)
 		m.seq++
-		m.events.Push(event{time: m.now + d, seq: m.seq, wake: t})
+		m.events.Push(eventq.Key{At: int64(m.now + d), Seq: m.seq}, event{wake: int32(t.id)})
 		return true
 
 	case opExit:

@@ -122,17 +122,18 @@ func (s *Synthesizer) driver() tree.Driver {
 // emulation is the program the synthesizer generates for one estimate.
 // Its Leaf and visit closures are built once and read the section being
 // emulated: its burden factor and the per-worker traversal overhead that
-// Fig. 8's OverheadManager accumulates (the engine serializes sim
-// threads, so a plain map is safe).
+// Fig. 8's OverheadManager accumulates, indexed by sim thread ID (the
+// engine serializes sim threads, so a plain slice is safe; it is cleared
+// per section and its backing array reused).
 type emulation struct {
 	s        *Synthesizer
 	prog     Program
 	burden   float64
-	overhead map[int]clock.Cycles
+	overhead []clock.Cycles
 }
 
 func (s *Synthesizer) newEmulation() *emulation {
-	e := &emulation{s: s, overhead: make(map[int]clock.Cycles)}
+	e := &emulation{s: s}
 	access, call := s.accessNode(), s.recursiveCall()
 	e.prog = Program{
 		Threads:  s.threads(),
@@ -156,12 +157,13 @@ func (s *Synthesizer) newEmulation() *emulation {
 			}
 		},
 		visit: func(w *sim.Thread, seg *tree.Node) {
+			c := access
 			w.Queue(sim.WorkOp(access))
-			e.overhead[w.ID()] += access
 			if seg.Kind == tree.Sec {
 				w.Queue(sim.WorkOp(call))
-				e.overhead[w.ID()] += call
+				c += call
 			}
+			e.charge(w.ID(), c)
 		},
 	}
 	return e
@@ -174,7 +176,7 @@ func (s *Synthesizer) newEmulation() *emulation {
 func (e *emulation) emulateTopLevelParSec(ctx context.Context, sec *tree.Node, burden float64) (clock.Cycles, error) {
 	s := e.s
 	e.burden = burden
-	clear(e.overhead)
+	e.overhead = e.overhead[:0]
 	gross, _, err := sim.Run(ctx, s.Machine, sim.RunOpts{Tracer: s.Tracer, Metrics: s.Metrics}, func(main *sim.Thread) {
 		e.prog.RunSection(main, sec)
 	})
@@ -186,6 +188,14 @@ func (e *emulation) emulateTopLevelParSec(ctx context.Context, sec *tree.Node, b
 		longest = max(longest, v)
 	}
 	return max(gross-longest, 0), nil
+}
+
+// charge adds c to thread id's traversal overhead.
+func (e *emulation) charge(id int, c clock.Cycles) {
+	for len(e.overhead) <= id {
+		e.overhead = append(e.overhead, 0)
+	}
+	e.overhead[id] += c
 }
 
 func (s *Synthesizer) accessNode() clock.Cycles {
