@@ -151,14 +151,14 @@ func (c params) StretchAt(demand float64) float64 {
 	case demand <= knee:
 		return 1
 	case demand >= b:
-		return demand / b
+		// The fluid term demand/b takes over once it passes the
+		// ramp's 1.15, so the stretch stays continuous and monotone.
+		return max(demand/b, 1.15)
 	default:
-		// Smooth ramp from 1 at the knee to 1 at saturation boundary
-		// (the fluid term takes over at demand == b where demand/b == 1,
-		// so interpolate the queueing penalty up to that point).
-		frac := (demand - knee) / (b - knee)
-		// Queueing adds up to 15% latency just below saturation,
+		// Smooth ramp from 1 at the knee to 1.15 at saturation:
+		// queueing adds up to 15% latency just below saturation,
 		// mimicking the measured soft knee of real memory systems.
+		frac := (demand - knee) / (b - knee)
 		return 1 + 0.15*frac*frac
 	}
 }
