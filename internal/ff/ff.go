@@ -26,16 +26,14 @@
 //   - OpenMP loop schedules — (static), (static,c), (dynamic,c), (guided) —
 //     so schedule-dependent speedups come out differently (Fig. 5). Tasks
 //     are assigned by omprt.Plan, the runtime's own schedule rules: a
-//     static worker walks its plan ranges, a dynamic fetch claims one
-//     chunk of c tasks per dispatch, and a guided fetch takes one task of
-//     the shrinking chunk the runtime would hand out, its dispatch
-//     amortized over that chunk;
+//     static worker walks its plan ranges, and a dynamic or guided fetch
+//     claims the whole chunk the runtime would hand out;
 //   - multiple locks with FIFO arbitration in pseudo-time order, so lock
 //     contention serializes critical sections exactly as a real mutex
 //     would for the profiled arrival order;
 //   - parallel overheads (fork/join, per-chunk dispatch, lock enter/exit)
-//     using the same constants as the OpenMP runtime in internal/omprt, the
-//     EPCC-style calibration the paper describes;
+//     with internal/omprt's EPCC-style constants (the calibration the paper
+//     describes), paid in a top-level loop exactly when ParallelFor does;
 //   - burden factors: every U/L length inside a top-level section is
 //     multiplied by the section's β_t from the memory model (§V).
 //
@@ -50,7 +48,6 @@ package ff
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"prophet/internal/clock"
@@ -358,14 +355,12 @@ func emulateHeap(st *state, sec *tree.Node, start clock.Cycles, p int, wholeTask
 		w := &sc.workers[wi]
 		if w.cur == nil {
 			tr, dispatch, ok := nextTask(st, w, shared)
+			w.time += dispatch
 			if !ok {
-				if w.time > finish {
-					finish = w.time
-				}
+				finish = max(finish, w.time)
 				h.Pop()
 				continue
 			}
-			w.time += dispatch
 			if wholeTasks {
 				w.time += st.flatTaskLen(tr.node, w.cpu)
 				h.UpdateTop(w.key())
@@ -376,7 +371,15 @@ func emulateHeap(st *state, sec *tree.Node, start clock.Cycles, p int, wholeTask
 		stepSegment(st, w, p)
 		h.UpdateTop(w.key())
 	}
-	return finish - start + st.ov.JoinBarrier
+	return finish - start + st.join(nt)
+}
+
+// join is the master's end-of-loop charge: a team of one runs inline.
+func (st *state) join(nt int) clock.Cycles {
+	if nt == 1 {
+		return 0
+	}
+	return st.ov.JoinBarrier
 }
 
 // stepSegment executes the worker's next segment and advances its cursor;
@@ -412,40 +415,27 @@ type fetchState struct {
 	next  int
 }
 
-// nextTask yields the worker's next task and its dispatch overhead. Static
-// workers walk their plan ranges and pay StaticDispatch per task. A
-// dynamic fetch claims one chunk for Dispatch, and the chunk's later tasks
-// cost nothing. A guided fetch takes one task of the chunk the runtime
-// would hand out and pays Dispatch amortized over that chunk.
-func nextTask(st *state, w *worker, shared *fetchState) (taskRef, clock.Cycles, bool) {
+// nextTask yields the worker's next task and the dispatch it pays first,
+// as omprt.runWorker charges it. A static worker pays StaticDispatch when
+// it starts a range. A dynamic or guided worker pays Dispatch before every
+// claim of a whole chunk, the final empty one included: then ok is false
+// and the dispatch is still paid.
+func nextTask(st *state, w *worker, shared *fetchState) (tr taskRef, d clock.Cycles, ok bool) {
 	plan := &shared.plan
-	var d clock.Cycles
-	switch {
-	case plan.Static():
-		if w.lo == w.hi {
-			lo, hi, ok := plan.Range(w.id, w.ranges)
-			if !ok {
+	if w.lo == w.hi {
+		if plan.Static() {
+			if w.lo, w.hi, ok = plan.Range(w.id, w.ranges); !ok {
 				return taskRef{}, 0, false
 			}
-			w.lo, w.hi, w.ranges = lo, hi, w.ranges+1
+			w.ranges++
+			d = st.ov.StaticDispatch
+		} else {
+			d = st.ov.Dispatch
+			if w.hi, ok = plan.Take(shared.next); !ok {
+				return taskRef{}, d, false
+			}
+			w.lo, shared.next = shared.next, w.hi
 		}
-		d = st.ov.StaticDispatch
-	case st.sched.Kind == omprt.Guided:
-		hi, ok := plan.Take(shared.next)
-		if !ok {
-			return taskRef{}, 0, false
-		}
-		d = clock.Cycles(math.Ceil(float64(st.ov.Dispatch) / float64(hi-shared.next)))
-		w.lo, w.hi = shared.next, shared.next+1
-		shared.next++
-	case w.lo == w.hi: // dynamic, and the last chunk is used up
-		hi, ok := plan.Take(shared.next)
-		if !ok {
-			return taskRef{}, 0, false
-		}
-		d = st.ov.Dispatch
-		w.lo, w.hi = shared.next, hi
-		shared.next = hi
 	}
 	w.lo++
 	return shared.tasks[w.lo-1], d, true

@@ -40,9 +40,9 @@ func (st *state) flatTaskLen(task *tree.Node, cpu int) clock.Cycles {
 
 // emulateStaticFlat is emulateSection for a flat section of n > 0 logical
 // tasks under (static) or (static,c), in closed form. Worker k's finish is
-// begin + WorkerInit + Σ over its tasks (StaticDispatch + task length), an
-// integer sum the heap would accumulate one segment at a time, so the
-// result is bit-identical to the heap path. The walk follows the
+// begin + WorkerInit + Ranges(k)·StaticDispatch + Σ over its tasks of the
+// task length, an integer sum the heap would accumulate one segment at a
+// time, so the result is bit-identical to the heap path. The walk follows the
 // compressed Repeat runs: a run costs one task-length evaluation (one per
 // owning worker on a heterogeneous machine) and one step per owning worker.
 func emulateStaticFlat(st *state, sec *tree.Node, start clock.Cycles, p, n int) clock.Cycles {
@@ -54,17 +54,17 @@ func emulateStaticFlat(st *state, sec *tree.Node, start clock.Cycles, p, n int) 
 		sc.times = make([]clock.Cycles, nt)
 	}
 	times := sc.times[:nt]
-	for k := range times {
-		times[k] = begin + st.ov.WorkerInit
-	}
 	plan := omprt.NewPlan(st.sched, n, nt)
+	for k := range times {
+		times[k] = begin + st.ov.WorkerInit + clock.Cycles(plan.Ranges(k))*st.ov.StaticDispatch
+	}
 	var task *tree.Node
 	var cost clock.Cycles
 	add := func(k, count int) {
 		st.tick()
 		if st.speeds != nil {
 			// Worker k runs on CPU k (nt <= p).
-			cost = st.ov.StaticDispatch + st.flatTaskLen(task, k)
+			cost = st.flatTaskLen(task, k)
 		}
 		times[k] += clock.Cycles(count) * cost
 	}
@@ -75,7 +75,7 @@ func emulateStaticFlat(st *state, sec *tree.Node, start clock.Cycles, p, n int) 
 		}
 		task = c
 		if st.speeds == nil {
-			cost = st.ov.StaticDispatch + st.flatTaskLen(c, 0)
+			cost = st.flatTaskLen(c, 0)
 		}
 		plan.EachOwner(idx, idx+c.Reps(), add)
 		idx += c.Reps()
@@ -86,5 +86,5 @@ func emulateStaticFlat(st *state, sec *tree.Node, start clock.Cycles, p, n int) 
 			finish = t
 		}
 	}
-	return finish - start + st.ov.JoinBarrier
+	return finish - start + st.join(nt)
 }

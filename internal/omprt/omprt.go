@@ -10,9 +10,9 @@
 //
 // Runtime overheads (fork, join, chunk dispatch, lock enter/exit) are paid
 // as explicit Work cycles. The default constants are in the range reported
-// by the EPCC OpenMP microbenchmarks the paper cites [6, 8]; the FF
-// emulator uses the same constants, and internal/ff's calibration test
-// cross-checks them against this runtime.
+// by the EPCC OpenMP microbenchmarks the paper cites [6, 8]. ParallelFor is
+// the one definition of when a loop pays them; the FF pays the same ones at
+// the same points, checked by internal/ff's differential test.
 package omprt
 
 import (
@@ -90,9 +90,9 @@ type Overheads struct {
 	// no shared counter).
 	StaticDispatch clock.Cycles
 	// LockEnter / LockExit are paid inside a critical section on entry
-	// and before exit. The runtime has no critical-section API: callers
-	// take the machine mutex and pay these themselves (internal/realrun,
-	// internal/ff).
+	// and before exit. The runtime has no critical-section API:
+	// synth.Program takes the machine mutex and pays these in an OpenMP
+	// team, and internal/ff pays them on every lock.
 	LockEnter, LockExit clock.Cycles
 }
 
@@ -172,10 +172,10 @@ func (rt *Runtime) ParallelFor(t *sim.Thread, n int, sched Sched, body func(w *s
 	t.Work(rt.ov.JoinBarrier)
 }
 
-// runWorker runs team member k's share of the loop. A static range costs
-// StaticDispatch; every dynamic/guided fetch costs Dispatch, the final
-// empty one included. Only the fetch is a direct call: it plays the
-// queue before the shared counter is read.
+// runWorker runs team member k's share of the loop: WorkerInit once,
+// StaticDispatch per static range, and Dispatch per dynamic/guided fetch,
+// the final empty one included. Only the fetch is a direct call: it plays
+// the queue before the shared counter is read.
 func (rt *Runtime) runWorker(w *sim.Thread, k int, plan Plan, body func(*sim.Thread, int), next *int) {
 	w.Queue(sim.WorkOp(rt.ov.WorkerInit))
 	if plan.Static() {

@@ -52,6 +52,15 @@ func (p Plan) Range(k, j int) (lo, hi int, ok bool) {
 	return 0, 0, false
 }
 
+// Ranges returns how many ranges Range yields for thread k under a static
+// schedule, in O(1) where walking Range is O(iterations).
+func (p Plan) Ranges(k int) int {
+	if p.kind == Static {
+		return min(p.n, 1) // nt <= n, so no block is empty
+	}
+	return max(p.chunks-k+p.nt-1, 0) / p.nt
+}
+
 // Take returns the end of the range a dynamic or guided fetch claims when
 // next is the first unclaimed iteration: the fetch runs [next, hi). ok is
 // false once the loop is exhausted. hi never passes n, so a shared counter

@@ -19,8 +19,8 @@ var planScheds = []Sched{
 
 // TestStaticPlanMatchesQueues checks the static plan against materialized
 // queues: thread k's ranges, in order, are the contiguous block (static)
-// or every nt-th chunk (static,c), and owner counts over any range agree
-// with them.
+// or every nt-th chunk (static,c), Ranges counts them, and owner counts
+// over any range agree with them.
 func TestStaticPlanMatchesQueues(t *testing.T) {
 	for n := 1; n <= 40; n++ {
 		for nt := 1; nt <= n && nt <= 13; nt++ {
@@ -48,7 +48,7 @@ func TestStaticPlanMatchesQueues(t *testing.T) {
 							}
 						}
 					}
-					if got := rangesOf(plan, k); !equalInts(got, queue) {
+					if got := rangesOf(t, plan, k); !equalInts(got, queue) {
 						t.Fatalf("%v n=%d nt=%d: thread %d runs %v, want %v", sched, n, nt, k, got, queue)
 					}
 					for _, i := range queue {
@@ -66,12 +66,16 @@ func TestStaticPlanMatchesQueues(t *testing.T) {
 }
 
 // rangesOf lists thread k's iterations in the order its static ranges
-// hand them out.
-func rangesOf(plan Plan, k int) []int {
+// hand them out, and checks Ranges(k) against the walk's range count.
+func rangesOf(t *testing.T, plan Plan, k int) []int {
+	t.Helper()
 	var out []int
 	for j := 0; ; j++ {
 		lo, hi, ok := plan.Range(k, j)
 		if !ok {
+			if got := plan.Ranges(k); got != j {
+				t.Fatalf("%+v: Ranges(%d) = %d, walking Range gives %d", plan, k, got, j)
+			}
 			return out
 		}
 		for i := lo; i < hi; i++ {
@@ -114,7 +118,8 @@ func checkOwnerCounts(t *testing.T, plan Plan, owner []int, a, b int) {
 
 // FuzzSchedulePlan checks the plan of every schedule kind against a
 // brute-force definition, for chunks up to 1<<62: each static iteration
-// has the owner the OpenMP rule names, each dynamic/guided fetch claims
+// has the owner the OpenMP rule names, Ranges counts each static thread's
+// ranges as walking Range does, each dynamic/guided fetch claims
 // the chunk the rule names, and the simulated runtime runs every
 // iteration exactly once.
 func FuzzSchedulePlan(f *testing.F) {
@@ -159,7 +164,7 @@ func FuzzSchedulePlan(f *testing.F) {
 						want = append(want, i)
 					}
 				}
-				if got := rangesOf(plan, k); !equalInts(got, want) {
+				if got := rangesOf(t, plan, k); !equalInts(got, want) {
 					t.Fatalf("%v n=%d nt=%d: thread %d runs %v, want %v", sched, n, nt, k, got, want)
 				}
 			}

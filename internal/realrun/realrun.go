@@ -66,46 +66,29 @@ func (c Config) cilkOv() cilkrt.Overheads {
 // top-level U nodes serially in between. A deadlocked, over-budget or
 // canceled run returns its typed error.
 //
-// The sections run as the synthesizer's generated program (synth.Program)
-// whose leaves replay the measured memory traits. An L segment in an
-// OpenMP team is an omp critical section and pays LockEnter/LockExit
-// inside the lock; under Cilk and in pipelines it takes the bare mutex.
+// The sections run as the synthesizer's generated program (synth.Program),
+// which also takes an L segment's lock and pays its critical-section
+// charges; the leaves replay the measured memory traits.
 func TimeCtx(ctx context.Context, root *tree.Node, cfg Config) (clock.Cycles, error) {
-	ov := cfg.ompOv()
-	critical := false // the running section is an OpenMP team
 	prog := &synth.Program{
 		Threads:  cfg.Threads,
 		Paradigm: cfg.Paradigm,
 		Sched:    cfg.Sched,
-		OmpOv:    ov,
+		OmpOv:    cfg.ompOv(),
 		CilkOv:   cfg.cilkOv(),
-		// Replay one U/W/L leaf: measured memory traits when the
+		// Replay one U/W/L body: measured memory traits when the
 		// profiler recorded them, otherwise the profiled length as pure
 		// compute. Every step is queued, so the engine plays a
 		// worker's straight-line leaves without resuming its code.
 		Leaf: func(w *sim.Thread, seg *tree.Node) {
-			if seg.Kind == tree.W {
+			switch {
+			case seg.Kind == tree.W:
 				// I/O wait: blocks without occupying a core.
 				w.Queue(sim.SleepOp(seg.Len))
-				return
-			}
-			locked := seg.Kind == tree.L
-			if locked {
-				w.Queue(sim.LockOp(seg.LockID))
-				if critical {
-					w.Queue(sim.WorkOp(ov.LockEnter))
-				}
-			}
-			if seg.Mem.Instructions > 0 || seg.Mem.LLCMisses > 0 {
+			case seg.Mem.Instructions > 0 || seg.Mem.LLCMisses > 0:
 				w.Queue(sim.MemOp(clock.Cycles(seg.Mem.Instructions), seg.Mem.LLCMisses))
-			} else {
+			default:
 				w.Queue(sim.WorkOp(seg.Len))
-			}
-			if locked {
-				if critical {
-					w.Queue(sim.WorkOp(ov.LockExit))
-				}
-				w.Queue(sim.UnlockOp(seg.LockID))
 			}
 		},
 	}
@@ -117,7 +100,6 @@ func TimeCtx(ctx context.Context, root *tree.Node, cfg Config) (clock.Cycles, er
 					prog.Leaf(main, c)
 				}
 			case tree.Sec:
-				critical = cfg.Paradigm != synth.Cilk && !c.Pipeline
 				// Compression can fold identical back-to-back
 				// top-level sections into one node: execute it
 				// once per repeat.

@@ -25,8 +25,8 @@ type Program struct {
 	// OmpOv / CilkOv are the runtime overhead constants.
 	OmpOv  omprt.Overheads
 	CilkOv cilkrt.Overheads
-	// Leaf runs one repeat of a U, W or L segment on w; for an L segment
-	// it takes the segment's lock itself.
+	// Leaf runs the body of one repeat of a U, W or L segment on w. The
+	// walker holds an L segment's lock around it.
 	Leaf func(w *sim.Thread, seg *tree.Node)
 
 	// visit, when set, runs on w before every segment repeat, nested
@@ -40,14 +40,12 @@ type Program struct {
 func (p *Program) RunSection(main *sim.Thread, sec *tree.Node) {
 	nt := max(p.Threads, 1)
 	if sec.Pipeline {
-		stage := p.Leaf
-		if p.visit != nil {
-			stage = func(w *sim.Thread, seg *tree.Node) {
+		pipesim.Run(main, sec, nt, func(w *sim.Thread, seg *tree.Node) {
+			if p.visit != nil {
 				p.visit(w, seg)
-				p.Leaf(w, seg)
 			}
-		}
-		pipesim.Run(main, sec, nt, stage)
+			p.leaf(w, seg, false)
+		})
 		return
 	}
 	if p.Paradigm == Cilk {
@@ -87,7 +85,7 @@ func (p *Program) task(w *sim.Thread, c *cilkrt.Ctx, rt *omprt.Runtime, task *tr
 			}
 			switch {
 			case seg.Kind != tree.Sec:
-				p.Leaf(w, seg)
+				p.leaf(w, seg, rt != nil)
 			case c != nil:
 				p.cilkFor(c, seg)
 			default:
@@ -95,4 +93,23 @@ func (p *Program) task(w *sim.Thread, c *cilkrt.Ctx, rt *omprt.Runtime, task *tr
 			}
 		}
 	}
+}
+
+// leaf runs one repeat of a U, W or L segment on w. An L segment runs Leaf
+// under its lock; with critical set (an OpenMP team, not Cilk or a
+// pipeline) it is an omp critical and pays LockEnter/LockExit inside it.
+func (p *Program) leaf(w *sim.Thread, seg *tree.Node, critical bool) {
+	if seg.Kind != tree.L {
+		p.Leaf(w, seg)
+		return
+	}
+	w.Queue(sim.LockOp(seg.LockID))
+	if critical {
+		w.Queue(sim.WorkOp(p.OmpOv.LockEnter))
+	}
+	p.Leaf(w, seg)
+	if critical {
+		w.Queue(sim.WorkOp(p.OmpOv.LockExit))
+	}
+	w.Queue(sim.UnlockOp(seg.LockID))
 }

@@ -41,9 +41,8 @@ type queueCase struct {
 	sched    omprt.Sched
 	ompOv    omprt.Overheads
 	cilkOv   cilkrt.Overheads
-	// mem replays memory traits with ground-truth leaves (critical
-	// sections pay LockEnter/LockExit); otherwise the leaves are the
-	// synthesizer's, with burden and traversal charges.
+	// mem replays memory traits with ground-truth leaves; otherwise the
+	// leaves are the synthesizer's, with burden and traversal charges.
 	mem    bool
 	burden float64
 }
@@ -155,22 +154,6 @@ func (q steps) mem(w *sim.Thread, instr clock.Cycles, misses int64) {
 	}
 }
 
-func (q steps) lock(w *sim.Thread, id int) {
-	if q {
-		w.Queue(sim.LockOp(id))
-	} else {
-		w.Lock(id)
-	}
-}
-
-func (q steps) unlock(w *sim.Thread, id int) {
-	if q {
-		w.Queue(sim.UnlockOp(id))
-	} else {
-		w.Unlock(id)
-	}
-}
-
 func (q steps) sleep(w *sim.Thread, d clock.Cycles) {
 	if q {
 		w.Queue(sim.SleepOp(d))
@@ -179,32 +162,19 @@ func (q steps) sleep(w *sim.Thread, d clock.Cycles) {
 	}
 }
 
-// replayLeaf is the ground truth's leaf (internal/realrun): memory traits
-// when recorded, critical sections paying LockEnter/LockExit in OpenMP
-// teams.
-func replayLeaf(q steps, critical bool, ov omprt.Overheads) func(*sim.Thread, *tree.Node) {
+// replayLeaf is the ground truth's leaf body (internal/realrun): memory
+// traits when recorded. The walker holds an L segment's lock, and pays
+// LockEnter/LockExit in OpenMP teams, around it; those steps are queued in
+// both runs, and the engine's own differential test covers called locks.
+func replayLeaf(q steps) func(*sim.Thread, *tree.Node) {
 	return func(w *sim.Thread, seg *tree.Node) {
-		if seg.Kind == tree.W {
+		switch {
+		case seg.Kind == tree.W:
 			q.sleep(w, seg.Len)
-			return
-		}
-		locked := seg.Kind == tree.L
-		if locked {
-			q.lock(w, seg.LockID)
-			if critical {
-				q.work(w, ov.LockEnter)
-			}
-		}
-		if seg.Mem.Instructions > 0 || seg.Mem.LLCMisses > 0 {
+		case seg.Mem.Instructions > 0 || seg.Mem.LLCMisses > 0:
 			q.mem(w, clock.Cycles(seg.Mem.Instructions), seg.Mem.LLCMisses)
-		} else {
+		default:
 			q.work(w, seg.Len)
-		}
-		if locked {
-			if critical {
-				q.work(w, ov.LockExit)
-			}
-			q.unlock(w, seg.LockID)
 		}
 	}
 }
@@ -214,16 +184,11 @@ func replayLeaf(q steps, critical bool, ov omprt.Overheads) func(*sim.Thread, *t
 func calledEmulation(p *Program, burden float64, access, call clock.Cycles) {
 	q := steps(false)
 	p.Leaf = func(w *sim.Thread, seg *tree.Node) {
-		switch seg.Kind {
-		case tree.W:
+		if seg.Kind == tree.W {
 			q.sleep(w, seg.Len)
-		case tree.L:
-			q.lock(w, seg.LockID)
-			q.work(w, tree.Scaled(seg.Len, burden))
-			q.unlock(w, seg.LockID)
-		default:
-			q.work(w, tree.Scaled(seg.Len, burden))
+			return
 		}
+		q.work(w, tree.Scaled(seg.Len, burden))
 	}
 	p.visit = func(w *sim.Thread, seg *tree.Node) {
 		q.work(w, access)
@@ -261,9 +226,8 @@ func checkQueuedMatchesEager(t testing.TB, c queueCase) {
 	base := Program{Threads: c.threads, Paradigm: c.paradigm, Sched: c.sched, OmpOv: c.ompOv, CilkOv: c.cilkOv}
 	queued, called := base, base
 	if c.mem {
-		critical := c.paradigm == OpenMP && !c.sec.Pipeline
-		queued.Leaf = replayLeaf(true, critical, c.ompOv)
-		called.Leaf = replayLeaf(false, critical, c.ompOv)
+		queued.Leaf = replayLeaf(true)
+		called.Leaf = replayLeaf(false)
 	} else {
 		s := &Synthesizer{Threads: c.threads, Paradigm: c.paradigm, Sched: c.sched, Machine: c.machine, OmpOv: c.ompOv, CilkOv: c.cilkOv}
 		e := s.newEmulation()

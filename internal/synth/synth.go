@@ -141,20 +141,16 @@ func (s *Synthesizer) newEmulation() *emulation {
 		Sched:    s.Sched,
 		OmpOv:    s.OmpOv,
 		CilkOv:   s.CilkOv,
-		// FakeDelay for computation, a real machine mutex for L, all
-		// queued: the engine plays a worker's straight-line steps.
+		// FakeDelay for computation (the walker holds an L segment's
+		// mutex around it), all queued: the engine plays a worker's
+		// straight-line steps.
 		Leaf: func(w *sim.Thread, seg *tree.Node) {
-			switch seg.Kind {
-			case tree.W:
+			if seg.Kind == tree.W {
 				// I/O waits release the core: other workers run.
 				w.Queue(sim.SleepOp(seg.Len))
-			case tree.L:
-				w.Queue(sim.LockOp(seg.LockID))
-				w.Queue(sim.WorkOp(tree.Scaled(seg.Len, e.burden)))
-				w.Queue(sim.UnlockOp(seg.LockID))
-			default:
-				w.Queue(sim.WorkOp(tree.Scaled(seg.Len, e.burden)))
+				return
 			}
+			w.Queue(sim.WorkOp(tree.Scaled(seg.Len, e.burden)))
 		},
 		visit: func(w *sim.Thread, seg *tree.Node) {
 			c := access
