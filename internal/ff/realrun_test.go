@@ -12,16 +12,19 @@ import (
 	"prophet/internal/omprt"
 	"prophet/internal/realrun"
 	"prophet/internal/sim"
+	"prophet/internal/synth"
 	"prophet/internal/tree"
 )
 
 // TestFFMatchesRealOnFlatSections is the differential test of the FF's
-// schedule replay and charges against the OpenMP runtime it models: a
+// schedule replay and charges against the OpenMP runtime it models, and
+// of the synthesizer against the ground truth it shares a program with: a
 // flat section (tasks of U segments only) on no more threads than cores
 // has no lock, nesting, time slicing or memory contention left to model,
-// so at the runtime's default overheads the FF's pseudo-clock must
-// reproduce the simulated machine's makespan exactly. Every schedule kind
-// is covered, with chunks from 1 to one past the loop and 1<<62.
+// so at the runtime's default overheads the FF's pseudo-clock and the
+// synthesizer's machine run must both reproduce the ground truth's
+// makespan exactly. Every schedule kind is covered, with chunks from 1 to
+// one past the loop and 1<<62.
 func TestFFMatchesRealOnFlatSections(t *testing.T) {
 	type miss struct {
 		count int
@@ -35,13 +38,13 @@ func TestFFMatchesRealOnFlatSections(t *testing.T) {
 		root, n := flatProgram(rng)
 		threads := 1 + rng.Intn(8)
 		check := func(sched, key omprt.Sched) {
-			pred, real, err := ffAndReal(root, threads, sched)
-			if err == nil && pred == real {
+			pred, syn, real, err := ffSynthAndReal(root, threads, sched)
+			if err == nil && pred == real && syn == real {
 				return
 			}
 			m := misses[key]
 			if m == nil {
-				m = &miss{first: fmt.Sprintf("section %d (%d tasks, %d threads): FF %d, Real %d (err %v)", s, n, threads, pred, real, err)}
+				m = &miss{first: fmt.Sprintf("section %d (%d tasks, %d threads): FF %d, Synthesizer %d, Real %d (err %v)", s, n, threads, pred, syn, real, err)}
 				misses[key] = m
 				order = append(order, key)
 			}
@@ -67,12 +70,13 @@ func TestFFMatchesRealOnFlatSections(t *testing.T) {
 			name = map[omprt.ScheduleKind]string{omprt.StaticChunk: "(static,n+1)", omprt.Dynamic: "(dynamic,n+1)", omprt.Guided: "(guided) chunk n+1"}[sched.Kind]
 		}
 		m := misses[sched]
-		t.Errorf("%s: FF != Real on %d of %d sections; first %s", name, m.count, sections, m.first)
+		t.Errorf("%s: FF or Synthesizer != Real on %d of %d sections; first %s", name, m.count, sections, m.first)
 	}
 }
 
-// FuzzFFMatchesReal drives the same check from fuzz input: a flat section
-// drawn from the bytes, 1 to 8 threads, any schedule kind and chunk.
+// FuzzFFMatchesReal drives the same three-way check from fuzz input: a
+// flat section drawn from the bytes, 1 to 8 threads, any schedule kind
+// and chunk.
 func FuzzFFMatchesReal(f *testing.F) {
 	f.Add(uint8(0), uint8(0), int64(0), []byte{})
 	f.Add(uint8(2), uint8(3), int64(3), []byte{40, 2, 7, 9, 1, 3, 0, 200, 5, 2, 11, 4})
@@ -81,9 +85,9 @@ func FuzzFFMatchesReal(f *testing.F) {
 		root, n := flatProgram(&byteSource{data: data})
 		threads := 1 + int(threads8)%8
 		sched := omprt.Sched{Kind: omprt.ScheduleKind(kind8 % 4), Chunk: int(chunk & math.MaxInt64)}
-		pred, real, err := ffAndReal(root, threads, sched)
-		if err != nil || pred != real {
-			t.Fatalf("%v, %d tasks, %d threads: FF %d, Real %d (err %v)", sched, n, threads, pred, real, err)
+		pred, syn, real, err := ffSynthAndReal(root, threads, sched)
+		if err != nil || pred != real || syn != real {
+			t.Fatalf("%v, %d tasks, %d threads: FF %d, Synthesizer %d, Real %d (err %v)", sched, n, threads, pred, syn, real, err)
 		}
 	})
 }
@@ -122,18 +126,22 @@ func flatProgram(src source) (root *tree.Node, n int) {
 	return tree.NewRoot(sec), n
 }
 
-// ffAndReal returns the FF's prediction and the ground truth for root at
-// the runtime's default overheads, on the 12-core default machine
-// (threads <= 8). A run that wraps its loop counter around would spin:
-// the event budget ends it.
-func ffAndReal(root *tree.Node, threads int, sched omprt.Sched) (pred, real clock.Cycles, err error) {
+// ffSynthAndReal returns the FF's prediction, the synthesizer's (without
+// burden factors) and the ground truth for root at the runtime's default
+// overheads, on the 12-core default machine (threads <= 8). A run that
+// wraps its loop counter around would spin: the event budget ends it.
+func ffSynthAndReal(root *tree.Node, threads int, sched omprt.Sched) (pred, syn, real clock.Cycles, err error) {
+	ctx := context.Background()
 	ov := omprt.DefaultOverheads()
+	machine := sim.Config{MaxEvents: 1_000_000}
 	e := &ff.Emulator{Threads: threads, Sched: sched, Ov: ov}
-	if pred, err = e.PredictTimeCtx(context.Background(), root); err != nil {
-		return 0, 0, err
+	if pred, err = e.PredictTimeCtx(ctx, root); err != nil {
+		return 0, 0, 0, err
 	}
-	real, err = realrun.TimeCtx(context.Background(), root, realrun.Config{
-		Machine: sim.Config{MaxEvents: 1_000_000}, Threads: threads, Sched: sched, OmpOv: &ov,
-	})
-	return pred, real, err
+	s := &synth.Synthesizer{Threads: threads, Sched: sched, Machine: machine, OmpOv: ov}
+	if syn, err = s.PredictTimeCtx(ctx, root); err != nil {
+		return 0, 0, 0, err
+	}
+	real, err = realrun.TimeCtx(ctx, root, realrun.Config{Machine: machine, Threads: threads, Sched: sched, OmpOv: &ov})
+	return pred, syn, real, err
 }

@@ -28,10 +28,6 @@ type Program struct {
 	// Leaf runs the body of one repeat of a U, W or L segment on w. The
 	// walker holds an L segment's lock around it.
 	Leaf func(w *sim.Thread, seg *tree.Node)
-
-	// visit, when set, runs on w before every segment repeat, nested
-	// sections included: the synthesizer's tree-traversal overhead.
-	visit func(w *sim.Thread, seg *tree.Node)
 }
 
 // RunSection runs one section on main's machine and returns after its
@@ -41,9 +37,6 @@ func (p *Program) RunSection(main *sim.Thread, sec *tree.Node) {
 	nt := max(p.Threads, 1)
 	if sec.Pipeline {
 		pipesim.Run(main, sec, nt, func(w *sim.Thread, seg *tree.Node) {
-			if p.visit != nil {
-				p.visit(w, seg)
-			}
 			p.leaf(w, seg, false)
 		})
 		return
@@ -80,9 +73,6 @@ func (p *Program) cilkFor(c *cilkrt.Ctx, sec *tree.Node) {
 func (p *Program) task(w *sim.Thread, c *cilkrt.Ctx, rt *omprt.Runtime, task *tree.Node) {
 	for _, seg := range task.Children {
 		for r := 0; r < seg.Reps(); r++ {
-			if p.visit != nil {
-				p.visit(w, seg)
-			}
 			switch {
 			case seg.Kind != tree.Sec:
 				p.leaf(w, seg, rt != nil)

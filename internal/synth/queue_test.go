@@ -42,7 +42,7 @@ type queueCase struct {
 	ompOv    omprt.Overheads
 	cilkOv   cilkrt.Overheads
 	// mem replays memory traits with ground-truth leaves; otherwise the
-	// leaves are the synthesizer's, with burden and traversal charges.
+	// leaves are the synthesizer's, with burden.
 	mem    bool
 	burden float64
 }
@@ -179,9 +179,8 @@ func replayLeaf(q steps) func(*sim.Thread, *tree.Node) {
 	}
 }
 
-// calledEmulation mirrors the synthesizer's Leaf and traversal charges
-// with called steps.
-func calledEmulation(p *Program, burden float64, access, call clock.Cycles) {
+// calledEmulation mirrors the synthesizer's Leaf with called steps.
+func calledEmulation(p *Program, burden float64) {
 	q := steps(false)
 	p.Leaf = func(w *sim.Thread, seg *tree.Node) {
 		if seg.Kind == tree.W {
@@ -189,12 +188,6 @@ func calledEmulation(p *Program, burden float64, access, call clock.Cycles) {
 			return
 		}
 		q.work(w, tree.Scaled(seg.Len, burden))
-	}
-	p.visit = func(w *sim.Thread, seg *tree.Node) {
-		q.work(w, access)
-		if seg.Kind == tree.Sec {
-			q.work(w, call)
-		}
 	}
 }
 
@@ -229,11 +222,12 @@ func checkQueuedMatchesEager(t testing.TB, c queueCase) {
 		queued.Leaf = replayLeaf(true)
 		called.Leaf = replayLeaf(false)
 	} else {
-		s := &Synthesizer{Threads: c.threads, Paradigm: c.paradigm, Sched: c.sched, Machine: c.machine, OmpOv: c.ompOv, CilkOv: c.cilkOv}
+		s := &Synthesizer{Threads: c.threads, Paradigm: c.paradigm, Sched: c.sched, Machine: c.machine, OmpOv: c.ompOv}
 		e := s.newEmulation()
 		e.burden = c.burden
 		queued = e.prog
-		calledEmulation(&called, c.burden, s.accessNode(), s.recursiveCall())
+		called.CilkOv = e.prog.CilkOv
+		calledEmulation(&called, c.burden)
 	}
 	want := runSection(t, c, &called)
 	got := runSection(t, c, &queued)
@@ -282,11 +276,10 @@ func FuzzQueuedMatchesEager(f *testing.F) {
 	})
 }
 
-// TestFlatStaticSectionResumesPerThread: the synthesizer's leaves and
-// traversal charges and the static runtime's charges are all queued, so
-// one flat static section at t = 12 resumes thread code a few times per
-// thread, not once per task. The count is deterministic; it is read from
-// the sim.resumes counter.
+// TestFlatStaticSectionResumesPerThread: the synthesizer's leaves and the
+// static runtime's charges are all queued, so one flat static section at
+// t = 12 resumes thread code a few times per thread, not once per task.
+// The count is deterministic; it is read from the sim.resumes counter.
 func TestFlatStaticSectionResumesPerThread(t *testing.T) {
 	const threads, tasks = 12, 1200
 	reg := &obs.Registry{}

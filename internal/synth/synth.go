@@ -12,10 +12,13 @@
 //
 // In the paper the target is the real testbed; in this reproduction it is
 // the simulated machine (internal/sim) with the OpenMP (internal/omprt) or
-// Cilk (internal/cilkrt) runtime on top. The tree-traversal overhead —
-// OVERHEAD_ACCESS_NODE per node and OVERHEAD_RECURSIVE_CALL per nested
-// section — is charged while running and the longest per-worker total is
-// subtracted from the gross time, exactly as Fig. 8's OverheadManager does.
+// Cilk (internal/cilkrt) runtime on top, each paying its default runtime
+// overheads and nothing else. On the paper's testbed the walk over the
+// tree costs real cycles, so Fig. 8's OverheadManager estimates that cost
+// and subtracts it; on the simulated machine the walk is free, so a
+// section's emulated time is the machine run's time as measured, and the
+// synthesizer and the ground truth (internal/realrun) differ only in their
+// leaves.
 //
 // The whole-program loop, with the per-estimate memo that emulates each
 // distinct top-level section once, is tree.Driver, shared with the FF.
@@ -68,15 +71,9 @@ type Synthesizer struct {
 	// Machine is the target machine configuration; zero values default
 	// to the paper's 12-core machine.
 	Machine sim.Config
-	// OmpOv / CilkOv are the runtime overhead constants.
-	OmpOv  omprt.Overheads
-	CilkOv cilkrt.Overheads
-	// AccessNode is OVERHEAD_ACCESS_NODE: the cost of visiting one tree
-	// node while emulating (~50 cycles on the paper's machine).
-	AccessNode clock.Cycles
-	// RecursiveCall is OVERHEAD_RECURSIVE_CALL, charged per nested
-	// section entry.
-	RecursiveCall clock.Cycles
+	// OmpOv is the OpenMP runtime's overhead constants. Cilk sections
+	// always pay cilkrt.DefaultOverheads(), as the ground truth does.
+	OmpOv omprt.Overheads
 	// Tracer, when set, is attached to the simulated machine runs: the
 	// synthesized program's schedule/lock/slice events stream out with
 	// virtual timestamps (internal/obs). Nil disables tracing.
@@ -84,13 +81,6 @@ type Synthesizer struct {
 	// Metrics, when set, aggregates the machine runs' DES counters.
 	Metrics *obs.Registry
 }
-
-// Default traversal-overhead constants (the paper measured ~50 cycles for
-// both units on its machine).
-const (
-	DefaultAccessNode    clock.Cycles = 50
-	DefaultRecursiveCall clock.Cycles = 50
-)
 
 func (s *Synthesizer) threads() int {
 	if s.Threads < 1 {
@@ -120,27 +110,22 @@ func (s *Synthesizer) driver() tree.Driver {
 }
 
 // emulation is the program the synthesizer generates for one estimate.
-// Its Leaf and visit closures are built once and read the section being
-// emulated: its burden factor and the per-worker traversal overhead that
-// Fig. 8's OverheadManager accumulates, indexed by sim thread ID (the
-// engine serializes sim threads, so a plain slice is safe; it is cleared
-// per section and its backing array reused).
+// Its Leaf closure is built once and reads the burden factor of the
+// section being emulated.
 type emulation struct {
-	s        *Synthesizer
-	prog     Program
-	burden   float64
-	overhead []clock.Cycles
+	s      *Synthesizer
+	prog   Program
+	burden float64
 }
 
 func (s *Synthesizer) newEmulation() *emulation {
 	e := &emulation{s: s}
-	access, call := s.accessNode(), s.recursiveCall()
 	e.prog = Program{
 		Threads:  s.threads(),
 		Paradigm: s.Paradigm,
 		Sched:    s.Sched,
 		OmpOv:    s.OmpOv,
-		CilkOv:   s.CilkOv,
+		CilkOv:   cilkrt.DefaultOverheads(),
 		// FakeDelay for computation (the walker holds an L segment's
 		// mutex around it), all queued: the engine plays a worker's
 		// straight-line steps.
@@ -152,58 +137,21 @@ func (s *Synthesizer) newEmulation() *emulation {
 			}
 			w.Queue(sim.WorkOp(tree.Scaled(seg.Len, e.burden)))
 		},
-		visit: func(w *sim.Thread, seg *tree.Node) {
-			c := access
-			w.Queue(sim.WorkOp(access))
-			if seg.Kind == tree.Sec {
-				w.Queue(sim.WorkOp(call))
-				c += call
-			}
-			e.charge(w.ID(), c)
-		},
 	}
 	return e
 }
 
 // emulateTopLevelParSec runs one top-level section of the generated
-// program with its lengths scaled by burden and returns its net duration:
-// gross minus the longest per-worker traversal overhead (Fig. 8's
-// GetLongestOverhead).
+// program with its lengths scaled by burden and returns the machine run's
+// time.
 func (e *emulation) emulateTopLevelParSec(ctx context.Context, sec *tree.Node, burden float64) (clock.Cycles, error) {
 	s := e.s
 	e.burden = burden
-	e.overhead = e.overhead[:0]
-	gross, _, err := sim.Run(ctx, s.Machine, sim.RunOpts{Tracer: s.Tracer, Metrics: s.Metrics}, func(main *sim.Thread) {
+	end, _, err := sim.Run(ctx, s.Machine, sim.RunOpts{Tracer: s.Tracer, Metrics: s.Metrics}, func(main *sim.Thread) {
 		e.prog.RunSection(main, sec)
 	})
 	if err != nil {
 		return 0, err
 	}
-	var longest clock.Cycles
-	for _, v := range e.overhead {
-		longest = max(longest, v)
-	}
-	return max(gross-longest, 0), nil
-}
-
-// charge adds c to thread id's traversal overhead.
-func (e *emulation) charge(id int, c clock.Cycles) {
-	for len(e.overhead) <= id {
-		e.overhead = append(e.overhead, 0)
-	}
-	e.overhead[id] += c
-}
-
-func (s *Synthesizer) accessNode() clock.Cycles {
-	if s.AccessNode > 0 {
-		return s.AccessNode
-	}
-	return DefaultAccessNode
-}
-
-func (s *Synthesizer) recursiveCall() clock.Cycles {
-	if s.RecursiveCall > 0 {
-		return s.RecursiveCall
-	}
-	return DefaultRecursiveCall
+	return end, nil
 }

@@ -23,15 +23,10 @@ func mcfg(cores int) sim.Config {
 	return sim.Config{Spec: s}
 }
 
-// newSyn returns a synthesizer with zero runtime overheads and minimal
-// traversal cost, for exact-ish assertions.
+// newSyn returns a synthesizer with zero OpenMP overheads, for exact-ish
+// assertions.
 func newSyn(threads, cores int) *Synthesizer {
-	return &Synthesizer{
-		Threads:       threads,
-		Machine:       mcfg(cores),
-		AccessNode:    1,
-		RecursiveCall: 1,
-	}
+	return &Synthesizer{Threads: threads, Machine: mcfg(cores)}
 }
 
 // mustTime is s.PredictTimeCtx, failing the test on an error.
@@ -189,25 +184,6 @@ func TestSerialRegionsIncluded(t *testing.T) {
 	want := 200_000.0 / 150_000.0
 	if math.Abs(got-want) > 0.05 {
 		t.Fatalf("speedup = %.3f, want ~%.3f (Amdahl with serial part)", got, want)
-	}
-}
-
-func TestTraversalOverheadSubtracted(t *testing.T) {
-	// Huge per-node overhead with tiny tasks: without subtraction the
-	// prediction would collapse; with subtraction it must stay sane.
-	root := balancedLoop(64, 10_000)
-	heavy := &Synthesizer{
-		Threads:    4,
-		Machine:    mcfg(4),
-		Sched:      omprt.SchedStatic,
-		AccessNode: 5_000, // half a task per node visit
-	}
-	light := newSyn(4, 4)
-	light.Sched = omprt.SchedStatic
-	sH := mustSpeedup(t, heavy, root)
-	sL := mustSpeedup(t, light, root)
-	if sH < 0.7*sL {
-		t.Fatalf("overhead subtraction failed: heavy %.2f vs light %.2f", sH, sL)
 	}
 }
 
