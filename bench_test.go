@@ -453,35 +453,3 @@ func BenchmarkQuantumSensitivity(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkPipelineSchedules regenerates the §VIII pipeline extension
-// numbers: FF prediction vs machine execution for a bottlenecked pipeline.
-func BenchmarkPipelineSchedules(b *testing.B) {
-	tasks := make([]*tree.Node, 64)
-	for i := range tasks {
-		tasks[i] = tree.NewTask("it",
-			tree.NewU(20_000), tree.NewU(90_000), tree.NewU(30_000))
-	}
-	sec := tree.NewSec("pipe", tasks...)
-	sec.Pipeline = true
-	root := tree.NewRoot(sec)
-	b.Run("ff", func(b *testing.B) {
-		e := &ff.Emulator{Threads: 3, Sched: omprt.SchedStatic}
-		for i := 0; i < b.N; i++ {
-			s, err := e.SpeedupCtx(context.Background(), root)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(s, "speedup")
-		}
-	})
-	b.Run("machine", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, err := realrun.SpeedupCtx(context.Background(), root, realrun.Config{Machine: benchMachine(), Threads: 3})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(s, "speedup")
-		}
-	})
-}

@@ -114,8 +114,10 @@ func treeHashes(root *tree.Node) (content, sharing uint64) {
 // are left out: the golden profiles run with the memory model off, so
 // none is assigned.
 func writeNode(h hash.Hash64, n *tree.Node) {
+	// The literal false fills the retired pipeline flag's slot, so the
+	// golden hashes stay comparable.
 	fmt.Fprintf(h, "%v|%q|%d|%d|%v|%v|%d|%d|%d|%d|", n.Kind, n.Name, n.Len, n.LockID,
-		n.NoWait, n.Pipeline, n.Repeat, n.Mem.Instructions, n.Mem.LLCMisses, len(n.Children))
+		n.NoWait, false, n.Repeat, n.Mem.Instructions, n.Mem.LLCMisses, len(n.Children))
 	if n.Counters != nil {
 		fmt.Fprintf(h, "c%d/%d/%d|", n.Counters.Instructions, n.Counters.Cycles, n.Counters.LLCMisses)
 	}

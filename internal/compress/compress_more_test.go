@@ -107,25 +107,6 @@ func TestLockNodesNeverMergeAcrossIDs(t *testing.T) {
 	}
 }
 
-// TestPipelineFlagBlocksMerging: a pipeline section and an identical
-// ordinary section must not be deduplicated into one node.
-func TestPipelineFlagBlocksMerging(t *testing.T) {
-	mk := func(pipe bool) *tree.Node {
-		s := tree.NewSec("s", tree.NewTask("t", tree.NewU(100), tree.NewU(100)))
-		s.Pipeline = pipe
-		return s
-	}
-	root := tree.NewRoot(mk(true), mk(false))
-	Compress(root, 0)
-	secs := root.TopLevelSections()
-	if len(secs) != 2 {
-		t.Fatalf("pipeline/plain sections merged: %s", root)
-	}
-	if !secs[0].Pipeline || secs[1].Pipeline {
-		t.Fatalf("pipeline flags scrambled")
-	}
-}
-
 // TestDictionaryShareStability: dedup must not create cycles or break
 // Walk (shared nodes appear once per reference).
 func TestDictionaryShareStability(t *testing.T) {

@@ -221,9 +221,6 @@ func (c *faultCtx) TaskBegin(name string) { c.apply(func() { c.inner.TaskBegin(n
 func (c *faultCtx) TaskEnd()              { c.apply(func() { c.inner.TaskEnd() }) }
 func (c *faultCtx) LockBegin(id int)      { c.apply(func() { c.inner.LockBegin(id) }) }
 func (c *faultCtx) LockEnd(id int)        { c.apply(func() { c.inner.LockEnd(id) }) }
-func (c *faultCtx) PipeBegin(name string) { c.apply(func() { c.inner.PipeBegin(name) }) }
-func (c *faultCtx) PipeEnd()              { c.apply(func() { c.inner.PipeEnd() }) }
-func (c *faultCtx) StageBreak()           { c.apply(func() { c.inner.StageBreak() }) }
 
 func (c *faultCtx) IOWait(cycles int64) { c.inner.IOWait(cycles) }
 func (c *faultCtx) Compute(instrCycles, llcMisses int64) {

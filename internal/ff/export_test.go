@@ -7,7 +7,7 @@ import (
 	"prophet/internal/tree"
 )
 
-// HeapPredictTime is PredictTimeCtx with every ordinary section stepped on
+// HeapPredictTime is PredictTimeCtx with every section stepped on
 // the heap one segment at a time, whatever its shape: the reference the
 // fast paths are checked against.
 func HeapPredictTime(e *Emulator, root *tree.Node) clock.Cycles {
@@ -16,9 +16,6 @@ func HeapPredictTime(e *Emulator, root *tree.Node) clock.Cycles {
 		p := e.threads()
 		st := &state{}
 		st.init(p, burden, e.Speeds, e.Ov, e.Sched, nil, nil)
-		if sec.Pipeline {
-			return emulatePipeline(st, sec, 0, p), nil
-		}
 		return emulateHeap(st, sec, 0, p, false), nil
 	}
 	t, _ := d.PredictTime(context.Background(), root)

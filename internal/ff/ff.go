@@ -4,9 +4,9 @@
 // pseudo-clock from event to event.
 //
 // Where event order cannot matter the heap is skipped. In a flat section
-// (every task holds only U/W segments: no locks, no nested sections, not
-// a pipeline) the workers share no state. Under (static) and (static,c)
-// each worker's finish time is then a plain sum over its tasks, which the
+// (every task holds only U/W segments: no locks, no nested sections) the
+// workers share no state. Under (static) and (static,c) each worker's
+// finish time is then a plain sum over its tasks, which the
 // FF computes in closed form over the compressed Repeat runs, so the cost
 // follows the compressed tree rather than the iteration count. Under
 // (dynamic) and (guided) the heap still decides who fetches next, but a
@@ -203,9 +203,6 @@ func (e *Emulator) emulateTopSection(ctx context.Context, sec *tree.Node, burden
 	st := statePool.Get().(*state)
 	defer putState(st)
 	st.init(p, burden, e.Speeds, e.Ov, e.Sched, ctx, e.Tracer)
-	if sec.Pipeline {
-		return emulatePipeline(st, sec, 0, p), nil
-	}
 	return emulateSection(st, sec, 0, p), nil
 }
 
@@ -482,13 +479,7 @@ func execSegment(st *state, w *worker, seg *tree.Node, p int) {
 		// assignment starting at this worker's CPU (the FF
 		// limitation, §IV-D: whole nodes are placed non-preemptively,
 		// which is exactly what makes Fig. 7 come out as 1.5x).
-		// Nested pipeline sections use the pipeline schedule.
-		var dur clock.Cycles
-		if seg.Pipeline {
-			dur = emulatePipeline(st, seg, w.time, p)
-		} else {
-			dur = emulateNested(st, seg, w.time, w.cpu, p)
-		}
+		dur := emulateNested(st, seg, w.time, w.cpu, p)
 		if seg.NoWait {
 			// OpenMP nowait: the enclosing task proceeds without
 			// the implicit barrier; the section is joined at the

@@ -7,12 +7,12 @@ import (
 )
 
 // flatShape returns the section's logical task count and whether it is
-// flat: not a pipeline, and every Task child holds only U/W segments. The
-// workers of a flat section share no state (no lock free-times, no nested
-// CPU slots), so the order in which the heap would interleave them cannot
-// change any worker's clock.
+// flat: every Task child holds only U/W segments. The workers of a flat
+// section share no state (no lock free-times, no nested CPU slots), so the
+// order in which the heap would interleave them cannot change any worker's
+// clock.
 func flatShape(sec *tree.Node) (n int, flat bool) {
-	flat = !sec.Pipeline
+	flat = true
 	for _, c := range sec.Children {
 		if c.Kind != tree.Task {
 			continue

@@ -112,8 +112,6 @@ func TestFlatFastPathsMatchHeap(t *testing.T) {
 // TestFlatShape pins which sections take the fast paths.
 func TestFlatShape(t *testing.T) {
 	task := func(segs ...*tree.Node) *tree.Node { return tree.NewTask("t", segs...) }
-	pipe := tree.NewSec("p", task(tree.NewU(1)))
-	pipe.Pipeline = true
 	cases := []struct {
 		sec  *tree.Node
 		n    int
@@ -123,7 +121,6 @@ func TestFlatShape(t *testing.T) {
 		{tree.NewSec("u", task(tree.NewU(1), &tree.Node{Kind: tree.W, Len: 2}), task()), 2, true},
 		{tree.NewSec("lock", task(tree.NewU(1)), task(tree.NewL(1, 2))), 2, false},
 		{tree.NewSec("nested", task(tree.NewSec("in", task(tree.NewU(1))))), 1, false},
-		{pipe, 1, false},
 	}
 	for _, c := range cases {
 		c.sec.Children = append(c.sec.Children, tree.NewU(5)) // non-Task children are skipped

@@ -294,72 +294,3 @@ func TestHostSynthesizerBurden(t *testing.T) {
 		t.Fatalf("burden not applied on host: %d cycles, want >= %.0f", got, want)
 	}
 }
-
-func TestRunPipelineExecutesAllStagesInOrder(t *testing.T) {
-	const n = 20
-	tasks := make([]*tree.Node, n)
-	type key struct{ iter, stage int }
-	idx := map[*tree.Node]int{}
-	tasks2stage := map[*tree.Node]int{}
-	for i := range tasks {
-		s0 := tree.NewU(10)
-		s1 := tree.NewU(10)
-		s2 := tree.NewU(10)
-		tasks[i] = tree.NewTask("it", s0, s1, s2)
-		for s, seg := range []*tree.Node{s0, s1, s2} {
-			idx[seg] = i
-			tasks2stage[seg] = s
-		}
-	}
-	sec := tree.NewSec("pipe", tasks...)
-	sec.Pipeline = true
-
-	var mu sync.Mutex
-	seen := map[key]int{}
-	order := map[int][]int{} // stage -> iteration order
-	RunPipeline(sec, 3, func(seg *tree.Node) {
-		mu.Lock()
-		k := key{idx[seg], tasks2stage[seg]}
-		seen[k]++
-		order[k.stage] = append(order[k.stage], k.iter)
-		mu.Unlock()
-	})
-	if len(seen) != 3*n {
-		t.Fatalf("stage instances executed = %d, want %d", len(seen), 3*n)
-	}
-	for k, c := range seen {
-		if c != 1 {
-			t.Fatalf("stage %+v executed %d times", k, c)
-		}
-	}
-	// Each stage processes iterations in order.
-	for s, list := range order {
-		for i := 1; i < len(list); i++ {
-			if list[i] < list[i-1] {
-				t.Fatalf("stage %d out of order: %v", s, list)
-			}
-		}
-	}
-}
-
-func TestHostSynthesizerPipelineSection(t *testing.T) {
-	per := clock.FromSeconds(0.0005, clock.DefaultHz)
-	tasks := make([]*tree.Node, 8)
-	for i := range tasks {
-		tasks[i] = tree.NewTask("it", tree.NewU(per), tree.NewU(per))
-	}
-	sec := tree.NewSec("pipe", tasks...)
-	sec.Pipeline = true
-	root := tree.NewRoot(sec)
-	s := &HostSynthesizer{Threads: 2}
-	got := mustTime(t, s, root)
-	if got <= 0 || float64(got) > 3*float64(root.TotalLen()) {
-		t.Fatalf("host pipeline measurement = %d vs serial %d", got, root.TotalLen())
-	}
-}
-
-func TestRunPipelineEmpty(t *testing.T) {
-	sec := tree.NewSec("pipe")
-	sec.Pipeline = true
-	RunPipeline(sec, 2, func(*tree.Node) { t.Fatal("exec ran on empty section") })
-}

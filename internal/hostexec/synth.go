@@ -82,15 +82,12 @@ func (s *HostSynthesizer) driver() tree.Driver {
 // rdtsc replaced by the monotonic clock).
 func (s *HostSynthesizer) emulateTopLevelParSec(_ context.Context, sec *tree.Node, burden float64) (clock.Cycles, error) {
 	start := time.Now()
-	switch {
-	case sec.Pipeline:
-		RunPipeline(sec, s.threads(), func(seg *tree.Node) { s.leaf(seg, burden) })
-	case s.Paradigm == synth.Cilk:
+	if s.Paradigm == synth.Cilk {
 		pool := NewPool(s.threads())
 		pool.Run(func(c *Ctx) {
 			s.runSecCilk(c, sec, burden)
 		})
-	default:
+	} else {
 		s.runSecOMP(sec, burden)
 	}
 	elapsed := time.Since(start)

@@ -187,35 +187,6 @@ func TestCilkLockedSegments(t *testing.T) {
 	}
 }
 
-func TestPipelineSectionGroundTruth(t *testing.T) {
-	tasks := make([]*tree.Node, 16)
-	for i := range tasks {
-		tasks[i] = tree.NewTask("it", tree.NewU(10_000), tree.NewU(10_000))
-	}
-	sec := tree.NewSec("pipe", tasks...)
-	sec.Pipeline = true
-	root := tree.NewRoot(sec)
-	end := mustTime(t, root, Config{Machine: mcfg(2), Threads: 2, OmpOv: zeroOmp})
-	// Two balanced stages on two workers: ~17 stage-times.
-	if end < 160_000 || end > 180_000 {
-		t.Fatalf("pipeline ground truth = %d, want ~170000", end)
-	}
-}
-
-func TestPipelineWithLockedStage(t *testing.T) {
-	tasks := make([]*tree.Node, 8)
-	for i := range tasks {
-		tasks[i] = tree.NewTask("it", tree.NewU(5_000), tree.NewL(3, 5_000))
-	}
-	sec := tree.NewSec("pipe", tasks...)
-	sec.Pipeline = true
-	root := tree.NewRoot(sec)
-	end := mustTime(t, root, Config{Machine: mcfg(2), Threads: 2, OmpOv: zeroOmp})
-	if end <= 0 || end > 8*10_000+10_000 {
-		t.Fatalf("locked pipeline = %d", end)
-	}
-}
-
 func TestConfigOverrides(t *testing.T) {
 	// Custom overheads flow through: a huge fork cost must slow things.
 	root := balanced(8, 10_000)
@@ -251,33 +222,27 @@ func TestThreadsDefaultToOne(t *testing.T) {
 
 // TestLockCostOnlyInOpenMPTeams: an L segment in an OpenMP team is an omp
 // critical section — serialized, paying LockEnter/LockExit inside the
-// lock — while under Cilk and in a pipeline it takes the bare mutex.
+// lock — while under Cilk it takes the bare mutex.
 func TestLockCostOnlyInOpenMPTeams(t *testing.T) {
 	const n, l = 4, 1_000
 	lockOv := &omprt.Overheads{LockEnter: 300, LockExit: 200}
-	locked := func(pipeline bool) *tree.Node {
-		tasks := make([]*tree.Node, n)
-		for i := range tasks {
-			tasks[i] = tree.NewTask("t", tree.NewL(5, l))
-		}
-		sec := tree.NewSec("s", tasks...)
-		sec.Pipeline = pipeline
-		return tree.NewRoot(sec)
+	tasks := make([]*tree.Node, n)
+	for i := range tasks {
+		tasks[i] = tree.NewTask("t", tree.NewL(5, l))
 	}
+	locked := tree.NewRoot(tree.NewSec("s", tasks...))
 	for _, tc := range []struct {
-		name     string
-		pipeline bool
-		cfg      Config
-		want     clock.Cycles
+		name string
+		cfg  Config
+		want clock.Cycles
 	}{
-		{"openmp-one-thread", false, Config{Threads: 1, Sched: omprt.SchedStatic}, n * (300 + l + 200)},
-		{"openmp-team", false, Config{Threads: n, Sched: omprt.SchedStatic1}, n * (300 + l + 200)},
-		{"cilk", false, Config{Threads: n, Paradigm: synth.Cilk, CilkOv: &cilkrt.Overheads{}}, n * l},
-		{"pipeline", true, Config{Threads: n}, n * l},
+		{"openmp-one-thread", Config{Threads: 1, Sched: omprt.SchedStatic}, n * (300 + l + 200)},
+		{"openmp-team", Config{Threads: n, Sched: omprt.SchedStatic1}, n * (300 + l + 200)},
+		{"cilk", Config{Threads: n, Paradigm: synth.Cilk, CilkOv: &cilkrt.Overheads{}}, n * l},
 	} {
 		cfg := tc.cfg
 		cfg.Machine, cfg.OmpOv = mcfg(n), lockOv
-		if got := mustTime(t, locked(tc.pipeline), cfg); got != tc.want {
+		if got := mustTime(t, locked, cfg); got != tc.want {
 			t.Errorf("%s: makespan = %d, want %d", tc.name, got, tc.want)
 		}
 	}

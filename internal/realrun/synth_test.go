@@ -41,17 +41,16 @@ type synthCase struct {
 }
 
 // genSegment returns one task child: a U, L or W leaf, or (when depth
-// allows) a nested section; some carry a repeat count. Pipeline stages
-// are U or L leaves.
-func genSegment(src source, depth int, pipeline bool) *tree.Node {
+// allows) a nested section; some carry a repeat count.
+func genSegment(src source, depth int) *tree.Node {
 	var n *tree.Node
 	l := clock.Cycles(src.Intn(30_000))
 	switch k := src.Intn(8); {
-	case k == 0 && depth > 0 && !pipeline:
-		n = genSection(src, depth-1, false)
+	case k == 0 && depth > 0:
+		n = genSection(src, depth-1)
 	case k == 1:
 		n = tree.NewL(src.Intn(3), l)
-	case k == 2 && !pipeline:
+	case k == 2:
 		n = &tree.Node{Kind: tree.W, Len: l}
 	default:
 		n = tree.NewU(l)
@@ -63,13 +62,12 @@ func genSegment(src source, depth int, pipeline bool) *tree.Node {
 }
 
 // genSection returns a section of up to 12 tasks nesting to depth.
-func genSection(src source, depth int, pipeline bool) *tree.Node {
+func genSection(src source, depth int) *tree.Node {
 	sec := tree.NewSec("s")
-	sec.Pipeline = pipeline
 	for i := 1 + src.Intn(12); i > 0; i-- {
 		task := tree.NewTask("t")
 		for j := 1 + src.Intn(4); j > 0; j-- {
-			task.Children = append(task.Children, genSegment(src, depth, pipeline))
+			task.Children = append(task.Children, genSegment(src, depth))
 		}
 		if src.Intn(5) == 0 {
 			task.Repeat = 2 + src.Intn(2)
@@ -102,7 +100,7 @@ func genSynthCase(src source, machines []sim.Config) synthCase {
 		sched:    omprt.Sched{Kind: omprt.ScheduleKind(src.Intn(4)), Chunk: 1 + src.Intn(4)},
 	}
 	c.threads = 1 + src.Intn(c.machine.MachineSpec().Cores())
-	c.root = tree.NewRoot(genSection(src, 2, src.Intn(5) == 0))
+	c.root = tree.NewRoot(genSection(src, 2))
 	return c
 }
 
@@ -124,15 +122,15 @@ func checkSynthMatchesReal(t testing.TB, c synthCase) {
 	}
 	if syn != real {
 		sec := c.root.Children[0]
-		t.Fatalf("%s t=%d %v %v pipeline=%v tasks=%d: Synthesizer %d, Real %d",
-			c.machine.MachineSpec().Name, c.threads, c.paradigm, c.sched, sec.Pipeline, len(sec.Children), syn, real)
+		t.Fatalf("%s t=%d %v %v tasks=%d: Synthesizer %d, Real %d",
+			c.machine.MachineSpec().Name, c.threads, c.paradigm, c.sched, len(sec.Children), syn, real)
 	}
 }
 
 // TestSynthMatchesReal is the differential test of the synthesizer
 // against the ground truth on generated single-section programs without
-// memory traits: every OpenMP schedule kind, Cilk and pipelines, nested
-// sections, locks, W segments and repeats, on three machine presets. The
+// memory traits: every OpenMP schedule kind and Cilk, nested sections,
+// locks, W segments and repeats, on three machine presets. The
 // synthesizer's section time is its machine run's time as measured, so
 // the two must match exactly. Programs with top-level serial segments
 // are left out: the synthesizer emulates each section on a fresh machine

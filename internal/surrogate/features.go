@@ -50,7 +50,6 @@ type TreeStats struct {
 	MeanLogLeafLen    float64 // mean of log1p(leaf Len)
 	StdLogLeafLen     float64 // stddev of log1p(leaf Len)
 	MaxLogLeafLen     float64 // max log1p(leaf Len)
-	PipelineFrac      float64 // pipeline Secs / Secs
 	NoWaitFrac        float64 // nowait Secs / Secs
 
 	// Burden inputs: the paper's N, D, MPI and δ from the whole-run
@@ -81,11 +80,11 @@ func Stats(root *tree.Node, total counters.Sample) TreeStats {
 	phys, logical := root.NodeCount()
 
 	var (
-		depth                   int
-		secs, pipeSecs, nowSecs int
-		uLeaves, lLeaves        int
-		lockLen, waitLen        float64
-		leafLogs                []float64
+		depth            int
+		secs, nowSecs    int
+		uLeaves, lLeaves int
+		lockLen, waitLen float64
+		leafLogs         []float64
 	)
 	var walk func(n *tree.Node, d int, reps float64)
 	walk = func(n *tree.Node, d int, reps float64) {
@@ -94,14 +93,13 @@ func Stats(root *tree.Node, total counters.Sample) TreeStats {
 		}
 		hash64(uint64(n.Kind)<<56 | uint64(n.Reps()))
 		hash64(uint64(n.Len))
-		hash64(uint64(n.LockID)<<2 | b2u(n.NoWait)<<1 | b2u(n.Pipeline))
+		// Bit 0 once flagged the retired pipeline section; it stays zero
+		// so fingerprints of existing trees do not move.
+		hash64(uint64(n.LockID)<<2 | b2u(n.NoWait)<<1)
 		reps *= float64(n.Reps())
 		switch n.Kind {
 		case tree.Sec:
 			secs++
-			if n.Pipeline {
-				pipeSecs++
-			}
 			if n.NoWait {
 				nowSecs++
 			}
@@ -151,7 +149,6 @@ func Stats(root *tree.Node, total counters.Sample) TreeStats {
 	ts.LogLLeaves = math.Log1p(float64(lLeaves))
 	ts.MeanLogLeafLen, ts.StdLogLeafLen, ts.MaxLogLeafLen = meanStdMax(leafLogs)
 	if secs > 0 {
-		ts.PipelineFrac = float64(pipeSecs) / float64(secs)
 		ts.NoWaitFrac = float64(nowSecs) / float64(secs)
 	}
 
@@ -181,7 +178,7 @@ type RequestFeatures struct {
 // machine block. NumFeatures is the total dimensionality; Vector always
 // returns exactly this many values, in a fixed order.
 const (
-	numTreeFeatures    = 19
+	numTreeFeatures    = 18
 	numCounterFeatures = 4
 	numMethodOneHot    = 5
 	numSchedOneHot     = 4
@@ -207,7 +204,7 @@ func Vector(ts *TreeStats, rf RequestFeatures, spec *machine.Spec) []float64 {
 		ts.SerialOutsideFrac, ts.LockFrac, ts.WaitFrac,
 		ts.LogULeaves, ts.LogLLeaves,
 		ts.MeanLogLeafLen, ts.StdLogLeafLen, ts.MaxLogLeafLen,
-		ts.PipelineFrac, ts.NoWaitFrac,
+		ts.NoWaitFrac,
 		float64(ts.Fingerprint&1023), // cheap tree-identity separator within a mixed partition
 	)
 	// Counter block.

@@ -52,8 +52,17 @@ func TestVectorDeterministicAndSized(t *testing.T) {
 	}
 }
 
+// sampleFingerprint is Stats(sampleTree()).Fingerprint as it read while
+// the hash also carried a pipeline-section bit. Removing that always-zero
+// bit must not move any fingerprint: a served model's partitions and its
+// Fingerprint&1023 feature depend on it.
+const sampleFingerprint = 0xb56cad321a10c7e4
+
 func TestStatsFingerprintSeparatesTrees(t *testing.T) {
 	a := Stats(sampleTree(), counters.Sample{})
+	if a.Fingerprint != sampleFingerprint {
+		t.Fatalf("sampleTree fingerprint = %#x, want %#x", a.Fingerprint, uint64(sampleFingerprint))
+	}
 	other := sampleTree()
 	other.Children[0].Len = 1001
 	b := Stats(other, counters.Sample{})

@@ -3,15 +3,14 @@ package synth
 import (
 	"prophet/internal/cilkrt"
 	"prophet/internal/omprt"
-	"prophet/internal/pipesim"
 	"prophet/internal/sim"
 	"prophet/internal/tree"
 )
 
 // Program is the parallel program generated from a program tree, run on
 // the simulated machine: sections become parallel loops on the OpenMP or
-// Cilk runtime (or pipelines), tasks walk their segments in order, and
-// nested sections recurse into nested loops — the body of EmulWorker in
+// Cilk runtime, tasks walk their segments in order, and nested sections
+// recurse into nested loops — the body of EmulWorker in
 // Fig. 8. What a leaf segment does is up to Leaf: the synthesizer spins
 // for the profiled length, the ground truth (internal/realrun) replays the
 // measured memory traits.
@@ -30,17 +29,10 @@ type Program struct {
 	Leaf func(w *sim.Thread, seg *tree.Node)
 }
 
-// RunSection runs one section on main's machine and returns after its
-// barrier: a pipeline section through internal/pipesim, any other section
-// as a parallel loop over its logical tasks.
+// RunSection runs one section on main's machine as a parallel loop over
+// its logical tasks and returns after its barrier.
 func (p *Program) RunSection(main *sim.Thread, sec *tree.Node) {
 	nt := max(p.Threads, 1)
-	if sec.Pipeline {
-		pipesim.Run(main, sec, nt, func(w *sim.Thread, seg *tree.Node) {
-			p.leaf(w, seg, false)
-		})
-		return
-	}
 	if p.Paradigm == Cilk {
 		cilkrt.New(nt, p.CilkOv).Run(main, func(c *cilkrt.Ctx) {
 			p.cilkFor(c, sec)
@@ -86,8 +78,8 @@ func (p *Program) task(w *sim.Thread, c *cilkrt.Ctx, rt *omprt.Runtime, task *tr
 }
 
 // leaf runs one repeat of a U, W or L segment on w. An L segment runs Leaf
-// under its lock; with critical set (an OpenMP team, not Cilk or a
-// pipeline) it is an omp critical and pays LockEnter/LockExit inside it.
+// under its lock; with critical set (an OpenMP team, not Cilk) it is an
+// omp critical and pays LockEnter/LockExit inside it.
 func (p *Program) leaf(w *sim.Thread, seg *tree.Node, critical bool) {
 	if seg.Kind != tree.L {
 		p.Leaf(w, seg)

@@ -48,8 +48,8 @@ type queueCase struct {
 }
 
 func (c queueCase) String() string {
-	return fmt.Sprintf("%s t=%d %s %s mem=%v pipeline=%v burden=%g tasks=%d",
-		c.machine.MachineSpec().Name, c.threads, c.paradigm, c.sched, c.mem, c.sec.Pipeline, c.burden, len(c.sec.Children))
+	return fmt.Sprintf("%s t=%d %s %s mem=%v burden=%g tasks=%d",
+		c.machine.MachineSpec().Name, c.threads, c.paradigm, c.sched, c.mem, c.burden, len(c.sec.Children))
 }
 
 // genSegment returns one task child: a U, L or W leaf, or (when depth
@@ -59,7 +59,7 @@ func genSegment(src source, mem bool, depth int) *tree.Node {
 	l := clock.Cycles(src.Intn(30_000))
 	switch k := src.Intn(8); {
 	case k == 0 && depth > 0:
-		n = genSection(src, mem, depth-1, false, 4)
+		n = genSection(src, mem, depth-1, 4)
 	case k == 1:
 		n = tree.NewL(src.Intn(3), l)
 	case k == 2:
@@ -76,22 +76,13 @@ func genSegment(src source, mem bool, depth int) *tree.Node {
 	return n
 }
 
-// genSection returns a section of up to maxTasks tasks. Pipeline stages
-// are leaves, so a pipeline section nests nothing.
-func genSection(src source, mem bool, depth int, pipeline bool, maxTasks int) *tree.Node {
-	if pipeline {
-		depth = -1
-	}
+// genSection returns a section of up to maxTasks tasks.
+func genSection(src source, mem bool, depth int, maxTasks int) *tree.Node {
 	sec := tree.NewSec("s")
-	sec.Pipeline = pipeline
 	for i := 1 + src.Intn(maxTasks); i > 0; i-- {
 		task := tree.NewTask("t")
 		for j := 1 + src.Intn(4); j > 0; j-- {
-			seg := genSegment(src, mem, depth)
-			if pipeline && seg.Kind == tree.W {
-				seg.Kind = tree.U
-			}
-			task.Children = append(task.Children, seg)
+			task.Children = append(task.Children, genSegment(src, mem, depth))
 		}
 		if src.Intn(5) == 0 {
 			task.Repeat = 2 + src.Intn(2)
@@ -131,7 +122,7 @@ func genCase(src source, machines []sim.Config) queueCase {
 	if src.Intn(3) > 0 {
 		c.ompOv, c.cilkOv = omprt.DefaultOverheads(), cilkrt.DefaultOverheads()
 	}
-	c.sec = genSection(src, c.mem, 1, src.Intn(5) == 0, 24)
+	c.sec = genSection(src, c.mem, 1, 24)
 	return c
 }
 
@@ -245,7 +236,7 @@ func checkQueuedMatchesEager(t testing.TB, c queueCase) {
 // TestQueuedMatchesEager is the differential test for queued steps: a
 // synth.Program whose leaves queue gives exactly the run of one whose
 // leaves call Work, WorkMem, Lock, Unlock and Sleep directly, under every
-// OpenMP schedule, Cilk and pipelines, with L and W segments, memory
+// OpenMP schedule and Cilk, with L and W segments, memory
 // traits, zero and default overheads, oversubscription, two DRAM domains
 // and mixed core speeds.
 func TestQueuedMatchesEager(t *testing.T) {

@@ -23,11 +23,6 @@ type Context interface {
 	// LockBegin / LockEnd bracket computation under a mutex (LOCK_*).
 	LockBegin(id int)
 	LockEnd(id int)
-	// PipeBegin / PipeEnd bracket a pipeline-parallel section (§VIII
-	// extension); StageBreak separates the stages inside its tasks.
-	PipeBegin(name string)
-	PipeEnd()
-	StageBreak()
 	// IOWait marks time the task spends blocked on I/O without using a
 	// CPU (§VIII extension); legal only inside a task.
 	IOWait(cycles int64)

@@ -3,8 +3,7 @@ package trace
 import "prophet/internal/counters"
 
 // Event identifies one annotation call as seen by the tracer's fault
-// hooks (internal/faults). Pipeline begins/ends report as their section
-// counterparts: structurally they are the same event.
+// hooks (internal/faults).
 type Event uint8
 
 // Annotation events.
@@ -15,7 +14,6 @@ const (
 	EvTaskEnd
 	EvLockBegin
 	EvLockEnd
-	EvStageBreak
 )
 
 // String names the event after the paper's annotation macro.
@@ -33,8 +31,6 @@ func (e Event) String() string {
 		return "LOCK_BEGIN"
 	case EvLockEnd:
 		return "LOCK_END"
-	case EvStageBreak:
-		return "STAGE_BREAK"
 	}
 	return "Event(?)"
 }

@@ -124,22 +124,15 @@ func (t *Tracer) closeGap(parent *tree.Node, f *frame, until clock.Cycles, kind 
 // SecBegin opens a parallel section (PAR_SEC_BEGIN). Sections are legal at
 // the top level or inside a task (nested parallelism).
 func (t *Tracer) SecBegin(name string) {
-	t.dispatch(EvSecBegin, func() { t.secBegin(name, false) })
+	t.dispatch(EvSecBegin, func() { t.secBegin(name) })
 }
 
-// PipeBegin opens a pipeline-parallel section (the §VIII extension after
-// Thies et al.): its tasks are loop iterations and their U/L segments —
-// delimited by StageBreak — are pipeline stages.
-func (t *Tracer) PipeBegin(name string) {
-	t.dispatch(EvSecBegin, func() { t.secBegin(name, true) })
-}
-
-func (t *Tracer) secBegin(name string, pipeline bool) {
+func (t *Tracer) secBegin(name string) {
 	raw := t.clk.Now()
 	defer t.exclude(raw)
 	now := raw - t.excluded
 	f := t.top()
-	node := &tree.Node{Kind: tree.Sec, Name: name, Pipeline: pipeline}
+	node := &tree.Node{Kind: tree.Sec, Name: name}
 	switch {
 	case f == nil:
 		// Top-level section: close the serial gap at root.
@@ -158,31 +151,6 @@ func (t *Tracer) secBegin(name string, pipeline bool) {
 	default:
 		t.fail("PAR_SEC_BEGIN(%q) inside %v", name, f.kind)
 	}
-}
-
-// PipeEnd closes the current pipeline section (always with a barrier).
-func (t *Tracer) PipeEnd() {
-	t.SecEnd(false)
-}
-
-// StageBreak marks a pipeline-stage boundary inside a task: the
-// computation since the previous boundary becomes one stage (one U node).
-// It is also legal in ordinary tasks, where it merely splits the U node.
-func (t *Tracer) StageBreak() {
-	t.dispatch(EvStageBreak, t.stageBreak)
-}
-
-func (t *Tracer) stageBreak() {
-	raw := t.clk.Now()
-	defer t.exclude(raw)
-	now := raw - t.excluded
-	f := t.top()
-	if f == nil || f.kind != tree.Task {
-		t.fail("STAGE_BREAK outside a task")
-		return
-	}
-	t.closeGap(f.node, f, now, tree.U, 0)
-	f.lastEvent = now
 }
 
 // SecEnd closes the current parallel section (PAR_SEC_END). nowait records

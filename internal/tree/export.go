@@ -18,13 +18,15 @@ type jsonNode struct {
 	Len      int64        `json:"len,omitempty"`
 	LockID   int          `json:"lock,omitempty"`
 	NoWait   bool         `json:"nowait,omitempty"`
-	Pipeline bool         `json:"pipeline,omitempty"`
 	Repeat   int          `json:"repeat,omitempty"`
 	Instr    int64        `json:"instr,omitempty"`
 	Misses   int64        `json:"misses,omitempty"`
 	Children []*jsonNode  `json:"children,omitempty"`
 	Counters *jsonSample  `json:"counters,omitempty"`
 	Burden   []burdenPair `json:"burden,omitempty"`
+	// Pipeline is decode-only: it marked the retired pipeline-parallel
+	// section, which no engine runs; fromJSON refuses a tree that sets it.
+	Pipeline bool `json:"pipeline,omitempty"`
 }
 
 type jsonSample struct {
@@ -40,15 +42,14 @@ type burdenPair struct {
 
 func toJSON(n *Node) *jsonNode {
 	j := &jsonNode{
-		Kind:     n.Kind.String(),
-		Name:     n.Name,
-		Len:      int64(n.Len),
-		LockID:   n.LockID,
-		NoWait:   n.NoWait,
-		Pipeline: n.Pipeline,
-		Repeat:   n.Repeat,
-		Instr:    n.Mem.Instructions,
-		Misses:   n.Mem.LLCMisses,
+		Kind:   n.Kind.String(),
+		Name:   n.Name,
+		Len:    int64(n.Len),
+		LockID: n.LockID,
+		NoWait: n.NoWait,
+		Repeat: n.Repeat,
+		Instr:  n.Mem.Instructions,
+		Misses: n.Mem.LLCMisses,
 	}
 	if n.Counters != nil {
 		j.Counters = &jsonSample{
@@ -89,15 +90,17 @@ func fromJSON(j *jsonNode) (*Node, error) {
 	default:
 		return nil, fmt.Errorf("tree: unknown node kind %q", j.Kind)
 	}
+	if j.Pipeline {
+		return nil, fmt.Errorf("%w: pipeline-parallel %v %q is no longer supported", ErrMalformed, k, j.Name)
+	}
 	n := &Node{
-		Kind:     k,
-		Name:     j.Name,
-		Len:      clock.Cycles(j.Len),
-		LockID:   j.LockID,
-		NoWait:   j.NoWait,
-		Pipeline: j.Pipeline,
-		Repeat:   j.Repeat,
-		Mem:      MemTraits{Instructions: j.Instr, LLCMisses: j.Misses},
+		Kind:   k,
+		Name:   j.Name,
+		Len:    clock.Cycles(j.Len),
+		LockID: j.LockID,
+		NoWait: j.NoWait,
+		Repeat: j.Repeat,
+		Mem:    MemTraits{Instructions: j.Instr, LLCMisses: j.Misses},
 	}
 	if j.Counters != nil {
 		n.Counters = &counters.Sample{

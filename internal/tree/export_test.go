@@ -3,6 +3,8 @@ package tree
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -93,5 +95,36 @@ func TestApproxBytesGrowsWithTree(t *testing.T) {
 	sb, bb := small.ApproxBytes(), big.ApproxBytes()
 	if sb <= 0 || bb <= sb {
 		t.Fatalf("ApproxBytes small=%d big=%d; want 0 < small < big", sb, bb)
+	}
+}
+
+// TestJSONRefusesPipelineSection: trees written while pipeline-parallel
+// sections existed may mark a Sec "pipeline": true. No engine runs such a
+// section any more, so decoding refuses it with a malformed-tree error
+// naming the node instead of loading it as an ordinary loop; a tree
+// without the flag still loads, and encoding never writes it.
+func TestJSONRefusesPipelineSection(t *testing.T) {
+	const sec = `{"kind":"Sec","name":"stream"%s,"children":[{"kind":"Task","name":"it","children":[{"kind":"U","len":10},{"kind":"U","len":20}]}]}`
+	doc := func(flag string) []byte {
+		return []byte(`{"kind":"Root","children":[{"kind":"U","len":5},` + fmt.Sprintf(sec, flag) + `]}`)
+	}
+	var bad Node
+	err := json.Unmarshal(doc(`,"pipeline":true`), &bad)
+	if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), `"stream"`) {
+		t.Fatalf("pipeline section: err = %v, want ErrMalformed naming \"stream\"", err)
+	}
+	var good Node
+	if err := json.Unmarshal(doc(`,"pipeline":false`), &good); err != nil {
+		t.Fatalf("plain section: %v", err)
+	}
+	if err := good.Validate(); err != nil || good.TotalLen() != 35 {
+		t.Fatalf("plain section decoded wrong: err %v, len %d", err, good.TotalLen())
+	}
+	out, err := json.Marshal(&good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(out, []byte("pipeline")) {
+		t.Fatalf("encoder wrote the retired flag: %s", out)
 	}
 }

@@ -25,13 +25,12 @@ func buildArbitraryNode(data []byte, budget *int) *Node {
 	build = func(depth int) *Node {
 		*budget--
 		n := &Node{
-			Kind:     Kind(next() % 9), // includes kinds beyond W
-			Name:     "f",
-			Len:      clock.Cycles(next()*73 - 4096), // may be negative
-			LockID:   next()%5 - 1,
-			NoWait:   next()%2 == 0,
-			Pipeline: next()%4 == 0,
-			Repeat:   next()%40 - 3, // may be zero or negative
+			Kind:   Kind(next() % 9), // includes kinds beyond W
+			Name:   "f",
+			Len:    clock.Cycles(next()*73 - 4096), // may be negative
+			LockID: next()%5 - 1,
+			NoWait: next()%2 == 0,
+			Repeat: next()%40 - 3, // may be zero or negative
 		}
 		if depth < 6 {
 			kids := next() % 5

@@ -10,7 +10,7 @@ import (
 )
 
 // randomValidTree builds a random structurally valid tree including
-// nowait, pipeline flags, repeats, locks, counters and burden maps.
+// nowait flags, repeats, locks, counters and burden maps.
 func randomValidTree(rng *rand.Rand) *Node {
 	var buildTask func(depth int) *Node
 	buildTask = func(depth int) *Node {
@@ -46,24 +46,15 @@ func randomValidTree(rng *rand.Rand) *Node {
 			continue
 		}
 		sec := NewSec("s")
-		if rng.Intn(6) == 0 {
-			// Pipeline sections: leaf-only tasks.
-			sec.Pipeline = true
-			for k := 0; k < 1+rng.Intn(5); k++ {
-				task := NewTask("p", NewU(clock.Cycles(1+rng.Intn(300))), NewU(clock.Cycles(1+rng.Intn(300))))
-				sec.Children = append(sec.Children, task)
-			}
-		} else {
-			for k := 0; k < 1+rng.Intn(5); k++ {
-				sec.Children = append(sec.Children, buildTask(2))
-			}
-			sec.Counters = &counters.Sample{
-				Instructions: int64(rng.Intn(100_000)),
-				Cycles:       clock.Cycles(rng.Intn(100_000) + 1),
-				LLCMisses:    int64(rng.Intn(1_000)),
-			}
-			sec.Burden = map[int]float64{2: 1 + rng.Float64(), 12: 1 + rng.Float64()}
+		for k := 0; k < 1+rng.Intn(5); k++ {
+			sec.Children = append(sec.Children, buildTask(2))
 		}
+		sec.Counters = &counters.Sample{
+			Instructions: int64(rng.Intn(100_000)),
+			Cycles:       clock.Cycles(rng.Intn(100_000) + 1),
+			LLCMisses:    int64(rng.Intn(1_000)),
+		}
+		sec.Burden = map[int]float64{2: 1 + rng.Float64(), 12: 1 + rng.Float64()}
 		root.Children = append(root.Children, sec)
 	}
 	return root
@@ -101,9 +92,6 @@ func TestJSONRoundTripProperty(t *testing.T) {
 		for i := range origSecs {
 			if (origSecs[i].Counters == nil) != (backSecs[i].Counters == nil) {
 				t.Fatalf("counters presence changed on section %d", i)
-			}
-			if origSecs[i].Pipeline != backSecs[i].Pipeline {
-				t.Fatalf("pipeline flag changed on section %d", i)
 			}
 			for k, v := range origSecs[i].Burden {
 				if backSecs[i].Burden[k] != v {

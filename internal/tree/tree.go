@@ -96,12 +96,6 @@ type Node struct {
 	// NoWait suppresses the implicit barrier at the end of a Sec
 	// (OpenMP's nowait).
 	NoWait bool
-	// Pipeline marks a Sec as pipeline-parallel (the paper's §VIII
-	// extension, after Thies et al.): its Task children are loop
-	// iterations whose U/L segments are pipeline stages; stage s of
-	// iteration i depends on stage s-1 of iteration i and on stage s of
-	// iteration i-1.
-	Pipeline bool
 	// Repeat is the run length: this node stands for Repeat consecutive
 	// identical siblings. Zero is treated as one.
 	Repeat int
@@ -282,17 +276,6 @@ func (n *Node) validate(parent *Node) error {
 	if parent != nil && !allowed(parent.Kind, n.Kind) {
 		return fmt.Errorf("%w: %v under %v (node %q)", ErrBadChild, n.Kind, parent.Kind, n.Name)
 	}
-	if n.Kind == Sec && n.Pipeline {
-		// Pipeline stages are leaves: no nested sections inside a
-		// pipeline iteration.
-		for _, task := range n.Children {
-			for _, seg := range task.Children {
-				if seg.Kind == Sec {
-					return fmt.Errorf("%w: Sec inside pipeline task %q", ErrBadChild, task.Name)
-				}
-			}
-		}
-	}
 	for _, c := range n.Children {
 		if err := c.validate(n); err != nil {
 			return err
@@ -322,7 +305,7 @@ func Equal(a, b *Node, tol float64) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if a.Kind != b.Kind || a.Reps() != b.Reps() || a.LockID != b.LockID || a.NoWait != b.NoWait || a.Pipeline != b.Pipeline {
+	if a.Kind != b.Kind || a.Reps() != b.Reps() || a.LockID != b.LockID || a.NoWait != b.NoWait {
 		return false
 	}
 	if (a.Kind == U || a.Kind == L || a.Kind == W) && !withinTol(a.Len, b.Len, tol) {

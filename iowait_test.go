@@ -79,31 +79,6 @@ func TestIOWaitOverlapsOnMachine(t *testing.T) {
 	}
 }
 
-// TestIOWaitPipelineStage: a W stage in a pipeline releases its worker.
-func TestIOWaitPipelineStage(t *testing.T) {
-	prog := func(ctx Context) {
-		ctx.PipeBegin("pipe")
-		for i := 0; i < 16; i++ {
-			ctx.TaskBegin("t")
-			ctx.Compute(10_000, 0)
-			ctx.StageBreak()
-			ctx.IOWait(10_000)
-			ctx.StageBreak()
-			ctx.Compute(10_000, 0)
-			ctx.TaskEnd()
-		}
-		ctx.PipeEnd()
-	}
-	p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(4), DisableMemoryModel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	real := mustReal(t, p, Request{Threads: 3, Sched: Static})
-	if real < 2.0 {
-		t.Fatalf("pipeline with W stage speedup = %.2f", real)
-	}
-}
-
 func TestIOWaitOutsideTaskFails(t *testing.T) {
 	bad := func(ctx Context) { ctx.IOWait(100) }
 	if _, err := ProfileProgramCtx(context.Background(), bad, nil); err == nil {
